@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import SolverDivergence
 from .field_core import BoundaryData, Grid, ScalarField
+from .solvers import SparseFactor
 
 
 def _composed_stencil(grid: Grid):
@@ -131,10 +130,7 @@ def biharmonic_lift(
         rhs = rhs + source.values[iidx]
     if not np.any(rhs):
         return ScalarField(grid, np.zeros(grid.n_nodes))
-    phi_int = spla.spsolve(M.tocsc(), rhs)
-    res = np.linalg.norm(M @ phi_int - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    if not np.isfinite(res) or res > max(tol, 1e-8):
-        raise SolverDivergence(f"biharmonic solve residual {res:.3e}")
+    phi_int = SparseFactor(M).solve(rhs, max(tol, 1e-8))
     full = np.zeros(grid.n_nodes)
     full[iidx] = phi_int
     return ScalarField(grid, full)

@@ -32,7 +32,7 @@ from .fileio import (
 from .forward import CoefficientPair, build_bundle
 from .linearized import assemble_system, injectivity_probe, normal_residual, solve_normal_equations
 from .nonlinear import ReconstructOptions, reconstruct
-from .pipeline import run_pipeline
+from .pipeline import _report_dict, run_pipeline
 from .scenario import parse_scenario
 
 log = logging.getLogger("umot")
@@ -90,21 +90,7 @@ def cmd_certify(args) -> int:
     )
     n_xi = args.xi_samples or config.certify.xi_samples
     report = certify_field(bundle, n_xi=n_xi, margin_threshold=config.certify.margin_threshold)
-    witness = None
-    if report.witness is not None:
-        witness = {"node": report.witness[0], "xi": [float(c) for c in report.witness[1]]}
-    dump_json(
-        {
-            "elliptic": report.elliptic,
-            "global_margin": report.global_margin,
-            "threshold": report.threshold,
-            "witness": witness,
-            "xi_samples": report.xi_samples,
-            "masked_interior_fraction": report.masked_fraction,
-            "masked_interior_count": report.masked_count,
-        },
-        args.report,
-    )
+    dump_json(_report_dict(report), args.report)
     print(f"elliptic={report.elliptic} margin={report.global_margin:.6e}")
     return 0 if report.elliptic or args.allow_noncertified else 2
 
@@ -119,7 +105,11 @@ def cmd_linearize(args) -> int:
     )
     dH = read_field_list_json(args.dh)
     sys_ = assemble_system(bundle, dH)
-    report = certify_field(bundle, n_xi=config.certify.xi_samples)
+    report = certify_field(
+        bundle,
+        n_xi=config.certify.xi_samples,
+        margin_threshold=config.certify.margin_threshold,
+    )
     sys_.certified = report.elliptic
     g = None
     if args.g:

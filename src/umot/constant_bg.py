@@ -49,7 +49,7 @@ from .field_core import (
     interior_derivative_matrices,
     laplacian_matrix,
 )
-from .solvers import FactorizedSPD
+from .solvers import SparseFactor
 
 CONST_BG_TOL = 1e-9
 
@@ -271,7 +271,7 @@ def solve_constant_bg(
             @ S.values[iidx]
         )
     rhs = np.sum(rhs_blocks, axis=0)
-    w = FactorizedSPD(system.normal_op.matrix, tol).solve(rhs)
+    w = SparseFactor(system.normal_op.matrix).solve(rhs, tol)
     dgamma = np.zeros(grid.n_nodes)
     dsigma = np.zeros(grid.n_nodes)
     dgamma[iidx] = w[:n_int]
@@ -324,7 +324,7 @@ def sigma_zero_recover_dgamma_2d(
     D2i = D2[iidx][:, iidx]
     N = (D1i.T @ D1i + D2i.T @ D2i).tocsr()
     rhs = D1i.T @ t1[iidx] + D2i.T @ t2[iidx]
-    w = FactorizedSPD(N, tol).solve(rhs)
+    w = SparseFactor(N).solve(rhs, tol)
     out = np.zeros(grid.n_nodes)
     out[iidx] = w
     return ScalarField(grid, out)

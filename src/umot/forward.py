@@ -29,10 +29,11 @@ from .field_core import (
     assemble_diffusion_operator,
     gradient,
 )
-from .solvers import DIRECT_THRESHOLD, FactorizedSPD, solve_spd
+from .solvers import SparseFactor, cg_solve
 
 DEFAULT_ETA = 1.0
 DEFAULT_SOLVER_TOL = 1e-10
+DIRECT_THRESHOLD = 2500  # interior unknowns; larger forward problems use CG
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,9 @@ class SolutionGeometry:
 class DiffusionSolver:
     """Factorized forward operator for repeated boundary-value solves.
 
-    Direct sparse factorization below DIRECT_THRESHOLD interior unknowns,
-    preconditioned conjugate gradients (with direct fallback) above it.
+    A sparse factorization, built once, up to DIRECT_THRESHOLD interior
+    unknowns; diagonally preconditioned conjugate gradients above it, where
+    a stalled iteration raises SolverDivergence.
     """
 
     def __init__(
@@ -107,13 +109,13 @@ class DiffusionSolver:
         self.A_II = A[self.interior][:, self.interior]
         self.A_IB = A[self.interior][:, self.boundary]
         self._factor = (
-            FactorizedSPD(self.A_II, tol) if self.interior.size <= DIRECT_THRESHOLD else None
+            SparseFactor(self.A_II) if self.interior.size <= DIRECT_THRESHOLD else None
         )
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         if self._factor is not None:
-            return self._factor.solve(rhs)
-        return solve_spd(self.A_II, rhs, tol=self.tol)
+            return self._factor.solve(rhs, self.tol)
+        return cg_solve(self.A_II, rhs, self.tol)
 
     def solve(self, f: BoundaryData) -> ScalarField:
         """Solution of the Dirichlet problem with trace f."""

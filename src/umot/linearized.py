@@ -9,9 +9,10 @@ per solution j and interior node,
                                                                           (state)
 
 with du_j = 0 on the boundary.  Stacking all rows gives a redundant sparse
-least-squares problem solved through its normal equations.  Mixed-order row
-weights (data rows times 1, state rows times h) balance the discrete system
-across derivative orders.
+least-squares problem solved through its normal equations, whose matrix is
+factored once per system; the rank probe, every solve and the injectivity
+probe share that factor.  Mixed-order row weights (data rows times 1, state
+rows times h) balance the discrete system across derivative orders.
 
 Unknown layout: perturbation blocks [dgamma | dsigma | du_1 ... du_J], each
 restricted to interior nodes.  Boundary values of dgamma and dsigma are
@@ -38,9 +39,8 @@ from .field_core import (
     gradient,
 )
 from .forward import SolutionBundle
-from .solvers import FactorizedSPD, smallest_singular_probe, solve_spd
+from .solvers import SparseFactor
 
-DIRECT_NORMAL_LIMIT = 40000
 NORMAL_TOL = 1e-10
 RANK_DEFICIENT_REL = 1e-8
 
@@ -76,12 +76,10 @@ class LinearizedSystem:
 
     A: DiscreteOperator
     rhs: np.ndarray
-    row_weights: np.ndarray
     bundle: SolutionBundle
     A_boundary: sp.csr_matrix
     certified: bool | None = None
-    _normal_factor: object = field(default=None, repr=False)
-    _rank_checked: bool = field(default=False, repr=False)
+    _normal: tuple | None = field(default=None, repr=False)
 
     @property
     def n_interior(self) -> int:
@@ -235,18 +233,9 @@ def assemble_system(
     for j in range(J):
         block_map[f"du_{j}"] = (col_du0 + j * n_int, col_du0 + (j + 1) * n_int)
 
-    weights = np.ones(n_rows)
-    for j in range(J):
-        weights[(2 * j + 1) * n_int : (2 * j + 2) * n_int] = w_pde
-
-    rhs_vec = np.zeros(n_rows)
-    for j, dh in enumerate(dH):
-        rhs_vec[2 * j * n_int : (2 * j + 1) * n_int] = dh.values[iidx]
-
     return LinearizedSystem(
         A=DiscreteOperator(A, block_map),
-        rhs=rhs_vec,
-        row_weights=weights,
+        rhs=rhs,
         bundle=bundle,
         A_boundary=A_bnd,
     )
@@ -293,46 +282,53 @@ def apply_linearized_forward(
     return dH_out, du_out
 
 
-def _normal_matrix(sys: LinearizedSystem) -> sp.csr_matrix:
-    A = sys.A.matrix
-    return (A.T @ A).tocsr()
+def _normal_factor(sys: LinearizedSystem) -> tuple:
+    """(factor, probe, sigma_max) of the normal matrix, built once per system.
+
+    An exactly singular factorization is cached as (None, 0.0, 0.0).
+    """
+    if sys._normal is None:
+        A = sys.A.matrix
+        try:
+            factor = SparseFactor((A.T @ A).tocsr())
+        except SolverDivergence:
+            sys._normal = (None, 0.0, 0.0)
+        else:
+            sys._normal = (factor, *factor.smallest_singular(A))
+    return sys._normal
 
 
-def _ensure_full_rank(sys: LinearizedSystem, N: sp.csr_matrix) -> None:
-    """Raise RankDeficient when the smallest Ritz value collapses.
+def _ensure_full_rank(sys: LinearizedSystem) -> SparseFactor:
+    """The normal factor, or RankDeficient when the smallest singular value collapses.
 
     The normal equations stay consistent even for a singular operator, so a
     direct factorization can return an arbitrarily large spurious solution
-    without tripping any residual check; the rank probe runs once per
-    assembled system before the first solve.
+    without tripping any residual check; hence the probe before every solve.
     """
-    if sys._rank_checked:
-        return
-    probe, smax = smallest_singular_probe(sys.A.matrix, N)
-    sys._rank_checked = True
-    if smax > 0 and probe < RANK_DEFICIENT_REL * smax:
+    factor, probe, smax = _normal_factor(sys)
+    if factor is None:
+        raise RankDeficient("normal matrix is exactly singular: injectivity failure")
+    if probe < RANK_DEFICIENT_REL * smax:
         raise RankDeficient(
             f"smallest singular-value probe {probe:.3e} below "
             f"{RANK_DEFICIENT_REL:.0e} of {smax:.3e}: injectivity failure"
         )
+    return factor
 
 
 def solve_normal_equations(
     sys: LinearizedSystem,
     g: list[BoundaryData] | None = None,
     rhs: np.ndarray | None = None,
-    method: str = "auto",
     tol: float = NORMAL_TOL,
-    maxiter: int = 20000,
 ) -> PerturbationVector:
     """Least-squares solution of the stacked system via its normal equations.
 
     With normal-derivative data ``g`` (one BoundaryData per unknown block,
     ordered dgamma, dsigma, du_1..du_J), the solution is split v = w + phi
     with phi the clamped biharmonic lift of g, and the homogeneous remainder
-    w is solved for.  Default method is a cached sparse factorization at desk
-    scale with diagonally preconditioned CG above DIRECT_NORMAL_LIMIT
-    unknowns.
+    w is solved for on the system's cached normal-matrix factorization,
+    after the rank probe has cleared it.
     """
     if sys.certified is False:
         warnings.warn("solving a system whose bundle failed certification")
@@ -353,22 +349,11 @@ def solve_normal_equations(
         phi_bnd = np.concatenate([phis[0].values[bidx], phis[1].values[bidx]])
         b = b - A @ phi_int - sys.A_boundary @ phi_bnd
 
-    N = _normal_matrix(sys)
     rhs_n = A.T @ b
-    n_unknowns = N.shape[0]
     if not np.any(rhs_n):
-        w = np.zeros(n_unknowns)
-    elif method == "cg" or (method == "auto" and n_unknowns > DIRECT_NORMAL_LIMIT):
-        _ensure_full_rank(sys, N)
-        w = solve_spd(N, rhs_n, tol=tol, direct_threshold=0, maxiter=maxiter)
+        w = np.zeros(A.shape[1])
     else:
-        _ensure_full_rank(sys, N)
-        if sys._normal_factor is None:
-            try:
-                sys._normal_factor = FactorizedSPD(N, tol)
-            except RuntimeError as exc:  # singular factorization
-                raise SolverDivergence(str(exc)) from exc
-        w = sys._normal_factor.solve(rhs_n)
+        w = _ensure_full_rank(sys).solve(rhs_n, tol)
 
     if phis is not None:
         w = w + np.concatenate([p.values[iidx] for p in phis])
@@ -403,12 +388,12 @@ def normal_residual(sys: LinearizedSystem, v: PerturbationVector) -> float:
 def injectivity_probe(sys: LinearizedSystem, relative: bool = False) -> float:
     """Smallest-singular-value estimate of the stacked operator.
 
-    Inverse-power iteration on the (shifted) normal operator followed by a
-    direct Rayleigh quotient on the rectangular matrix; structurally null
-    directions therefore report far below the eigenvalue round-off floor.
+    Inverse-power iteration on the system's cached normal-matrix factor
+    followed by a direct Rayleigh quotient on the rectangular matrix;
+    structurally null directions therefore report far below the eigenvalue
+    round-off floor, and an exactly singular factor reports 0.
     """
-    A = sys.A.matrix
-    probe, smax = smallest_singular_probe(A, _normal_matrix(sys))
+    _, probe, smax = _normal_factor(sys)
     if relative:
         return probe / smax if smax > 0 else 0.0
     return probe

@@ -22,7 +22,7 @@ import numpy as np
 
 from .ellipticity import certify_field
 from .errors import Diverged, InsufficientHistory, NotElliptic
-from .field_core import BoundaryData, ScalarField, gradient, l2_norm
+from .field_core import BoundaryData, ScalarField, gradient, l2_norm, rel_l2_error
 from .forward import CoefficientPair, SolutionBundle, build_bundle
 from .linearized import assemble_system, solve_normal_equations
 
@@ -107,13 +107,6 @@ class ReconstructionResult:
         return [r.step_norm for r in self.history]
 
 
-def _rel_l2(approx: ScalarField, exact: ScalarField) -> float:
-    denom = l2_norm(exact.values, exact.grid)
-    if denom == 0.0:
-        denom = 1.0
-    return l2_norm(approx.values - exact.values, approx.grid) / denom
-
-
 def _project(coeffs: CoefficientPair, dgamma, dsigma, lam, gamma_min) -> CoefficientPair:
     g = np.maximum(coeffs.gamma.values + lam * dgamma.values, gamma_min)
     s = np.maximum(coeffs.sigma.values + lam * dsigma.values, 0.0)
@@ -173,8 +166,8 @@ def reconstruct(
         err = None
         if truth is not None:
             err = (
-                _rel_l2(coeffs_out.gamma, truth.gamma),
-                _rel_l2(coeffs_out.sigma, truth.sigma),
+                rel_l2_error(coeffs_out.gamma.values, truth.gamma.values, truth.grid),
+                rel_l2_error(coeffs_out.sigma.values, truth.sigma.values, truth.grid),
             )
         return ReconstructionResult(
             coeffs_out, converged, iterations, res_out, tuple(state.history), err

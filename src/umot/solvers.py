@@ -1,10 +1,11 @@
-"""Linear-solve helpers shared by the forward and inversion modules.
+"""Linear-solve layer shared by the forward and inversion modules.
 
-Symmetric positive (semi)definite systems at desk scale: direct sparse
-factorization below a size threshold, diagonally preconditioned conjugate
-gradients above it, with a direct fallback when the iteration stalls.
-Every solve is residual-checked; SolverDivergence is raised when the
-requested tolerance is not met.
+One factorization object serves every direct solve: a COLAMD sparse LU that
+is built once per matrix, reused for every right-hand side, and also drives
+the inverse iteration of the smallest-singular-value probe.  Large forward
+problems use diagonally preconditioned conjugate gradients instead, with no
+fallback: a stalled iteration is an error.  Every solve is residual-checked;
+SolverDivergence is raised when the requested tolerance is not met.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverDivergence
 
-DIRECT_THRESHOLD = 2500
-
 
 def _residual(A, x, b) -> float:
     bn = np.linalg.norm(b)
@@ -25,48 +24,71 @@ def _residual(A, x, b) -> float:
     return float(np.linalg.norm(A @ x - b) / bn)
 
 
-def solve_spd(
-    A: sp.spmatrix,
-    b: np.ndarray,
-    tol: float = 1e-10,
-    direct_threshold: int = DIRECT_THRESHOLD,
-    maxiter: int = 20000,
-) -> np.ndarray:
-    """Solve an SPD sparse system to the requested relative residual."""
-    n = A.shape[0]
-    if np.linalg.norm(b) == 0.0:
-        return np.zeros(n)
-    if n <= direct_threshold:
-        x = spla.spsolve(sp.csc_matrix(A), b)
-    else:
-        d = A.diagonal()
-        d = np.where(np.abs(d) > 0, d, 1.0)
-        M = spla.LinearOperator((n, n), matvec=lambda v: v / d)
-        x, info = spla.cg(A, b, rtol=min(tol, 1e-12), atol=0.0, maxiter=maxiter, M=M)
-        if info != 0 or _residual(A, x, b) > tol:
-            x = spla.spsolve(sp.csc_matrix(A), b)
+def _check(A, x, b, tol: float, what: str) -> np.ndarray:
     res = _residual(A, x, b)
     if not np.isfinite(res) or res > tol:
-        raise SolverDivergence(f"linear solve residual {res:.3e} exceeds {tol:.1e}")
+        raise SolverDivergence(f"{what} residual {res:.3e} exceeds {tol:.1e}")
     return x
 
 
-class FactorizedSPD:
-    """Cached sparse LU of an SPD matrix for repeated right-hand sides."""
+class SparseFactor:
+    """COLAMD sparse LU of a square matrix, reused for every solve and probe.
 
-    def __init__(self, A: sp.spmatrix, tol: float = 1e-10):
+    Raises SolverDivergence when the matrix is exactly singular.
+    """
+
+    def __init__(self, A: sp.spmatrix):
         self.A = sp.csr_matrix(A)
-        self.tol = tol
-        self._lu = spla.splu(sp.csc_matrix(A))
+        try:
+            self._lu = spla.splu(sp.csc_matrix(A), permc_spec="COLAMD")
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            raise SolverDivergence(f"singular factorization: {exc}") from exc
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray, tol: float) -> np.ndarray:
         if np.linalg.norm(b) == 0.0:
             return np.zeros(self.A.shape[0])
-        x = self._lu.solve(b)
-        res = _residual(self.A, x, b)
-        if not np.isfinite(res) or res > self.tol:
-            raise SolverDivergence(f"factorized solve residual {res:.3e}")
-        return x
+        return _check(self.A, self._lu.solve(b), b, tol, "factorized solve")
+
+    def smallest_singular(self, A: sp.spmatrix) -> tuple[float, float]:
+        """Estimate (smallest, largest) singular values of A, factored as A^T A.
+
+        Eight sweeps of inverse-power iteration on the factor drive a
+        deterministic start vector toward the bottom of the spectrum; the probe value is then the
+        direct Rayleigh quotient ||A w|| / ||w||, which resolves structurally
+        null directions far below the eigenvalue round-off floor.  An iterate
+        that overflows marks a numerically singular factor and reports 0.
+        """
+        sig_max = float(np.sqrt(largest_eigenvalue(self.A)))
+        if sig_max == 0.0:
+            return 0.0, 0.0
+        n = self.A.shape[0]
+        w = np.ones(n) + 1e-3 * np.cos(np.arange(n))
+        w /= np.linalg.norm(w)
+        for _ in range(8):
+            w = self._lu.solve(w)
+            nw = np.linalg.norm(w)
+            if not np.isfinite(nw) or nw == 0.0:
+                return 0.0, sig_max
+            w /= nw
+        return float(np.linalg.norm(A @ w)), sig_max
+
+
+def cg_solve(
+    A: sp.spmatrix, b: np.ndarray, tol: float = 1e-10, maxiter: int = 20000
+) -> np.ndarray:
+    """Diagonally preconditioned CG on an SPD matrix; a stall raises."""
+    n = A.shape[0]
+    if np.linalg.norm(b) == 0.0:
+        return np.zeros(n)
+    d = A.diagonal()
+    d = np.where(np.abs(d) > 0, d, 1.0)
+    M = spla.LinearOperator((n, n), matvec=lambda v: v / d)
+    x, info = spla.cg(A, b, rtol=min(tol, 1e-12), atol=0.0, maxiter=maxiter, M=M)
+    if info != 0:
+        raise SolverDivergence(
+            f"CG stalled (info={info}) at residual {_residual(A, x, b):.3e}"
+        )
+    return _check(A, x, b, tol, "CG")
 
 
 def largest_eigenvalue(A: sp.spmatrix, iters: int = 60) -> float:
@@ -83,30 +105,3 @@ def largest_eigenvalue(A: sp.spmatrix, iters: int = 60) -> float:
         lam = float(v @ w)
         v = w / nw
     return abs(lam)
-
-
-def smallest_singular_probe(
-    A: sp.spmatrix, N: sp.spmatrix | None = None, iters: int = 8
-) -> tuple[float, float]:
-    """Estimate (smallest, largest) singular values of A.
-
-    Inverse-power iteration on the shifted normal matrix N + tau*I drives a
-    deterministic start vector toward the bottom of the spectrum; the probe
-    value is then the direct Rayleigh quotient ||A w|| / ||w||, which resolves
-    structurally null directions far below the eigenvalue round-off floor.
-    """
-    if N is None:
-        N = (A.T @ A).tocsr()
-    lam_max = largest_eigenvalue(N)
-    sig_max = float(np.sqrt(max(lam_max, 0.0)))
-    if sig_max == 0.0:
-        return 0.0, 0.0
-    tau = 1e-10 * lam_max
-    lu = spla.splu(sp.csc_matrix(N + tau * sp.identity(N.shape[0], format="csr")))
-    w = np.ones(N.shape[0]) + 1e-3 * np.cos(np.arange(N.shape[0]))
-    w /= np.linalg.norm(w)
-    for _ in range(iters):
-        w = lu.solve(w)
-        w /= np.linalg.norm(w)
-    probe = float(np.linalg.norm(A @ w))
-    return probe, sig_max

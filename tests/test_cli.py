@@ -108,6 +108,25 @@ def test_linearize_command(tmp_path, scenario_file):
     assert v["injectivity_probe_rel"] > 1e-6
 
 
+def test_linearize_command_uses_scenario_threshold(tmp_path, scenario_file):
+    # a margin threshold above the bundle's margin must fail certification
+    # in the standalone command exactly as it does in the pipeline
+    out = tmp_path / "run"
+    assert main(["pipeline", "--scenario", str(scenario_file), "--out", str(out)]) == 0
+    dh_path = tmp_path / "dh.json"
+    write_field_list_json([read_field_json(out / f"dH_{j}.json") for j in range(3)], dh_path)
+    strict = json.loads(json.dumps(SCENARIO))
+    strict["certify"] = {"margin_threshold": 10.0}
+    strict_path = tmp_path / "strict.json"
+    strict_path.write_text(json.dumps(strict))
+    with pytest.warns(UserWarning, match="failed certification"):
+        rc = main(
+            ["linearize", "--scenario", str(strict_path), "--dh", str(dh_path),
+             "--out", str(tmp_path / "v.json")]
+        )
+    assert rc == 0
+
+
 def test_linearize_command_with_normal_data(tmp_path, scenario_file):
     # interior-supported truth has vanishing normal data, so supplying g = 0
     # through the lift route must reproduce the default solve

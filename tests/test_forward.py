@@ -176,3 +176,17 @@ def test_bundle_residuals_and_traces(bundle24):
         assert np.array_equal(u.values[iidx], f.values)
         assert bundle24.solver.residual(u, f) < 1e-9
     assert bundle24.J == 3
+
+
+def test_forward_cg_stall_raises(bundle24):
+    # the CG path of large forward problems has no silent direct fallback
+    from umot.errors import SolverDivergence
+    from umot.solvers import cg_solve
+
+    solver = bundle24.solver
+    f, u = bundle24.solutions[0]
+    rhs = -(solver.A_IB @ f.values)
+    x = cg_solve(solver.A_II, rhs)
+    assert np.abs(x - u.values[solver.interior]).max() < 1e-8
+    with pytest.raises(SolverDivergence, match="info=5"):
+        cg_solve(solver.A_II, rhs, maxiter=5)

@@ -238,34 +238,68 @@ def test_lift_mode_round_trip(bundle24):
     assert rel_l2_error(v.dgamma.values, dg.values, g) < 1e-6
 
 
-def test_rank_deficient_solve_refused(bundle24):
-    # the normal equations of a one-solution system stay consistent, so the
-    # solve must refuse rather than return a spurious minimizer
+@pytest.mark.parametrize("J", [1, 2])
+def test_rank_deficient_solve_refused(bundle24, J):
+    # the normal equations of a system with fewer than three solutions stay
+    # consistent, so the solve must refuse rather than return a spurious
+    # minimizer
     import dataclasses
 
     from umot.errors import RankDeficient
 
     g = bundle24.grid
-    b1 = dataclasses.replace(
+    small = dataclasses.replace(
         bundle24,
-        solutions=bundle24.solutions[:1],
-        geometry=bundle24.geometry[:1],
-        H=bundle24.H[:1],
+        solutions=bundle24.solutions[:J],
+        geometry=bundle24.geometry[:J],
+        H=bundle24.H[:J],
     )
     dg, ds = _planted(g)
-    dH, _ = apply_linearized_forward(b1, dg, ds)
-    sys1 = assemble_system(b1, dH, allow_deficient=True)
+    dH, _ = apply_linearized_forward(small, dg, ds)
+    sys_ = assemble_system(small, dH, allow_deficient=True)
     with pytest.raises(RankDeficient):
-        solve_normal_equations(sys1)
+        solve_normal_equations(sys_)
 
 
-def test_cg_method_matches_direct(bundle24):
+def test_singular_normal_matrix_is_rank_deficient():
+    # u = 0 leaves the dgamma and dsigma columns empty, so the normal matrix
+    # is exactly singular: the probe reads 0 and the solve refuses
+    from umot.errors import RankDeficient
+
+    g = Grid(12, 12, 1 / 11, 1 / 11)
+    zero_trace = BoundaryData(g, np.zeros(g.boundary_indices().size))
+    bundle = build_bundle(CoefficientPair.constant(g, 1.0, 0.5), [zero_trace])
+    sys_ = assemble_system(bundle, _zero_fields(g, 1), allow_deficient=True)
+    assert injectivity_probe(sys_, relative=True) == 0.0
+    with pytest.raises(RankDeficient, match="exactly singular"):
+        solve_normal_equations(sys_, rhs=np.ones(sys_.A.matrix.shape[0]))
+
+
+def test_normal_matrix_factored_once(bundle24, monkeypatch):
+    # the rank probe, every solve and the injectivity probe share one factor
+    import scipy.sparse.linalg as spla
+
     g = bundle24.grid
     dg, ds = _planted(g)
     dH, _ = apply_linearized_forward(bundle24, dg, ds)
-    v_direct = solve_normal_equations(assemble_system(bundle24, dH))
-    v_cg = solve_normal_equations(assemble_system(bundle24, dH), method="cg")
-    assert rel_l2_error(v_cg.dgamma.values, v_direct.dgamma.values, g) < 1e-4
+    sys_ = assemble_system(bundle24, dH)
+    factored = []
+    splu = spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        factored.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    v = solve_normal_equations(sys_)
+    v2 = solve_normal_equations(
+        sys_, rhs=sys_.data_rhs([ScalarField(g, 2.0 * d.values) for d in dH])
+    )
+    injectivity_probe(sys_)
+    normal_residual(sys_, v)
+    n = sys_.A.matrix.shape[1]
+    assert factored == [(n, n)]
+    assert np.allclose(v2.dgamma.values, 2.0 * v.dgamma.values, rtol=0, atol=1e-12)
 
 
 def test_injectivity_probe_certified_vs_deficient(bundle24):
