@@ -38,7 +38,6 @@ from .field_core import (
     assemble_diffusion_operator,
     assemble_directional_ops,
     divergence,
-    eliminate_dirichlet,
     gradient,
 )
 from .biharmonic import biharmonic_lift

@@ -113,24 +113,34 @@ def clamped_biharmonic_system(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]
     return M, G
 
 
+def biharmonic_lifts(
+    gs: list[BoundaryData], source: ScalarField | None = None, tol: float = 1e-10
+) -> list[ScalarField]:
+    """Solve the clamped biharmonic problem for each set of normal data.
+
+    With ``source`` omitted this is the harmonic-free lift: lap^2 phi = 0,
+    phi = 0, d(phi)/dnu = g; a source adds an interior right-hand side.  The
+    solves share one factorization, built only for a nonzero right-hand side.
+    """
+    grid = gs[0].grid
+    M, G = clamped_biharmonic_system(grid)
+    iidx = grid.interior_indices()
+    factor = None
+    out = []
+    for g in gs:
+        rhs = G @ g.values
+        if source is not None:
+            rhs = rhs + source.values[iidx]
+        full = np.zeros(grid.n_nodes)
+        if np.any(rhs):
+            factor = factor or SparseFactor(M)
+            full[iidx] = factor.solve(rhs, max(tol, 1e-8))
+        out.append(ScalarField(grid, full))
+    return out
+
+
 def biharmonic_lift(
     g: BoundaryData, source: ScalarField | None = None, tol: float = 1e-10
 ) -> ScalarField:
-    """Solve the clamped biharmonic problem for the given normal data.
-
-    With ``source`` omitted this is the harmonic-free lift: lap^2 phi = 0,
-    phi = 0, d(phi)/dnu = g.  A nonzero interior source turns it into the
-    general clamped solve used by the fourth-order inversions.
-    """
-    grid = g.grid
-    M, G = clamped_biharmonic_system(grid)
-    iidx = grid.interior_indices()
-    rhs = G @ g.values
-    if source is not None:
-        rhs = rhs + source.values[iidx]
-    if not np.any(rhs):
-        return ScalarField(grid, np.zeros(grid.n_nodes))
-    phi_int = SparseFactor(M).solve(rhs, max(tol, 1e-8))
-    full = np.zeros(grid.n_nodes)
-    full[iidx] = phi_int
-    return ScalarField(grid, full)
+    """One clamped biharmonic solve; see :func:`biharmonic_lifts`."""
+    return biharmonic_lifts([g], source, tol)[0]

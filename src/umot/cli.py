@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: forward, certify, linearize, constbg, reconstruct, pipeline.
-Every command is scenario-driven and writes machine-readable JSON (plus CSV
-mirrors for fields).  The UMOT_LOG environment variable selects the logging
-level (error, info, debug).
+All but constbg read a scenario and call the stage functions and serializers
+of umot.pipeline, so each writes what the matching pipeline stage writes.
+Output is JSON (plus CSV mirrors for fields).  The UMOT_LOG environment
+variable selects the logging level (error, info, debug).
 """
 
 from __future__ import annotations
@@ -16,23 +17,29 @@ from pathlib import Path
 
 import numpy as np
 
-from .constant_bg import ConstantBackground, solve_constant_bg
-from .ellipticity import DirectionSet, certify_field
+from .constant_bg import (
+    ConstantBackground,
+    exponential_solution,
+    preprocess_data,
+    solve_constant_bg,
+)
+from .ellipticity import DirectionSet
 from .errors import PipelineStageError, UmotError
 from .field_core import BoundaryData
-from .fileio import (
-    dump_json,
-    field_from_dict,
-    field_to_dict,
-    load_json,
-    read_field_list_json,
-    write_field_csv,
-    write_field_json,
+from .fileio import dump_json, field_from_dict, field_to_dict, load_json, read_field_list_json
+from .forward import CoefficientPair
+from .pipeline import (
+    Recorder,
+    ScenarioSetup,
+    certify_stage,
+    forward_stage,
+    linearized_reconstruction,
+    nonlinear_dict,
+    nonlinear_reconstruction,
+    report_dict,
+    run_pipeline,
+    trace_csv,
 )
-from .forward import CoefficientPair, build_bundle
-from .linearized import assemble_system, injectivity_probe, normal_residual, solve_normal_equations
-from .nonlinear import ReconstructOptions, reconstruct
-from .pipeline import _report_dict, run_pipeline
 from .scenario import parse_scenario
 
 log = logging.getLogger("umot")
@@ -60,75 +67,38 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=None, help="cap BLAS threads")
 
 
+def _setup(args) -> ScenarioSetup:
+    return ScenarioSetup.from_config(parse_scenario(Path(args.scenario).read_text()))
+
+
 def cmd_forward(args) -> int:
-    config = parse_scenario(Path(args.scenario).read_text())
-    grid = config.make_grid()
-    background = config.make_background(grid)
-    truth = config.make_truth(grid, background)
-    traces = config.make_traces(grid, background)
-    bundle = build_bundle(
-        truth, traces, config.eta, config.solver.grad_floor, config.solver.forward_tol
-    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for j, (f, u) in enumerate(bundle.solutions):
-        write_field_json(u, out / f"u_{j}.json")
-        write_field_csv(u, out / f"u_{j}.csv")
-        write_field_json(bundle.H[j], out / f"H_{j}.json")
-        write_field_csv(bundle.H[j], out / f"H_{j}.csv")
-    print(f"wrote {2 * bundle.J} fields to {out}")
+    rec = Recorder(out)
+    forward_stage(_setup(args), rec)
+    print(f"wrote {len(rec.files)} files to {out}")
     return 0
 
 
 def cmd_certify(args) -> int:
-    config = parse_scenario(Path(args.scenario).read_text())
-    grid = config.make_grid()
-    background = config.make_background(grid)
-    traces = config.make_traces(grid, background)
-    bundle = build_bundle(
-        background, traces, config.eta, config.solver.grad_floor, config.solver.forward_tol
-    )
-    n_xi = args.xi_samples or config.certify.xi_samples
-    report = certify_field(bundle, n_xi=n_xi, margin_threshold=config.certify.margin_threshold)
-    dump_json(_report_dict(report), args.report)
+    report = certify_stage(_setup(args), n_xi=args.xi_samples)
+    dump_json(report_dict(report), args.report)
     print(f"elliptic={report.elliptic} margin={report.global_margin:.6e}")
     return 0 if report.elliptic or args.allow_noncertified else 2
 
 
 def cmd_linearize(args) -> int:
-    config = parse_scenario(Path(args.scenario).read_text())
-    grid = config.make_grid()
-    background = config.make_background(grid)
-    traces = config.make_traces(grid, background)
-    bundle = build_bundle(
-        background, traces, config.eta, config.solver.grad_floor, config.solver.forward_tol
-    )
-    dH = read_field_list_json(args.dh)
-    sys_ = assemble_system(bundle, dH)
-    report = certify_field(
-        bundle,
-        n_xi=config.certify.xi_samples,
-        margin_threshold=config.certify.margin_threshold,
-    )
-    sys_.certified = report.elliptic
+    setup = _setup(args)
     g = None
     if args.g:
-        gdata = load_json(args.g)
         g = [
-            BoundaryData(grid, np.asarray(comp["values"], dtype=float))
-            for comp in gdata["components"]
+            BoundaryData(setup.grid, np.asarray(comp["values"], dtype=float))
+            for comp in load_json(args.g)["components"]
         ]
-    v = solve_normal_equations(sys_, g=g, tol=config.solver.normal_tol)
-    dump_json(
-        {
-            "dgamma": field_to_dict(v.dgamma),
-            "dsigma": field_to_dict(v.dsigma),
-            "du": [field_to_dict(u) for u in v.du],
-            "normal_residual": normal_residual(sys_, v),
-            "injectivity_probe_rel": injectivity_probe(sys_, relative=True),
-        },
-        args.out,
+    out = linearized_reconstruction(
+        setup, read_field_list_json(args.dh), certify_stage(setup).elliptic, g=g
     )
+    dump_json(out, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -140,8 +110,6 @@ def cmd_constbg(args) -> int:
     vecs = [v / np.linalg.norm(v) for v in vecs]
     dirs = DirectionSet(int(dirs_d.get("dim", 2)), tuple(vecs))
     bg = ConstantBackground(args.gamma0, args.sigma0, args.eta, dirs)
-    from .constant_bg import exponential_solution, preprocess_data
-
     grid = dH[0].grid
     data = [
         preprocess_data(d, exponential_solution(bg, v, grid), bg)
@@ -156,41 +124,21 @@ def cmd_constbg(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    config = parse_scenario(Path(args.scenario).read_text())
-    grid = config.make_grid()
-    background = config.make_background(grid)
-    traces = config.make_traces(grid, background)
-    H_meas = read_field_list_json(args.hmeas)
+    setup = _setup(args)
     init = load_json(args.init)
     coeffs0 = CoefficientPair(
         field_from_dict(init["gamma"]), field_from_dict(init["sigma"])
     )
-    opts = ReconstructOptions(
-        mode=args.mode,
-        tol=config.inversion.tol,
-        kmax=config.inversion.kmax,
-        forward_tol=config.solver.forward_tol,
-        strict_ellipticity=not args.allow_noncertified,
+    H_meas = read_field_list_json(args.hmeas)
+    result, diverged = nonlinear_reconstruction(
+        setup.config, H_meas, setup.traces, coeffs0, args.allow_noncertified
     )
-    result = reconstruct(H_meas, traces, coeffs0, config.eta, opts)
     if args.log:
-        lines = ["k,residual,step,damping"]
-        lines += [
-            f"{r.k},{r.residual_norm!r},{r.step_norm!r},{r.damping!r}"
-            for r in result.history
-        ]
-        Path(args.log).write_text("\n".join(lines) + "\n")
-    dump_json(
-        {
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "final_residual": result.final_residual,
-            "gamma": field_to_dict(result.coeffs.gamma),
-            "sigma": field_to_dict(result.coeffs.sigma),
-        },
-        args.out,
-    )
+        Path(args.log).write_text(trace_csv(result))
+    dump_json(nonlinear_dict(result, diverged), args.out)
     print(f"converged={result.converged} iterations={result.iterations}")
+    if diverged is not None:
+        raise PipelineStageError("invert", diverged)
     return 0
 
 
@@ -242,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--hmeas", required=True)
     p.add_argument("--init", required=True)
-    p.add_argument("--mode", choices=("frozen", "refreshed"), default="frozen")
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None)
     p.add_argument("--allow-noncertified", action="store_true")

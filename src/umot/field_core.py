@@ -81,11 +81,6 @@ class Grid:
         ii, jj = np.meshgrid(np.arange(1, self.nx - 1), np.arange(1, self.ny - 1))
         return (jj * self.nx + ii).ravel()
 
-    def boundary_mask(self) -> np.ndarray:
-        m = np.zeros(self.n_nodes, dtype=bool)
-        m[self.boundary_indices()] = True
-        return m
-
     def depth(self) -> np.ndarray:
         """Distance (in node steps) of each node from the boundary."""
         i = np.arange(self.n_nodes) % self.nx
@@ -164,15 +159,10 @@ class VectorField:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """One value per boundary node, counterclockwise from (x0, y0).
-
-    ``normal_values`` optionally carries outward-normal-derivative data at
-    the same nodes (used by the lifted normal-system formulation).
-    """
+    """One value per boundary node, counterclockwise from (x0, y0)."""
 
     grid: Grid
     values: np.ndarray
-    normal_values: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -185,12 +175,6 @@ class BoundaryData:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        if self.normal_values is not None:
-            nv = np.asarray(self.normal_values, dtype=float).copy()
-            if nv.shape != v.shape:
-                raise ValueError("normal_values must match boundary node count")
-            nv.setflags(write=False)
-            object.__setattr__(self, "normal_values", nv)
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "BoundaryData":
@@ -201,12 +185,6 @@ class BoundaryData:
     @classmethod
     def zero(cls, grid: Grid) -> "BoundaryData":
         return cls(grid, np.zeros(grid.n_boundary))
-
-    def as_full_field(self) -> np.ndarray:
-        """Full-grid array with boundary values placed, zeros inside."""
-        full = np.zeros(self.grid.n_nodes)
-        full[self.grid.boundary_indices()] = self.values
-        return full
 
 
 class DiscreteOperator:
@@ -258,9 +236,6 @@ class DiscreteOperator:
     def __matmul__(self, x):
         return self._matrix @ x
 
-    def transpose(self) -> "DiscreteOperator":
-        return DiscreteOperator(self._matrix.T)
-
     def block(self, name: str) -> tuple[int, int]:
         if self.block_map is None or name not in self.block_map:
             raise KeyError(name)
@@ -298,40 +273,32 @@ def _interior_stencil_indices(grid: Grid):
     return c, c + 1, c - 1, c + grid.nx, c - grid.nx
 
 
-def face_average(a, b, kind: str = "harmonic"):
-    if kind == "harmonic":
-        return 2.0 * a * b / (a + b)
-    if kind == "arithmetic":
-        return 0.5 * (a + b)
-    raise ValueError(f"unknown face average '{kind}'")
+def face_average(a, b):
+    """Harmonic mean of two nodal values: the diffusivity on the face between them."""
+    return 2.0 * a * b / (a + b)
 
 
-def face_average_partials(a, b, kind: str = "harmonic"):
+def face_average_partials(a, b):
     """Derivatives of the face value with respect to the two nodal values."""
-    if kind == "harmonic":
-        s = (a + b) ** 2
-        return 2.0 * b * b / s, 2.0 * a * a / s
-    if kind == "arithmetic":
-        half = np.full_like(np.asarray(a, dtype=float), 0.5)
-        return half, half.copy()
-    raise ValueError(f"unknown face average '{kind}'")
+    s = (a + b) ** 2
+    return 2.0 * b * b / s, 2.0 * a * a / s
 
 
 # ---------------------------------------------------------------------------
 # diffusion operator
 
 
-def _diffusion_csr(gamma_vals, sigma_vals, grid: Grid, kind: str) -> sp.csr_matrix:
+def _diffusion_csr(gamma_vals, sigma_vals, grid: Grid) -> sp.csr_matrix:
     """Flux-conservative 5-point stencil for -div(gamma grad) + sigma.
 
     Interior rows carry the stencil, boundary rows are identity.
     """
     c, e, w, n, s = _interior_stencil_indices(grid)
     hx2, hy2 = grid.hx ** 2, grid.hy ** 2
-    ge = face_average(gamma_vals[c], gamma_vals[e], kind) / hx2
-    gw = face_average(gamma_vals[c], gamma_vals[w], kind) / hx2
-    gn = face_average(gamma_vals[c], gamma_vals[n], kind) / hy2
-    gs = face_average(gamma_vals[c], gamma_vals[s], kind) / hy2
+    ge = face_average(gamma_vals[c], gamma_vals[e]) / hx2
+    gw = face_average(gamma_vals[c], gamma_vals[w]) / hx2
+    gn = face_average(gamma_vals[c], gamma_vals[n]) / hy2
+    gs = face_average(gamma_vals[c], gamma_vals[s]) / hy2
     diag = ge + gw + gn + gs + sigma_vals[c]
 
     b = grid.boundary_indices()
@@ -342,29 +309,25 @@ def _diffusion_csr(gamma_vals, sigma_vals, grid: Grid, kind: str) -> sp.csr_matr
     return m.tocsr()
 
 
-def assemble_diffusion_operator(
-    gamma: ScalarField, sigma: ScalarField, face_avg: str = "harmonic"
-) -> DiscreteOperator:
+def assemble_diffusion_operator(gamma: ScalarField, sigma: ScalarField) -> DiscreteOperator:
     """Assemble -div(gamma grad u) + sigma u on interior rows.
 
-    Boundary rows are identity; use :func:`eliminate_dirichlet` to reduce to
-    the interior system.  Raises NonPositiveDiffusion when min(gamma) <= 0.
+    Boundary rows are identity; DiffusionSolver splits off the interior
+    system.  Raises NonPositiveDiffusion when min(gamma) <= 0.
     """
     _check_same_grid(gamma, sigma)
     if gamma.values.min() <= 0.0:
         raise NonPositiveDiffusion("diffusion coefficient must be positive")
-    m = _diffusion_csr(gamma.values, sigma.values, gamma.grid, face_avg)
+    m = _diffusion_csr(gamma.values, sigma.values, gamma.grid)
     return DiscreteOperator(m, {"u": (0, gamma.grid.n_nodes)})
 
 
-def diffusion_flux_jacobian(
-    gamma: ScalarField, u: ScalarField, face_avg: str = "harmonic"
-) -> sp.csr_matrix:
+def diffusion_flux_jacobian(gamma: ScalarField, u: ScalarField) -> sp.csr_matrix:
     """Derivative of the flux stencil with respect to the diffusion field.
 
     Returns the matrix M with interior rows such that
     (M dgamma)_x = [-div(dgamma_face grad u)]_x where dgamma_face carries the
-    exact derivative weights of the chosen face average.  Together with the
+    exact derivative weights of the harmonic face average.  Together with the
     pointwise absorption derivative this is the exact Jacobian of the
     assembled operator in the coefficients.
     """
@@ -377,7 +340,7 @@ def diffusion_flux_jacobian(
     rows, cols, vals = [], [], []
     for nb, h2 in ((e, hx2), (w, hx2), (n, hy2), (s, hy2)):
         t = (uv[c] - uv[nb]) / h2
-        wa, wb = face_average_partials(gv[c], gv[nb], face_avg)
+        wa, wb = face_average_partials(gv[c], gv[nb])
         rows.extend([c, c])
         cols.extend([c, nb])
         vals.extend([wa * t, wb * t])
@@ -386,29 +349,6 @@ def diffusion_flux_jacobian(
         shape=(grid.n_nodes, grid.n_nodes),
     )
     return m.tocsr()
-
-
-def eliminate_dirichlet(
-    op: DiscreteOperator, bc: BoundaryData
-) -> tuple[DiscreteOperator, ScalarField]:
-    """Remove boundary unknowns, moving their stencil terms to the right side.
-
-    Returns the interior-by-interior operator and a full-grid field whose
-    interior entries must be ADDED to the right-hand side:
-    A_II u_I = f_I + contribution_I.
-    """
-    grid = bc.grid
-    iidx = grid.interior_indices()
-    bidx = grid.boundary_indices()
-    A = op.matrix
-    A_II = A[iidx][:, iidx]
-    A_IB = A[iidx][:, bidx]
-    contrib = np.zeros(grid.n_nodes)
-    contrib[iidx] = -(A_IB @ bc.values)
-    return (
-        DiscreteOperator(A_II, {"u": (0, iidx.size)}),
-        ScalarField(grid, contrib),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field_core import BoundaryData, Grid, ScalarField
+from .field_core import Grid, ScalarField
 
 
 def dump_json(obj, path) -> None:
@@ -75,18 +75,3 @@ def write_field_list_json(fields: list[ScalarField], path) -> None:
 
 def read_field_list_json(path) -> list[ScalarField]:
     return [field_from_dict(d) for d in load_json(path)["fields"]]
-
-
-def boundary_to_dict(b: BoundaryData) -> dict:
-    out = {"values": [float(v) for v in b.values]}
-    if b.normal_values is not None:
-        out["normal_values"] = [float(v) for v in b.normal_values]
-    return out
-
-
-def boundary_from_dict(d: dict, grid: Grid) -> BoundaryData:
-    return BoundaryData(
-        grid,
-        np.asarray(d["values"], dtype=float),
-        np.asarray(d["normal_values"], dtype=float) if "normal_values" in d else None,
-    )

@@ -87,21 +87,17 @@ class SolutionGeometry:
 class DiffusionSolver:
     """Factorized forward operator for repeated boundary-value solves.
 
-    A sparse factorization, built once, up to DIRECT_THRESHOLD interior
-    unknowns; diagonally preconditioned conjugate gradients above it, where
-    a stalled iteration raises SolverDivergence.
+    The assembled operator splits into the interior block A_II and the
+    boundary coupling A_IB, so a Dirichlet solve is A_II u_I = -A_IB f.
+    A_II gets a sparse factorization, built once, up to DIRECT_THRESHOLD
+    interior unknowns; above it diagonally preconditioned conjugate gradients,
+    where a stalled iteration raises SolverDivergence.
     """
 
-    def __init__(
-        self,
-        coeffs: CoefficientPair,
-        tol: float = DEFAULT_SOLVER_TOL,
-        face_avg: str = "harmonic",
-    ):
+    def __init__(self, coeffs: CoefficientPair, tol: float = DEFAULT_SOLVER_TOL):
         self.coeffs = coeffs
         self.tol = tol
-        self.face_avg = face_avg
-        self.op = assemble_diffusion_operator(coeffs.gamma, coeffs.sigma, face_avg)
+        self.op = assemble_diffusion_operator(coeffs.gamma, coeffs.sigma)
         grid = coeffs.grid
         self.interior = grid.interior_indices()
         self.boundary = grid.boundary_indices()
@@ -217,9 +213,6 @@ class SolutionBundle:
 
     def boundary_data(self) -> list[BoundaryData]:
         return [f for f, _ in self.solutions]
-
-    def fields(self) -> list[ScalarField]:
-        return [u for _, u in self.solutions]
 
 
 def build_bundle(

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .biharmonic import biharmonic_lift
+from .biharmonic import biharmonic_lifts
 from .errors import GridMismatch, RankDeficient, SolverDivergence, TooFewSolutions
 from .field_core import (
     BoundaryData,
@@ -106,7 +106,6 @@ def assemble_system(
     bundle: SolutionBundle,
     dH: list[ScalarField],
     allow_deficient: bool = False,
-    face_avg: str = "harmonic",
 ) -> LinearizedSystem:
     """Assemble the stacked first-order system at the bundle's base point.
 
@@ -191,7 +190,7 @@ def assemble_system(
         rhs[r_data] = dH[j].values[iidx]
 
         # state rows (weighted by h): flux-jacobian in dgamma, u dsigma, L du
-        Mj = diffusion_flux_jacobian(bundle.coeffs.gamma, u, face_avg)
+        Mj = diffusion_flux_jacobian(bundle.coeffs.gamma, u)
         Mj_int = Mj[iidx]
         coo = Mj_int.tocoo()
         c_int = pos[coo.col]
@@ -245,7 +244,6 @@ def apply_linearized_forward(
     bundle: SolutionBundle,
     dgamma: ScalarField,
     dsigma: ScalarField,
-    face_avg: str = "harmonic",
 ) -> tuple[list[ScalarField], list[ScalarField]]:
     """Exact Jacobian action of the forward map on (dgamma, dsigma).
 
@@ -265,7 +263,7 @@ def apply_linearized_forward(
     dH_out, du_out = [], []
     for j in range(bundle.J):
         _, u = bundle.solutions[j]
-        Mj = diffusion_flux_jacobian(bundle.coeffs.gamma, u, face_avg)
+        Mj = diffusion_flux_jacobian(bundle.coeffs.gamma, u)
         rhs = -(Mj @ dgamma.values)[iidx] - (u.values * dsigma.values)[iidx]
         du = bundle.solver.solve_zero_dirichlet(rhs)
         F = bundle.geometry[j].F.values
@@ -344,7 +342,7 @@ def solve_normal_equations(
     if g is not None:
         if len(g) != 2 + J:
             raise ValueError("need normal data for each unknown block")
-        phis = [biharmonic_lift(gc) for gc in g]
+        phis = biharmonic_lifts(g)
         phi_int = np.concatenate([p.values[iidx] for p in phis])
         phi_bnd = np.concatenate([phis[0].values[bidx], phis[1].values[bidx]])
         b = b - A @ phi_int - sys.A_boundary @ phi_bnd

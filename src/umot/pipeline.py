@@ -3,7 +3,8 @@
 Artifacts are written as each stage completes, so a failing stage preserves
 everything produced before it and its error names the stage.  Numeric
 outputs are deterministic for a fixed configuration (and seed); the manifest
-lists every output file with a content digest.
+lists every output file with a content digest.  The ``umot`` subcommands
+call the same stage functions and serializers.
 """
 
 from __future__ import annotations
@@ -11,24 +12,20 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-
 
 from . import __version__
 from .constant_bg import ConstantBackground, preprocess_data, solve_constant_bg
-from .ellipticity import certify_field
+from .ellipticity import EllipticityReport, certify_field
 from .errors import Diverged, PipelineStageError, UmotError
-from .field_core import ScalarField, rel_l2_error
-from .fileio import (
-    dump_json,
-    field_to_dict,
-    write_field_csv,
-    write_field_json,
-)
-from .forward import build_bundle
+from .field_core import BoundaryData, Grid, ScalarField, rel_l2_error
+from .fileio import dump_json, field_to_dict, write_field_csv, write_field_json
+from .forward import CoefficientPair, SolutionBundle, build_bundle
 from .linearized import assemble_system, injectivity_probe, normal_residual, solve_normal_equations
-from .nonlinear import ReconstructOptions, reconstruct
+from .nonlinear import ReconstructionResult, ReconstructOptions, reconstruct
 from .phantom import add_noise
 from .scenario import ScenarioConfig, config_digest, serialize_scenario
 
@@ -55,16 +52,17 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-class _Recorder:
+class Recorder:
+    """Writes named artifacts into one directory and lists the files written."""
+
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.files: list[Path] = []
 
-    def json(self, name: str, obj) -> Path:
+    def json(self, name: str, obj) -> None:
         path = self.out_dir / name
         dump_json(obj, path)
         self.files.append(path)
-        return path
 
     def field(self, name: str, f: ScalarField) -> None:
         jpath = self.out_dir / f"{name}.json"
@@ -73,14 +71,85 @@ class _Recorder:
         write_field_csv(f, cpath)
         self.files.extend([jpath, cpath])
 
-    def text(self, name: str, content: str) -> Path:
+    def text(self, name: str, content: str) -> None:
         path = self.out_dir / name
         path.write_text(content)
         self.files.append(path)
-        return path
 
 
-def _report_dict(report) -> dict:
+@contextmanager
+def _stage(name: str):
+    """Report a package error raised inside the block as a failure of stage ``name``."""
+    try:
+        yield
+    except PipelineStageError:
+        raise
+    except UmotError as exc:
+        raise PipelineStageError(name, str(exc)) from exc
+
+
+def _bundle(config: ScenarioConfig, coeffs: CoefficientPair, traces) -> SolutionBundle:
+    return build_bundle(
+        coeffs, traces, config.eta, config.solver.grad_floor, config.solver.forward_tol
+    )
+
+
+@dataclass
+class ScenarioSetup:
+    """A scenario's grid, background, traces and (solved on first use) background bundle."""
+
+    config: ScenarioConfig
+    grid: Grid
+    background: CoefficientPair
+    traces: list[BoundaryData]
+
+    @classmethod
+    def from_config(cls, config: ScenarioConfig) -> "ScenarioSetup":
+        grid = config.make_grid()
+        background = config.make_background(grid)
+        return cls(config, grid, background, config.make_traces(grid, background))
+
+    @cached_property
+    def bundle(self) -> SolutionBundle:
+        return _bundle(self.config, self.background, self.traces)
+
+
+def forward_stage(setup: ScenarioSetup, rec: Recorder):
+    """Write u_j, noisy H_j, dH_j and the truth fields; return (truth, H_j, dH_j)."""
+    config, grid = setup.config, setup.grid
+    truth = config.make_truth(grid, setup.background)
+    bundle_truth = _bundle(config, truth, setup.traces)
+    H_meas = list(bundle_truth.H)
+    if config.noise.level > 0.0:
+        H_meas = [
+            add_noise(h, config.noise.level, config.noise.seed + j)
+            for j, h in enumerate(H_meas)
+        ]
+    dH = [
+        ScalarField(grid, hm.values - hb.values)
+        for hm, hb in zip(H_meas, setup.bundle.H)
+    ]
+    for j, (_, u) in enumerate(bundle_truth.solutions):
+        rec.field(f"u_{j}", u)
+        rec.field(f"H_{j}", H_meas[j])
+        rec.field(f"dH_{j}", dH[j])
+    rec.field("gamma_truth", truth.gamma)
+    rec.field("sigma_truth", truth.sigma)
+    log.info("forward stage complete (J=%d)", setup.bundle.J)
+    return truth, H_meas, dH
+
+
+def certify_stage(setup: ScenarioSetup, n_xi: int | None = None) -> EllipticityReport:
+    """Certify the background bundle with the scenario's sampling and threshold."""
+    cert = setup.config.certify
+    report = certify_field(
+        setup.bundle, n_xi=n_xi or cert.xi_samples, margin_threshold=cert.margin_threshold
+    )
+    log.info("certification margin %.3e elliptic=%s", report.global_margin, report.elliptic)
+    return report
+
+
+def report_dict(report: EllipticityReport) -> dict:
     witness = None
     if report.witness is not None:
         node, xi = report.witness
@@ -96,89 +165,99 @@ def _report_dict(report) -> dict:
     }
 
 
+def _errors(dgamma, dsigma, truth: CoefficientPair, background: CoefficientPair) -> dict:
+    """Relative L2 errors of the perturbations against truth minus background."""
+    grid = truth.grid
+    return {
+        "err_dgamma_rel": rel_l2_error(
+            dgamma.values, truth.gamma.values - background.gamma.values, grid
+        ),
+        "err_dsigma_rel": rel_l2_error(
+            dsigma.values, truth.sigma.values - background.sigma.values, grid
+        ),
+    }
+
+
+def linearized_reconstruction(setup: ScenarioSetup, dH, certified, g=None, truth=None) -> dict:
+    """Linearized solve at the background (optional normal data ``g``) as a dict."""
+    sys = assemble_system(setup.bundle, dH)
+    sys.certified = certified
+    v = solve_normal_equations(sys, g=g, tol=setup.config.solver.normal_tol)
+    out = {
+        "dgamma": field_to_dict(v.dgamma),
+        "dsigma": field_to_dict(v.dsigma),
+        "du": [field_to_dict(u) for u in v.du],
+        "normal_residual": normal_residual(sys, v),
+        "injectivity_probe_rel": injectivity_probe(sys, relative=True),
+    }
+    if truth is not None:
+        out.update(_errors(v.dgamma, v.dsigma, truth, setup.background))
+    return out
+
+
+def nonlinear_reconstruction(
+    config: ScenarioConfig, H_meas, traces, coeffs0, allow_noncertified: bool, truth=None
+) -> tuple[ReconstructionResult, str | None]:
+    """(result, None), or (best iterate, message) when the sweep diverges."""
+    inv = config.inversion
+    opts = ReconstructOptions(
+        mode=inv.mode, tol=inv.tol, kmax=inv.kmax, forward_tol=config.solver.forward_tol,
+        strict_ellipticity=not allow_noncertified,
+    )
+    try:
+        return reconstruct(H_meas, traces, coeffs0, config.eta, opts, truth=truth), None
+    except Diverged as exc:
+        return exc.result, str(exc)
+
+
+def trace_csv(result: ReconstructionResult) -> str:
+    lines = ["k,residual,step,damping"]
+    lines += [
+        f"{r.k},{r.residual_norm!r},{r.step_norm!r},{r.damping!r}" for r in result.history
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def nonlinear_dict(result: ReconstructionResult, diverged: str | None) -> dict:
+    return {
+        "converged": result.converged,
+        "diverged": diverged is not None,
+        "iterations": result.iterations,
+        "final_residual": result.final_residual,
+        "error_vs_truth": list(result.error_vs_truth) if result.error_vs_truth else None,
+        "gamma": field_to_dict(result.coeffs.gamma),
+        "sigma": field_to_dict(result.coeffs.sigma),
+    }
+
+
 def run_pipeline(
     config: ScenarioConfig, out_dir, allow_noncertified: bool = False
 ) -> RunManifest:
     """Execute the configured experiment end to end and write all artifacts."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rec = _Recorder(out)
+    rec = Recorder(out)
     rec.text("scenario.json", serialize_scenario(config))
 
-    # ---- forward stage
-    try:
-        grid = config.make_grid()
-        background = config.make_background(grid)
-        truth = config.make_truth(grid, background)
-        traces = config.make_traces(grid, background)
-        eta = config.eta
-        tol = config.solver.forward_tol
-        bundle_bg = build_bundle(background, traces, eta, config.solver.grad_floor, tol)
-        bundle_truth = build_bundle(truth, traces, eta, config.solver.grad_floor, tol)
-        H_meas = list(bundle_truth.H)
-        if config.noise.level > 0.0:
-            H_meas = [
-                add_noise(h, config.noise.level, config.noise.seed + j)
-                for j, h in enumerate(H_meas)
-            ]
-        for j, (f, u) in enumerate(bundle_truth.solutions):
-            rec.field(f"u_{j}", u)
-        for j, h in enumerate(H_meas):
-            rec.field(f"H_{j}", h)
-        dH = [
-            ScalarField(grid, hm.values - hb.values)
-            for hm, hb in zip(H_meas, bundle_bg.H)
-        ]
-        for j, d in enumerate(dH):
-            rec.field(f"dH_{j}", d)
-        rec.field("gamma_truth", truth.gamma)
-        rec.field("sigma_truth", truth.sigma)
-        log.info("forward stage complete (J=%d)", bundle_bg.J)
-    except UmotError as exc:
-        raise PipelineStageError("forward", str(exc)) from exc
+    with _stage("forward"):
+        setup = ScenarioSetup.from_config(config)
+        truth, H_meas, dH = forward_stage(setup, rec)
 
-    # ---- certification stage
-    try:
-        report = certify_field(
-            bundle_bg,
-            n_xi=config.certify.xi_samples,
-            margin_threshold=config.certify.margin_threshold,
-        )
-        rec.json("certify.json", _report_dict(report))
-        log.info("certification margin %.3e elliptic=%s", report.global_margin, report.elliptic)
-    except UmotError as exc:
-        raise PipelineStageError("certify", str(exc)) from exc
+    with _stage("certify"):
+        report = certify_stage(setup)
+        rec.json("certify.json", report_dict(report))
     if not report.elliptic and not allow_noncertified:
         raise PipelineStageError(
             "certify", f"bundle not certified (margin {report.global_margin:.3e})"
         )
 
-    # ---- inversion stage
     path = config.inversion.path
-    try:
+    with _stage("invert"):
         if path == "linearized":
-            sys = assemble_system(bundle_bg, dH)
-            sys.certified = report.elliptic
-            v = solve_normal_equations(sys, tol=config.solver.normal_tol)
-            probe = injectivity_probe(sys, relative=True)
-            out_obj = {
-                "dgamma": field_to_dict(v.dgamma),
-                "dsigma": field_to_dict(v.dsigma),
-                "du": [field_to_dict(u) for u in v.du],
-                "normal_residual": normal_residual(sys, v),
-                "injectivity_probe_rel": probe,
-                "err_dgamma_rel": rel_l2_error(
-                    v.dgamma.values,
-                    truth.gamma.values - background.gamma.values,
-                    grid,
-                ),
-                "err_dsigma_rel": rel_l2_error(
-                    v.dsigma.values,
-                    truth.sigma.values - background.sigma.values,
-                    grid,
-                ),
-            }
-            rec.json("reconstruction.json", out_obj)
+            rec.json(
+                "reconstruction.json",
+                linearized_reconstruction(setup, dH, report.elliptic, truth=truth),
+            )
         elif path == "constant_bg":
             if config.background["type"] != "constant":
                 raise PipelineStageError(
@@ -190,11 +269,11 @@ def run_pipeline(
                     "invert", "constant_bg path needs a constant_bg boundary set"
                 )
             bg = ConstantBackground(
-                config.background["gamma0"], config.background["sigma0"], eta, dirs
+                config.background["gamma0"], config.background["sigma0"], config.eta, dirs
             )
             data = [
                 preprocess_data(d, u, bg)
-                for d, (_, u) in zip(dH, bundle_bg.solutions)
+                for d, (_, u) in zip(dH, setup.bundle.solutions)
             ]
             dgamma, dsigma = solve_constant_bg(bg, data)
             rec.json(
@@ -202,56 +281,19 @@ def run_pipeline(
                 {
                     "dgamma": field_to_dict(dgamma),
                     "dsigma": field_to_dict(dsigma),
-                    "err_dgamma_rel": rel_l2_error(
-                        dgamma.values, truth.gamma.values - background.gamma.values, grid
-                    ),
-                    "err_dsigma_rel": rel_l2_error(
-                        dsigma.values, truth.sigma.values - background.sigma.values, grid
-                    ),
+                    **_errors(dgamma, dsigma, truth, setup.background),
                 },
             )
         else:  # nonlinear
-            opts = ReconstructOptions(
-                mode=config.inversion.mode,
-                tol=config.inversion.tol,
-                kmax=config.inversion.kmax,
-                forward_tol=tol,
-                strict_ellipticity=not allow_noncertified,
+            result, diverged = nonlinear_reconstruction(
+                config, H_meas, setup.traces, setup.background, allow_noncertified, truth
             )
-            diverged = None
-            try:
-                result = reconstruct(H_meas, traces, background, eta, opts, truth=truth)
-            except Diverged as exc:
-                # keep the best iterate as an artifact, then fail the stage
-                result = exc.result
-                diverged = str(exc)
-            trace_lines = ["k,residual,step,damping"]
-            trace_lines += [
-                f"{r.k},{r.residual_norm!r},{r.step_norm!r},{r.damping!r}"
-                for r in result.history
-            ]
-            rec.text("trace.csv", "\n".join(trace_lines) + "\n")
-            rec.json(
-                "reconstruction.json",
-                {
-                    "converged": result.converged,
-                    "diverged": diverged is not None,
-                    "iterations": result.iterations,
-                    "final_residual": result.final_residual,
-                    "error_vs_truth": list(result.error_vs_truth)
-                    if result.error_vs_truth
-                    else None,
-                    "gamma": field_to_dict(result.coeffs.gamma),
-                    "sigma": field_to_dict(result.coeffs.sigma),
-                },
-            )
+            rec.text("trace.csv", trace_csv(result))
+            rec.json("reconstruction.json", nonlinear_dict(result, diverged))
             if diverged is not None:
+                # the best iterate is kept as an artifact; the stage still fails
                 raise PipelineStageError("invert", diverged)
         log.info("inversion stage complete (path=%s)", path)
-    except PipelineStageError:
-        raise
-    except UmotError as exc:
-        raise PipelineStageError("invert", str(exc)) from exc
 
     # ---- manifest
     outputs = tuple(

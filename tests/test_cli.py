@@ -2,8 +2,17 @@ import json
 
 import pytest
 
+import umot.pipeline
+from umot import Grid, ScalarField
 from umot.cli import main
-from umot.fileio import load_json, read_field_json, write_field_list_json
+from umot.fileio import (
+    dump_json,
+    field_to_dict,
+    load_json,
+    read_field_json,
+    write_field_list_json,
+)
+from umot.nonlinear import IterationRecord, ReconstructionResult
 
 SCENARIO = {
     "grid": {"nx": 18, "ny": 18, "hx": 1 / 17, "hy": 1 / 17},
@@ -29,6 +38,31 @@ def scenario_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(SCENARIO))
     return path
+
+
+def _variant(tmp_path, **changes):
+    """Scenario file of SCENARIO with the given top-level keys replaced."""
+    scen = json.loads(json.dumps(SCENARIO))
+    scen.update(changes)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(scen))
+    return path
+
+
+def _reconstruct_inputs(tmp_path, hmeas):
+    """Write the measured functionals and the background as initial guess."""
+    h_path = tmp_path / "hmeas.json"
+    write_field_list_json(hmeas, h_path)
+    g = hmeas[0].grid
+    init_path = tmp_path / "init.json"
+    dump_json(
+        {
+            "gamma": field_to_dict(ScalarField.constant(g, 1.0)),
+            "sigma": field_to_dict(ScalarField.constant(g, 0.5)),
+        },
+        init_path,
+    )
+    return h_path, init_path
 
 
 def test_pipeline_golden_run(tmp_path, scenario_file):
@@ -173,30 +207,81 @@ def test_constbg_command(tmp_path, scenario_file):
 def test_reconstruct_command(tmp_path, scenario_file):
     out = tmp_path / "run"
     assert main(["pipeline", "--scenario", str(scenario_file), "--out", str(out)]) == 0
-    hmeas = [read_field_json(out / f"H_{j}.json") for j in range(3)]
-    h_path = tmp_path / "hmeas.json"
-    write_field_list_json(hmeas, h_path)
-    from umot import ScalarField
-    from umot.fileio import dump_json, field_to_dict
-
-    g = hmeas[0].grid
-    init = {
-        "gamma": field_to_dict(ScalarField.constant(g, 1.0)),
-        "sigma": field_to_dict(ScalarField.constant(g, 0.5)),
-    }
-    init_path = tmp_path / "init.json"
-    dump_json(init, init_path)
+    h_path, init_path = _reconstruct_inputs(
+        tmp_path, [read_field_json(out / f"H_{j}.json") for j in range(3)]
+    )
     res_path = tmp_path / "result.json"
     trace_path = tmp_path / "trace.csv"
     rc = main(
         ["reconstruct", "--scenario", str(scenario_file), "--hmeas", str(h_path),
-         "--init", str(init_path), "--mode", "frozen", "--out", str(res_path),
+         "--init", str(init_path), "--out", str(res_path),
          "--log", str(trace_path)]
     )
     assert rc == 0
     res = load_json(res_path)
     assert res["converged"] is True
     assert trace_path.read_text().splitlines()[0] == "k,residual,step,damping"
+
+
+def test_reconstruct_command_keeps_best_iterate_on_divergence(tmp_path):
+    # the noisy sweep diverges in the standalone command as in the pipeline:
+    # exit 2, the best iterate flagged as diverged, and the same trace
+    spath = _variant(
+        tmp_path,
+        noise={"level": 0.002, "seed": 31},
+        inversion={"path": "nonlinear", "kmax": 20},
+    )
+    out = tmp_path / "run"
+    assert main(["pipeline", "--scenario", str(spath), "--out", str(out)]) == 2
+    h_path, init_path = _reconstruct_inputs(
+        tmp_path, [read_field_json(out / f"H_{j}.json") for j in range(3)]
+    )
+    res_path, trace_path = tmp_path / "result.json", tmp_path / "trace.csv"
+    rc = main(
+        ["reconstruct", "--scenario", str(spath), "--hmeas", str(h_path),
+         "--init", str(init_path), "--out", str(res_path), "--log", str(trace_path)]
+    )
+    assert rc == 2
+    res = load_json(res_path)
+    assert res["diverged"] is True and res["converged"] is False
+    assert res["gamma"] == load_json(out / "reconstruction.json")["gamma"]
+    assert trace_path.read_text() == (out / "trace.csv").read_text()
+
+
+def test_reconstruct_command_uses_scenario_mode(tmp_path, monkeypatch):
+    spath = _variant(tmp_path, inversion={"path": "nonlinear", "mode": "refreshed"})
+    g = Grid(18, 18, 1 / 17, 1 / 17)
+    h_path, init_path = _reconstruct_inputs(tmp_path, [ScalarField.constant(g, 1.0)] * 3)
+    modes = []
+
+    def fake_reconstruct(H_meas, traces, coeffs0, eta, opts, truth=None):
+        modes.append(opts.mode)
+        record = IterationRecord(0, 0.0, 0.0, 1.0)
+        return ReconstructionResult(coeffs0, True, 0, 0.0, (record,))
+
+    monkeypatch.setattr(umot.pipeline, "reconstruct", fake_reconstruct)
+    rc = main(
+        ["reconstruct", "--scenario", str(spath), "--hmeas", str(h_path),
+         "--init", str(init_path), "--out", str(tmp_path / "result.json")]
+    )
+    assert rc == 0
+    assert modes == ["refreshed"]
+
+
+def test_forward_command_writes_pipeline_artifacts(tmp_path):
+    # the standalone forward stage writes the pipeline's forward artifacts,
+    # noise included, byte for byte
+    spath = _variant(tmp_path, noise={"level": 0.002, "seed": 31})
+    run, fwd = tmp_path / "run", tmp_path / "fwd"
+    assert main(["pipeline", "--scenario", str(spath), "--out", str(run)]) == 0
+    assert main(["forward", "--scenario", str(spath), "--out", str(fwd)]) == 0
+    for j in range(3):
+        assert (fwd / f"H_{j}.json").read_bytes() == (run / f"H_{j}.json").read_bytes()
+    stage_only = {"scenario.json", "certify.json", "reconstruction.json", "manifest.json"}
+    written = {p.name for p in fwd.iterdir()}
+    assert written == {p.name for p in run.iterdir()} - stage_only
+    for name in written:
+        assert (fwd / name).read_bytes() == (run / name).read_bytes()
 
 
 def test_nonlinear_pipeline_path(tmp_path):

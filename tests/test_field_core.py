@@ -4,6 +4,8 @@ import scipy.sparse.linalg as spla
 
 from umot import (
     BoundaryData,
+    CoefficientPair,
+    DiffusionSolver,
     DiscreteOperator,
     Grid,
     NonPositiveDiffusion,
@@ -13,7 +15,6 @@ from umot import (
     assemble_diffusion_operator,
     assemble_directional_ops,
     divergence,
-    eliminate_dirichlet,
     gradient,
 )
 from umot.field_core import l2_norm, rel_l2_error
@@ -173,29 +174,31 @@ def test_directional_ops():
         assemble_directional_ops(g, (1.0, 1.0))
 
 
+def _dirichlet_contribution(solver, bc):
+    """Full-grid field of -A_IB g: what the boundary data adds to the interior rows."""
+    full = np.zeros(bc.grid.n_nodes)
+    full[solver.interior] = -(solver.A_IB @ bc.values)
+    return full
+
+
 def test_eliminate_dirichlet_zero_bc():
     g = Grid(6, 6, 0.2, 0.2)
-    op = assemble_diffusion_operator(
-        ScalarField.constant(g, 1.0), ScalarField.constant(g, 0.0)
-    )
-    _, contrib = eliminate_dirichlet(op, BoundaryData.zero(g))
-    assert np.abs(contrib.values).max() == 0.0
+    solver = DiffusionSolver(CoefficientPair.constant(g, 1.0, 0.0))
+    contrib = _dirichlet_contribution(solver, BoundaryData.zero(g))
+    assert np.abs(contrib).max() == 0.0
 
 
 def test_eliminate_dirichlet_stencil_arithmetic():
     # first interior node picks up gamma/h^2 times each adjacent boundary value
     g = Grid(5, 5, 0.5, 0.25)
-    op = assemble_diffusion_operator(
-        ScalarField.constant(g, 1.0), ScalarField.constant(g, 0.0)
-    )
+    solver = DiffusionSolver(CoefficientPair.constant(g, 1.0, 0.0))
     bvals = np.arange(g.n_boundary, dtype=float) + 1.0
-    bc = BoundaryData(g, bvals)
-    _, contrib = eliminate_dirichlet(op, bc)
+    contrib = _dirichlet_contribution(solver, BoundaryData(g, bvals))
     full = np.zeros(g.n_nodes)
     full[g.boundary_indices()] = bvals
     n11 = g.index(1, 1)
     expected = full[g.index(0, 1)] / 0.5 ** 2 + full[g.index(1, 0)] / 0.25 ** 2
-    assert contrib.values[n11] == pytest.approx(expected)
+    assert contrib[n11] == pytest.approx(expected)
 
 
 def test_eliminate_dirichlet_matches_pinned_full_solve():
@@ -203,20 +206,17 @@ def test_eliminate_dirichlet_matches_pinned_full_solve():
     X, Y = g.coords()
     gamma = ScalarField(g, 1.0 + 0.3 * X)
     sigma = ScalarField.constant(g, 0.2)
-    op = assemble_diffusion_operator(gamma, sigma)
     rng = np.random.default_rng(5)
     bvals = rng.standard_normal(g.n_boundary)
-    bc = BoundaryData(g, bvals)
-
-    red, contrib = eliminate_dirichlet(op, bc)
-    iidx = g.interior_indices()
-    u_int = spla.spsolve(red.matrix.tocsc(), contrib.values[iidx])
+    u = DiffusionSolver(CoefficientPair(gamma, sigma)).solve(BoundaryData(g, bvals))
 
     # pinned full system: boundary rows are identity, rhs holds the data
+    op = assemble_diffusion_operator(gamma, sigma)
     rhs = np.zeros(g.n_nodes)
     rhs[g.boundary_indices()] = bvals
     u_full = spla.spsolve(op.matrix.tocsc(), rhs)
-    assert np.abs(u_full[iidx] - u_int).max() < 1e-10
+    iidx = g.interior_indices()
+    assert np.abs(u_full[iidx] - u.values[iidx]).max() < 1e-10
 
 
 def test_discrete_operator_finalization_and_blocks():

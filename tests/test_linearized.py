@@ -302,6 +302,40 @@ def test_normal_matrix_factored_once(bundle24, monkeypatch):
     assert np.allclose(v2.dgamma.values, 2.0 * v.dgamma.values, rtol=0, atol=1e-12)
 
 
+def test_lifted_solve_factors_biharmonic_matrix_once(dirs3, monkeypatch):
+    # nonzero normal data for all 2 + J blocks: one biharmonic factorization,
+    # and each lift equals the one-at-a-time lift bit for bit
+    import scipy.sparse.linalg as spla
+
+    g = Grid(18, 18, 1 / 17, 1 / 17)
+    traces = constant_bg_boundary_set(g, 1.0, 0.5, dirs3)
+    bundle = build_bundle(CoefficientPair.constant(g, 1.0, 0.5), traces)
+    dg, ds = _planted(g)
+    dH, _ = apply_linearized_forward(bundle, dg, ds)
+    sys_ = assemble_system(bundle, dH)
+    X, Y = g.coords()
+    b = g.boundary_indices()
+    normal = [
+        BoundaryData(g, 1e-3 * (k + 1) * np.sin(np.pi * (X[b] + k * Y[b])))
+        for k in range(2 + bundle.J)
+    ]
+    factored = []
+    splu = spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        factored.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    solve_normal_equations(sys_, g=normal)
+    assert factored.count((g.n_interior, g.n_interior)) == 1
+
+    from umot.biharmonic import biharmonic_lift, biharmonic_lifts
+
+    for lift, gk in zip(biharmonic_lifts(normal), normal):
+        assert np.array_equal(lift.values, biharmonic_lift(gk).values)
+
+
 def test_injectivity_probe_certified_vs_deficient(bundle24):
     sys3 = assemble_system(bundle24, _zero_fields(bundle24.grid, 3))
     assert injectivity_probe(sys3, relative=True) > 1e-6
