@@ -7,7 +7,7 @@ back onto the admissible set (gamma bounded below, sigma nonnegative).  In
 frozen mode the linearized operator is assembled and factorized once at the
 base point: that is the contraction map whose quadratic remainder shrinks on
 a small ball.  Refreshed mode reassembles at each iterate (a Gauss-Newton
-flavored extension).
+flavored extension) and certifies each iterate's bundle before solving on it.
 
 Residuals and steps are measured in a grid-weighted L2 norm augmented with
 h-scaled first differences (a first-order Sobolev proxy).
@@ -140,8 +140,9 @@ def reconstruct(
     if len(H_meas) != len(f):
         raise ValueError("need one measured functional per boundary condition")
 
+    n_xi = max(16, opts.n_xi)
     bundle0 = build_bundle(coeffs0, f, eta, opts.grad_floor, opts.forward_tol)
-    report = certify_field(bundle0, n_xi=max(16, opts.n_xi))
+    report = certify_field(bundle0, n_xi=n_xi)
     if not report.elliptic:
         msg = f"base bundle margin {report.global_margin:.3e} below threshold"
         if opts.strict_ellipticity:
@@ -187,7 +188,7 @@ def reconstruct(
 
         if opts.mode == "refreshed" and k > 0:
             sys_k = assemble_system(bundle_k, dh)
-            sys_k.certified = report.elliptic
+            sys_k.certified = certify_field(bundle_k, n_xi=n_xi).elliptic
             v = solve_normal_equations(sys_k)
         else:
             v = solve_normal_equations(sys0, rhs=sys0.data_rhs(dh))

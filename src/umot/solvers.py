@@ -1,11 +1,15 @@
 """Linear-solve layer shared by the forward and inversion modules.
 
-One factorization object serves every direct solve: a COLAMD sparse LU that
-is built once per matrix, reused for every right-hand side, and also drives
-the inverse iteration of the smallest-singular-value probe.  Large forward
-problems use diagonally preconditioned conjugate gradients instead, with no
-fallback: a stalled iteration is an error.  Every solve is residual-checked;
-SolverDivergence is raised when the requested tolerance is not met.
+One factorization object serves every direct solve.  Every matrix factored
+here is symmetric positive (semi)definite: normal matrices, the fourth-order
+constant-background and biharmonic matrices, and the forward A_II.  So the
+factor is a symmetric minimum-degree LU with diagonal pivots (minimum degree
+on A + A^T, SuperLU's symmetric mode), built once per matrix, reused for
+every right-hand side, and also driving the inverse iteration of the
+smallest-singular-value probe.  Large forward problems use diagonally
+preconditioned conjugate gradients instead, with no fallback: a stalled
+iteration is an error.  Every solve is residual-checked; SolverDivergence is
+raised when the requested tolerance is not met.
 """
 
 from __future__ import annotations
@@ -32,15 +36,24 @@ def _check(A, x, b, tol: float, what: str) -> np.ndarray:
 
 
 class SparseFactor:
-    """COLAMD sparse LU of a square matrix, reused for every solve and probe.
+    """Symmetric minimum-degree LU with diagonal pivots for symmetric input.
 
-    Raises SolverDivergence when the matrix is exactly singular.
+    Reused for every solve and probe.  Raises ValueError when A is not
+    symmetric to 1e-12 relative to its largest entry, and SolverDivergence
+    when it is exactly singular.
     """
 
     def __init__(self, A: sp.spmatrix):
         self.A = sp.csr_matrix(A)
+        if abs(self.A - self.A.T).max() > 1e-12 * abs(self.A).max():
+            raise ValueError("SparseFactor needs a symmetric matrix")
         try:
-            self._lu = spla.splu(sp.csc_matrix(A), permc_spec="COLAMD")
+            self._lu = spla.splu(
+                sp.csc_matrix(A),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise SolverDivergence(f"singular factorization: {exc}") from exc
 

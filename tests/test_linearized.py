@@ -302,6 +302,34 @@ def test_normal_matrix_factored_once(bundle24, monkeypatch):
     assert np.allclose(v2.dgamma.values, 2.0 * v.dgamma.values, rtol=0, atol=1e-12)
 
 
+def test_normal_factor_fill_below_colamd(bundle32, monkeypatch):
+    # the symmetric minimum-degree ordering of the normal matrix fills about
+    # half as much as a COLAMD LU of the same matrix
+    import scipy.sparse.linalg as spla
+
+    sys_ = assemble_system(bundle32, _zero_fields(bundle32.grid, 3))
+    built = []
+    splu = spla.splu
+
+    def capturing_splu(A, *args, **kwargs):
+        built.append((A, splu(A, *args, **kwargs)))
+        return built[-1][1]
+
+    monkeypatch.setattr(spla, "splu", capturing_splu)
+    injectivity_probe(sys_)
+    (N, lu), = built
+    colamd = splu(N, permc_spec="COLAMD")
+    assert lu.L.nnz + lu.U.nnz <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def test_factor_refuses_nonsymmetric_matrix():
+    from umot.solvers import SparseFactor
+
+    A = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        SparseFactor(A)
+
+
 def test_lifted_solve_factors_biharmonic_matrix_once(dirs3, monkeypatch):
     # nonzero normal data for all 2 + J blocks: one biharmonic factorization,
     # and each lift equals the one-at-a-time lift bit for bit

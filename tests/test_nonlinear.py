@@ -166,6 +166,36 @@ def test_refreshed_mode(setup):
     assert res.error_vs_truth[0] <= 1e-3
 
 
+def test_refreshed_mode_recertifies_each_iterate(setup, monkeypatch):
+    # a refreshed sweep certifies the bundle it reassembles at: an iterate
+    # whose certificate fails makes the solve warn, not inherit the base's
+    import dataclasses
+
+    import umot.nonlinear as nl
+
+    g, coeffs0, traces = setup
+    bt = build_bundle(_truth(g, 0.02), traces)
+    certify = nl.certify_field
+    calls = []
+
+    def failing_after_base(bundle, **kwargs):
+        report = certify(bundle, **kwargs)
+        calls.append(kwargs)
+        if len(calls) == 1:
+            return report
+        return dataclasses.replace(
+            report, elliptic=False, witness=(0, np.array([1.0, 0.0]))
+        )
+
+    monkeypatch.setattr(nl, "certify_field", failing_after_base)
+    with pytest.warns(UserWarning, match="failed certification"):
+        reconstruct(
+            list(bt.H), traces, coeffs0,
+            opts=ReconstructOptions(mode="refreshed", kmax=2, n_xi=32),
+        )
+    assert all(kw == {"n_xi": 32} for kw in calls)
+
+
 def test_not_elliptic_strict(setup):
     # two coordinate solutions share the diagonal cone direction: the base
     # bundle fails certification before any system is assembled
