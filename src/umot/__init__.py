@@ -36,8 +36,6 @@ from .field_core import (
     ScalarField,
     VectorField,
     assemble_diffusion_operator,
-    assemble_directional_ops,
-    divergence,
     gradient,
 )
 from .biharmonic import biharmonic_lift

@@ -42,8 +42,6 @@ from .pipeline import (
 )
 from .scenario import parse_scenario
 
-log = logging.getLogger("umot")
-
 
 def _setup_logging() -> None:
     level = os.environ.get("UMOT_LOG", "error").lower()
@@ -51,20 +49,8 @@ def _setup_logging() -> None:
     logging.basicConfig(level=levels.get(level, logging.ERROR), format="%(message)s")
 
 
-def _apply_thread_cap(threads: int | None) -> None:
-    if threads is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=threads)
-    except ImportError:
-        log.info("threadpoolctl not available; --threads ignored")
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True, help="scenario JSON file")
-    p.add_argument("--threads", type=int, default=None, help="cap BLAS threads")
 
 
 def _setup(args) -> ScenarioSetup:
@@ -183,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dirs", required=True, help="JSON direction set")
     p.add_argument("--dh", required=True, help="JSON list of dH fields")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=cmd_constbg)
 
     p = sub.add_parser("reconstruct", help="nonlinear fixed-point reconstruction")
@@ -207,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    _apply_thread_cap(getattr(args, "threads", None))
     try:
         return args.fn(args)
     except PipelineStageError as exc:

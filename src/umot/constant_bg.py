@@ -76,17 +76,8 @@ class ConstantBackground:
         return float(np.sqrt(self.sigma0 / self.gamma0))
 
 
-@dataclass(frozen=True)
-class ConstBgSystem:
-    """Per-direction operator rows and preprocessed data fields."""
-
-    Ci: tuple
-    Bi: tuple
-    normal_op: DiscreteOperator
-    data: tuple
-
-
 def _directional_parts(grid: Grid, v):
+    v = np.asarray(v, dtype=float)
     dx, dy, dxx, dyy, dxy = interior_derivative_matrices(grid)
     dv = v[0] * dx + v[1] * dy
     dvv = v[0] ** 2 * dxx + 2.0 * v[0] * v[1] * dxy + v[1] ** 2 * dyy
@@ -105,25 +96,23 @@ def operator_C(bg: ConstantBackground, v, grid: Grid) -> DiscreteOperator:
     """Row operator multiplying dgamma; interior rows only."""
     if bg.sigma0 <= 0.0:
         raise ZeroAbsorption("C_i needs a positive absorption level")
-    v = np.asarray(v, dtype=float)
     dv, dvv, lap = _directional_parts(grid, v)
     c1 = 2.0 * (1.0 + bg.eta) * bg.rate
     c0 = 2.0 * (1.0 + bg.eta) * bg.sigma0 / bg.gamma0
     m = -lap + 2.0 * dvv + c1 * dv + c0 * _interior_identity(grid)
-    return DiscreteOperator(m.tocsr(), {"field": (0, grid.n_nodes)})
+    return DiscreteOperator(m.tocsr())
 
 
 def operator_B(bg: ConstantBackground, v, grid: Grid) -> DiscreteOperator:
     """Row operator multiplying dsigma; interior rows only."""
     if bg.sigma0 <= 0.0:
         raise ZeroAbsorption("B_i needs a positive absorption level")
-    v = np.asarray(v, dtype=float)
     dv, _, lap = _directional_parts(grid, v)
     ratio = bg.gamma0 / bg.sigma0
     b1 = 2.0 * (1.0 + bg.eta) * np.sqrt(ratio)
     b0 = 2.0 * (1.0 + bg.eta)
     m = -bg.eta * ratio * lap - b1 * dv - b0 * _interior_identity(grid)
-    return DiscreteOperator(m.tocsr(), {"field": (0, grid.n_nodes)})
+    return DiscreteOperator(m.tocsr())
 
 
 def discrete_symbol_C(bg: ConstantBackground, v, grid: Grid, xi) -> complex:
@@ -213,36 +202,26 @@ def preprocess_data(
     return ScalarField(grid, out)
 
 
-def assemble_const_bg_system(
-    bg: ConstantBackground, data: list[ScalarField], grid: Grid
-) -> ConstBgSystem:
-    """Stack the C/B rows and form the clamped fourth-order normal operator."""
+def direction_blocks(bg: ConstantBackground, grid: Grid) -> list[sp.csr_matrix]:
+    """Interior row block [C_i | B_i] of each direction, once the set is certified."""
     report = certify_directions(bg.dirs)
     if not report.elliptic:
         raise DirectionsNotCertified(
             f"direction margin {report.global_margin:.3e} below threshold"
         )
-    if len(data) != len(bg.dirs):
-        raise ValueError("need one data field per direction")
     n_req = bg.dirs.dim + 1
     if len(bg.dirs) < n_req:
         raise DirectionsNotCertified(
             f"constant-background route needs {n_req} directions"
         )
     iidx = grid.interior_indices()
-    Ci, Bi = [], []
-    blocks = []
-    for v in bg.dirs.vectors:
-        C = operator_C(bg, v, grid)
-        B = operator_B(bg, v, grid)
-        Ci.append(C)
-        Bi.append(B)
-        blocks.append(sp.hstack([C.matrix[iidx][:, iidx], B.matrix[iidx][:, iidx]]))
-    A = sp.vstack(blocks, format="csr")
-    N = (A.T @ A).tocsr()
-    n_int = iidx.size
-    normal = DiscreteOperator(N, {"dgamma": (0, n_int), "dsigma": (n_int, 2 * n_int)})
-    return ConstBgSystem(tuple(Ci), tuple(Bi), normal, tuple(data))
+    return [
+        sp.hstack(
+            [op(bg, v, grid).matrix[iidx][:, iidx] for op in (operator_C, operator_B)],
+            format="csr",
+        )
+        for v in bg.dirs.vectors
+    ]
 
 
 def solve_constant_bg(
@@ -259,19 +238,14 @@ def solve_constant_bg(
     for d in data[1:]:
         if d.grid != grid:
             raise GridMismatch("data fields on different grids")
-    system = assemble_const_bg_system(bg, data, grid)
+    if len(data) != len(bg.dirs):
+        raise ValueError("need one data field per direction")
+    blocks = direction_blocks(bg, grid)
     iidx = grid.interior_indices()
     n_int = iidx.size
-    rhs_blocks = []
-    for C, B, S in zip(system.Ci, system.Bi, data):
-        rhs_blocks.append(
-            sp.vstack(
-                [C.matrix[iidx][:, iidx].T, B.matrix[iidx][:, iidx].T]
-            )
-            @ S.values[iidx]
-        )
-    rhs = np.sum(rhs_blocks, axis=0)
-    w = SparseFactor(system.normal_op.matrix).solve(rhs, tol)
+    A = sp.vstack(blocks, format="csr")
+    rhs = np.sum([blk.T @ S.values[iidx] for blk, S in zip(blocks, data)], axis=0)
+    w = SparseFactor((A.T @ A).tocsr()).solve(rhs, tol)
     dgamma = np.zeros(grid.n_nodes)
     dsigma = np.zeros(grid.n_nodes)
     dgamma[iidx] = w[:n_int]

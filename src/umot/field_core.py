@@ -16,12 +16,12 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GridMismatch, NonPositiveDiffusion, NotUnitVector
+from .errors import GridMismatch, NonPositiveDiffusion
 
 
 @dataclass(frozen=True)
@@ -188,62 +188,20 @@ class BoundaryData:
 
 
 class DiscreteOperator:
-    """Sparse linear map between stacked-field coefficient spaces.
+    """Sparse linear map held as a canonical CSR ``matrix``.
 
-    Wraps a CSR matrix; duplicate (row, col) entries are summed on
-    construction so the finalized operator has a unique entry per pair.
-    ``block_map`` optionally names column ranges that must partition
-    [0, cols).
+    Duplicate (row, col) entries are summed on construction so the finalized
+    operator has a unique entry per pair.
     """
 
-    def __init__(self, matrix, block_map: dict[str, tuple[int, int]] | None = None):
-        m = sp.csr_matrix(matrix)
-        m.sum_duplicates()
-        m.sort_indices()
-        self._matrix = m
-        self.block_map = dict(block_map) if block_map else None
-        if self.block_map is not None:
-            spans = sorted(self.block_map.values())
-            cursor = 0
-            for lo, hi in spans:
-                if lo != cursor or hi < lo:
-                    raise ValueError("block ranges must partition [0, cols)")
-                cursor = hi
-            if cursor != m.shape[1]:
-                raise ValueError("block ranges must partition [0, cols)")
-
-    @classmethod
-    def from_triplets(cls, rows, cols, vals, shape, block_map=None):
-        m = sp.coo_matrix((vals, (rows, cols)), shape=shape)
-        return cls(m, block_map)
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        return self._matrix
-
-    @property
-    def rows(self) -> int:
-        return self._matrix.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._matrix.shape[1]
-
-    @property
-    def nnz(self) -> int:
-        return self._matrix.nnz
-
-    def __matmul__(self, x):
-        return self._matrix @ x
-
-    def block(self, name: str) -> tuple[int, int]:
-        if self.block_map is None or name not in self.block_map:
-            raise KeyError(name)
-        return self.block_map[name]
+    def __init__(self, matrix):
+        self.matrix = sp.csr_matrix(matrix)
+        self.matrix.sum_duplicates()
+        self.matrix.sort_indices()
 
 
 # ---------------------------------------------------------------------------
-# gradients and divergence
+# gradients
 
 
 def gradient(u: ScalarField) -> VectorField:
@@ -252,15 +210,6 @@ def gradient(u: ScalarField) -> VectorField:
     mat = u.as_matrix()
     dy, dx = np.gradient(mat, g.hy, g.hx, edge_order=2)
     return VectorField(g, np.stack([dx.ravel(), dy.ravel()], axis=1))
-
-
-def divergence(v: VectorField) -> ScalarField:
-    g = v.grid
-    vx = v.values[:, 0].reshape(g.ny, g.nx)
-    vy = v.values[:, 1].reshape(g.ny, g.nx)
-    dvx = np.gradient(vx, g.hx, axis=1, edge_order=2)
-    dvy = np.gradient(vy, g.hy, axis=0, edge_order=2)
-    return ScalarField(g, (dvx + dvy).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +268,7 @@ def assemble_diffusion_operator(gamma: ScalarField, sigma: ScalarField) -> Discr
     if gamma.values.min() <= 0.0:
         raise NonPositiveDiffusion("diffusion coefficient must be positive")
     m = _diffusion_csr(gamma.values, sigma.values, gamma.grid)
-    return DiscreteOperator(m, {"u": (0, gamma.grid.n_nodes)})
+    return DiscreteOperator(m)
 
 
 def diffusion_flux_jacobian(gamma: ScalarField, u: ScalarField) -> sp.csr_matrix:
@@ -352,50 +301,7 @@ def diffusion_flux_jacobian(gamma: ScalarField, u: ScalarField) -> sp.csr_matrix
 
 
 # ---------------------------------------------------------------------------
-# first/second derivative matrices
-
-
-def first_derivative_matrices(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """d/dx and d/dy with rows at every node (one-sided at the edges)."""
-    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    idx = np.arange(grid.n_nodes)
-    i = idx % nx
-    j = idx // nx
-
-    def axis_matrix(pos, count, stride, h):
-        rows, cols, vals = [], [], []
-        mid = (pos >= 1) & (pos <= count - 2)
-        m = idx[mid]
-        rows.extend([m, m])
-        cols.extend([m + stride, m - stride])
-        vals.extend([np.full(m.size, 1.0 / (2 * h)), np.full(m.size, -1.0 / (2 * h))])
-        lo = idx[pos == 0]
-        rows.extend([lo, lo, lo])
-        cols.extend([lo, lo + stride, lo + 2 * stride])
-        vals.extend(
-            [
-                np.full(lo.size, -3.0 / (2 * h)),
-                np.full(lo.size, 4.0 / (2 * h)),
-                np.full(lo.size, -1.0 / (2 * h)),
-            ]
-        )
-        hi = idx[pos == count - 1]
-        rows.extend([hi, hi, hi])
-        cols.extend([hi, hi - stride, hi - 2 * stride])
-        vals.extend(
-            [
-                np.full(hi.size, 3.0 / (2 * h)),
-                np.full(hi.size, -4.0 / (2 * h)),
-                np.full(hi.size, 1.0 / (2 * h)),
-            ]
-        )
-        m = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(grid.n_nodes, grid.n_nodes),
-        )
-        return m.tocsr()
-
-    return axis_matrix(i, nx, 1, hx), axis_matrix(j, ny, nx, hy)
+# derivative matrices
 
 
 def interior_derivative_matrices(grid: Grid):
@@ -426,25 +332,6 @@ def laplacian_matrix(grid: Grid) -> sp.csr_matrix:
     """5-point Laplacian with interior rows only (zero boundary rows)."""
     _, _, dxx, dyy, _ = interior_derivative_matrices(grid)
     return (dxx + dyy).tocsr()
-
-
-def assemble_directional_ops(
-    grid: Grid, v
-) -> tuple[DiscreteOperator, DiscreteOperator]:
-    """First (v . grad) and second (v . grad)^2 directional derivative operators.
-
-    The first operator is second-order everywhere (one-sided at the edges);
-    the second carries interior rows only.
-    """
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-        raise NotUnitVector("direction must have unit length")
-    dx_full, dy_full = first_derivative_matrices(grid)
-    first = v[0] * dx_full + v[1] * dy_full
-    _, _, dxx, dyy, dxy = interior_derivative_matrices(grid)
-    second = v[0] ** 2 * dxx + 2 * v[0] * v[1] * dxy + v[1] ** 2 * dyy
-    blocks = {"field": (0, grid.n_nodes)}
-    return DiscreteOperator(first, blocks), DiscreteOperator(second, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -211,9 +211,6 @@ class SolutionBundle:
     def grid(self) -> Grid:
         return self.coeffs.grid
 
-    def boundary_data(self) -> list[BoundaryData]:
-        return [f for f, _ in self.solutions]
-
 
 def build_bundle(
     coeffs: CoefficientPair,

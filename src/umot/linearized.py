@@ -8,8 +8,10 @@ per solution j and interior node,
     -div(dgamma grad u_j) + L du_j + u_j dsigma = 0,   L = -div(gamma grad) + sigma
                                                                           (state)
 
-with du_j = 0 on the boundary.  Stacking all rows gives a redundant sparse
-least-squares problem solved through its normal equations, whose matrix is
+with du_j = 0 on the boundary.  The rows are stacked block by block from the
+shared stencil matrices: the central differences of field_core, the flux
+Jacobian and the forward solver's interior operator.  The redundant sparse
+least-squares problem is solved through its normal equations, whose matrix is
 factored once per system; the rank probe, every solve and the injectivity
 probe share that factor.  Mixed-order row weights (data rows times 1, state
 rows times h) balance the discrete system across derivative orders.
@@ -37,6 +39,7 @@ from .field_core import (
     ScalarField,
     diffusion_flux_jacobian,
     gradient,
+    interior_derivative_matrices,
 )
 from .forward import SolutionBundle
 from .solvers import SparseFactor
@@ -66,9 +69,10 @@ class PerturbationVector:
 
 @dataclass
 class LinearizedSystem:
-    """Assembled least-squares system A v = rhs with block metadata.
+    """Assembled least-squares system A v = rhs.
 
-    ``A`` carries the row weights already applied.  ``A_boundary`` holds the
+    ``A`` carries the row weights already applied; its columns are the
+    interior blocks [dgamma | dsigma | du_1 ... du_J].  ``A_boundary`` holds the
     columns of the boundary nodes of the dgamma/dsigma blocks (zero in the
     default interior-supported model; needed when a lift supplies boundary
     values).
@@ -80,10 +84,6 @@ class LinearizedSystem:
     A_boundary: sp.csr_matrix
     certified: bool | None = None
     _normal: tuple | None = field(default=None, repr=False)
-
-    @property
-    def n_interior(self) -> int:
-        return self.bundle.grid.n_interior
 
     @property
     def J(self) -> int:
@@ -119,125 +119,46 @@ def assemble_system(
     if J < 3 and not allow_deficient:
         raise TooFewSolutions("the 2D inversion needs at least three solutions")
     grid = bundle.grid
-    for dh in dH:
-        if dh.grid != grid:
-            raise GridMismatch("dH field on the wrong grid")
-
     iidx = grid.interior_indices()
     bidx = grid.boundary_indices()
     n_int = iidx.size
-    n_bnd = bidx.size
-    pos = -np.ones(grid.n_nodes, dtype=int)
-    pos[iidx] = np.arange(n_int)
-    bpos = -np.ones(grid.n_nodes, dtype=int)
-    bpos[bidx] = np.arange(n_bnd)
+    w_pde = float(np.sqrt(grid.hx * grid.hy))
+    gam = bundle.coeffs.gamma.values[iidx]
+    sig = bundle.coeffs.sigma.values[iidx]
+    dx, dy, *_ = interior_derivative_matrices(grid)
+    dx, dy = dx[iidx][:, iidx], dy[iidx][:, iidx]  # boundary du columns are zero
+    L = w_pde * bundle.solver.A_II
 
-    gam = bundle.coeffs.gamma.values
-    sig = bundle.coeffs.sigma.values
-    eta = bundle.eta
-    hx, hy = grid.hx, grid.hy
-    w_pde = float(np.sqrt(hx * hy))
-
-    solver = bundle.solver
-    A_II = solver.A_II  # interior rows/cols of L
-    lcoo = A_II.tocoo()
-
-    n_rows = 2 * J * n_int
-    n_cols = (2 + J) * n_int
-    col_dg = 0
-    col_ds = n_int
-    col_du0 = 2 * n_int
-
-    rows, cols, vals = [], [], []
-    brows, bcols, bvals = [], [], []  # boundary dgamma/dsigma columns
-    rhs = np.zeros(n_rows)
-
-    east, west = iidx + 1, iidx - 1
-    north, south = iidx + grid.nx, iidx - grid.nx
-    neighbor_data = (
-        (east, 1.0 / hx, 0),
-        (west, -1.0 / hx, 0),
-        (north, 1.0 / hy, 1),
-        (south, -1.0 / hy, 1),
-    )
-
-    for j in range(J):
-        _, u = bundle.solutions[j]
-        geo = bundle.geometry[j]
-        F = geo.F.values
-        r_data = 2 * j * n_int + np.arange(n_int)
-        r_pde = r_data + n_int
-        col_du = col_du0 + j * n_int
-
+    rows, boundary_rows = [], []
+    for j, ((_, u), geo) in enumerate(zip(bundle.solutions, bundle.geometry)):
+        F = geo.F.values[iidx]
+        uj = u.values[iidx]
         # data rows: |F|^2 dgamma + eta u^2 dsigma + 2 gamma F.grad(du) + 2 eta sigma u du
-        mag2 = F[iidx, 0] ** 2 + F[iidx, 1] ** 2
-        rows.append(r_data)
-        cols.append(col_dg + np.arange(n_int))
-        vals.append(mag2)
-        rows.append(r_data)
-        cols.append(col_ds + np.arange(n_int))
-        vals.append(eta * u.values[iidx] ** 2)
-        rows.append(r_data)
-        cols.append(col_du + np.arange(n_int))
-        vals.append(2.0 * eta * sig[iidx] * u.values[iidx])
-        for nb, sgn_h, axis in neighbor_data:
-            inb = pos[nb]
-            hit = inb >= 0  # boundary du columns are zero
-            coef = gam[iidx] * F[iidx, axis] * sgn_h  # 2 gamma F_a / (2 h_a)
-            rows.append(r_data[hit])
-            cols.append(col_du + inb[hit])
-            vals.append(coef[hit])
-        rhs[r_data] = dH[j].values[iidx]
-
-        # state rows (weighted by h): flux-jacobian in dgamma, u dsigma, L du
-        Mj = diffusion_flux_jacobian(bundle.coeffs.gamma, u)
-        Mj_int = Mj[iidx]
-        coo = Mj_int.tocoo()
-        c_int = pos[coo.col]
-        on_int = c_int >= 0
-        rows.append(r_pde[coo.row[on_int]])
-        cols.append(col_dg + c_int[on_int])
-        vals.append(w_pde * coo.data[on_int])
-        on_bnd = ~on_int
-        if np.any(on_bnd):
-            brows.append(r_pde[coo.row[on_bnd]])
-            bcols.append(bpos[coo.col[on_bnd]])
-            bvals.append(w_pde * coo.data[on_bnd])
-
-        rows.append(r_pde)
-        cols.append(col_ds + np.arange(n_int))
-        vals.append(w_pde * u.values[iidx])
-
-        rows.append(r_pde[lcoo.row])
-        cols.append(col_du + lcoo.col)
-        vals.append(w_pde * lcoo.data)
-
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_rows, n_cols),
-    ).tocsr()
-    if brows:
-        A_bnd = sp.coo_matrix(
-            (np.concatenate(bvals), (np.concatenate(brows), np.concatenate(bcols))),
-            shape=(n_rows, 2 * n_bnd),
-        ).tocsr()
-        # boundary dsigma columns never appear (pointwise term at interior rows)
-        A_bnd = sp.hstack(
-            [A_bnd[:, :n_bnd], sp.csr_matrix((n_rows, n_bnd))], format="csr"
+        du_data = (
+            sp.diags(2.0 * gam * F[:, 0]) @ dx
+            + sp.diags(2.0 * gam * F[:, 1]) @ dy
+            + sp.diags(2.0 * bundle.eta * sig * uj)
         )
-    else:
-        A_bnd = sp.csr_matrix((n_rows, 2 * n_bnd))
+        rows.append(
+            [sp.diags(F[:, 0] ** 2 + F[:, 1] ** 2), sp.diags(bundle.eta * uj**2)]
+            + [du_data if k == j else None for k in range(J)]
+        )
+        # state rows (weighted by h): flux-jacobian in dgamma, u dsigma, L du
+        M = w_pde * diffusion_flux_jacobian(bundle.coeffs.gamma, u)[iidx]
+        rows.append(
+            [M[:, iidx], sp.diags(w_pde * uj)] + [L if k == j else None for k in range(J)]
+        )
+        boundary_rows += [sp.csr_matrix((n_int, bidx.size)), M[:, bidx]]
 
-    block_map = {"dgamma": (0, n_int), "dsigma": (n_int, 2 * n_int)}
-    for j in range(J):
-        block_map[f"du_{j}"] = (col_du0 + j * n_int, col_du0 + (j + 1) * n_int)
-
-    return LinearizedSystem(
-        A=DiscreteOperator(A, block_map),
-        rhs=rhs,
-        bundle=bundle,
-        A_boundary=A_bnd,
+    # boundary dsigma columns never appear (pointwise term at interior rows)
+    A_bnd = sp.hstack(
+        [sp.vstack(boundary_rows), sp.csr_matrix((2 * J * n_int, bidx.size))], format="csr"
     )
+    system = LinearizedSystem(
+        DiscreteOperator(sp.bmat(rows, format="csr")), None, bundle, A_bnd
+    )
+    system.rhs = system.data_rhs(dH)
+    return system
 
 
 def apply_linearized_forward(
@@ -354,7 +275,7 @@ def solve_normal_equations(
         w = _ensure_full_rank(sys).solve(rhs_n, tol)
 
     if phis is not None:
-        w = w + np.concatenate([p.values[iidx] for p in phis])
+        w = w + phi_int
 
     def unpack(block: int, boundary_from=None) -> ScalarField:
         full = np.zeros(grid.n_nodes)

@@ -16,11 +16,11 @@ h-scaled first differences (a first-order Sobolev proxy).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipticity import certify_field
+from .ellipticity import DEFAULT_MARGIN_THRESHOLD, certify_field
 from .errors import Diverged, InsufficientHistory, NotElliptic
 from .field_core import BoundaryData, ScalarField, gradient, l2_norm, rel_l2_error
 from .forward import CoefficientPair, SolutionBundle, build_bundle
@@ -50,6 +50,7 @@ class ReconstructOptions:
     gamma_min: float = 1e-6
     strict_ellipticity: bool = True
     n_xi: int = 64
+    margin_threshold: float = DEFAULT_MARGIN_THRESHOLD
     grad_floor: float | None = None
     forward_tol: float = 1e-10
 
@@ -64,23 +65,6 @@ class IterationRecord:
     residual_norm: float
     step_norm: float
     damping: float
-
-
-@dataclass
-class IterationState:
-    """Append-only trace of the fixed-point sweep."""
-
-    k: int = 0
-    coeffs_k: CoefficientPair | None = None
-    residual_norm: float = np.inf
-    step_norm: float = np.inf
-    history: list = field(default_factory=list)
-
-    def record(self, k, residual, step, damping):
-        self.k = k
-        self.residual_norm = residual
-        self.step_norm = step
-        self.history.append(IterationRecord(k, residual, step, damping))
 
 
 @dataclass(frozen=True)
@@ -99,12 +83,6 @@ class ReconstructionResult:
     final_residual: float
     history: tuple
     error_vs_truth: tuple | None = None
-
-    def residuals(self) -> list[float]:
-        return [r.residual_norm for r in self.history]
-
-    def steps(self) -> list[float]:
-        return [r.step_norm for r in self.history]
 
 
 def _project(coeffs: CoefficientPair, dgamma, dsigma, lam, gamma_min) -> CoefficientPair:
@@ -142,7 +120,7 @@ def reconstruct(
 
     n_xi = max(16, opts.n_xi)
     bundle0 = build_bundle(coeffs0, f, eta, opts.grad_floor, opts.forward_tol)
-    report = certify_field(bundle0, n_xi=n_xi)
+    report = certify_field(bundle0, n_xi=n_xi, margin_threshold=opts.margin_threshold)
     if not report.elliptic:
         msg = f"base bundle margin {report.global_margin:.3e} below threshold"
         if opts.strict_ellipticity:
@@ -156,7 +134,7 @@ def reconstruct(
     sys0 = assemble_system(bundle0, zero)
     sys0.certified = report.elliptic
 
-    state = IterationState(coeffs_k=coeffs0)
+    history: list[IterationRecord] = []
     bundle_k = bundle0
     coeffs_k = coeffs0
     best = (coeffs0, np.inf)
@@ -171,7 +149,7 @@ def reconstruct(
                 rel_l2_error(coeffs_out.sigma.values, truth.sigma.values, truth.grid),
             )
         return ReconstructionResult(
-            coeffs_out, converged, iterations, res_out, tuple(state.history), err
+            coeffs_out, converged, iterations, res_out, tuple(history), err
         )
 
     for k in range(opts.kmax + 1):
@@ -180,7 +158,7 @@ def reconstruct(
         if residual < best[1]:
             best = (coeffs_k, residual)
         if k == 0:
-            state.record(0, residual, 0.0, opts.damping)
+            history.append(IterationRecord(0, residual, 0.0, opts.damping))
         if residual <= opts.tol:
             return result(True, k, residual)
         if k == opts.kmax:
@@ -188,7 +166,9 @@ def reconstruct(
 
         if opts.mode == "refreshed" and k > 0:
             sys_k = assemble_system(bundle_k, dh)
-            sys_k.certified = certify_field(bundle_k, n_xi=n_xi).elliptic
+            sys_k.certified = certify_field(
+                bundle_k, n_xi=n_xi, margin_threshold=opts.margin_threshold
+            ).elliptic
             v = solve_normal_equations(sys_k)
         else:
             v = solve_normal_equations(sys0, rhs=sys0.data_rhs(dh))
@@ -211,7 +191,7 @@ def reconstruct(
             best = (coeffs_k, new_res)
 
         step = lam_used * h1_proxy_norm([v.dgamma, v.dsigma]) / coeff_scale
-        state.record(k + 1, new_res, step, lam_used)
+        history.append(IterationRecord(k + 1, new_res, step, lam_used))
 
         if new_res > residual:
             grow_streak += 1

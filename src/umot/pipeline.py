@@ -199,10 +199,11 @@ def nonlinear_reconstruction(
     config: ScenarioConfig, H_meas, traces, coeffs0, allow_noncertified: bool, truth=None
 ) -> tuple[ReconstructionResult, str | None]:
     """(result, None), or (best iterate, message) when the sweep diverges."""
-    inv = config.inversion
+    inv, cert = config.inversion, config.certify
     opts = ReconstructOptions(
-        mode=inv.mode, tol=inv.tol, kmax=inv.kmax, forward_tol=config.solver.forward_tol,
-        strict_ellipticity=not allow_noncertified,
+        mode=inv.mode, tol=inv.tol, kmax=inv.kmax, strict_ellipticity=not allow_noncertified,
+        n_xi=cert.xi_samples, margin_threshold=cert.margin_threshold,
+        grad_floor=config.solver.grad_floor, forward_tol=config.solver.forward_tol,
     )
     try:
         return reconstruct(H_meas, traces, coeffs0, config.eta, opts, truth=truth), None

@@ -106,9 +106,7 @@ def test_pipeline_rejects_two_direction_set(tmp_path):
 def test_forward_and_certify_commands(tmp_path, scenario_file, monkeypatch):
     monkeypatch.setenv("UMOT_LOG", "info")
     out = tmp_path / "fwd"
-    assert main(
-        ["forward", "--scenario", str(scenario_file), "--out", str(out), "--threads", "1"]
-    ) == 0
+    assert main(["forward", "--scenario", str(scenario_file), "--out", str(out)]) == 0
     u0 = read_field_json(out / "u_0.json")
     assert u0.grid.nx == 18
     assert (out / "H_2.csv").exists()
@@ -266,6 +264,37 @@ def test_reconstruct_command_uses_scenario_mode(tmp_path, monkeypatch):
     )
     assert rc == 0
     assert modes == ["refreshed"]
+
+
+def test_nonlinear_pipeline_certifies_with_scenario_settings(tmp_path, monkeypatch):
+    # the sweep certifies the base bundle with the scenario's sampling and
+    # threshold, so a bundle the certify stage rejects is not passed silently
+    import umot.nonlinear
+
+    spath = _variant(
+        tmp_path,
+        inversion={"path": "nonlinear", "kmax": 2},
+        certify={"xi_samples": 128, "margin_threshold": 0.9},
+    )
+    calls = []
+    for module in (umot.pipeline, umot.nonlinear):
+
+        def recording(bundle, certify=module.certify_field, **kwargs):
+            report = certify(bundle, **kwargs)
+            calls.append((kwargs["n_xi"], kwargs["margin_threshold"], report.elliptic))
+            return report
+
+        monkeypatch.setattr(module, "certify_field", recording)
+    with pytest.warns(UserWarning) as warned:
+        rc = main(
+            ["pipeline", "--scenario", str(spath), "--out", str(tmp_path / "run"),
+             "--allow-noncertified"]
+        )
+    assert rc == 0
+    messages = [str(w.message) for w in warned]
+    assert any("base bundle margin" in m for m in messages)
+    assert any("failed certification" in m for m in messages)
+    assert calls == [(128, 0.9, False), (128, 0.9, False)]
 
 
 def test_forward_command_writes_pipeline_artifacts(tmp_path):

@@ -10,6 +10,7 @@ from umot import (
     apply_linearized_forward,
     assemble_system,
     build_bundle,
+    cgo_boundary_set,
     constant_bg_boundary_set,
     injectivity_probe,
     solve_normal_equations,
@@ -66,11 +67,10 @@ def test_data_row_stencil_coordinate_background():
     r = pos[node]  # first data block row for solution u = x
     X, _ = g.coords()
 
-    lo, hi = sys_.A.block("dgamma")
-    assert A[r, lo + pos[node]] == pytest.approx(1.0)
-    lo_s, _ = sys_.A.block("dsigma")
-    assert A[r, lo_s + pos[node]] == pytest.approx(X[node] ** 2)
-    lo_u, _ = sys_.A.block("du_0")
+    # column layout [dgamma | dsigma | du_0 | du_1 | du_2], n_int columns each
+    assert A[r, pos[node]] == pytest.approx(1.0)
+    assert A[r, n_int + pos[node]] == pytest.approx(X[node] ** 2)
+    lo_u = 2 * n_int
     east, west = g.index(4, 4), g.index(2, 4)
     assert A[r, lo_u + pos[east]] == pytest.approx(1.0 / g.hx)
     assert A[r, lo_u + pos[west]] == pytest.approx(-1.0 / g.hx)
@@ -122,6 +122,26 @@ def test_rows_match_continuum_expressions():
     assert np.log2(e1 / e2) >= 1.9
 
 
+def test_system_consistent_with_forward_jacobian_heterogeneous():
+    # on a non-constant gamma the flux-Jacobian columns (interior and boundary
+    # dgamma) must reproduce the exact linearized forward map
+    g = Grid.unit_square(24)
+    X, Y = g.coords()
+    coeffs = CoefficientPair(
+        ScalarField(g, 1.0 + 0.2 * np.sin(3.0 * X) * Y), ScalarField(g, 0.3 + 0.1 * X)
+    )
+    bundle = build_bundle(coeffs, cgo_boundary_set(g, 4.0, 1.0, coeffs))
+    dg = ScalarField(g, 0.05 * np.cos(2.0 * X + Y))
+    ds = ScalarField(g, 0.03 * X * Y + 0.01)
+    dH, du = apply_linearized_forward(bundle, dg, ds)
+    sys_ = assemble_system(bundle, dH)
+    iidx, bidx = g.interior_indices(), g.boundary_indices()
+    v = np.concatenate([dg.values[iidx], ds.values[iidx]] + [u.values[iidx] for u in du])
+    v_bnd = np.concatenate([dg.values[bidx], ds.values[bidx]])
+    r = sys_.A.matrix @ v + sys_.A_boundary @ v_bnd - sys_.rhs
+    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(sys_.rhs)
+
+
 def test_adjoint_exactness(bundle24):
     sys_ = assemble_system(bundle24, _zero_fields(bundle24.grid, 3))
     A = sys_.A.matrix
@@ -135,7 +155,7 @@ def test_adjoint_exactness(bundle24):
 
 def test_jacobian_matches_finite_differences(bundle24):
     g = bundle24.grid
-    traces = bundle24.boundary_data()
+    traces = [f for f, _ in bundle24.solutions]
     rng = np.random.default_rng(6)
     for _ in range(3):
         cg_, cs_ = rng.uniform(0.35, 0.65, 2), rng.uniform(0.35, 0.65, 2)

@@ -193,7 +193,7 @@ def test_refreshed_mode_recertifies_each_iterate(setup, monkeypatch):
             list(bt.H), traces, coeffs0,
             opts=ReconstructOptions(mode="refreshed", kmax=2, n_xi=32),
         )
-    assert all(kw == {"n_xi": 32} for kw in calls)
+    assert all(kw == {"n_xi": 32, "margin_threshold": 1e-6} for kw in calls)
 
 
 def test_not_elliptic_strict(setup):
