@@ -38,7 +38,6 @@ from .field_core import (
     assemble_diffusion_operator,
     gradient,
 )
-from .biharmonic import biharmonic_lift
 from .forward import (
     CoefficientPair,
     DiffusionSolver,

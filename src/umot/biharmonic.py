@@ -1,16 +1,16 @@
-"""Clamped bi-Laplacian: 13-point stencil with ghost-node elimination.
+"""Clamped bi-Laplacian assembled from the shared 5-point Laplacian.
 
 Solves  lap(lap(phi)) = q  in the interior,  phi = 0  and  d(phi)/dnu = g
-on the boundary.  The stencil is the composition of two 5-point Laplacians,
-so on anisotropic grids the 13 coefficients follow from the convolution of
-the (ax, ay) = (1/hx^2, 1/hy^2) stencil with itself.
+on the boundary.  L_II and L_IB are the interior and boundary columns of the
+interior rows of field_core's Laplacian.  The outer Laplacian also reads
+lap(phi) at the edge nodes, where phi = 0 along the edge and the clamped
+condition puts the ghost value one node outside at  phi_inner + 2 h g
+(central normal derivative), so  lap(phi)_b = 2 (L_IB^T phi)_b + 2 g_b / h:
 
-Ghost nodes one layer outside the domain are only reached by the (+-2, 0)
-and (0, +-2) offsets from first-layer interior centers.  The clamped
-conditions give  phi_ghost = phi_mirror + 2 h g  (central normal derivative
-about the boundary node in between), which folds the ghost weight back onto
-the center node and moves a g-proportional term to the right-hand side.
-Corner boundary nodes never carry normal data; their g values are ignored.
+    M = L_II L_II + 2 L_IB L_IB^T,    G = -2 L_IB diag(1 / h_nu),
+
+with h_nu = hx on the left and right edges and hy on the bottom and top.
+The corner columns of L_IB are zero, so corner values of g are ignored.
 """
 
 from __future__ import annotations
@@ -18,29 +18,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .field_core import BoundaryData, Grid, ScalarField
+from .field_core import BoundaryData, Grid, ScalarField, laplacian_matrix
 from .solvers import SparseFactor
-
-
-def _composed_stencil(grid: Grid):
-    """Offsets and weights of the squared 5-point Laplacian."""
-    ax, ay = 1.0 / grid.hx ** 2, 1.0 / grid.hy ** 2
-    c0 = -2.0 * (ax + ay)
-    return [
-        ((0, 0), c0 * c0 + 2 * ax * ax + 2 * ay * ay),
-        ((1, 0), 2 * c0 * ax),
-        ((-1, 0), 2 * c0 * ax),
-        ((0, 1), 2 * c0 * ay),
-        ((0, -1), 2 * c0 * ay),
-        ((2, 0), ax * ax),
-        ((-2, 0), ax * ax),
-        ((0, 2), ay * ay),
-        ((0, -2), ay * ay),
-        ((1, 1), 2 * ax * ay),
-        ((1, -1), 2 * ax * ay),
-        ((-1, 1), 2 * ax * ay),
-        ((-1, -1), 2 * ax * ay),
-    ]
 
 
 def clamped_biharmonic_system(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -50,77 +29,21 @@ def clamped_biharmonic_system(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]
     normal derivative g on the boundary.  G columns follow the
     counterclockwise boundary ordering.
     """
-    nx, ny = grid.nx, grid.ny
-    iidx = grid.interior_indices()
-    n_int = iidx.size
-    pos = -np.ones(grid.n_nodes, dtype=int)
-    pos[iidx] = np.arange(n_int)
-    bpos = -np.ones(grid.n_nodes, dtype=int)
-    bidx = grid.boundary_indices()
-    bpos[bidx] = np.arange(bidx.size)
-
-    stencil = _composed_stencil(grid)
-    rows, cols, vals = [], [], []
-    grows, gcols, gvals = [], [], []
-
-    ci = iidx % nx
-    cj = iidx // nx
-    for (di, dj), wgt in stencil:
-        ti = ci + di
-        tj = cj + dj
-        inside = (ti >= 0) & (ti < nx) & (tj >= 0) & (tj < ny)
-        # in-domain target: interior -> matrix entry, boundary -> phi = 0
-        tlin = np.where(inside, tj * nx + ti, 0)
-        tpos = np.where(inside, pos[tlin], -1)
-        hit = tpos >= 0
-        rows.append(np.arange(n_int)[hit])
-        cols.append(tpos[hit])
-        vals.append(np.full(hit.sum(), wgt))
-        # ghost target: reflect across the boundary node in between
-        ghost = ~inside
-        if not np.any(ghost):
-            continue
-        gi = ci[ghost]
-        gj = cj[ghost]
-        if di != 0:
-            h = grid.hx
-            mirror = gj * nx + gi  # offset +-2 from a first-layer center
-            between_i = gi + di // 2
-            between = gj * nx + between_i
-        else:
-            h = grid.hy
-            mirror = gj * nx + gi
-            between = (gj + dj // 2) * nx + gi
-        r = np.arange(n_int)[ghost]
-        rows.append(r)
-        cols.append(pos[mirror])
-        vals.append(np.full(r.size, wgt))
-        grows.append(r)
-        gcols.append(bpos[between])
-        gvals.append(np.full(r.size, -wgt * 2.0 * h))
-
-    M = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_int, n_int),
-    ).tocsr()
-    if grows:
-        G = sp.coo_matrix(
-            (np.concatenate(gvals), (np.concatenate(grows), np.concatenate(gcols))),
-            shape=(n_int, bidx.size),
-        ).tocsr()
-    else:
-        G = sp.csr_matrix((n_int, bidx.size))
+    iidx, bidx = grid.interior_indices(), grid.boundary_indices()
+    L = laplacian_matrix(grid)[iidx]
+    L_II, L_IB = L[:, iidx], L[:, bidx]
+    M = (L_II @ L_II + 2.0 * (L_IB @ L_IB.T)).tocsr()
+    i = bidx % grid.nx
+    h_nu = np.where((i == 0) | (i == grid.nx - 1), grid.hx, grid.hy)
+    G = (-2.0 * L_IB @ sp.diags(1.0 / h_nu)).tocsr()
     return M, G
 
 
-def biharmonic_lifts(
-    gs: list[BoundaryData], source: ScalarField | None = None, tol: float = 1e-10
-) -> list[ScalarField]:
-    """Solve the clamped biharmonic problem for each set of normal data.
+def biharmonic_lifts(gs: list[BoundaryData]) -> list[ScalarField]:
+    """Clamped lifts: lap^2 phi = 0, phi = 0, d(phi)/dnu = g for each g.
 
-    With ``source`` omitted this is the harmonic-free lift: lap^2 phi = 0,
-    phi = 0, d(phi)/dnu = g; a source adds an interior right-hand side.  The
-    solves share one factorization, built only for a nonzero right-hand side.
+    The solves share one factorization, built only for a nonzero g, and are
+    residual-checked to 1e-8.
     """
     grid = gs[0].grid
     M, G = clamped_biharmonic_system(grid)
@@ -129,18 +52,9 @@ def biharmonic_lifts(
     out = []
     for g in gs:
         rhs = G @ g.values
-        if source is not None:
-            rhs = rhs + source.values[iidx]
         full = np.zeros(grid.n_nodes)
         if np.any(rhs):
             factor = factor or SparseFactor(M)
-            full[iidx] = factor.solve(rhs, max(tol, 1e-8))
+            full[iidx] = factor.solve(rhs, 1e-8)
         out.append(ScalarField(grid, full))
     return out
-
-
-def biharmonic_lift(
-    g: BoundaryData, source: ScalarField | None = None, tol: float = 1e-10
-) -> ScalarField:
-    """One clamped biharmonic solve; see :func:`biharmonic_lifts`."""
-    return biharmonic_lifts([g], source, tol)[0]

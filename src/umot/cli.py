@@ -13,6 +13,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,11 @@ def cmd_forward(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    report = certify_stage(_setup(args), n_xi=args.xi_samples)
+    config = parse_scenario(Path(args.scenario).read_text())
+    if args.xi_samples is not None:
+        # rebuilding the certify section runs its range check
+        config = replace(config, certify=replace(config.certify, xi_samples=args.xi_samples))
+    report = certify_stage(ScenarioSetup.from_config(config))
     dump_json(report_dict(report), args.report)
     print(f"elliptic={report.elliptic} margin={report.global_margin:.6e}")
     return 0 if report.elliptic or args.allow_noncertified else 2

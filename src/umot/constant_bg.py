@@ -204,6 +204,8 @@ def preprocess_data(
 
 def direction_blocks(bg: ConstantBackground, grid: Grid) -> list[sp.csr_matrix]:
     """Interior row block [C_i | B_i] of each direction, once the set is certified."""
+    if bg.dirs.dim != 2:  # the operators would read two components of each vector
+        raise GridMismatch(f"{bg.dirs.dim}-D directions on a 2-D grid")
     report = certify_directions(bg.dirs)
     if not report.elliptic:
         raise DirectionsNotCertified(

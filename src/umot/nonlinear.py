@@ -26,6 +26,12 @@ from .field_core import BoundaryData, ScalarField, gradient, l2_norm, rel_l2_err
 from .forward import CoefficientPair, SolutionBundle, build_bundle
 from .linearized import assemble_system, solve_normal_equations
 
+# first trial step length, step halvings per sweep, and the lower bound the
+# projection keeps gamma above
+DAMPING = 1.0
+MAX_HALVINGS = 4
+GAMMA_MIN = 1e-6
+
 
 def h1_proxy_norm(fields: list[ScalarField]) -> float:
     """Grid-weighted L2 plus h-scaled first differences, stacked over fields."""
@@ -45,9 +51,6 @@ class ReconstructOptions:
     tol: float = 1e-8
     steptol: float = 1e-10
     kmax: int = 100
-    damping: float = 1.0
-    max_halvings: int = 4
-    gamma_min: float = 1e-6
     strict_ellipticity: bool = True
     n_xi: int = 64
     margin_threshold: float = DEFAULT_MARGIN_THRESHOLD
@@ -85,13 +88,13 @@ class ReconstructionResult:
     error_vs_truth: tuple | None = None
 
 
-def _project(coeffs: CoefficientPair, dgamma, dsigma, lam, gamma_min) -> CoefficientPair:
-    g = np.maximum(coeffs.gamma.values + lam * dgamma.values, gamma_min)
+def _project(coeffs: CoefficientPair, dgamma, dsigma, lam) -> CoefficientPair:
+    g = np.maximum(coeffs.gamma.values + lam * dgamma.values, GAMMA_MIN)
     s = np.maximum(coeffs.sigma.values + lam * dsigma.values, 0.0)
     return CoefficientPair(
         ScalarField(coeffs.grid, g),
         ScalarField(coeffs.grid, s),
-        gamma_floor=min(coeffs.gamma_floor, gamma_min),
+        gamma_floor=min(coeffs.gamma_floor, GAMMA_MIN),
     )
 
 
@@ -118,9 +121,8 @@ def reconstruct(
     if len(H_meas) != len(f):
         raise ValueError("need one measured functional per boundary condition")
 
-    n_xi = max(16, opts.n_xi)
     bundle0 = build_bundle(coeffs0, f, eta, opts.grad_floor, opts.forward_tol)
-    report = certify_field(bundle0, n_xi=n_xi, margin_threshold=opts.margin_threshold)
+    report = certify_field(bundle0, n_xi=opts.n_xi, margin_threshold=opts.margin_threshold)
     if not report.elliptic:
         msg = f"base bundle margin {report.global_margin:.3e} below threshold"
         if opts.strict_ellipticity:
@@ -158,7 +160,7 @@ def reconstruct(
         if residual < best[1]:
             best = (coeffs_k, residual)
         if k == 0:
-            history.append(IterationRecord(0, residual, 0.0, opts.damping))
+            history.append(IterationRecord(0, residual, 0.0, DAMPING))
         if residual <= opts.tol:
             return result(True, k, residual)
         if k == opts.kmax:
@@ -167,16 +169,16 @@ def reconstruct(
         if opts.mode == "refreshed" and k > 0:
             sys_k = assemble_system(bundle_k, dh)
             sys_k.certified = certify_field(
-                bundle_k, n_xi=n_xi, margin_threshold=opts.margin_threshold
+                bundle_k, n_xi=opts.n_xi, margin_threshold=opts.margin_threshold
             ).elliptic
             v = solve_normal_equations(sys_k)
         else:
             v = solve_normal_equations(sys0, rhs=sys0.data_rhs(dh))
 
-        lam = opts.damping
+        lam = DAMPING
         chosen = None
-        for _ in range(opts.max_halvings + 1):
-            trial_coeffs = _project(coeffs_k, v.dgamma, v.dsigma, lam, opts.gamma_min)
+        for _ in range(MAX_HALVINGS + 1):
+            trial_coeffs = _project(coeffs_k, v.dgamma, v.dsigma, lam)
             trial_bundle = build_bundle(
                 trial_coeffs, f, eta, opts.grad_floor, opts.forward_tol
             )

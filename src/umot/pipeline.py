@@ -139,11 +139,11 @@ def forward_stage(setup: ScenarioSetup, rec: Recorder):
     return truth, H_meas, dH
 
 
-def certify_stage(setup: ScenarioSetup, n_xi: int | None = None) -> EllipticityReport:
+def certify_stage(setup: ScenarioSetup) -> EllipticityReport:
     """Certify the background bundle with the scenario's sampling and threshold."""
     cert = setup.config.certify
     report = certify_field(
-        setup.bundle, n_xi=n_xi or cert.xi_samples, margin_threshold=cert.margin_threshold
+        setup.bundle, n_xi=cert.xi_samples, margin_threshold=cert.margin_threshold
     )
     log.info("certification margin %.3e elliptic=%s", report.global_margin, report.elliptic)
     return report

@@ -52,11 +52,19 @@ class CertifyConfig:
     xi_samples: int = 128
     margin_threshold: float = 1e-6
 
+    def __post_init__(self):
+        if self.xi_samples < 16:
+            raise ScenarioError(f"xi_samples must be at least 16, got {self.xi_samples}")
+
 
 @dataclass(frozen=True)
 class NoiseConfig:
     level: float = 0.0
     seed: int | None = None
+
+    def __post_init__(self):
+        if not self.level >= 0.0:
+            raise ScenarioError(f"noise level must be nonnegative, got {self.level}")
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,34 @@ def test_constbg_command(tmp_path, scenario_file):
     assert "dgamma" in load_json(rec_path)
 
 
+def test_constbg_command_rejects_3d_directions(tmp_path, capsys):
+    g = Grid(9, 9, 1 / 8, 1 / 8)
+    dh_path = tmp_path / "dh.json"
+    write_field_list_json([ScalarField.constant(g, 0.01)] * 4, dh_path)
+    dirs_path = tmp_path / "dirs.json"
+    vecs = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [3 ** -0.5] * 3]
+    dirs_path.write_text(json.dumps({"dim": 3, "vectors": vecs}))
+    rec_path = tmp_path / "rec.json"
+    rc = main(
+        ["constbg", "--gamma0", "1.0", "--sigma0", "0.5", "--eta", "1.0",
+         "--dirs", str(dirs_path), "--dh", str(dh_path), "--out", str(rec_path)]
+    )
+    assert rc == 1
+    assert "3-D directions" in capsys.readouterr().err
+    assert not rec_path.exists()
+
+
+def test_certify_command_rejects_too_few_xi_samples(tmp_path, scenario_file, capsys):
+    report_path = tmp_path / "report.json"
+    rc = main(
+        ["certify", "--scenario", str(scenario_file), "--xi-samples", "8",
+         "--report", str(report_path)]
+    )
+    assert rc == 1
+    assert "xi_samples" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_reconstruct_command(tmp_path, scenario_file):
     out = tmp_path / "run"
     assert main(["pipeline", "--scenario", str(scenario_file), "--out", str(out)]) == 0

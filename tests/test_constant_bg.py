@@ -29,7 +29,8 @@ from umot.constant_bg import (
     exponential_solution,
     sigma_zero_gamma_rows,
 )
-from umot.errors import NonPositiveSolution
+from umot.ellipticity import DirectionSet
+from umot.errors import GridMismatch, NonPositiveSolution
 from umot.field_core import rel_l2_error
 from umot.forward import DiffusionSolver
 from umot.phantom import bump_field
@@ -181,6 +182,16 @@ def test_solve_rejects_uncertified(dirs2):
     zero = [ScalarField(g, np.zeros(g.n_nodes))] * 2
     with pytest.raises(DirectionsNotCertified):
         solve_constant_bg(bg2, zero)
+
+
+def test_solve_rejects_3d_directions():
+    # a certified 3-D set on the 2-D grid: the operators would read only the
+    # first two components of each direction
+    g = Grid.unit_square(9)
+    vecs = tuple(np.eye(3)) + (np.ones(3) / np.sqrt(3.0),)
+    bg3 = ConstantBackground(1.0, 0.5, 1.0, DirectionSet(3, vecs))
+    with pytest.raises(GridMismatch, match="3-D directions"):
+        solve_constant_bg(bg3, [ScalarField(g, np.zeros(g.n_nodes))] * 4)
 
 
 def test_normal_operator_spd(bg):

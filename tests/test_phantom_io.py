@@ -135,6 +135,20 @@ def test_scenario_requires_seed_with_noise():
         parse_scenario(json.dumps(noisy))
 
 
+@pytest.mark.parametrize(
+    "section, values, message",
+    [
+        ("certify", {"xi_samples": 8}, "xi_samples"),
+        ("noise", {"level": -0.1, "seed": 3}, "noise level"),
+    ],
+)
+def test_scenario_rejects_out_of_range_values(section, values, message):
+    bad = json.loads(json.dumps(SCENARIO))
+    bad[section] = values
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(json.dumps(bad))
+
+
 def test_scenario_builds_experiment():
     config = parse_scenario(json.dumps(SCENARIO))
     g = config.make_grid()
