@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: forward, certify, linearize, constbg, reconstruct, pipeline.
-All but constbg read a scenario and call the stage functions and serializers
-of umot.pipeline, so each writes what the matching pipeline stage writes.
+All read a scenario and call the stage functions and serializers of
+umot.pipeline, so each writes what the matching pipeline stage writes.
 Output is JSON (plus CSV mirrors for fields).  The UMOT_LOG environment
 variable selects the logging level (error, info, debug).
 """
@@ -18,21 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .constant_bg import (
-    ConstantBackground,
-    exponential_solution,
-    preprocess_data,
-    solve_constant_bg,
-)
-from .ellipticity import DirectionSet
 from .errors import PipelineStageError, UmotError
 from .field_core import BoundaryData
-from .fileio import dump_json, field_from_dict, field_to_dict, load_json, read_field_list_json
+from .fileio import dump_json, field_from_dict, load_json, read_field_list_json
 from .forward import CoefficientPair
 from .pipeline import (
     Recorder,
     ScenarioSetup,
-    certify_stage,
+    constant_bg_reconstruction,
     forward_stage,
     linearized_reconstruction,
     nonlinear_dict,
@@ -72,7 +65,7 @@ def cmd_certify(args) -> int:
     if args.xi_samples is not None:
         # rebuilding the certify section runs its range check
         config = replace(config, certify=replace(config.certify, xi_samples=args.xi_samples))
-    report = certify_stage(ScenarioSetup.from_config(config))
+    report = ScenarioSetup.from_config(config).certificate
     dump_json(report_dict(report), args.report)
     print(f"elliptic={report.elliptic} margin={report.global_margin:.6e}")
     return 0 if report.elliptic or args.allow_noncertified else 2
@@ -86,43 +79,25 @@ def cmd_linearize(args) -> int:
             BoundaryData(setup.grid, np.asarray(comp["values"], dtype=float))
             for comp in load_json(args.g)["components"]
         ]
-    out = linearized_reconstruction(
-        setup, read_field_list_json(args.dh), certify_stage(setup).elliptic, g=g
-    )
-    dump_json(out, args.out)
+    dump_json(linearized_reconstruction(setup, read_field_list_json(args.dh), g=g), args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_constbg(args) -> int:
-    dH = read_field_list_json(args.dh)
-    dirs_d = load_json(args.dirs)
-    vecs = [np.asarray(v, dtype=float) for v in dirs_d["vectors"]]
-    vecs = [v / np.linalg.norm(v) for v in vecs]
-    dirs = DirectionSet(int(dirs_d.get("dim", 2)), tuple(vecs))
-    bg = ConstantBackground(args.gamma0, args.sigma0, args.eta, dirs)
-    grid = dH[0].grid
-    data = [
-        preprocess_data(d, exponential_solution(bg, v, grid), bg)
-        for d, v in zip(dH, dirs.vectors)
-    ]
-    dgamma, dsigma = solve_constant_bg(bg, data)
-    dump_json(
-        {"dgamma": field_to_dict(dgamma), "dsigma": field_to_dict(dsigma)}, args.out
-    )
+    dump_json(constant_bg_reconstruction(_setup(args), read_field_list_json(args.dh)), args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    setup = _setup(args)
     init = load_json(args.init)
     coeffs0 = CoefficientPair(
         field_from_dict(init["gamma"]), field_from_dict(init["sigma"])
     )
-    H_meas = read_field_list_json(args.hmeas)
+    setup = replace(_setup(args), background=coeffs0)
     result, diverged = nonlinear_reconstruction(
-        setup.config, H_meas, setup.traces, coeffs0, args.allow_noncertified
+        setup, read_field_list_json(args.hmeas), args.allow_noncertified
     )
     if args.log:
         Path(args.log).write_text(trace_csv(result))
@@ -168,10 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_linearize)
 
     p = sub.add_parser("constbg", help="constant-background explicit inversion")
-    p.add_argument("--gamma0", type=float, required=True)
-    p.add_argument("--sigma0", type=float, required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--dirs", required=True, help="JSON direction set")
+    _add_common(p)
     p.add_argument("--dh", required=True, help="JSON list of dH fields")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_constbg)

@@ -171,13 +171,6 @@ def continuum_symbol_B(bg: ConstantBackground, v, xi) -> complex:
     )
 
 
-def exponential_solution(bg: ConstantBackground, v, grid: Grid) -> ScalarField:
-    """Exact background solution exp(sqrt(sigma0/gamma0) x.v)."""
-    v = np.asarray(v, dtype=float)
-    X, Y = grid.coords()
-    return ScalarField(grid, np.exp(bg.rate * (v[0] * X + v[1] * Y)))
-
-
 def preprocess_data(
     dH_i: ScalarField, u_i: ScalarField, bg: ConstantBackground
 ) -> ScalarField:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipticity import DEFAULT_MARGIN_THRESHOLD, certify_field
+from .ellipticity import DEFAULT_MARGIN_THRESHOLD, EllipticityReport, certify_field
 from .errors import Diverged, InsufficientHistory, NotElliptic
 from .field_core import BoundaryData, ScalarField, gradient, l2_norm, rel_l2_error
 from .forward import CoefficientPair, SolutionBundle, build_bundle
@@ -60,6 +60,8 @@ class ReconstructOptions:
     def __post_init__(self):
         if self.mode not in ("frozen", "refreshed"):
             raise ValueError("mode must be 'frozen' or 'refreshed'")
+        if self.kmax < 0:
+            raise ValueError(f"kmax must be nonnegative, got {self.kmax}")
 
 
 @dataclass(frozen=True)
@@ -112,22 +114,39 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Fixed-point reconstruction of (gamma, sigma) from measured functionals.
 
+    Builds the base bundle at ``coeffs0`` from the traces ``f``, certifies it
+    with ``opts.n_xi`` and ``opts.margin_threshold``, then runs ``sweep``.
+    """
+    opts = opts or ReconstructOptions()
+    bundle0 = build_bundle(coeffs0, f, eta, opts.grad_floor, opts.forward_tol)
+    report = certify_field(bundle0, n_xi=opts.n_xi, margin_threshold=opts.margin_threshold)
+    return sweep(H_meas, bundle0, report, opts, truth)
+
+
+def sweep(
+    H_meas: list[ScalarField],
+    bundle0: SolutionBundle,
+    report: EllipticityReport,
+    opts: ReconstructOptions,
+    truth: CoefficientPair | None = None,
+) -> ReconstructionResult:
+    """Fixed-point sweep from a base bundle and its certificate ``report``.
+
+    The traces, eta and starting coefficients are those of ``bundle0``.
     Terminates on relative residual <= tol, relative step <= steptol, or
-    kmax sweeps.  Raises NotElliptic when the base bundle fails certification
+    kmax sweeps.  Raises NotElliptic when the base report is not elliptic
     in strict mode, and Diverged (carrying the partial result) after five
     consecutive residual increases.
     """
-    opts = opts or ReconstructOptions()
-    if len(H_meas) != len(f):
+    if len(H_meas) != bundle0.J:
         raise ValueError("need one measured functional per boundary condition")
-
-    bundle0 = build_bundle(coeffs0, f, eta, opts.grad_floor, opts.forward_tol)
-    report = certify_field(bundle0, n_xi=opts.n_xi, margin_threshold=opts.margin_threshold)
     if not report.elliptic:
         msg = f"base bundle margin {report.global_margin:.3e} below threshold"
         if opts.strict_ellipticity:
             raise NotElliptic(msg)
         warnings.warn(msg)
+    coeffs0, eta = bundle0.coeffs, bundle0.eta
+    f = [trace for trace, _ in bundle0.solutions]
 
     scale = h1_proxy_norm(H_meas) or 1.0
     coeff_scale = h1_proxy_norm([coeffs0.gamma, coeffs0.sigma]) or 1.0
@@ -246,6 +265,7 @@ def stability_probe(
     """
     opts = opts or ReconstructOptions()
     base_bundle = build_bundle(coeffs0, f, eta, opts.grad_floor, opts.forward_tol)
+    report = certify_field(base_bundle, n_xi=opts.n_xi, margin_threshold=opts.margin_threshold)
     H0 = list(base_bundle.H)
     xs, ys = [], []
     for truth in truth_pairs:
@@ -259,7 +279,7 @@ def stability_probe(
         if data_diff <= 1e-14:
             continue
         try:
-            coeffs = reconstruct(H_meas, f, coeffs0, eta, opts).coeffs
+            coeffs = sweep(H_meas, base_bundle, report, opts).coeffs
         except Diverged as exc:
             coeffs = exc.result.coeffs
         err = h1_proxy_norm(

@@ -1,5 +1,7 @@
 """Scenario pipeline: forward -> certify -> invert, with a run manifest.
 
+Every stage works on one ``ScenarioSetup``, the scenario's certified base
+point, and the invert stage runs one of three reconstructions on it.
 Artifacts are written as each stage completes, so a failing stage preserves
 everything produced before it and its error names the stage.  Numeric
 outputs are deterministic for a fixed configuration (and seed); the manifest
@@ -25,7 +27,7 @@ from .field_core import BoundaryData, Grid, ScalarField, rel_l2_error
 from .fileio import dump_json, field_to_dict, write_field_csv, write_field_json
 from .forward import CoefficientPair, SolutionBundle, build_bundle
 from .linearized import assemble_system, injectivity_probe, normal_residual, solve_normal_equations
-from .nonlinear import ReconstructionResult, ReconstructOptions, reconstruct
+from .nonlinear import ReconstructionResult, ReconstructOptions, sweep
 from .phantom import add_noise
 from .scenario import ScenarioConfig, config_digest, serialize_scenario
 
@@ -96,7 +98,12 @@ def _bundle(config: ScenarioConfig, coeffs: CoefficientPair, traces) -> Solution
 
 @dataclass
 class ScenarioSetup:
-    """A scenario's grid, background, traces and (solved on first use) background bundle."""
+    """A scenario's base point: grid, background, traces and, made on first use,
+    the background bundle and its certificate (with the scenario's
+    ``xi_samples`` and ``margin_threshold``).  Every reconstruction starts from
+    these, so each is built once.  ``umot reconstruct`` swaps in its ``--init``
+    coefficients as the background and keeps the scenario's traces.
+    """
 
     config: ScenarioConfig
     grid: Grid
@@ -112,6 +119,15 @@ class ScenarioSetup:
     @cached_property
     def bundle(self) -> SolutionBundle:
         return _bundle(self.config, self.background, self.traces)
+
+    @cached_property
+    def certificate(self) -> EllipticityReport:
+        cert = self.config.certify
+        report = certify_field(
+            self.bundle, n_xi=cert.xi_samples, margin_threshold=cert.margin_threshold
+        )
+        log.info("certification margin %.3e elliptic=%s", report.global_margin, report.elliptic)
+        return report
 
 
 def forward_stage(setup: ScenarioSetup, rec: Recorder):
@@ -137,16 +153,6 @@ def forward_stage(setup: ScenarioSetup, rec: Recorder):
     rec.field("sigma_truth", truth.sigma)
     log.info("forward stage complete (J=%d)", setup.bundle.J)
     return truth, H_meas, dH
-
-
-def certify_stage(setup: ScenarioSetup) -> EllipticityReport:
-    """Certify the background bundle with the scenario's sampling and threshold."""
-    cert = setup.config.certify
-    report = certify_field(
-        setup.bundle, n_xi=cert.xi_samples, margin_threshold=cert.margin_threshold
-    )
-    log.info("certification margin %.3e elliptic=%s", report.global_margin, report.elliptic)
-    return report
 
 
 def report_dict(report: EllipticityReport) -> dict:
@@ -178,10 +184,10 @@ def _errors(dgamma, dsigma, truth: CoefficientPair, background: CoefficientPair)
     }
 
 
-def linearized_reconstruction(setup: ScenarioSetup, dH, certified, g=None, truth=None) -> dict:
-    """Linearized solve at the background (optional normal data ``g``) as a dict."""
+def linearized_reconstruction(setup: ScenarioSetup, dH, g=None, truth=None) -> dict:
+    """Linearized solve at the base point (optional normal data ``g``) as a dict."""
     sys = assemble_system(setup.bundle, dH)
-    sys.certified = certified
+    sys.certified = setup.certificate.elliptic
     v = solve_normal_equations(sys, g=g, tol=setup.config.solver.normal_tol)
     out = {
         "dgamma": field_to_dict(v.dgamma),
@@ -195,10 +201,27 @@ def linearized_reconstruction(setup: ScenarioSetup, dH, certified, g=None, truth
     return out
 
 
+def constant_bg_reconstruction(setup: ScenarioSetup, dH, truth=None) -> dict:
+    """Constant-background fourth-order solve, dividing by the bundle's u_j, as a dict."""
+    config = setup.config
+    bg = ConstantBackground(
+        config.background["gamma0"], config.background["sigma0"], config.eta,
+        config.make_directions(),
+    )
+    data = [preprocess_data(d, u, bg) for d, (_, u) in zip(dH, setup.bundle.solutions)]
+    dgamma, dsigma = solve_constant_bg(bg, data)
+    out = {"dgamma": field_to_dict(dgamma), "dsigma": field_to_dict(dsigma)}
+    if truth is not None:
+        out.update(_errors(dgamma, dsigma, truth, setup.background))
+    return out
+
+
 def nonlinear_reconstruction(
-    config: ScenarioConfig, H_meas, traces, coeffs0, allow_noncertified: bool, truth=None
+    setup: ScenarioSetup, H_meas, allow_noncertified: bool, truth=None
 ) -> tuple[ReconstructionResult, str | None]:
-    """(result, None), or (best iterate, message) when the sweep diverges."""
+    """Sweep from the base point: (result, None), or (best iterate, message)
+    when the sweep diverges."""
+    config = setup.config
     inv, cert = config.inversion, config.certify
     opts = ReconstructOptions(
         mode=inv.mode, tol=inv.tol, kmax=inv.kmax, strict_ellipticity=not allow_noncertified,
@@ -206,7 +229,7 @@ def nonlinear_reconstruction(
         grad_floor=config.solver.grad_floor, forward_tol=config.solver.forward_tol,
     )
     try:
-        return reconstruct(H_meas, traces, coeffs0, config.eta, opts, truth=truth), None
+        return sweep(H_meas, setup.bundle, setup.certificate, opts, truth), None
     except Diverged as exc:
         return exc.result, str(exc)
 
@@ -245,7 +268,7 @@ def run_pipeline(
         truth, H_meas, dH = forward_stage(setup, rec)
 
     with _stage("certify"):
-        report = certify_stage(setup)
+        report = setup.certificate
         rec.json("certify.json", report_dict(report))
     if not report.elliptic and not allow_noncertified:
         raise PipelineStageError(
@@ -254,46 +277,18 @@ def run_pipeline(
 
     path = config.inversion.path
     with _stage("invert"):
-        if path == "linearized":
-            rec.json(
-                "reconstruction.json",
-                linearized_reconstruction(setup, dH, report.elliptic, truth=truth),
-            )
-        elif path == "constant_bg":
-            if config.background["type"] != "constant":
-                raise PipelineStageError(
-                    "invert", "constant_bg path needs a constant background"
-                )
-            dirs = config.make_directions()
-            if dirs is None:
-                raise PipelineStageError(
-                    "invert", "constant_bg path needs a constant_bg boundary set"
-                )
-            bg = ConstantBackground(
-                config.background["gamma0"], config.background["sigma0"], config.eta, dirs
-            )
-            data = [
-                preprocess_data(d, u, bg)
-                for d, (_, u) in zip(dH, setup.bundle.solutions)
-            ]
-            dgamma, dsigma = solve_constant_bg(bg, data)
-            rec.json(
-                "reconstruction.json",
-                {
-                    "dgamma": field_to_dict(dgamma),
-                    "dsigma": field_to_dict(dsigma),
-                    **_errors(dgamma, dsigma, truth, setup.background),
-                },
-            )
-        else:  # nonlinear
+        if path == "nonlinear":
             result, diverged = nonlinear_reconstruction(
-                config, H_meas, setup.traces, setup.background, allow_noncertified, truth
+                setup, H_meas, allow_noncertified, truth
             )
             rec.text("trace.csv", trace_csv(result))
             rec.json("reconstruction.json", nonlinear_dict(result, diverged))
             if diverged is not None:
                 # the best iterate is kept as an artifact; the stage still fails
                 raise PipelineStageError("invert", diverged)
+        else:
+            fn = linearized_reconstruction if path == "linearized" else constant_bg_reconstruction
+            rec.json("reconstruction.json", fn(setup, dH, truth=truth))
         log.info("inversion stage complete (path=%s)", path)
 
     # ---- manifest

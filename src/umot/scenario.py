@@ -40,6 +40,16 @@ def _require_keys(d: dict, allowed: set, where: str) -> None:
         raise ScenarioError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _is_direction(v) -> bool:
+    """A finite, nonzero 2-component vector: the grid is 2-D, and every
+    direction is normalized before use."""
+    try:
+        vec = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    return vec.shape == (2,) and bool(np.all(np.isfinite(vec)) and np.any(vec))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     forward_tol: float = 1e-10
@@ -79,6 +89,8 @@ class InversionConfig:
             raise ScenarioError(f"unknown inversion path '{self.path}'")
         if self.mode not in ("frozen", "refreshed"):
             raise ScenarioError(f"unknown reconstruction mode '{self.mode}'")
+        if self.kmax < 0:
+            raise ScenarioError(f"kmax must be nonnegative, got {self.kmax}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +104,12 @@ class ScenarioConfig:
     solver: SolverConfig = SolverConfig()
     certify: CertifyConfig = CertifyConfig()
     inversion: InversionConfig = InversionConfig()
+
+    def __post_init__(self):
+        if self.boundary_set["type"] == "constant_bg" and self.background["type"] != "constant":
+            raise ScenarioError("constant_bg boundary sets need a constant background")
+        if self.inversion.path == "constant_bg" and self.boundary_set["type"] != "constant_bg":
+            raise ScenarioError("inversion path 'constant_bg' needs a constant_bg boundary set")
 
     def make_grid(self) -> Grid:
         g = self.grid
@@ -118,10 +136,10 @@ class ScenarioConfig:
             background.gamma_floor,
         )
 
-    def make_directions(self) -> DirectionSet | None:
+    def make_directions(self) -> DirectionSet:
         bs = self.boundary_set
         if bs["type"] != "constant_bg":
-            return None
+            raise ScenarioError("the constant-background route needs a constant_bg boundary set")
         vecs = [np.asarray(v, dtype=float) for v in bs["dirs"]]
         vecs = [v / np.linalg.norm(v) for v in vecs]
         return DirectionSet(2, tuple(vecs))
@@ -132,8 +150,6 @@ class ScenarioConfig:
             return cgo_boundary_set(grid, bs.get("M", 4.0), bs.get("k", 1.0), background)
         if bs["type"] == "constant_bg":
             bg = self.background
-            if bg["type"] != "constant":
-                raise ScenarioError("constant_bg boundary sets need a constant background")
             return constant_bg_boundary_set(
                 grid, bg["gamma0"], bg["sigma0"], self.make_directions()
             )
@@ -198,6 +214,9 @@ def parse_scenario(data) -> ScenarioConfig:
         _require_keys(bs, {"type", "M", "k"}, "boundary_set")
     elif bs.get("type") == "constant_bg":
         _require_keys(bs, {"type", "dirs"}, "boundary_set")
+        dirs = bs.get("dirs")
+        if not isinstance(dirs, (list, tuple)) or not all(map(_is_direction, dirs)):
+            raise ScenarioError("boundary_set.dirs must list nonzero 2-component vectors")
     elif bs.get("type") == "explicit":
         _require_keys(bs, {"type", "files"}, "boundary_set")
     else:

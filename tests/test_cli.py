@@ -185,38 +185,51 @@ def test_linearize_command_with_normal_data(tmp_path, scenario_file):
     assert max(abs(x - y) for x, y in zip(a, b)) < 1e-10
 
 
-def test_constbg_command(tmp_path, scenario_file):
+def test_constbg_command(tmp_path):
+    # the standalone command runs the pipeline's constant_bg stage on the
+    # same bundle, so the same dH gives the same numbers, bit for bit
+    spath = _variant(tmp_path, inversion={"path": "constant_bg"})
     out = tmp_path / "run"
-    assert main(["pipeline", "--scenario", str(scenario_file), "--out", str(out)]) == 0
-    dH = [read_field_json(out / f"dH_{j}.json") for j in range(3)]
+    assert main(["pipeline", "--scenario", str(spath), "--out", str(out)]) == 0
     dh_path = tmp_path / "dh.json"
-    write_field_list_json(dH, dh_path)
-    dirs_path = tmp_path / "dirs.json"
-    dirs_path.write_text(json.dumps({"dim": 2, "vectors": SCENARIO["boundary_set"]["dirs"]}))
+    write_field_list_json([read_field_json(out / f"dH_{j}.json") for j in range(3)], dh_path)
     rec_path = tmp_path / "rec.json"
     rc = main(
-        ["constbg", "--gamma0", "1.0", "--sigma0", "0.5", "--eta", "1.0",
-         "--dirs", str(dirs_path), "--dh", str(dh_path), "--out", str(rec_path)]
+        ["constbg", "--scenario", str(spath), "--dh", str(dh_path), "--out", str(rec_path)]
     )
     assert rc == 0
-    assert "dgamma" in load_json(rec_path)
+    rec, pipe = load_json(rec_path), load_json(out / "reconstruction.json")
+    assert rec["dgamma"] == pipe["dgamma"]
+    assert rec["dsigma"] == pipe["dsigma"]
 
 
 def test_constbg_command_rejects_3d_directions(tmp_path, capsys):
-    g = Grid(9, 9, 1 / 8, 1 / 8)
+    vecs = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [3 ** -0.5] * 3]
+    spath = _variant(tmp_path, boundary_set={"type": "constant_bg", "dirs": vecs})
+    g = Grid(18, 18, 1 / 17, 1 / 17)
     dh_path = tmp_path / "dh.json"
     write_field_list_json([ScalarField.constant(g, 0.01)] * 4, dh_path)
-    dirs_path = tmp_path / "dirs.json"
-    vecs = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [3 ** -0.5] * 3]
-    dirs_path.write_text(json.dumps({"dim": 3, "vectors": vecs}))
     rec_path = tmp_path / "rec.json"
     rc = main(
-        ["constbg", "--gamma0", "1.0", "--sigma0", "0.5", "--eta", "1.0",
-         "--dirs", str(dirs_path), "--dh", str(dh_path), "--out", str(rec_path)]
+        ["constbg", "--scenario", str(spath), "--dh", str(dh_path), "--out", str(rec_path)]
     )
     assert rc == 1
-    assert "3-D directions" in capsys.readouterr().err
+    assert "nonzero 2-component vectors" in capsys.readouterr().err
     assert not rec_path.exists()
+
+
+def test_constant_bg_path_needs_constant_bg_boundary_set(tmp_path, capsys):
+    # rejected when the scenario is parsed, before any stage writes a file
+    spath = _variant(
+        tmp_path,
+        background={"type": "constant", "gamma0": 1.0, "sigma0": 0.2},
+        boundary_set={"type": "cgo", "M": 4.0, "k": 1.0},
+        inversion={"path": "constant_bg"},
+    )
+    out = tmp_path / "run"
+    assert main(["pipeline", "--scenario", str(spath), "--out", str(out)]) == 1
+    assert "constant_bg boundary set" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_certify_command_rejects_too_few_xi_samples(tmp_path, scenario_file, capsys):
@@ -280,12 +293,12 @@ def test_reconstruct_command_uses_scenario_mode(tmp_path, monkeypatch):
     h_path, init_path = _reconstruct_inputs(tmp_path, [ScalarField.constant(g, 1.0)] * 3)
     modes = []
 
-    def fake_reconstruct(H_meas, traces, coeffs0, eta, opts, truth=None):
+    def fake_sweep(H_meas, bundle0, report, opts, truth=None):
         modes.append(opts.mode)
         record = IterationRecord(0, 0.0, 0.0, 1.0)
-        return ReconstructionResult(coeffs0, True, 0, 0.0, (record,))
+        return ReconstructionResult(bundle0.coeffs, True, 0, 0.0, (record,))
 
-    monkeypatch.setattr(umot.pipeline, "reconstruct", fake_reconstruct)
+    monkeypatch.setattr(umot.pipeline, "sweep", fake_sweep)
     rc = main(
         ["reconstruct", "--scenario", str(spath), "--hmeas", str(h_path),
          "--init", str(init_path), "--out", str(tmp_path / "result.json")]
@@ -295,8 +308,9 @@ def test_reconstruct_command_uses_scenario_mode(tmp_path, monkeypatch):
 
 
 def test_nonlinear_pipeline_certifies_with_scenario_settings(tmp_path, monkeypatch):
-    # the sweep certifies the base bundle with the scenario's sampling and
-    # threshold, so a bundle the certify stage rejects is not passed silently
+    # the sweep starts from the certify stage's bundle and certificate: the
+    # base is built and certified once, with the scenario's sampling and
+    # threshold, and a bundle the certify stage rejects is not passed silently
     import umot.nonlinear
 
     spath = _variant(
@@ -304,7 +318,7 @@ def test_nonlinear_pipeline_certifies_with_scenario_settings(tmp_path, monkeypat
         inversion={"path": "nonlinear", "kmax": 2},
         certify={"xi_samples": 128, "margin_threshold": 0.9},
     )
-    calls = []
+    calls, base_builds = [], []
     for module in (umot.pipeline, umot.nonlinear):
 
         def recording(bundle, certify=module.certify_field, **kwargs):
@@ -312,7 +326,13 @@ def test_nonlinear_pipeline_certifies_with_scenario_settings(tmp_path, monkeypat
             calls.append((kwargs["n_xi"], kwargs["margin_threshold"], report.elliptic))
             return report
 
+        def counting(coeffs, *args, build=module.build_bundle, **kwargs):
+            if (coeffs.gamma.values == 1.0).all() and (coeffs.sigma.values == 0.5).all():
+                base_builds.append(coeffs)
+            return build(coeffs, *args, **kwargs)
+
         monkeypatch.setattr(module, "certify_field", recording)
+        monkeypatch.setattr(module, "build_bundle", counting)
     with pytest.warns(UserWarning) as warned:
         rc = main(
             ["pipeline", "--scenario", str(spath), "--out", str(tmp_path / "run"),
@@ -322,7 +342,8 @@ def test_nonlinear_pipeline_certifies_with_scenario_settings(tmp_path, monkeypat
     messages = [str(w.message) for w in warned]
     assert any("base bundle margin" in m for m in messages)
     assert any("failed certification" in m for m in messages)
-    assert calls == [(128, 0.9, False), (128, 0.9, False)]
+    assert calls == [(128, 0.9, False)]
+    assert len(base_builds) == 1
 
 
 def test_forward_command_writes_pipeline_artifacts(tmp_path):

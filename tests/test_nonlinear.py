@@ -237,6 +237,11 @@ def test_stability_probe_noise_floor(setup):
     assert slope < 0.5
 
 
+def test_reconstruct_options_reject_negative_kmax():
+    with pytest.raises(ValueError, match="kmax"):
+        ReconstructOptions(kmax=-1)
+
+
 def test_contraction_estimate_guards():
     with pytest.raises(InsufficientHistory):
         contraction_estimate([IterationRecord(0, 1.0, 0.0, 1.0)])

@@ -140,6 +140,11 @@ def test_scenario_requires_seed_with_noise():
     [
         ("certify", {"xi_samples": 8}, "xi_samples"),
         ("noise", {"level": -0.1, "seed": 3}, "noise level"),
+        ("inversion", {"path": "nonlinear", "kmax": -1}, "kmax"),
+        ("boundary_set", {"type": "constant_bg", "dirs": [[1, 0, 0], [0, 1, 0]]},
+         "2-component"),
+        ("boundary_set", {"type": "constant_bg", "dirs": [[1, 0], [0, 0]]}, "nonzero"),
+        ("boundary_set", {"type": "constant_bg"}, "boundary_set.dirs"),
     ],
 )
 def test_scenario_rejects_out_of_range_values(section, values, message):
