@@ -1,4 +1,4 @@
-"""Print the sha256 of every artifact of seven fixed pipeline scenarios.
+"""Print the sha256 of every artifact of eight fixed pipeline scenarios.
 
     python3 scripts/pipeline_digests.py --out DIR
 
@@ -6,8 +6,11 @@ Runs each scenario through ``umot.run_pipeline`` into ``DIR/<scenario>`` and
 prints one ``<scenario>/<artifact> <sha256>`` line per output, in manifest
 order.  Two source trees that print the same lines write byte-identical
 artifacts, so ``diff`` of the two listings is a behaviour check for changes
-that should not move any number.  The script works inside DIR, so the
-field-file paths that ``scenario.json`` records are the same on every run.
+that should not move any number.  The ``settings`` scenario sets every
+solver and certify value away from its default, so its digests also pin that
+those values reach each bundle build and certification of the sweep.  The
+script works inside DIR, so the field-file paths that ``scenario.json``
+records are the same on every run.
 """
 
 from __future__ import annotations
@@ -49,6 +52,12 @@ SCENARIOS = {
     "nonlinear": {**NOISE_FREE, "inversion": {"path": "nonlinear", "kmax": 15}},
     "refreshed": {
         **NOISE_FREE, "inversion": {"path": "nonlinear", "mode": "refreshed", "kmax": 4}
+    },
+    "settings": {
+        **NOISE_FREE,
+        "solver": {"forward_tol": 1e-11, "grad_floor": 1e-9},
+        "certify": {"xi_samples": 64, "margin_threshold": 1e-5},
+        "inversion": {"path": "nonlinear", "mode": "refreshed", "kmax": 4},
     },
     "cgo24": {**NOISE_FREE, **CGO, "grid": {"nx": 24, "ny": 24, "hx": 1 / 23, "hy": 1 / 23}},
     "cgo_fields20": {

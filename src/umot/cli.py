@@ -174,7 +174,7 @@ def main(argv=None) -> int:
     except PipelineStageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UmotError as exc:
+    except (UmotError, ValueError) as exc:  # ValueError: a malformed input file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

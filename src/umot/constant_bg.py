@@ -78,7 +78,7 @@ class ConstantBackground:
 
 def _directional_parts(grid: Grid, v):
     v = np.asarray(v, dtype=float)
-    dx, dy, dxx, dyy, dxy = interior_derivative_matrices(grid)
+    dx, dy, dxx, dyy, dxy = interior_derivative_matrices(grid, "x", "y", "xx", "yy", "xy")
     dv = v[0] * dx + v[1] * dy
     dvv = v[0] ** 2 * dxx + 2.0 * v[0] * v[1] * dxy + v[1] ** 2 * dyy
     lap = dxx + dyy
@@ -220,14 +220,12 @@ def direction_blocks(bg: ConstantBackground, grid: Grid) -> list[sp.csr_matrix]:
 
 
 def solve_constant_bg(
-    bg: ConstantBackground,
-    data: list[ScalarField],
-    tol: float = CONST_BG_TOL,
+    bg: ConstantBackground, data: list[ScalarField]
 ) -> tuple[ScalarField, ScalarField]:
     """Recover (dgamma, dsigma) from preprocessed data fields.
 
     Solves the 2-by-2 fourth-order normal system sum_i [C_i B_i]^T [C_i B_i]
-    on clamped interior unknowns to the requested relative residual.
+    on clamped interior unknowns to the relative residual CONST_BG_TOL.
     """
     grid = data[0].grid
     for d in data[1:]:
@@ -240,7 +238,7 @@ def solve_constant_bg(
     n_int = iidx.size
     A = sp.vstack(blocks, format="csr")
     rhs = np.sum([blk.T @ S.values[iidx] for blk, S in zip(blocks, data)], axis=0)
-    w = SparseFactor((A.T @ A).tocsr()).solve(rhs, tol)
+    w = SparseFactor((A.T @ A).tocsr()).solve(rhs, CONST_BG_TOL)
     dgamma = np.zeros(grid.n_nodes)
     dsigma = np.zeros(grid.n_nodes)
     dgamma[iidx] = w[:n_int]
@@ -267,19 +265,17 @@ def sigma_zero_gamma_rows(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     symbols satisfy (xi2^2 - xi1^2)^2 + 4 xi1^2 xi2^2 = |xi|^4, so the
     stacked normal operator is the bi-Laplacian at symbol level.
     """
-    _, _, dxx, dyy, dxy = interior_derivative_matrices(grid)
+    dxx, dyy, dxy = interior_derivative_matrices(grid, "xx", "yy", "xy")
     return (dyy - dxx).tocsr(), (-2.0 * dxy).tocsr()
 
 
-def sigma_zero_recover_dgamma_2d(
-    dH1: ScalarField, dH12: ScalarField, tol: float = CONST_BG_TOL
-) -> ScalarField:
+def sigma_zero_recover_dgamma_2d(dH1: ScalarField, dH12: ScalarField) -> ScalarField:
     """Clamped fourth-order recovery of dgamma from absorption-free 2D data.
 
     Expects the data with the dsigma contribution already removed: dH1 from
     the background x_1 and dH12 the polarization cross term.  Applies the
     discrete Laplacian to both fields, stacks the wave-operator rows, and
-    solves the normal equations on clamped interior unknowns.
+    solves the normal equations on clamped interior unknowns to CONST_BG_TOL.
     """
     if dH1.grid != dH12.grid:
         raise GridMismatch("data fields on different grids")
@@ -293,7 +289,7 @@ def sigma_zero_recover_dgamma_2d(
     D2i = D2[iidx][:, iidx]
     N = (D1i.T @ D1i + D2i.T @ D2i).tocsr()
     rhs = D1i.T @ t1[iidx] + D2i.T @ t2[iidx]
-    w = SparseFactor(N).solve(rhs, tol)
+    w = SparseFactor(N).solve(rhs, CONST_BG_TOL)
     out = np.zeros(grid.n_nodes)
     out[iidx] = w
     return ScalarField(grid, out)

@@ -68,9 +68,11 @@ class DirectionSet:
 class EllipticityReport:
     """Certification outcome with per-point margins and failure witness.
 
-    ``margin_field`` is None for direction-set certification (no grid).
-    ``witness`` is (node_index, xi) with node_index None for direction sets;
-    it is present exactly when the configuration is not certified.
+    It records its settings, ``xi_samples`` and the relative ``margin_threshold``;
+    ``threshold`` is the absolute cut, the relative one times the largest row
+    norm (equal to it for a direction set).  ``margin_field`` is None for
+    direction-set certification (no grid).  ``witness`` is (node_index, xi),
+    node_index None for direction sets, present exactly when not certified.
     """
 
     global_margin: float
@@ -78,6 +80,7 @@ class EllipticityReport:
     witness: tuple | None
     xi_samples: int
     threshold: float
+    margin_threshold: float
     margin_field: ScalarField | None = None
     masked_fraction: float = 0.0
     masked_count: int = 0
@@ -234,6 +237,7 @@ def certify_field(
         witness=witness,
         xi_samples=n_xi,
         threshold=threshold,
+        margin_threshold=margin_threshold,
         margin_field=margin_field,
         masked_fraction=masked_fraction,
         masked_count=int(mask[interior].sum()),
@@ -274,22 +278,18 @@ def _direction_candidates(dirs: DirectionSet) -> list[np.ndarray]:
     return out
 
 
-def certify_directions(
-    dirs: DirectionSet,
-    n_xi: int | None = None,
-    margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
-) -> EllipticityReport:
+def certify_directions(dirs: DirectionSet) -> EllipticityReport:
     """Certify a direction set for the constant-background inversion.
 
     The margin at a frequency is the largest pairwise defect
-    |(xi.v_i)^2 - (xi.v_j)^2|; certification requires it to be positive for
-    every unit xi.  Analytic candidates (the only places a common zero can
-    hide) are checked alongside a dense sample: uniform half-circle angles in
-    2D, a Fibonacci sphere in 3D.  A single direction can never certify; its
-    witness is the 45-degree rotation where its own light cone degenerates.
+    |(xi.v_i)^2 - (xi.v_j)^2|; certification requires it to exceed
+    DEFAULT_MARGIN_THRESHOLD for every unit xi.  Analytic candidates (the only
+    places a common zero can hide) are checked alongside a dense sample:
+    uniform half-circle angles in 2D, a Fibonacci sphere in 3D.  A single
+    direction can never certify; its witness is the 45-degree rotation where
+    its own light cone degenerates.
     """
-    if n_xi is None:
-        n_xi = DEFAULT_XI_2D if dirs.dim == 2 else DEFAULT_XI_3D
+    n_xi = DEFAULT_XI_2D if dirs.dim == 2 else DEFAULT_XI_3D
     vecs = np.stack(dirs.vectors)
 
     if len(dirs) == 1:
@@ -307,7 +307,8 @@ def certify_directions(
             elliptic=False,
             witness=(None, witness),
             xi_samples=0,
-            threshold=margin_threshold,
+            threshold=DEFAULT_MARGIN_THRESHOLD,
+            margin_threshold=DEFAULT_MARGIN_THRESHOLD,
         )
 
     candidates = _direction_candidates(dirs)
@@ -323,19 +324,20 @@ def certify_directions(
     k = int(np.argmin(margin_per_xi))
     global_margin = float(margin_per_xi[k])
 
-    elliptic = global_margin > margin_threshold
+    elliptic = global_margin > DEFAULT_MARGIN_THRESHOLD
     witness = None if elliptic else (None, xis[k].copy())
     return EllipticityReport(
         global_margin=global_margin,
         elliptic=elliptic,
         witness=witness,
         xi_samples=n_xi,
-        threshold=margin_threshold,
+        threshold=DEFAULT_MARGIN_THRESHOLD,
+        margin_threshold=DEFAULT_MARGIN_THRESHOLD,
     )
 
 
-def check_sign_vector_condition(w, tol: float = 1e-9) -> bool:
-    """True when no signed sum +-w_1 +- ... +- w_{n-1} equals 1.
+def check_sign_vector_condition(w) -> bool:
+    """True when no signed sum +-w_1 +- ... +- w_{n-1} equals 1 (within 1e-9).
 
     Used to pick the extra direction (0, w) completing the coordinate
     directions to an elliptic set in dimension n.
@@ -344,7 +346,7 @@ def check_sign_vector_condition(w, tol: float = 1e-9) -> bool:
     if abs(np.linalg.norm(w) - 1.0) > 1e-12:
         raise NotUnitVector("sign-condition vector must have unit length")
     for signs in product((1.0, -1.0), repeat=w.size):
-        if abs(float(np.dot(signs, w)) - 1.0) <= tol:
+        if abs(float(np.dot(signs, w)) - 1.0) <= 1e-9:
             return False
     return True
 
@@ -380,9 +382,8 @@ def cgo_boundary_set(
         out.extend([u1, u2])
         if m == M:
             out.append(u1 + u2)
-    # order: u1, u2, u3 = u1+u2, u4, u5
-    f1, f2, f3, f4, f5 = out[0], out[1], out[2], out[3], out[4]
-    return [BoundaryData(grid, f) for f in (f1, f2, f3, f4, f5)]
+    # u1, u2, u3 = u1 + u2, u4, u5 (for M = 1 the loop appends a sixth trace)
+    return [BoundaryData(grid, f) for f in out[:5]]
 
 
 def constant_bg_boundary_set(
@@ -412,9 +413,7 @@ def constant_bg_boundary_set(
     return out
 
 
-def verify_2d_three_solution_system(
-    theta1, theta2, d1: float, d2: float, xi, tol: float = 1e-10
-) -> bool:
+def verify_2d_three_solution_system(theta1, theta2, d1: float, d2: float, xi) -> bool:
     """Evaluate the three polarization determinant equations at one frequency.
 
     With orthonormal theta_1, theta_2 and alpha the angle between theta_1 and
@@ -425,7 +424,7 @@ def verify_2d_three_solution_system(
         -2 cos a sin a d2^2  = (1 - 2 sin^2 a) d1 d2
 
     can only hold simultaneously in degenerate cases; True means all three
-    vanish within tol.
+    vanish within 1e-10.
     """
     theta1 = np.asarray(theta1, dtype=float)
     theta2 = np.asarray(theta2, dtype=float)
@@ -440,4 +439,4 @@ def verify_2d_three_solution_system(
     det1 = (1.0 - 2.0 * ca ** 2) * d2 ** 2 - (1.0 - 2.0 * sa ** 2) * d1 ** 2
     det2 = -2.0 * ca * sa * d1 ** 2 - (1.0 - 2.0 * ca ** 2) * d1 * d2
     det3 = -2.0 * ca * sa * d2 ** 2 - (1.0 - 2.0 * sa ** 2) * d1 * d2
-    return abs(det1) <= tol and abs(det2) <= tol and abs(det3) <= tol
+    return max(abs(det1), abs(det2), abs(det3)) <= 1e-10

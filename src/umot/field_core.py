@@ -36,6 +36,8 @@ class Grid:
     y0: float = 0.0
 
     def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer)) for n in (self.nx, self.ny)):
+            raise ValueError("grid node counts must be integers")
         if self.nx < 5 or self.ny < 5:
             raise ValueError("grid needs at least 5 nodes per axis")
         if self.hx <= 0.0 or self.hy <= 0.0:
@@ -304,33 +306,35 @@ def diffusion_flux_jacobian(gamma: ScalarField, u: ScalarField) -> sp.csr_matrix
 # derivative matrices
 
 
-def interior_derivative_matrices(grid: Grid):
-    """Central-difference Dx, Dy, Dxx, Dyy, Dxy with interior rows only."""
-    c, e, w, n, s = _interior_stencil_indices(grid)
+def interior_derivative_matrices(grid: Grid, *names: str) -> list[sp.csr_matrix]:
+    """Central-difference matrices of the named derivatives, interior rows only.
+
+    The names are "x", "y", "xx", "yy" and "xy"; only the named matrices are
+    built, in the order given.
+    """
     hx, hy = grid.hx, grid.hy
-    N = grid.n_nodes
-    ne, nw, se, sw = c + grid.nx + 1, c + grid.nx - 1, c - grid.nx + 1, c - grid.nx - 1
-
-    def build(rows, cols, vals):
-        m = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(N, N),
-        )
-        return m.tocsr()
-
-    one = np.ones(c.size)
-    dx = build([c, c], [e, w], [one / (2 * hx), -one / (2 * hx)])
-    dy = build([c, c], [n, s], [one / (2 * hy), -one / (2 * hy)])
-    dxx = build([c, c, c], [e, c, w], [one / hx ** 2, -2 * one / hx ** 2, one / hx ** 2])
-    dyy = build([c, c, c], [n, c, s], [one / hy ** 2, -2 * one / hy ** 2, one / hy ** 2])
-    q = one / (4 * hx * hy)
-    dxy = build([c, c, c, c], [ne, sw, nw, se], [q, q, -q, -q])
-    return dx, dy, dxx, dyy, dxy
+    q = 1 / (4 * hx * hy)
+    taps = {  # name: {(di, dj): weight of node (i + di, j + dj)}
+        "x": {(1, 0): 1 / (2 * hx), (-1, 0): -1 / (2 * hx)},
+        "y": {(0, 1): 1 / (2 * hy), (0, -1): -1 / (2 * hy)},
+        "xx": {(1, 0): 1 / hx**2, (0, 0): -2 / hx**2, (-1, 0): 1 / hx**2},
+        "yy": {(0, 1): 1 / hy**2, (0, 0): -2 / hy**2, (0, -1): 1 / hy**2},
+        "xy": {(1, 1): q, (-1, -1): q, (-1, 1): -q, (1, -1): -q},
+    }
+    c = grid.interior_indices()
+    out = []
+    for name in names:
+        offsets, weights = zip(*taps[name].items())
+        rows = np.tile(c, len(offsets))
+        cols = np.concatenate([c + di + dj * grid.nx for di, dj in offsets])
+        vals = np.repeat(weights, c.size)
+        out.append(sp.coo_matrix((vals, (rows, cols)), shape=(grid.n_nodes,) * 2).tocsr())
+    return out
 
 
 def laplacian_matrix(grid: Grid) -> sp.csr_matrix:
     """5-point Laplacian with interior rows only (zero boundary rows)."""
-    _, _, dxx, dyy, _ = interior_derivative_matrices(grid)
+    dxx, dyy = interior_derivative_matrices(grid, "xx", "yy")
     return (dxx + dyy).tocsr()
 
 

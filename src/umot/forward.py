@@ -34,23 +34,21 @@ from .solvers import SparseFactor, cg_solve
 DEFAULT_ETA = 1.0
 DEFAULT_SOLVER_TOL = 1e-10
 DIRECT_THRESHOLD = 2500  # interior unknowns; larger forward problems use CG
+GAMMA_FLOOR = 1e-12  # smallest admissible diffusion coefficient
 
 
 @dataclass(frozen=True)
 class CoefficientPair:
-    """Diffusion and absorption fields with positivity floors."""
+    """Diffusion and absorption fields: gamma >= GAMMA_FLOOR, sigma >= 0."""
 
     gamma: ScalarField
     sigma: ScalarField
-    gamma_floor: float = 1e-12
 
     def __post_init__(self):
         if self.gamma.grid != self.sigma.grid:
             raise GridMismatch("gamma and sigma must share a grid")
-        if self.gamma_floor <= 0.0:
-            raise ValueError("gamma_floor must be positive")
-        if self.gamma.values.min() < self.gamma_floor:
-            raise ValueError("diffusion coefficient below configured floor")
+        if self.gamma.values.min() < GAMMA_FLOOR:
+            raise ValueError(f"diffusion coefficient below {GAMMA_FLOOR:g}")
         if self.sigma.values.min() < 0.0:
             raise ValueError("absorption coefficient must be nonnegative")
 
@@ -59,14 +57,8 @@ class CoefficientPair:
         return self.gamma.grid
 
     @classmethod
-    def constant(
-        cls, grid: Grid, gamma0: float, sigma0: float, gamma_floor: float = 1e-12
-    ) -> "CoefficientPair":
-        return cls(
-            ScalarField.constant(grid, gamma0),
-            ScalarField.constant(grid, sigma0),
-            gamma_floor,
-        )
+    def constant(cls, grid: Grid, gamma0: float, sigma0: float) -> "CoefficientPair":
+        return cls(ScalarField.constant(grid, gamma0), ScalarField.constant(grid, sigma0))
 
 
 @dataclass(frozen=True)
@@ -138,11 +130,9 @@ class DiffusionSolver:
         return float(np.linalg.norm(r)) / scale
 
 
-def solve_diffusion(
-    coeffs: CoefficientPair, f: BoundaryData, tol: float = DEFAULT_SOLVER_TOL
-) -> ScalarField:
+def solve_diffusion(coeffs: CoefficientPair, f: BoundaryData) -> ScalarField:
     """One-shot forward solve; see DiffusionSolver for the cached variant."""
-    return DiffusionSolver(coeffs, tol).solve(f)
+    return DiffusionSolver(coeffs).solve(f)
 
 
 def internal_functional(
@@ -194,7 +184,11 @@ def polarization_functional(
 
 @dataclass(frozen=True)
 class SolutionBundle:
-    """Forward solutions, functionals, and geometry for one coefficient pair."""
+    """Forward solutions, functionals, and geometry for one coefficient pair.
+
+    ``solutions`` holds the (f_j, u_j) pairs.  ``at`` repeats the bundle's build
+    (``eta``, ``grad_floor``, forward tolerance ``solver.tol``) at other coefficients.
+    """
 
     coeffs: CoefficientPair
     eta: float
@@ -202,6 +196,7 @@ class SolutionBundle:
     geometry: tuple
     H: tuple
     solver: DiffusionSolver
+    grad_floor: float | None = None
 
     @property
     def J(self) -> int:
@@ -210,6 +205,11 @@ class SolutionBundle:
     @property
     def grid(self) -> Grid:
         return self.coeffs.grid
+
+    def at(self, coeffs: CoefficientPair) -> "SolutionBundle":
+        """This bundle's build (traces, eta, grad_floor, tolerance) at ``coeffs``."""
+        traces = [f for f, _ in self.solutions]
+        return build_bundle(coeffs, traces, self.eta, self.grad_floor, self.solver.tol)
 
 
 def build_bundle(
@@ -240,5 +240,5 @@ def build_bundle(
         geometry.append(solution_geometry(u, grad_floor))
         functionals.append(internal_functional(coeffs, u, eta))
     return SolutionBundle(
-        coeffs, eta, tuple(solutions), tuple(geometry), tuple(functionals), solver
+        coeffs, eta, tuple(solutions), tuple(geometry), tuple(functionals), solver, grad_floor
     )

@@ -125,7 +125,7 @@ def assemble_system(
     w_pde = float(np.sqrt(grid.hx * grid.hy))
     gam = bundle.coeffs.gamma.values[iidx]
     sig = bundle.coeffs.sigma.values[iidx]
-    dx, dy, *_ = interior_derivative_matrices(grid)
+    dx, dy = interior_derivative_matrices(grid, "x", "y")
     dx, dy = dx[iidx][:, iidx], dy[iidx][:, iidx]  # boundary du columns are zero
     L = w_pde * bundle.solver.A_II
 

@@ -8,6 +8,8 @@ frozen mode the linearized operator is assembled and factorized once at the
 base point: that is the contraction map whose quadratic remainder shrinks on
 a small ball.  Refreshed mode reassembles at each iterate (a Gauss-Newton
 flavored extension) and certifies each iterate's bundle before solving on it.
+Every bundle of a sweep is built and certified with the settings of its base
+bundle and base certificate.
 
 Residuals and steps are measured in a grid-weighted L2 norm augmented with
 h-scaled first differences (a first-order Sobolev proxy).
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipticity import DEFAULT_MARGIN_THRESHOLD, EllipticityReport, certify_field
+from .ellipticity import EllipticityReport, certify_field
 from .errors import Diverged, InsufficientHistory, NotElliptic
 from .field_core import BoundaryData, ScalarField, gradient, l2_norm, rel_l2_error
 from .forward import CoefficientPair, SolutionBundle, build_bundle
@@ -47,15 +49,16 @@ def h1_proxy_norm(fields: list[ScalarField]) -> float:
 
 @dataclass(frozen=True)
 class ReconstructOptions:
+    """How a sweep iterates: ``mode`` ("frozen" or "refreshed"), the relative
+    residual ``tol`` and step ``steptol`` that stop it, at most ``kmax`` sweeps,
+    and whether an uncertified base raises (``strict_ellipticity``) or warns.
+    Builds and certifications take their settings from the base point."""
+
     mode: str = "frozen"
     tol: float = 1e-8
     steptol: float = 1e-10
     kmax: int = 100
     strict_ellipticity: bool = True
-    n_xi: int = 64
-    margin_threshold: float = DEFAULT_MARGIN_THRESHOLD
-    grad_floor: float | None = None
-    forward_tol: float = 1e-10
 
     def __post_init__(self):
         if self.mode not in ("frozen", "refreshed"):
@@ -93,11 +96,7 @@ class ReconstructionResult:
 def _project(coeffs: CoefficientPair, dgamma, dsigma, lam) -> CoefficientPair:
     g = np.maximum(coeffs.gamma.values + lam * dgamma.values, GAMMA_MIN)
     s = np.maximum(coeffs.sigma.values + lam * dsigma.values, 0.0)
-    return CoefficientPair(
-        ScalarField(coeffs.grid, g),
-        ScalarField(coeffs.grid, s),
-        gamma_floor=min(coeffs.gamma_floor, GAMMA_MIN),
-    )
+    return CoefficientPair(ScalarField(coeffs.grid, g), ScalarField(coeffs.grid, s))
 
 
 def _residual_fields(bundle: SolutionBundle, H_meas) -> list[ScalarField]:
@@ -114,13 +113,12 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Fixed-point reconstruction of (gamma, sigma) from measured functionals.
 
-    Builds the base bundle at ``coeffs0`` from the traces ``f``, certifies it
-    with ``opts.n_xi`` and ``opts.margin_threshold``, then runs ``sweep``.
+    Builds the base bundle at ``coeffs0`` from the traces ``f`` with the
+    ``build_bundle`` defaults, certifies it with the ``certify_field``
+    defaults (128 frequency samples), then runs ``sweep``.
     """
-    opts = opts or ReconstructOptions()
-    bundle0 = build_bundle(coeffs0, f, eta, opts.grad_floor, opts.forward_tol)
-    report = certify_field(bundle0, n_xi=opts.n_xi, margin_threshold=opts.margin_threshold)
-    return sweep(H_meas, bundle0, report, opts, truth)
+    bundle0 = build_bundle(coeffs0, f, eta)
+    return sweep(H_meas, bundle0, certify_field(bundle0), opts or ReconstructOptions(), truth)
 
 
 def sweep(
@@ -132,11 +130,13 @@ def sweep(
 ) -> ReconstructionResult:
     """Fixed-point sweep from a base bundle and its certificate ``report``.
 
-    The traces, eta and starting coefficients are those of ``bundle0``.
-    Terminates on relative residual <= tol, relative step <= steptol, or
-    kmax sweeps.  Raises NotElliptic when the base report is not elliptic
-    in strict mode, and Diverged (carrying the partial result) after five
-    consecutive residual increases.
+    The base point fixes the settings: every trial bundle is ``bundle0``'s
+    build at new coefficients (``SolutionBundle.at``), and refreshed mode
+    recertifies each iterate with the report's ``xi_samples`` and
+    ``margin_threshold``.  Terminates on relative residual <= tol, relative
+    step <= steptol, or kmax sweeps.  Raises NotElliptic when the base report
+    is not elliptic in strict mode, and Diverged (carrying the partial
+    result) after five consecutive residual increases.
     """
     if len(H_meas) != bundle0.J:
         raise ValueError("need one measured functional per boundary condition")
@@ -145,8 +145,7 @@ def sweep(
         if opts.strict_ellipticity:
             raise NotElliptic(msg)
         warnings.warn(msg)
-    coeffs0, eta = bundle0.coeffs, bundle0.eta
-    f = [trace for trace, _ in bundle0.solutions]
+    coeffs0 = bundle0.coeffs
 
     scale = h1_proxy_norm(H_meas) or 1.0
     coeff_scale = h1_proxy_norm([coeffs0.gamma, coeffs0.sigma]) or 1.0
@@ -188,7 +187,7 @@ def sweep(
         if opts.mode == "refreshed" and k > 0:
             sys_k = assemble_system(bundle_k, dh)
             sys_k.certified = certify_field(
-                bundle_k, n_xi=opts.n_xi, margin_threshold=opts.margin_threshold
+                bundle_k, n_xi=report.xi_samples, margin_threshold=report.margin_threshold
             ).elliptic
             v = solve_normal_equations(sys_k)
         else:
@@ -198,9 +197,7 @@ def sweep(
         chosen = None
         for _ in range(MAX_HALVINGS + 1):
             trial_coeffs = _project(coeffs_k, v.dgamma, v.dsigma, lam)
-            trial_bundle = build_bundle(
-                trial_coeffs, f, eta, opts.grad_floor, opts.forward_tol
-            )
+            trial_bundle = bundle_k.at(trial_coeffs)
             trial_res = h1_proxy_norm(_residual_fields(trial_bundle, H_meas)) / scale
             if chosen is None or trial_res < chosen[2]:
                 chosen = (trial_coeffs, trial_bundle, trial_res, lam)
@@ -230,18 +227,18 @@ def sweep(
     raise AssertionError("unreachable: the sweep returns at k = kmax")
 
 
-def contraction_estimate(history, floor_rel: float = 1e-8) -> float:
+def contraction_estimate(history) -> float:
     """Largest consecutive step ratio step(k+1)/step(k) over a recorded sweep.
 
     Terminal zero-step records are not steps and are dropped; pairs whose
-    denominator sits below ``floor_rel`` times the largest step are skipped
-    (ratios of solver noise carry no contraction information).
+    denominator sits below 1e-8 times the largest step are skipped (ratios
+    of solver noise carry no contraction information).
     """
     steps = [r.step_norm for r in history if r.step_norm > 0.0]
     if len(steps) < 3:
         raise InsufficientHistory("need at least three recorded steps")
     top = max(steps)
-    ratios = [b / a for a, b in zip(steps[:-1], steps[1:]) if a > floor_rel * top]
+    ratios = [b / a for a, b in zip(steps[:-1], steps[1:]) if a > 1e-8 * top]
     if not ratios:
         raise InsufficientHistory("all steps below the noise floor")
     return float(max(ratios))
@@ -261,16 +258,17 @@ def stability_probe(
     those functionals is compared with the base point, mirroring the
     two-solution stability estimate with the base run as the second solution.
     Pairs with vanishing data difference are excluded.  ``noise`` optionally
-    maps a functional list to its noisy version before reconstruction.
+    maps a functional list to its noisy version before reconstruction.  The
+    base is built and certified as in ``reconstruct``, and each truth bundle
+    is the base's build at the truth coefficients.
     """
     opts = opts or ReconstructOptions()
-    base_bundle = build_bundle(coeffs0, f, eta, opts.grad_floor, opts.forward_tol)
-    report = certify_field(base_bundle, n_xi=opts.n_xi, margin_threshold=opts.margin_threshold)
+    base_bundle = build_bundle(coeffs0, f, eta)
+    report = certify_field(base_bundle)
     H0 = list(base_bundle.H)
     xs, ys = [], []
     for truth in truth_pairs:
-        bundle_t = build_bundle(truth, f, eta, opts.grad_floor, opts.forward_tol)
-        H_meas = list(bundle_t.H)
+        H_meas = list(base_bundle.at(truth).H)
         if noise is not None:
             H_meas = noise(H_meas)
         data_diff = h1_proxy_norm(

@@ -58,9 +58,7 @@ def _check_inside(grid: Grid, bump: BumpSpec) -> None:
         )
 
 
-def generate_phantom(
-    grid: Grid, bumps: list[BumpSpec], power: int = 2
-) -> tuple[ScalarField, ScalarField]:
+def generate_phantom(grid: Grid, bumps: list[BumpSpec]) -> tuple[ScalarField, ScalarField]:
     """Perturbation fields (dgamma, dsigma) from a list of bump specs.
 
     Every bump support must stay at least one cell away from the boundary so
@@ -70,7 +68,7 @@ def generate_phantom(
     ds = np.zeros(grid.n_nodes)
     for bump in bumps:
         _check_inside(grid, bump)
-        vals = bump_field(grid, bump.center, bump.radius, bump.amplitude, power).values
+        vals = bump_field(grid, bump.center, bump.radius, bump.amplitude).values
         if bump.target == "gamma":
             dg += vals
         else:

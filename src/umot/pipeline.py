@@ -90,18 +90,14 @@ def _stage(name: str):
         raise PipelineStageError(name, str(exc)) from exc
 
 
-def _bundle(config: ScenarioConfig, coeffs: CoefficientPair, traces) -> SolutionBundle:
-    return build_bundle(
-        coeffs, traces, config.eta, config.solver.grad_floor, config.solver.forward_tol
-    )
-
-
 @dataclass
 class ScenarioSetup:
     """A scenario's base point: grid, background, traces and, made on first use,
-    the background bundle and its certificate (with the scenario's
-    ``xi_samples`` and ``margin_threshold``).  Every reconstruction starts from
-    these, so each is built once.  ``umot reconstruct`` swaps in its ``--init``
+    the background bundle (with the scenario's ``eta``, ``grad_floor`` and
+    ``forward_tol``) and its certificate (with the scenario's ``xi_samples``
+    and ``margin_threshold``).  Every reconstruction starts from these, so
+    each is built once, and every later bundle is the base bundle's build at
+    other coefficients.  ``umot reconstruct`` swaps in its ``--init``
     coefficients as the background and keeps the scenario's traces.
     """
 
@@ -118,7 +114,10 @@ class ScenarioSetup:
 
     @cached_property
     def bundle(self) -> SolutionBundle:
-        return _bundle(self.config, self.background, self.traces)
+        solver = self.config.solver
+        return build_bundle(
+            self.background, self.traces, self.config.eta, solver.grad_floor, solver.forward_tol
+        )
 
     @cached_property
     def certificate(self) -> EllipticityReport:
@@ -134,7 +133,7 @@ def forward_stage(setup: ScenarioSetup, rec: Recorder):
     """Write u_j, noisy H_j, dH_j and the truth fields; return (truth, H_j, dH_j)."""
     config, grid = setup.config, setup.grid
     truth = config.make_truth(grid, setup.background)
-    bundle_truth = _bundle(config, truth, setup.traces)
+    bundle_truth = setup.bundle.at(truth)
     H_meas = list(bundle_truth.H)
     if config.noise.level > 0.0:
         H_meas = [
@@ -221,12 +220,9 @@ def nonlinear_reconstruction(
 ) -> tuple[ReconstructionResult, str | None]:
     """Sweep from the base point: (result, None), or (best iterate, message)
     when the sweep diverges."""
-    config = setup.config
-    inv, cert = config.inversion, config.certify
+    inv = setup.config.inversion
     opts = ReconstructOptions(
-        mode=inv.mode, tol=inv.tol, kmax=inv.kmax, strict_ellipticity=not allow_noncertified,
-        n_xi=cert.xi_samples, margin_threshold=cert.margin_threshold,
-        grad_floor=config.solver.grad_floor, forward_tol=config.solver.forward_tol,
+        mode=inv.mode, tol=inv.tol, kmax=inv.kmax, strict_ellipticity=not allow_noncertified
     )
     try:
         return sweep(H_meas, setup.bundle, setup.certificate, opts, truth), None

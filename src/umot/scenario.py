@@ -2,7 +2,8 @@
 
 Unknown keys are rejected at every level, a seed is mandatory whenever noise
 is requested, and the parsed configuration serializes back to itself with
-all defaults made explicit.
+all defaults made explicit.  Counts must be integers, and the library
+constructors' range checks run at parse time, their refusals as ScenarioError.
 """
 
 from __future__ import annotations
@@ -50,6 +51,19 @@ def _is_direction(v) -> bool:
     return vec.shape == (2,) and bool(np.all(np.isfinite(vec)) and np.any(vec))
 
 
+def _bump(b: dict) -> BumpSpec:
+    _require_keys(b, {"center", "radius", "amplitude", "target"}, "phantom bump")
+    return BumpSpec(
+        tuple(b["center"]), float(b["radius"]), float(b["amplitude"]), b.get("target", "gamma")
+    )
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """An integer setting: a JSON integer (not a float or a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ScenarioError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     forward_tol: float = 1e-10
@@ -63,8 +77,7 @@ class CertifyConfig:
     margin_threshold: float = 1e-6
 
     def __post_init__(self):
-        if self.xi_samples < 16:
-            raise ScenarioError(f"xi_samples must be at least 16, got {self.xi_samples}")
+        _check_count("xi_samples", self.xi_samples, 16)
 
 
 @dataclass(frozen=True)
@@ -75,6 +88,10 @@ class NoiseConfig:
     def __post_init__(self):
         if not self.level >= 0.0:
             raise ScenarioError(f"noise level must be nonnegative, got {self.level}")
+        if self.seed is not None:
+            _check_count("noise seed", self.seed, 0)
+        elif self.level > 0.0:
+            raise ScenarioError("a seed is mandatory when the noise level is positive")
 
 
 @dataclass(frozen=True)
@@ -89,8 +106,7 @@ class InversionConfig:
             raise ScenarioError(f"unknown inversion path '{self.path}'")
         if self.mode not in ("frozen", "refreshed"):
             raise ScenarioError(f"unknown reconstruction mode '{self.mode}'")
-        if self.kmax < 0:
-            raise ScenarioError(f"kmax must be nonnegative, got {self.kmax}")
+        _check_count("kmax", self.kmax, 0)
 
 
 @dataclass(frozen=True)
@@ -110,11 +126,16 @@ class ScenarioConfig:
             raise ScenarioError("constant_bg boundary sets need a constant background")
         if self.inversion.path == "constant_bg" and self.boundary_set["type"] != "constant_bg":
             raise ScenarioError("inversion path 'constant_bg' needs a constant_bg boundary set")
+        grid = self.make_grid()  # the library constructors' range checks, at parse time
+        if self.background["type"] == "constant":
+            self.make_background(grid)
+        if self.boundary_set["type"] == "cgo":
+            self.make_traces(grid, None)
 
     def make_grid(self) -> Grid:
         g = self.grid
         return Grid(
-            int(g["nx"]), int(g["ny"]), float(g["hx"]), float(g["hy"]),
+            g["nx"], g["ny"], float(g["hx"]), float(g["hy"]),
             float(g.get("x0", 0.0)), float(g.get("y0", 0.0)),
         )
 
@@ -133,7 +154,6 @@ class ScenarioConfig:
         return CoefficientPair(
             ScalarField(grid, background.gamma.values + dg.values),
             ScalarField(grid, background.sigma.values + ds.values),
-            background.gamma_floor,
         )
 
     def make_directions(self) -> DirectionSet:
@@ -222,27 +242,12 @@ def parse_scenario(data) -> ScenarioConfig:
     else:
         raise ScenarioError("boundary set type must be cgo, constant_bg, or explicit")
 
-    bumps = []
-    if "phantom" in data:
-        ph = data["phantom"]
-        if isinstance(ph, dict):
-            _require_keys(ph, {"bumps"}, "phantom")
-            ph = ph["bumps"]
-        for b in ph:
-            _require_keys(b, {"center", "radius", "amplitude", "target"}, "phantom bump")
-            bumps.append(
-                BumpSpec(
-                    tuple(b["center"]), float(b["radius"]), float(b["amplitude"]),
-                    b.get("target", "gamma"),
-                )
-            )
-
+    ph = data.get("phantom", [])
+    if isinstance(ph, dict):
+        _require_keys(ph, {"bumps"}, "phantom")
+        ph = ph["bumps"]
     noise_d = data.get("noise", {})
     _require_keys(noise_d, {"level", "seed"}, "noise")
-    noise = NoiseConfig(float(noise_d.get("level", 0.0)), noise_d.get("seed"))
-    if noise.level > 0.0 and noise.seed is None:
-        raise ScenarioError("a seed is mandatory when the noise level is positive")
-
     solver_d = data.get("solver", {})
     _require_keys(solver_d, {"forward_tol", "normal_tol", "grad_floor"}, "solver")
     certify_d = data.get("certify", {})
@@ -250,17 +255,20 @@ def parse_scenario(data) -> ScenarioConfig:
     inv_d = data.get("inversion", {})
     _require_keys(inv_d, {"path", "mode", "tol", "kmax"}, "inversion")
 
-    return ScenarioConfig(
-        grid=dict(data["grid"]),
-        eta=float(data.get("eta", 1.0)),
-        background=dict(bg),
-        boundary_set=dict(bs),
-        phantom=tuple(bumps),
-        noise=noise,
-        solver=SolverConfig(**solver_d),
-        certify=CertifyConfig(**certify_d),
-        inversion=InversionConfig(**inv_d),
-    )
+    try:
+        return ScenarioConfig(
+            grid=dict(data["grid"]),
+            eta=float(data.get("eta", 1.0)),
+            background=dict(bg),
+            boundary_set=dict(bs),
+            phantom=tuple(map(_bump, ph)),
+            noise=NoiseConfig(float(noise_d.get("level", 0.0)), noise_d.get("seed")),
+            solver=SolverConfig(**solver_d),
+            certify=CertifyConfig(**certify_d),
+            inversion=InversionConfig(**inv_d),
+        )
+    except (TypeError, ValueError) as exc:  # refused by a library constructor
+        raise ScenarioError(f"invalid scenario value: {exc}") from exc
 
 
 def serialize_scenario(config: ScenarioConfig) -> str:

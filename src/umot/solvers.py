@@ -104,13 +104,13 @@ def cg_solve(
     return _check(A, x, b, tol, "CG")
 
 
-def largest_eigenvalue(A: sp.spmatrix, iters: int = 60) -> float:
-    """Deterministic power-iteration estimate of the top eigenvalue (PSD A)."""
+def largest_eigenvalue(A: sp.spmatrix) -> float:
+    """Deterministic estimate of the top eigenvalue (PSD A), 60 power steps."""
     n = A.shape[0]
     v = np.ones(n) + 1e-3 * np.sin(np.arange(n))
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(60):
         w = A @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:

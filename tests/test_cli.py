@@ -243,6 +243,51 @@ def test_certify_command_rejects_too_few_xi_samples(tmp_path, scenario_file, cap
     assert not report_path.exists()
 
 
+NB = 4 * 18 - 4  # boundary nodes of the 18x18 scenario grid
+
+
+@pytest.mark.parametrize(
+    "command, n_fields, g_sizes, sigma0, message",
+    [
+        ("linearize", 2, None, None, "one dH field per solution"),
+        ("linearize", 3, [NB] * 2, None, "normal data for each unknown block"),
+        ("linearize", 3, [NB] * 4 + [5], None, "boundary"),
+        ("constbg", 2, None, None, "one data field per direction"),
+        ("reconstruct", 3, None, -0.5, "absorption"),
+    ],
+)
+def test_malformed_input_files_exit_1(
+    tmp_path, scenario_file, capsys, command, n_fields, g_sizes, sigma0, message
+):
+    # a file of the wrong shape or with a value out of range is reported as
+    # an error, not a traceback, and no output is written
+    g = Grid(18, 18, 1 / 17, 1 / 17)
+    fields_path = tmp_path / "fields.json"
+    write_field_list_json([ScalarField.constant(g, 0.01)] * n_fields, fields_path)
+    out = tmp_path / "out.json"
+    args = [command, "--scenario", str(scenario_file), "--out", str(out)]
+    if command == "reconstruct":
+        init_path = tmp_path / "init.json"
+        dump_json(
+            {
+                "gamma": field_to_dict(ScalarField.constant(g, 1.0)),
+                "sigma": field_to_dict(ScalarField.constant(g, sigma0)),
+            },
+            init_path,
+        )
+        args += ["--hmeas", str(fields_path), "--init", str(init_path)]
+    else:
+        args += ["--dh", str(fields_path)]
+    if g_sizes is not None:
+        g_path = tmp_path / "g.json"
+        g_path.write_text(json.dumps({"components": [{"values": [0.0] * n} for n in g_sizes]}))
+        args += ["--g", str(g_path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_reconstruct_command(tmp_path, scenario_file):
     out = tmp_path / "run"
     assert main(["pipeline", "--scenario", str(scenario_file), "--out", str(out)]) == 0

@@ -12,12 +12,13 @@ from umot import (
     ScalarField,
     apply_linearized_forward,
     build_bundle,
+    certify_field,
     constant_bg_boundary_set,
     contraction_estimate,
     reconstruct,
     stability_probe,
 )
-from umot.nonlinear import IterationRecord, h1_proxy_norm
+from umot.nonlinear import IterationRecord, h1_proxy_norm, sweep
 from umot.phantom import add_noise, bump_field
 
 
@@ -167,33 +168,81 @@ def test_refreshed_mode(setup):
 
 
 def test_refreshed_mode_recertifies_each_iterate(setup, monkeypatch):
-    # a refreshed sweep certifies the bundle it reassembles at: an iterate
-    # whose certificate fails makes the solve warn, not inherit the base's
+    # a refreshed sweep certifies the bundle it reassembles at, with the base
+    # report's sampling and threshold: an iterate whose certificate fails
+    # makes the solve warn, not inherit the base's
     import dataclasses
 
     import umot.nonlinear as nl
 
     g, coeffs0, traces = setup
     bt = build_bundle(_truth(g, 0.02), traces)
+    base = build_bundle(coeffs0, traces)
+    report = certify_field(base, n_xi=32)
     certify = nl.certify_field
     calls = []
 
-    def failing_after_base(bundle, **kwargs):
-        report = certify(bundle, **kwargs)
-        calls.append(kwargs)
-        if len(calls) == 1:
-            return report
+    def failing(bundle, **kwargs):
+        calls.append((kwargs["n_xi"], kwargs["margin_threshold"]))
         return dataclasses.replace(
-            report, elliptic=False, witness=(0, np.array([1.0, 0.0]))
+            certify(bundle, **kwargs), elliptic=False, witness=(0, np.array([1.0, 0.0]))
         )
 
-    monkeypatch.setattr(nl, "certify_field", failing_after_base)
+    monkeypatch.setattr(nl, "certify_field", failing)
     with pytest.warns(UserWarning, match="failed certification"):
-        reconstruct(
-            list(bt.H), traces, coeffs0,
-            opts=ReconstructOptions(mode="refreshed", kmax=2, n_xi=32),
-        )
-    assert all(kw == {"n_xi": 32, "margin_threshold": 1e-6} for kw in calls)
+        sweep(list(bt.H), base, report, ReconstructOptions(mode="refreshed", kmax=2))
+    assert calls and all(c == (32, 1e-6) for c in calls)
+
+
+def test_sweep_builds_every_trial_like_its_base(setup, monkeypatch):
+    # the base point carries its build settings: under default options every
+    # trial bundle gets the base's grad_floor and forward tolerance
+    import inspect
+
+    import umot.forward
+    import umot.nonlinear
+
+    g, coeffs0, traces = setup
+    bt = build_bundle(_truth(g, 0.01), traces)
+    base = build_bundle(coeffs0, traces, grad_floor=1e-9, tol=1e-11)
+    report = certify_field(base)
+    build = umot.forward.build_bundle
+    signature = inspect.signature(build)
+    settings = []
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        settings.append((bound.arguments["grad_floor"], bound.arguments["tol"]))
+        return build(*args, **kwargs)
+
+    for module in (umot.forward, umot.nonlinear):
+        monkeypatch.setattr(module, "build_bundle", recording)
+    res = sweep(list(bt.H), base, report, ReconstructOptions(kmax=3))
+    assert res.iterations >= 1
+    assert settings and all(s == (1e-9, 1e-11) for s in settings)
+
+
+def test_reconstruct_certifies_with_certify_field_default(setup, monkeypatch):
+    # the direct API certifies its base as the pipeline does by default
+    import inspect
+
+    import umot.nonlinear as nl
+
+    g, coeffs0, traces = setup
+    bt = build_bundle(_truth(g, 0.01), traces)
+    certify = nl.certify_field
+    samples = []
+
+    def recording(bundle, **kwargs):
+        report = certify(bundle, **kwargs)
+        samples.append(report.xi_samples)
+        return report
+
+    monkeypatch.setattr(nl, "certify_field", recording)
+    reconstruct(list(bt.H), traces, coeffs0, opts=ReconstructOptions(kmax=1))
+    default = inspect.signature(certify).parameters["n_xi"].default
+    assert samples == [default] == [128]
 
 
 def test_not_elliptic_strict(setup):

@@ -135,6 +135,9 @@ def test_scenario_requires_seed_with_noise():
         parse_scenario(json.dumps(noisy))
 
 
+BUMP = {"center": [0.5, 0.5], "radius": 0.2, "amplitude": 0.02, "target": "gamma"}
+
+
 @pytest.mark.parametrize(
     "section, values, message",
     [
@@ -145,6 +148,17 @@ def test_scenario_requires_seed_with_noise():
          "2-component"),
         ("boundary_set", {"type": "constant_bg", "dirs": [[1, 0], [0, 0]]}, "nonzero"),
         ("boundary_set", {"type": "constant_bg"}, "boundary_set.dirs"),
+        ("inversion", {"path": "nonlinear", "kmax": 1.5}, "kmax"),
+        ("certify", {"xi_samples": 20.5}, "xi_samples"),
+        ("grid", {"nx": 7.5, "ny": 16, "hx": 1 / 15, "hy": 1 / 15}, "integers"),
+        ("grid", {"nx": 3, "ny": 16, "hx": 1 / 15, "hy": 1 / 15}, "at least 5"),
+        ("grid", {"nx": 16, "ny": 16, "hx": -0.1, "hy": 1 / 15}, "spacings"),
+        ("background", {"type": "constant", "gamma0": -1, "sigma0": 0.5}, "diffusion"),
+        ("background", {"type": "constant", "gamma0": 1.0, "sigma0": -0.5}, "absorption"),
+        ("boundary_set", {"type": "cgo", "M": 0.5, "k": 1.0}, "oscillation strength"),
+        ("noise", {"level": 0.0, "seed": "7"}, "seed"),
+        ("phantom", {"bumps": [BUMP | {"radius": -0.2}]}, "radius"),
+        ("phantom", {"bumps": [BUMP | {"target": "x"}]}, "target"),
     ],
 )
 def test_scenario_rejects_out_of_range_values(section, values, message):
