@@ -1,9 +1,10 @@
 """Scenario configuration: one JSON object, one fully determined experiment.
 
-Unknown keys are rejected at every level, a seed is mandatory whenever noise
-is requested, and the parsed configuration serializes back to itself with
-all defaults made explicit.  Counts must be integers, and the library
-constructors' range checks run at parse time, their refusals as ScenarioError.
+Unknown keys and missing required keys are rejected at every level, a seed
+is mandatory whenever noise is requested, and the parsed configuration
+serializes back to itself with all defaults made explicit.  Counts must be
+integers, and the library constructors' range checks run at parse time, their
+refusals as ScenarioError.
 """
 
 from __future__ import annotations
@@ -21,22 +22,16 @@ from .fileio import field_from_dict, load_json
 from .forward import CoefficientPair
 from .phantom import BumpSpec, generate_phantom
 
-_GRID_KEYS = {"nx", "ny", "hx", "hy", "x0", "y0"}
-_TOP_KEYS = {
-    "grid",
-    "eta",
-    "background",
-    "boundary_set",
-    "phantom",
-    "noise",
-    "solver",
-    "certify",
-    "inversion",
-}
+_OPTIONAL_TOP_KEYS = {"eta", "phantom", "noise", "solver", "certify", "inversion"}
 
 
-def _require_keys(d: dict, allowed: set, where: str) -> None:
-    unknown = set(d) - allowed
+def _require_keys(
+    d: dict, where: str, required: set = frozenset(), optional: set = frozenset()
+) -> None:
+    missing = required - set(d)
+    if missing:
+        raise ScenarioError(f"{where} is missing {sorted(missing)}")
+    unknown = set(d) - required - optional
     if unknown:
         raise ScenarioError(f"unknown keys {sorted(unknown)} in {where}")
 
@@ -52,7 +47,7 @@ def _is_direction(v) -> bool:
 
 
 def _bump(b: dict) -> BumpSpec:
-    _require_keys(b, {"center", "radius", "amplitude", "target"}, "phantom bump")
+    _require_keys(b, "phantom bump", {"center", "radius", "amplitude"}, {"target"})
     return BumpSpec(
         tuple(b["center"]), float(b["radius"]), float(b["amplitude"]), b.get("target", "gamma")
     )
@@ -212,48 +207,42 @@ def parse_scenario(data) -> ScenarioConfig:
             data = load_json(data)
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
-    _require_keys(data, _TOP_KEYS, "scenario")
-    for key in ("grid", "background", "boundary_set"):
-        if key not in data:
-            raise ScenarioError(f"scenario is missing '{key}'")
-    _require_keys(data["grid"], _GRID_KEYS, "grid")
-    for key in ("nx", "ny", "hx", "hy"):
-        if key not in data["grid"]:
-            raise ScenarioError(f"grid is missing '{key}'")
+    _require_keys(data, "scenario", {"grid", "background", "boundary_set"}, _OPTIONAL_TOP_KEYS)
+    _require_keys(data["grid"], "grid", {"nx", "ny", "hx", "hy"}, {"x0", "y0"})
 
     bg = data["background"]
     if bg.get("type") == "constant":
-        _require_keys(bg, {"type", "gamma0", "sigma0"}, "background")
+        _require_keys(bg, "background", {"type", "gamma0", "sigma0"})
     elif bg.get("type") == "fields":
-        _require_keys(bg, {"type", "gamma_file", "sigma_file"}, "background")
+        _require_keys(bg, "background", {"type", "gamma_file", "sigma_file"})
     else:
         raise ScenarioError("background type must be 'constant' or 'fields'")
 
     bs = data["boundary_set"]
     if bs.get("type") == "cgo":
-        _require_keys(bs, {"type", "M", "k"}, "boundary_set")
+        _require_keys(bs, "boundary_set", {"type"}, {"M", "k"})
     elif bs.get("type") == "constant_bg":
-        _require_keys(bs, {"type", "dirs"}, "boundary_set")
+        _require_keys(bs, "boundary_set", {"type"}, {"dirs"})
         dirs = bs.get("dirs")
         if not isinstance(dirs, (list, tuple)) or not all(map(_is_direction, dirs)):
             raise ScenarioError("boundary_set.dirs must list nonzero 2-component vectors")
     elif bs.get("type") == "explicit":
-        _require_keys(bs, {"type", "files"}, "boundary_set")
+        _require_keys(bs, "boundary_set", {"type", "files"})
     else:
         raise ScenarioError("boundary set type must be cgo, constant_bg, or explicit")
 
     ph = data.get("phantom", [])
     if isinstance(ph, dict):
-        _require_keys(ph, {"bumps"}, "phantom")
+        _require_keys(ph, "phantom", {"bumps"})
         ph = ph["bumps"]
     noise_d = data.get("noise", {})
-    _require_keys(noise_d, {"level", "seed"}, "noise")
+    _require_keys(noise_d, "noise", optional={"level", "seed"})
     solver_d = data.get("solver", {})
-    _require_keys(solver_d, {"forward_tol", "normal_tol", "grad_floor"}, "solver")
+    _require_keys(solver_d, "solver", optional={"forward_tol", "normal_tol", "grad_floor"})
     certify_d = data.get("certify", {})
-    _require_keys(certify_d, {"xi_samples", "margin_threshold"}, "certify")
+    _require_keys(certify_d, "certify", optional={"xi_samples", "margin_threshold"})
     inv_d = data.get("inversion", {})
-    _require_keys(inv_d, {"path", "mode", "tol", "kmax"}, "inversion")
+    _require_keys(inv_d, "inversion", optional={"path", "mode", "tol", "kmax"})
 
     try:
         return ScenarioConfig(

@@ -7,12 +7,15 @@ from umot import (
     Grid,
     GridMismatch,
     ScalarField,
+    build_bundle,
+    constant_bg_boundary_set,
     internal_functional,
     polarization_functional,
     solution_geometry,
     solve_diffusion,
 )
 from umot.field_core import rel_l2_error
+from umot.forward import DiffusionSolver
 
 
 def test_coefficient_pair_validation():
@@ -181,12 +184,82 @@ def test_bundle_residuals_and_traces(bundle24):
 def test_forward_cg_stall_raises(bundle24):
     # the CG path of large forward problems has no silent direct fallback
     from umot.errors import SolverDivergence
-    from umot.solvers import cg_solve
+    from umot.solvers import Multigrid, cg_solve
 
     solver = bundle24.solver
     f, u = bundle24.solutions[0]
     rhs = -(solver.A_IB @ f.values)
-    x = cg_solve(solver.A_II, rhs)
+    mg = Multigrid(solver.A_II, bundle24.grid.nx - 2, bundle24.grid.ny - 2)
+    x = cg_solve(solver.A_II, rhs, mg)
     assert np.abs(x - u.values[solver.interior]).max() < 1e-8
     with pytest.raises(SolverDivergence, match="info=5"):
-        cg_solve(solver.A_II, rhs, maxiter=5)
+        cg_solve(solver.A_II, rhs, mg, maxiter=5)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_forward_cg_iterations_stay_flat(n, dirs3, monkeypatch):
+    # multigrid-preconditioned CG: the iteration count does not grow with the grid
+    import scipy.sparse.linalg as spla
+
+    iterations = []
+    cg = spla.cg
+
+    def counting_cg(*args, **kwargs):
+        iterations.append(0)
+
+        def count(xk):
+            iterations[-1] += 1
+
+        return cg(*args, callback=count, **kwargs)
+
+    monkeypatch.setattr(spla, "cg", counting_cg)
+    g = Grid.unit_square(n)
+    build_bundle(
+        CoefficientPair.constant(g, 1.0, 0.5), constant_bg_boundary_set(g, 1.0, 0.5, dirs3)
+    )
+    assert len(iterations) == 3
+    assert max(iterations) <= 12
+
+
+HARD_CASES = ["gamma-jump-60", "anisotropic-101x51", "strip-5x1000"]
+
+
+def _hard_solver(case: str) -> DiffusionSolver:
+    """A 100x jump in gamma on a 60x60 grid, cells with hx = 4 hy on 101x51, or
+    a strip whose 3-node interior axis coarsens to a single node."""
+    if case == "gamma-jump-60":
+        g = Grid.unit_square(60)
+        X, Y = g.coords()
+        gamma = np.where((X - 0.4) ** 2 + (Y - 0.6) ** 2 < 0.09, 100.0, 1.0)
+        return DiffusionSolver(CoefficientPair(ScalarField(g, gamma), ScalarField.constant(g, 0.5)))
+    g = Grid(101, 51, 0.04, 0.01) if case == "anisotropic-101x51" else Grid(5, 1000, 0.01, 0.01)
+    return DiffusionSolver(CoefficientPair.constant(g, 1.0, 0.5))
+
+
+@pytest.mark.parametrize("case", HARD_CASES)
+def test_multigrid_cg_matches_direct_solve(case):
+    from umot.forward import DIRECT_THRESHOLD
+    from umot.solvers import SparseFactor
+
+    solver = _hard_solver(case)
+    assert solver.interior.size > DIRECT_THRESHOLD
+    f = BoundaryData.from_function(solver.coeffs.grid, lambda x, y: np.cos(3 * x) + x * y)
+    u = solver.solve(f).values[solver.interior]
+    ref = SparseFactor(solver.A_II).solve(-(solver.A_IB @ f.values), 1e-10)
+    assert np.abs(u - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", HARD_CASES)
+def test_multigrid_cycle_is_symmetric_positive(case):
+    # CG needs a symmetric positive definite preconditioner
+    from umot.solvers import Multigrid
+
+    solver = _hard_solver(case)
+    grid = solver.coeffs.grid
+    mg = Multigrid(solver.A_II, grid.nx - 2, grid.ny - 2)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x, y = rng.standard_normal((2, solver.interior.size))
+        Mx, My = mg.cycle(x), mg.cycle(y)
+        assert abs(Mx @ y - x @ My) <= 1e-12 * np.linalg.norm(Mx) * np.linalg.norm(y)
+        assert Mx @ x > 0.0

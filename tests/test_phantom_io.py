@@ -159,11 +159,21 @@ BUMP = {"center": [0.5, 0.5], "radius": 0.2, "amplitude": 0.02, "target": "gamma
         ("noise", {"level": 0.0, "seed": "7"}, "seed"),
         ("phantom", {"bumps": [BUMP | {"radius": -0.2}]}, "radius"),
         ("phantom", {"bumps": [BUMP | {"target": "x"}]}, "target"),
+        ("phantom", {"bumps": [{"center": [0.5, 0.5], "amplitude": 0.02}]}, "radius"),
+        ("phantom", {"bumps": [{"radius": 0.2, "amplitude": 0.02}]}, "center"),
+        ("background", {"type": "constant", "sigma0": 0.5}, "gamma0"),
+        (("background", "boundary_set"),
+         ({"type": "constant", "sigma0": 0.5}, {"type": "cgo", "M": 4.0, "k": 1.0}), "gamma0"),
+        (("background", "boundary_set"),
+         ({"type": "fields", "gamma_file": "gamma.json"}, {"type": "cgo"}), "sigma_file"),
     ],
 )
 def test_scenario_rejects_out_of_range_values(section, values, message):
     bad = json.loads(json.dumps(SCENARIO))
-    bad[section] = values
+    if isinstance(section, tuple):  # several sections replaced together
+        bad.update(zip(section, values))
+    else:
+        bad[section] = values
     with pytest.raises(ScenarioError, match=message):
         parse_scenario(json.dumps(bad))
 
