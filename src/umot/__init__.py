@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .errors import (
     AllNodesDegenerate,
     BumpTouchesBoundary,
-    DegenerateNode,
     DirectionsNotCertified,
     Diverged,
     GridMismatch,
@@ -55,12 +54,7 @@ from .ellipticity import (
     certify_directions,
     certify_field,
     cgo_boundary_set,
-    check_sign_vector_condition,
     constant_bg_boundary_set,
-    pairwise_form_pjk,
-    quadratic_form_p,
-    symbol_matrix,
-    verify_2d_three_solution_system,
 )
 from .linearized import (
     LinearizedSystem,

@@ -1,33 +1,32 @@
 """Symbol-level ellipticity certification and boundary-set generators.
 
 The linearized reconstruction is stable exactly when, at every point and for
-every unit frequency xi, the J-by-2 matrix with rows
+every unit frequency xi, the J-by-2 symbol with rows
 
     ( 1 - 2 (theta_j . xi)^2 ,  -d_j^2 )
 
-has rank 2 (the reduced form; the unreduced rows are
-( gamma (|F_j|^2 - 2 (F_j . xi)^2), -eta u_j^2 )).  This module evaluates the
-underlying quadratic forms, scans sampled frequencies for rank deficiency,
-checks the constant-background direction criterion
-(xi.v_i)^2 = (xi.v_j)^2, and generates the exponential boundary-condition
-families that provably achieve ellipticity.
+has rank 2.  ``certify_field`` scans a solution bundle for rank deficiency
+over sampled frequencies; ``certify_directions`` checks the constant-background
+direction criterion (xi.v_i)^2 = (xi.v_j)^2, where the symbol of steered
+exponential solutions reduces to the directions alone.  These two are the
+only evaluators of the symbol.  The module also generates the exponential
+boundary-condition families that provably achieve ellipticity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from .errors import (
     AllNodesDegenerate,
-    DegenerateNode,
     DirectionsNotCertified,
     GridMismatch,
     NotUnitVector,
 )
-from .field_core import BoundaryData, Grid, ScalarField
+from .field_core import BoundaryData, Grid
 from .forward import CoefficientPair, SolutionBundle
 
 DEFAULT_XI_2D = 128
@@ -50,12 +49,11 @@ class DirectionSet:
             raise ValueError("direction set must be nonempty")
         vecs = []
         for v in self.vectors:
-            v = np.asarray(v, dtype=float)
+            v = np.array(v, dtype=float)  # a private copy, frozen below
             if v.shape != (self.dim,):
                 raise ValueError("direction has wrong dimension")
             if abs(np.linalg.norm(v) - 1.0) > 1e-12:
                 raise NotUnitVector("directions must have unit length")
-            v = v.copy()
             v.setflags(write=False)
             vecs.append(v)
         object.__setattr__(self, "vectors", tuple(vecs))
@@ -66,12 +64,11 @@ class DirectionSet:
 
 @dataclass(frozen=True)
 class EllipticityReport:
-    """Certification outcome with per-point margins and failure witness.
+    """Certification outcome: the global margin and a failure witness.
 
     It records its settings, ``xi_samples`` and the relative ``margin_threshold``;
     ``threshold`` is the absolute cut, the relative one times the largest row
-    norm (equal to it for a direction set).  ``margin_field`` is None for
-    direction-set certification (no grid).  ``witness`` is (node_index, xi),
+    norm (equal to it for a direction set).  ``witness`` is (node_index, xi),
     node_index None for direction sets, present exactly when not certified.
     """
 
@@ -81,7 +78,6 @@ class EllipticityReport:
     xi_samples: int
     threshold: float
     margin_threshold: float
-    margin_field: ScalarField | None = None
     masked_fraction: float = 0.0
     masked_count: int = 0
 
@@ -90,50 +86,6 @@ class EllipticityReport:
             raise ValueError("certified report must not carry a witness")
         if not self.elliptic and self.witness is None:
             raise ValueError("failed report must carry a witness")
-
-
-def quadratic_form_p(theta, xi) -> float:
-    """Light-cone form 1 - 2 (theta . xi)^2 for unit theta and xi."""
-    theta = np.asarray(theta, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    return float(1.0 - 2.0 * (theta @ xi) ** 2)
-
-
-def pairwise_form_pjk(theta_j, d_j, theta_k, d_k, xi) -> float:
-    """Antisymmetric pair form d_j^2 p_k - d_k^2 p_j."""
-    return float(
-        d_j ** 2 * quadratic_form_p(theta_k, xi)
-        - d_k ** 2 * quadratic_form_p(theta_j, xi)
-    )
-
-
-def symbol_matrix(geometries, node: int, xi, reduced: bool = True, bundle=None):
-    """J-by-2 symbol matrix at one node for a unit frequency xi.
-
-    Reduced rows: (1 - 2 (theta_j.xi)^2, -d_j^2).  The unreduced variant
-    needs the bundle for gamma, eta, and the solution values; its rows are
-    (gamma (|F_j|^2 - 2 (F_j.xi)^2), -eta u_j^2).
-    """
-    xi = np.asarray(xi, dtype=float)
-    if reduced:
-        rows = []
-        for geo in geometries:
-            if geo.degenerate_mask[node]:
-                raise DegenerateNode(f"node {node} is degenerate")
-            th = geo.theta.values[node]
-            rows.append([1.0 - 2.0 * (th @ xi) ** 2, -geo.d.values[node] ** 2])
-        return np.asarray(rows)
-    if bundle is None:
-        raise ValueError("unreduced symbol matrix needs the bundle")
-    gam = bundle.coeffs.gamma.values[node]
-    rows = []
-    for geo, (_, u) in zip(geometries, bundle.solutions):
-        F = geo.F.values[node]
-        mag2 = F @ F
-        rows.append(
-            [gam * (mag2 - 2.0 * (F @ xi) ** 2), -bundle.eta * u.values[node] ** 2]
-        )
-    return np.asarray(rows)
 
 
 def _half_circle(n: int) -> np.ndarray:
@@ -166,7 +118,6 @@ def certify_field(
     bundle: SolutionBundle,
     n_xi: int = DEFAULT_XI_2D,
     margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
-    reduced: bool = True,
 ) -> EllipticityReport:
     """Scan every non-degenerate node and sampled xi for rank deficiency.
 
@@ -180,65 +131,46 @@ def certify_field(
     """
     if n_xi < 16:
         raise ValueError("need at least 16 frequency samples")
-    grid = bundle.grid
-    n = grid.n_nodes
+    if not 0.0 <= margin_threshold < np.inf:
+        raise ValueError(f"margin threshold must be finite and >= 0, got {margin_threshold}")
+    n = bundle.grid.n_nodes
     xis = _half_circle(n_xi)
 
-    mask = np.zeros(n, dtype=bool)
-    for geo in bundle.geometry:
-        mask |= geo.degenerate_mask
-    interior = grid.interior_indices()
+    mask = np.any([geo.degenerate_mask for geo in bundle.geometry], axis=0)
+    interior = bundle.grid.interior_indices()
     if mask[interior].all():
         raise AllNodesDegenerate("no interior node carries usable gradient geometry")
 
-    if reduced:
-        TH = np.stack([geo.theta.values for geo in bundle.geometry])  # (J, n, 2)
-        q = -np.stack([geo.d.values for geo in bundle.geometry]) ** 2  # (J, n)
-    else:
-        TH = np.stack([geo.F.values for geo in bundle.geometry])
-        mag2 = np.sum(TH ** 2, axis=2)
-        gam = bundle.coeffs.gamma.values[None, :]
-        q = -bundle.eta * np.stack([u.values for _, u in bundle.solutions]) ** 2
+    TH = np.stack([geo.theta.values for geo in bundle.geometry])  # (J, n, 2)
+    q = -np.stack([geo.d.values for geo in bundle.geometry]) ** 2  # (J, n)
 
     margins = np.full(n, np.inf)
     arg_xi = np.zeros(n, dtype=int)
     row_scale = 0.0
     for k, xi in enumerate(xis):
-        t = TH @ xi  # (J, n)
-        if reduced:
-            p = 1.0 - 2.0 * t ** 2
-        else:
-            p = gam * (mag2 - 2.0 * t ** 2)
+        p = 1.0 - 2.0 * (TH @ xi) ** 2  # (J, n)
         row_scale = max(row_scale, float(np.sqrt((p ** 2 + q ** 2).max())))
         smin = _min_singular_2col(p, q)
         better = smin < margins
         margins[better] = smin[better]
         arg_xi[better] = k
 
-    margins[mask] = 0.0
-    inside = np.zeros(n, dtype=bool)
-    inside[interior] = True
-    valid = inside & ~mask
-    global_margin = float(margins[valid].min())
+    valid = np.zeros(n, dtype=bool)
+    valid[interior] = ~mask[interior]
+    margins[~valid] = np.inf
+    node = int(np.argmin(margins))  # the first interior non-degenerate minimizer
+    global_margin = float(margins[node])
     threshold = margin_threshold * row_scale
     masked_fraction = float(mask[interior].mean())
 
     elliptic = global_margin > threshold and masked_fraction <= MASKED_INTERIOR_LIMIT
-    witness = None
-    if not elliptic:
-        cand = np.where(valid)[0]
-        node = int(cand[np.argmin(margins[cand])])
-        witness = (node, xis[arg_xi[node]].copy())
-
-    margin_field = ScalarField(grid, margins)
     return EllipticityReport(
         global_margin=global_margin,
         elliptic=elliptic,
-        witness=witness,
+        witness=None if elliptic else (node, xis[arg_xi[node]].copy()),
         xi_samples=n_xi,
         threshold=threshold,
         margin_threshold=margin_threshold,
-        margin_field=margin_field,
         masked_fraction=masked_fraction,
         masked_count=int(mask[interior].sum()),
     )
@@ -316,39 +248,20 @@ def certify_directions(dirs: DirectionSet) -> EllipticityReport:
     xis = np.concatenate([np.stack(candidates), samples]) if candidates else samples
 
     proj2 = (xis @ vecs.T) ** 2  # (n_xi', J)
-    pair_ids = list(combinations(range(len(dirs)), 2))
-    defects = np.stack(
-        [np.abs(proj2[:, i] - proj2[:, j]) for i, j in pair_ids], axis=1
-    )
-    margin_per_xi = defects.max(axis=1)
+    pairs = combinations(range(len(dirs)), 2)
+    margin_per_xi = np.max([np.abs(proj2[:, i] - proj2[:, j]) for i, j in pairs], axis=0)
     k = int(np.argmin(margin_per_xi))
     global_margin = float(margin_per_xi[k])
 
     elliptic = global_margin > DEFAULT_MARGIN_THRESHOLD
-    witness = None if elliptic else (None, xis[k].copy())
     return EllipticityReport(
         global_margin=global_margin,
         elliptic=elliptic,
-        witness=witness,
+        witness=None if elliptic else (None, xis[k].copy()),
         xi_samples=n_xi,
         threshold=DEFAULT_MARGIN_THRESHOLD,
         margin_threshold=DEFAULT_MARGIN_THRESHOLD,
     )
-
-
-def check_sign_vector_condition(w) -> bool:
-    """True when no signed sum +-w_1 +- ... +- w_{n-1} equals 1 (within 1e-9).
-
-    Used to pick the extra direction (0, w) completing the coordinate
-    directions to an elliptic set in dimension n.
-    """
-    w = np.asarray(w, dtype=float)
-    if abs(np.linalg.norm(w) - 1.0) > 1e-12:
-        raise NotUnitVector("sign-condition vector must have unit length")
-    for signs in product((1.0, -1.0), repeat=w.size):
-        if abs(float(np.dot(signs, w)) - 1.0) <= 1e-9:
-            return False
-    return True
 
 
 def cgo_boundary_set(
@@ -373,17 +286,14 @@ def cgo_boundary_set(
         scale = 1.0 / np.sqrt(background.gamma.values[b])
     else:
         scale = np.ones(b.size)
-    out = []
-    for m in (M, 1.0):
+
+    def pair(m):  # the scaled e^{m|k|x} cos(m|k|y) and e^{m|k|x} sin(m|k|y)
         r = m * abs(k)
-        e = np.exp(r * xb)
-        u1 = scale * e * np.cos(r * yb)
-        u2 = scale * e * np.sin(r * yb)
-        out.extend([u1, u2])
-        if m == M:
-            out.append(u1 + u2)
-    # u1, u2, u3 = u1 + u2, u4, u5 (for M = 1 the loop appends a sixth trace)
-    return [BoundaryData(grid, f) for f in out[:5]]
+        e = scale * np.exp(r * xb)
+        return e * np.cos(r * yb), e * np.sin(r * yb)
+
+    u1, u2 = pair(M)
+    return [BoundaryData(grid, f) for f in (u1, u2, u1 + u2, *pair(1.0))]
 
 
 def constant_bg_boundary_set(
@@ -411,32 +321,3 @@ def constant_bg_boundary_set(
     for v in dirs.vectors:
         out.append(BoundaryData(grid, np.exp(rate * (v[0] * X[b] + v[1] * Y[b]))))
     return out
-
-
-def verify_2d_three_solution_system(theta1, theta2, d1: float, d2: float, xi) -> bool:
-    """Evaluate the three polarization determinant equations at one frequency.
-
-    With orthonormal theta_1, theta_2 and alpha the angle between theta_1 and
-    xi, the equations
-
-        (1 - 2 cos^2 a) d2^2 = (1 - 2 sin^2 a) d1^2
-        -2 cos a sin a d1^2  = (1 - 2 cos^2 a) d1 d2
-        -2 cos a sin a d2^2  = (1 - 2 sin^2 a) d1 d2
-
-    can only hold simultaneously in degenerate cases; True means all three
-    vanish within 1e-10.
-    """
-    theta1 = np.asarray(theta1, dtype=float)
-    theta2 = np.asarray(theta2, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    for v in (theta1, theta2, xi):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-            raise NotUnitVector("inputs must be unit vectors")
-    if abs(theta1 @ theta2) > 1e-10:
-        raise ValueError("theta_1 and theta_2 must be orthogonal")
-    ca = float(theta1 @ xi)
-    sa = float(theta2 @ xi)
-    det1 = (1.0 - 2.0 * ca ** 2) * d2 ** 2 - (1.0 - 2.0 * sa ** 2) * d1 ** 2
-    det2 = -2.0 * ca * sa * d1 ** 2 - (1.0 - 2.0 * ca ** 2) * d1 * d2
-    det3 = -2.0 * ca * sa * d2 ** 2 - (1.0 - 2.0 * sa ** 2) * d1 * d2
-    return max(abs(det1), abs(det2), abs(det3)) <= 1e-10

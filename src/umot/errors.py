@@ -21,10 +21,6 @@ class SolverDivergence(UmotError):
     """A linear solve failed to reach the requested residual."""
 
 
-class DegenerateNode(UmotError):
-    """Requested symbol data at a node flagged as degenerate."""
-
-
 class AllNodesDegenerate(UmotError):
     """Every node of a bundle is degenerate; no certification possible."""
 

@@ -40,6 +40,8 @@ class Grid:
             raise ValueError("grid node counts must be integers")
         if self.nx < 5 or self.ny < 5:
             raise ValueError("grid needs at least 5 nodes per axis")
+        if not np.all(np.isfinite([self.hx, self.hy, self.x0, self.y0])):
+            raise ValueError("grid spacings and origin must be finite")
         if self.hx <= 0.0 or self.hy <= 0.0:
             raise ValueError("grid spacings must be positive")
 

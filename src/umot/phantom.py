@@ -27,8 +27,9 @@ class BumpSpec:
     def __post_init__(self):
         if self.target not in ("gamma", "sigma"):
             raise ValueError("bump target must be 'gamma' or 'sigma'")
-        if self.radius <= 0.0:
-            raise ValueError("bump radius must be positive")
+        finite = np.all(np.isfinite([*self.center, self.amplitude]))
+        if not (finite and 0.0 < self.radius < np.inf):
+            raise ValueError("a bump needs a finite center and amplitude and a finite radius > 0")
 
 
 def bump_field(

@@ -59,11 +59,25 @@ def _check_count(name: str, value, low: int) -> None:
         raise ScenarioError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
+def _check_real(name: str, value, positive: bool = False) -> None:
+    """A real setting: a finite JSON number, >= 0, or > 0 when ``positive``."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0.0 <= value < np.inf) or (positive and value == 0.0):
+        bound = "> 0" if positive else ">= 0"
+        raise ScenarioError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     forward_tol: float = 1e-10
     normal_tol: float = 1e-10
     grad_floor: float | None = None
+
+    def __post_init__(self):
+        _check_real("forward_tol", self.forward_tol, positive=True)
+        _check_real("normal_tol", self.normal_tol, positive=True)
+        if self.grad_floor is not None:
+            _check_real("grad_floor", self.grad_floor)
 
 
 @dataclass(frozen=True)
@@ -73,6 +87,7 @@ class CertifyConfig:
 
     def __post_init__(self):
         _check_count("xi_samples", self.xi_samples, 16)
+        _check_real("margin_threshold", self.margin_threshold)
 
 
 @dataclass(frozen=True)
@@ -102,6 +117,7 @@ class InversionConfig:
         if self.mode not in ("frozen", "refreshed"):
             raise ScenarioError(f"unknown reconstruction mode '{self.mode}'")
         _check_count("kmax", self.kmax, 0)
+        _check_real("inversion tol", self.tol)
 
 
 @dataclass(frozen=True)
@@ -117,6 +133,8 @@ class ScenarioConfig:
     inversion: InversionConfig = InversionConfig()
 
     def __post_init__(self):
+        if not np.isfinite(self.eta):
+            raise ScenarioError(f"eta must be finite, got {self.eta}")
         if self.boundary_set["type"] == "constant_bg" and self.background["type"] != "constant":
             raise ScenarioError("constant_bg boundary sets need a constant background")
         if self.inversion.path == "constant_bg" and self.boundary_set["type"] != "constant_bg":

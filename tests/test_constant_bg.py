@@ -15,7 +15,6 @@ from umot import (
     operator_B,
     operator_C,
     preprocess_data,
-    quadratic_form_p,
     sigma_zero_laplacian_sum_check,
     sigma_zero_recover_dgamma_2d,
     sigma_zero_recover_dsigma,
@@ -73,15 +72,16 @@ def test_operator_symbols_special_cases(dirs3):
 
 
 def test_principal_symbol_matches_light_cone_form(bg, dirs3):
-    # real principal part of the dgamma operator equals the quadratic form
-    # with theta = v at unit frequencies
+    # the real part of the dgamma operator's symbol, less its zeroth-order
+    # term, is the light-cone form 1 - 2 (v.xi)^2 at unit frequencies
+    zeroth = 2.0 * (1.0 + bg.eta) * bg.sigma0 / bg.gamma0
     rng = np.random.default_rng(4)
     for v in dirs3.vectors:
         for _ in range(20):
             ang = rng.uniform(0, 2 * np.pi)
             xi = np.array([np.cos(ang), np.sin(ang)])
-            principal = float(xi @ xi) - 2.0 * float(v @ xi) ** 2
-            assert abs(principal - quadratic_form_p(v, xi)) < 1e-10
+            principal = continuum_symbol_C(bg, v, xi).real - zeroth
+            assert abs(principal - (1.0 - 2.0 * float(v @ xi) ** 2)) < 1e-10
 
 
 def test_zero_absorption_rejected(dirs3):

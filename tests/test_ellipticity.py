@@ -13,86 +13,13 @@ from umot import (
     certify_directions,
     certify_field,
     cgo_boundary_set,
-    check_sign_vector_condition,
     constant_bg_boundary_set,
-    pairwise_form_pjk,
-    quadratic_form_p,
     solution_geometry,
-    symbol_matrix,
-    verify_2d_three_solution_system,
 )
-from umot.errors import AllNodesDegenerate, DegenerateNode
+from umot.errors import AllNodesDegenerate
 
 SQ2 = np.sqrt(2.0) / 2.0
 E1 = np.array([1.0, 0.0])
-E2 = np.array([0.0, 1.0])
-
-
-def test_quadratic_form_p():
-    assert quadratic_form_p(E1, E2) == pytest.approx(1.0)
-    assert quadratic_form_p(E1, E1) == pytest.approx(-1.0)
-    xi = np.array([SQ2, SQ2])
-    assert quadratic_form_p(E1, xi) == pytest.approx(0.0, abs=1e-14)
-    # even in xi
-    assert quadratic_form_p(E1, -xi) == quadratic_form_p(E1, xi)
-
-
-def test_pairwise_form():
-    xi = np.array([0.3, np.sqrt(1 - 0.09)])
-    assert pairwise_form_pjk(E1, 1.0, E1, 1.0, xi) == pytest.approx(0.0)
-    shared = np.array([SQ2, SQ2])
-    assert pairwise_form_pjk(E1, 1.0, E2, 1.0, shared) == pytest.approx(0.0, abs=1e-14)
-    # d_k = 0 reduces to p_k alone
-    assert pairwise_form_pjk(E1, 1.0, E2, 0.0, xi) == pytest.approx(
-        quadratic_form_p(E2, xi)
-    )
-
-
-def test_symbol_matrix_rank_cases():
-    g = Grid.unit_square(9)
-    X, Y = g.coords()
-    geo_x = solution_geometry(ScalarField(g, X))
-    geo_y = solution_geometry(ScalarField(g, Y))
-    node = g.index(4, 4)
-
-    m1 = symbol_matrix([geo_x], node, E1)
-    assert m1.shape == (1, 2)
-    assert np.linalg.matrix_rank(m1) <= 1
-
-    # theta = e1, e2 with unit d at the shared cone direction: rank drops
-    xi45 = np.array([SQ2, SQ2])
-    rows = np.array(
-        [
-            [quadratic_form_p(E1, xi45), -1.0],
-            [quadratic_form_p(E2, xi45), -1.0],
-        ]
-    )
-    assert np.linalg.matrix_rank(rows, tol=1e-12) == 1
-    rows_e1 = np.array(
-        [
-            [quadratic_form_p(E1, E1), -1.0],
-            [quadratic_form_p(E2, E1), -1.0],
-        ]
-    )
-    assert np.linalg.matrix_rank(rows_e1, tol=1e-12) == 2
-
-    geo_masked = solution_geometry(ScalarField.constant(g, 1.0))
-    with pytest.raises(DegenerateNode):
-        symbol_matrix([geo_masked], node, E1)
-
-
-def test_symbol_matrix_unreduced(bundle24):
-    node = bundle24.grid.index(10, 10)
-    m = symbol_matrix(
-        bundle24.geometry, node, E1, reduced=False, bundle=bundle24
-    )
-    gam = bundle24.coeffs.gamma.values[node]
-    geo = bundle24.geometry[0]
-    F = geo.F.values[node]
-    expected = gam * (F @ F - 2.0 * (F @ E1) ** 2)
-    assert m[0, 0] == pytest.approx(expected)
-    u0 = bundle24.solutions[0][1].values[node]
-    assert m[0, 1] == pytest.approx(-bundle24.eta * u0 ** 2)
 
 
 def test_certify_field_constant_background(bundle24):
@@ -103,20 +30,23 @@ def test_certify_field_constant_background(bundle24):
     assert report.global_margin > 0.1
 
 
-def test_certify_field_two_coordinate_solutions_fails():
-    g = Grid.unit_square(25)
+def _harmonic_bundle(n, *traces):
+    """Bundle at gamma = 1, sigma = 0, where linear traces extend exactly."""
+    g = Grid.unit_square(n)
     coeffs = CoefficientPair.constant(g, 1.0, 0.0)
-    fx = BoundaryData.from_function(g, lambda x, y: x)
-    fy = BoundaryData.from_function(g, lambda x, y: y)
-    bundle = build_bundle(coeffs, [fx, fy])
-    report = certify_field(bundle)
-    assert not report.elliptic
-    node, xi = report.witness
-    assert np.abs(np.abs(xi) - SQ2).max() < 1e-12
-    # the unreduced matrix (no division by the gradient) agrees
-    raw = certify_field(bundle, reduced=False)
-    assert not raw.elliptic
-    assert np.abs(np.abs(raw.witness[1]) - SQ2).max() < 1e-12
+    return build_bundle(coeffs, [BoundaryData.from_function(g, f) for f in traces])
+
+
+def test_certify_field_two_coordinate_solutions_fails():
+    # first half of the 2-D three-solution lemma: the harmonic x and y alone
+    # lose rank where their light cones cross, at 45 degrees; one solution
+    # alone has rank at most 1 everywhere
+    for n in (17, 25):
+        assert not certify_field(_harmonic_bundle(n, lambda x, y: x)).elliptic
+        report = certify_field(_harmonic_bundle(n, lambda x, y: x, lambda x, y: y))
+        assert not report.elliptic
+        node, xi = report.witness
+        assert np.abs(np.abs(xi) - SQ2).max() < 1e-12
 
 
 def test_certify_field_sampling_stability(bundle24):
@@ -166,6 +96,9 @@ def test_certify_field_masked_bundle():
 def test_certify_field_guards_sample_count(bundle24):
     with pytest.raises(ValueError):
         certify_field(bundle24, n_xi=8)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="margin threshold"):
+            certify_field(bundle24, margin_threshold=bad)
     report = certify_field(bundle24)
     assert report.masked_count == 0
 
@@ -193,16 +126,19 @@ def test_certify_directions_invariances(dirs3):
 
 
 def test_check_sign_vector_condition():
+    # the sign-vector lemma in 3-D: {e1, e2, e3, (0, w)} certifies exactly
+    # when no signed sum +-w_1 +- w_2 equals 1
+    verdicts = []
+    for ang in np.arange(24) * np.pi / 12:
+        w = np.array([np.cos(ang), np.sin(ang)])
+        signed_sums = [s1 * w[0] + s2 * w[1] for s1 in (1, -1) for s2 in (1, -1)]
+        condition = all(abs(s - 1.0) > 1e-9 for s in signed_sums)
+        dirs = DirectionSet(3, tuple(np.eye(3)) + (np.array([0.0, w[0], w[1]]),))
+        assert certify_directions(dirs).elliptic == condition
+        verdicts.append(condition)
+    assert verdicts.count(False) == 4  # w on an axis repeats e2 or e3
     with pytest.raises(NotUnitVector):
-        check_sign_vector_condition((0.5, 0.5))
-    assert not check_sign_vector_condition((1.0, 0.0))
-    assert not check_sign_vector_condition((1.0,))
-    # exhaustive enumeration oracle: all four signed sums of (s, s) are
-    # +-sqrt(2) or 0, never 1
-    w = (SQ2, SQ2)
-    sums = {s1 * w[0] + s2 * w[1] for s1 in (1, -1) for s2 in (1, -1)}
-    assert all(abs(s - 1.0) > 1e-9 for s in sums)
-    assert check_sign_vector_condition(w)
+        DirectionSet(3, tuple(np.eye(3)) + ((0.0, 0.5, 0.5),))
 
 
 def test_cgo_boundary_set_formulas():
@@ -249,14 +185,16 @@ def test_constant_bg_geometry_ratio(bundle24):
 
 
 def test_three_solution_determinant_system():
-    xi45 = np.array([SQ2, SQ2])
-    assert not verify_2d_three_solution_system(E1, E2, 1.0, 1.0, xi45)
-    assert not verify_2d_three_solution_system(E1, E2, 1.0, 1.0, E1)
-    # degenerate case: both ratios zero satisfies everything
-    assert verify_2d_three_solution_system(E1, E2, 0.0, 0.0, xi45)
-
+    # second half of the 2-D three-solution lemma: adding the polarization
+    # u_1 + u_2 restores rank 2 at every node and frequency, for the pure
+    # coordinates and for shifted ones whose value ratios d_1, d_2 differ
     rng = np.random.default_rng(1)
-    for alpha in np.linspace(0.0, 2 * np.pi, 360, endpoint=False):
-        xi = np.array([np.cos(alpha), np.sin(alpha)])
-        d1, d2 = rng.uniform(0.2, 2.0, 2)
-        assert not verify_2d_three_solution_system(E1, E2, d1, d2, xi)
+    for n in (17, 25):
+        a1, a2 = rng.uniform(0.2, 2.0, 2)
+        for c1, c2 in ((0.0, 0.0), (a1, a2)):
+            bundle = _harmonic_bundle(
+                n, lambda x, y: c1 + x, lambda x, y: c2 + y, lambda x, y: c1 + c2 + x + y
+            )
+            report = certify_field(bundle)
+            assert report.elliptic
+            assert report.global_margin > 100.0 * report.threshold

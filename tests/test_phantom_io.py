@@ -135,6 +135,7 @@ def test_scenario_requires_seed_with_noise():
         parse_scenario(json.dumps(noisy))
 
 
+NAN, INF = float("nan"), float("inf")  # json writes them as the NaN and Infinity tokens
 BUMP = {"center": [0.5, 0.5], "radius": 0.2, "amplitude": 0.02, "target": "gamma"}
 
 
@@ -166,6 +167,27 @@ BUMP = {"center": [0.5, 0.5], "radius": 0.2, "amplitude": 0.02, "target": "gamma
          ({"type": "constant", "sigma0": 0.5}, {"type": "cgo", "M": 4.0, "k": 1.0}), "gamma0"),
         (("background", "boundary_set"),
          ({"type": "fields", "gamma_file": "gamma.json"}, {"type": "cgo"}), "sigma_file"),
+        ("solver", {"forward_tol": NAN}, "forward_tol"),
+        ("solver", {"forward_tol": "1e-10"}, "forward_tol"),
+        ("solver", {"forward_tol": 0.0}, "forward_tol"),
+        ("solver", {"forward_tol": -1e-10}, "forward_tol"),
+        ("solver", {"normal_tol": NAN}, "normal_tol"),
+        ("solver", {"normal_tol": INF}, "normal_tol"),
+        ("solver", {"grad_floor": -1.0}, "grad_floor"),
+        ("solver", {"grad_floor": NAN}, "grad_floor"),
+        ("certify", {"margin_threshold": -1}, "margin_threshold"),
+        ("certify", {"margin_threshold": NAN}, "margin_threshold"),
+        ("inversion", {"tol": NAN}, "tol"),
+        ("inversion", {"tol": -1.0}, "tol"),
+        ("grid", {"nx": 16, "ny": 16, "hx": NAN, "hy": 1 / 15}, "finite"),
+        ("grid", {"nx": 16, "ny": 16, "hx": 1 / 15, "hy": NAN}, "finite"),
+        ("grid", {"nx": 16, "ny": 16, "hx": 1 / 15, "hy": 1 / 15, "x0": NAN}, "finite"),
+        ("grid", {"nx": 16, "ny": 16, "hx": 1 / 15, "hy": 1 / 15, "y0": INF}, "finite"),
+        ("phantom", {"bumps": [BUMP | {"radius": NAN}]}, "finite"),
+        ("phantom", {"bumps": [BUMP | {"center": [0.5, NAN]}]}, "finite"),
+        ("phantom", {"bumps": [BUMP | {"amplitude": NAN}]}, "finite"),
+        ("eta", NAN, "eta"),
+        ("eta", -INF, "eta"),
     ],
 )
 def test_scenario_rejects_out_of_range_values(section, values, message):
