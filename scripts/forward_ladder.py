@@ -1,4 +1,4 @@
-"""Forward-solve ladder: multigrid CG work per solve as the grid grows.
+"""Forward ladder: multigrid CG work per solve and certification time by grid.
 
     python3 scripts/forward_ladder.py [--max N] [--max-iterations K]
 
@@ -7,8 +7,9 @@ larger ones) it builds one forward bundle on a heterogeneous background with
 the CGO boundary set (M = 4, k = 1, J = 5), the inputs of the benchmark's
 ``cgo-forward-192`` workload, and prints one row: interior unknowns, CG
 calls, mean and largest CG iterations per solve, the ``build_bundle`` wall
-time, the worst residual of a stored solution and the process's peak RSS so
-far.  With ``--max-iterations K`` it exits 1 when any solve took more than K
+time, the worst residual of a stored solution, the ``certify_field`` wall
+time and margin of that bundle, and the process's peak RSS so far.  With
+``--max-iterations K`` it exits 1 when any solve took more than K
 iterations.  BLAS runs on one thread, as in ``perfbench``: with more, the
 threaded vector operations of CG made the 128x128 build up to eight times
 slower in a process started after a pause.
@@ -75,6 +76,9 @@ def ladder_row(n: int) -> dict:
         build_s = time.perf_counter() - start
     finally:
         spla.cg = cg
+    start = time.perf_counter()
+    report = umot.certify_field(bundle)
+    certify_s = time.perf_counter() - start
     return {
         "grid": f"{n}x{n}",
         "unknowns": grid.n_nodes - grid.n_boundary,
@@ -83,6 +87,8 @@ def ladder_row(n: int) -> dict:
         "max_its": max(iterations, default=0),
         "build_s": build_s,
         "residual": max(bundle.solver.residual(u, f) for f, u in bundle.solutions),
+        "certify_s": certify_s,
+        "margin": report.global_margin,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
@@ -98,14 +104,15 @@ def main() -> int:
         ap.error(f"--max must be at least {min(SIZES)}")
 
     print(f"{'grid':>8} {'unknowns':>9} {'cg calls':>8} {'its/solve':>9} {'max its':>7} "
-          f"{'build s':>8} {'residual':>9} {'peak RSS MB':>11}")
+          f"{'build s':>8} {'residual':>9} {'certify s':>9} {'margin':>12} {'peak RSS MB':>11}")
     worst = 0
     for n in sizes:
         r = ladder_row(n)
         worst = max(worst, r["max_its"])
         print(f"{r['grid']:>8} {r['unknowns']:>9} {r['cg_calls']:>8} "
               f"{r['its_per_solve']:>9.1f} {r['max_its']:>7} {r['build_s']:>8.3f} "
-              f"{r['residual']:>9.2e} {r['peak_rss_mb']:>11.1f}", flush=True)
+              f"{r['residual']:>9.2e} {r['certify_s']:>9.4f} {r['margin']:>12.10f} "
+              f"{r['peak_rss_mb']:>11.1f}", flush=True)
     if args.max_iterations is not None and worst > args.max_iterations:
         print(f"error: a solve took {worst} CG iterations, more than {args.max_iterations}",
               file=sys.stderr)

@@ -56,7 +56,7 @@ SCENARIOS = {
     "settings": {
         **NOISE_FREE,
         "solver": {"forward_tol": 1e-11, "grad_floor": 1e-9},
-        "certify": {"xi_samples": 64, "margin_threshold": 1e-5},
+        "certify": {"margin_threshold": 1e-5},
         "inversion": {"path": "nonlinear", "mode": "refreshed", "kmax": 4},
     },
     "cgo24": {**NOISE_FREE, **CGO, "grid": {"nx": 24, "ny": 24, "hx": 1 / 23, "hy": 1 / 23}},

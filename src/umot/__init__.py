@@ -44,7 +44,6 @@ from .forward import (
     SolutionGeometry,
     build_bundle,
     internal_functional,
-    polarization_functional,
     solution_geometry,
     solve_diffusion,
 )

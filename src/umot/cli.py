@@ -62,9 +62,6 @@ def cmd_forward(args) -> int:
 
 def cmd_certify(args) -> int:
     config = parse_scenario(Path(args.scenario).read_text())
-    if args.xi_samples is not None:
-        # rebuilding the certify section runs its range check
-        config = replace(config, certify=replace(config.certify, xi_samples=args.xi_samples))
     report = ScenarioSetup.from_config(config).certificate
     dump_json(report_dict(report), args.report)
     print(f"elliptic={report.elliptic} margin={report.global_margin:.6e}")
@@ -130,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certify ellipticity of a scenario bundle")
     _add_common(p)
-    p.add_argument("--xi-samples", type=int, default=None)
     p.add_argument("--report", required=True)
     p.add_argument("--allow-noncertified", action="store_true")
     p.set_defaults(fn=cmd_certify)

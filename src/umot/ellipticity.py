@@ -5,12 +5,13 @@ every unit frequency xi, the J-by-2 symbol with rows
 
     ( 1 - 2 (theta_j . xi)^2 ,  -d_j^2 )
 
-has rank 2.  ``certify_field`` scans a solution bundle for rank deficiency
-over sampled frequencies; ``certify_directions`` checks the constant-background
-direction criterion (xi.v_i)^2 = (xi.v_j)^2, where the symbol of steered
-exponential solutions reduces to the directions alone.  These two are the
-only evaluators of the symbol.  The module also generates the exponential
-boundary-condition families that provably achieve ellipticity.
+has rank 2.  ``certify_field`` computes the minimum over xi in closed form, as
+the smallest singular value of a J-by-3 matrix per node;
+``certify_directions`` checks the constant-background direction criterion
+(xi.v_i)^2 = (xi.v_j)^2, where the symbol of steered exponential solutions
+reduces to the directions alone.  These two are the only evaluators of the
+symbol.  The module also generates the exponential boundary-condition
+families that provably achieve ellipticity.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ DEFAULT_XI_2D = 128
 DEFAULT_XI_3D = 10000
 DEFAULT_MARGIN_THRESHOLD = 1e-6
 MASKED_INTERIOR_LIMIT = 0.01
+SVD_RECHECK_BELOW = 1e-2  # margins under this fraction of the row scale are redone by SVD
 
 
 @dataclass(frozen=True)
@@ -66,16 +68,15 @@ class DirectionSet:
 class EllipticityReport:
     """Certification outcome: the global margin and a failure witness.
 
-    It records its settings, ``xi_samples`` and the relative ``margin_threshold``;
-    ``threshold`` is the absolute cut, the relative one times the largest row
-    norm (equal to it for a direction set).  ``witness`` is (node_index, xi),
-    node_index None for direction sets, present exactly when not certified.
+    It records its relative ``margin_threshold``; ``threshold`` is the
+    absolute cut, the relative one times the largest row norm (equal to it
+    for a direction set).  ``witness`` is (node_index, xi), node_index None
+    for direction sets, present exactly when not certified.
     """
 
     global_margin: float
     elliptic: bool
     witness: tuple | None
-    xi_samples: int
     threshold: float
     margin_threshold: float
     masked_fraction: float = 0.0
@@ -103,72 +104,71 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     )
 
 
-def _min_singular_2col(col_p: np.ndarray, col_q: np.ndarray) -> np.ndarray:
-    """Smallest singular value of J-by-2 matrices given as (J, ...) columns."""
-    g11 = np.sum(col_p ** 2, axis=0)
-    g12 = np.sum(col_p * col_q, axis=0)
-    g22 = np.sum(col_q ** 2, axis=0)
-    tr = g11 + g22
-    disc = np.sqrt(np.maximum((g11 - g22) ** 2 + 4.0 * g12 ** 2, 0.0))
-    lam = 0.5 * (tr - disc)
-    return np.sqrt(np.maximum(lam, 0.0))
-
-
 def certify_field(
     bundle: SolutionBundle,
-    n_xi: int = DEFAULT_XI_2D,
+    *,
     margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
+    n_xi: int | None = None,
 ) -> EllipticityReport:
-    """Scan every non-degenerate node and sampled xi for rank deficiency.
+    """Exact minimum over unit xi of the symbol's smallest singular value.
 
-    The forms are even in xi so sampling covers the half circle.  The margin
-    at a node is the smallest singular value over the samples, the global
-    margin its minimum over the interior nodes (the pointwise condition lives
-    on the open domain; boundary nodes only carry the trace).  The
-    certification threshold is ``margin_threshold`` relative to the largest
-    row norm encountered, and a bundle with more than 1% masked interior
-    nodes is not certified.
+    With xi = (cos t, sin t) and theta_j = (cos phi_j, sin phi_j), the symbol
+    row is 1 - 2 (theta_j . xi)^2 = -(cos 2phi_j cos 2t + sin 2phi_j sin 2t),
+    so min over t and unit (a, b) of |a p(t) + b q| is a minimum over the
+    unit sphere of R^3: the margin at a node is the smallest singular value
+    of the J-by-3 matrix with rows (theta_x^2 - theta_y^2, 2 theta_x theta_y,
+    d_j^2), zero when J < 3.  The witness xi = (cos t, sin t) has
+    t = atan2(z_2, z_1) / 2 for the right singular vector z of the minimizing
+    node.  The global margin is the minimum over the interior
+    non-degenerate nodes (the pointwise condition lives on the open domain;
+    boundary nodes only carry the trace).  The threshold is
+    ``margin_threshold`` relative to the largest row norm, max sqrt(1 + d_j^4),
+    and a bundle with more than 1% masked interior nodes is not certified.
+    ``n_xi`` is accepted and ignored: the margin no longer samples xi.
+
+    Every node is first estimated from its 3-by-3 Gram matrix, which squares
+    the condition number; nodes whose estimate lies below
+    ``SVD_RECHECK_BELOW`` of the row scale, and the minimizer, are recomputed
+    by SVD, so the margin keeps its digits wherever the verdict is decided.
     """
-    if n_xi < 16:
-        raise ValueError("need at least 16 frequency samples")
+    del n_xi
     if not 0.0 <= margin_threshold < np.inf:
         raise ValueError(f"margin threshold must be finite and >= 0, got {margin_threshold}")
-    n = bundle.grid.n_nodes
-    xis = _half_circle(n_xi)
-
     mask = np.any([geo.degenerate_mask for geo in bundle.geometry], axis=0)
     interior = bundle.grid.interior_indices()
     if mask[interior].all():
         raise AllNodesDegenerate("no interior node carries usable gradient geometry")
+    nodes = interior[~mask[interior]]
 
-    TH = np.stack([geo.theta.values for geo in bundle.geometry])  # (J, n, 2)
-    q = -np.stack([geo.d.values for geo in bundle.geometry]) ** 2  # (J, n)
+    d2 = np.stack([geo.d.values for geo in bundle.geometry]) ** 2  # (J, n)
+    row_scale = float(np.sqrt(1.0 + d2.max() ** 2))
+    rows = np.zeros((nodes.size, max(bundle.J, 3), 3))  # zero rows pad J < 3
+    for j, geo in enumerate(bundle.geometry):
+        tx, ty = geo.theta.values[nodes].T
+        rows[:, j, 0] = tx * tx - ty * ty
+        rows[:, j, 1] = 2.0 * tx * ty
+        rows[:, j, 2] = d2[j, nodes]
 
-    margins = np.full(n, np.inf)
-    arg_xi = np.zeros(n, dtype=int)
-    row_scale = 0.0
-    for k, xi in enumerate(xis):
-        p = 1.0 - 2.0 * (TH @ xi) ** 2  # (J, n)
-        row_scale = max(row_scale, float(np.sqrt((p ** 2 + q ** 2).max())))
-        smin = _min_singular_2col(p, q)
-        better = smin < margins
-        margins[better] = smin[better]
-        arg_xi[better] = k
-
-    valid = np.zeros(n, dtype=bool)
-    valid[interior] = ~mask[interior]
-    margins[~valid] = np.inf
-    node = int(np.argmin(margins))  # the first interior non-degenerate minimizer
-    global_margin = float(margins[node])
+    gram = rows.transpose(0, 2, 1) @ rows
+    margins = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, 0], 0.0))
+    redo = margins < SVD_RECHECK_BELOW * row_scale
+    redo[np.argmin(margins)] = True
+    margins[redo] = np.linalg.svd(rows[redo], compute_uv=False)[:, -1]
+    k = int(np.argmin(margins))  # the first minimizer in node order
+    global_margin = float(margins[k])
     threshold = margin_threshold * row_scale
     masked_fraction = float(mask[interior].mean())
 
     elliptic = global_margin > threshold and masked_fraction <= MASKED_INTERIOR_LIMIT
+    witness = None
+    if not elliptic:
+        z = np.linalg.svd(rows[k])[2][-1]
+        t = 0.5 * np.arctan2(z[1], z[0])
+        witness = (int(nodes[k]), np.array([np.cos(t), np.sin(t)]))
     return EllipticityReport(
         global_margin=global_margin,
         elliptic=elliptic,
-        witness=None if elliptic else (node, xis[arg_xi[node]].copy()),
-        xi_samples=n_xi,
+        witness=witness,
         threshold=threshold,
         margin_threshold=margin_threshold,
         masked_fraction=masked_fraction,
@@ -238,7 +238,6 @@ def certify_directions(dirs: DirectionSet) -> EllipticityReport:
             global_margin=0.0,
             elliptic=False,
             witness=(None, witness),
-            xi_samples=0,
             threshold=DEFAULT_MARGIN_THRESHOLD,
             margin_threshold=DEFAULT_MARGIN_THRESHOLD,
         )
@@ -258,7 +257,6 @@ def certify_directions(dirs: DirectionSet) -> EllipticityReport:
         global_margin=global_margin,
         elliptic=elliptic,
         witness=None if elliptic else (None, xis[k].copy()),
-        xi_samples=n_xi,
         threshold=DEFAULT_MARGIN_THRESHOLD,
         margin_threshold=DEFAULT_MARGIN_THRESHOLD,
     )

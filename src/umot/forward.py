@@ -171,20 +171,6 @@ def solution_geometry(u: ScalarField, grad_floor: float | None = None) -> Soluti
     return SolutionGeometry(F, VectorField(u.grid, theta), ScalarField(u.grid, d), mask)
 
 
-def polarization_functional(
-    H_a: ScalarField, H_b: ScalarField, H_sum: ScalarField
-) -> ScalarField:
-    """Cross functional from measurements at f_a, f_b, and f_a + f_b.
-
-    The internal functional is quadratic in the solution, so
-    (H(u_a + u_b) - H(u_a) - H(u_b)) / 2 equals the bilinear cross term
-    gamma grad(u_a).grad(u_b) + eta sigma u_a u_b.
-    """
-    if H_a.grid != H_b.grid or H_a.grid != H_sum.grid:
-        raise GridMismatch("polarization inputs on different grids")
-    return ScalarField(H_a.grid, 0.5 * (H_sum.values - H_a.values - H_b.values))
-
-
 @dataclass(frozen=True)
 class SolutionBundle:
     """Forward solutions, functionals, and geometry for one coefficient pair.

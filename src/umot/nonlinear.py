@@ -132,11 +132,11 @@ def sweep(
 
     The base point fixes the settings: every trial bundle is ``bundle0``'s
     build at new coefficients (``SolutionBundle.at``), and refreshed mode
-    recertifies each iterate with the report's ``xi_samples`` and
-    ``margin_threshold``.  Terminates on relative residual <= tol, relative
-    step <= steptol, or kmax sweeps.  Raises NotElliptic when the base report
-    is not elliptic in strict mode, and Diverged (carrying the partial
-    result) after five consecutive residual increases.
+    recertifies each iterate with the report's ``margin_threshold``.
+    Terminates on relative residual <= tol, relative step <= steptol, or kmax
+    sweeps.  Raises NotElliptic when the base report is not elliptic in strict
+    mode, and Diverged (carrying the partial result) after five consecutive
+    residual increases.
     """
     if len(H_meas) != bundle0.J:
         raise ValueError("need one measured functional per boundary condition")
@@ -186,9 +186,8 @@ def sweep(
 
         if opts.mode == "refreshed" and k > 0:
             sys_k = assemble_system(bundle_k, dh)
-            sys_k.certified = certify_field(
-                bundle_k, n_xi=report.xi_samples, margin_threshold=report.margin_threshold
-            ).elliptic
+            cert_k = certify_field(bundle_k, margin_threshold=report.margin_threshold)
+            sys_k.certified = cert_k.elliptic
             v = solve_normal_equations(sys_k)
         else:
             v = solve_normal_equations(sys0, rhs=sys0.data_rhs(dh))

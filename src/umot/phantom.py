@@ -27,9 +27,13 @@ class BumpSpec:
     def __post_init__(self):
         if self.target not in ("gamma", "sigma"):
             raise ValueError("bump target must be 'gamma' or 'sigma'")
-        finite = np.all(np.isfinite([*self.center, self.amplitude]))
-        if not (finite and 0.0 < self.radius < np.inf):
-            raise ValueError("a bump needs a finite center and amplitude and a finite radius > 0")
+        center = np.asarray(self.center, dtype=float)
+        finite = np.all(np.isfinite([*center.ravel(), self.amplitude]))
+        if not (center.shape == (2,) and finite and 0.0 < self.radius < np.inf):
+            raise ValueError(
+                "a bump needs a finite 2-component center, a finite amplitude"
+                " and a finite radius > 0"
+            )
 
 
 def bump_field(

@@ -94,10 +94,10 @@ def _stage(name: str):
 class ScenarioSetup:
     """A scenario's base point: grid, background, traces and, made on first use,
     the background bundle (with the scenario's ``eta``, ``grad_floor`` and
-    ``forward_tol``) and its certificate (with the scenario's ``xi_samples``
-    and ``margin_threshold``).  Every reconstruction starts from these, so
-    each is built once, and every later bundle is the base bundle's build at
-    other coefficients.  ``umot reconstruct`` swaps in its ``--init``
+    ``forward_tol``) and its certificate (with the scenario's
+    ``margin_threshold``).  Every reconstruction starts from these, so each
+    is built once, and every later bundle is the base bundle's build at other
+    coefficients.  ``umot reconstruct`` swaps in its ``--init``
     coefficients as the background and keeps the scenario's traces.
     """
 
@@ -121,10 +121,7 @@ class ScenarioSetup:
 
     @cached_property
     def certificate(self) -> EllipticityReport:
-        cert = self.config.certify
-        report = certify_field(
-            self.bundle, n_xi=cert.xi_samples, margin_threshold=cert.margin_threshold
-        )
+        report = certify_field(self.bundle, margin_threshold=self.config.certify.margin_threshold)
         log.info("certification margin %.3e elliptic=%s", report.global_margin, report.elliptic)
         return report
 
@@ -164,7 +161,6 @@ def report_dict(report: EllipticityReport) -> dict:
         "global_margin": report.global_margin,
         "threshold": report.threshold,
         "witness": witness,
-        "xi_samples": report.xi_samples,
         "masked_interior_fraction": report.masked_fraction,
         "masked_interior_count": report.masked_count,
     }

@@ -82,11 +82,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class CertifyConfig:
-    xi_samples: int = 128
     margin_threshold: float = 1e-6
 
     def __post_init__(self):
-        _check_count("xi_samples", self.xi_samples, 16)
         _check_real("margin_threshold", self.margin_threshold)
 
 
@@ -258,7 +256,7 @@ def parse_scenario(data) -> ScenarioConfig:
     solver_d = data.get("solver", {})
     _require_keys(solver_d, "solver", optional={"forward_tol", "normal_tol", "grad_floor"})
     certify_d = data.get("certify", {})
-    _require_keys(certify_d, "certify", optional={"xi_samples", "margin_threshold"})
+    _require_keys(certify_d, "certify", optional={"margin_threshold"})
     inv_d = data.get("inversion", {})
     _require_keys(inv_d, "inversion", optional={"path", "mode", "tol", "kmax"})
 

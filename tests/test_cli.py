@@ -112,14 +112,11 @@ def test_forward_and_certify_commands(tmp_path, scenario_file, monkeypatch):
     assert (out / "H_2.csv").exists()
 
     report_path = tmp_path / "report.json"
-    rc = main(
-        ["certify", "--scenario", str(scenario_file), "--xi-samples", "64",
-         "--report", str(report_path)]
-    )
+    rc = main(["certify", "--scenario", str(scenario_file), "--report", str(report_path)])
     assert rc == 0
     rep = load_json(report_path)
     assert rep["elliptic"] is True
-    assert rep["xi_samples"] == 64
+    assert "xi_samples" not in rep  # the margin is exact, nothing is sampled
 
 
 def test_linearize_command(tmp_path, scenario_file):
@@ -232,14 +229,19 @@ def test_constant_bg_path_needs_constant_bg_boundary_set(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_certify_command_rejects_too_few_xi_samples(tmp_path, scenario_file, capsys):
+def test_certify_command_refuses_xi_samples(tmp_path, scenario_file, capsys):
+    # the frequency sample count is gone: a scenario that still sets it is
+    # refused as an unknown key, and the flag no longer parses
     report_path = tmp_path / "report.json"
-    rc = main(
-        ["certify", "--scenario", str(scenario_file), "--xi-samples", "8",
-         "--report", str(report_path)]
-    )
-    assert rc == 1
-    assert "xi_samples" in capsys.readouterr().err
+    spath = _variant(tmp_path, certify={"xi_samples": 128})
+    assert main(["certify", "--scenario", str(spath), "--report", str(report_path)]) == 1
+    assert "unknown keys ['xi_samples'] in certify" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["certify", "--scenario", str(scenario_file), "--xi-samples", "128",
+             "--report", str(report_path)]
+        )
+    assert exc.value.code == 2
     assert not report_path.exists()
 
 
@@ -354,21 +356,21 @@ def test_reconstruct_command_uses_scenario_mode(tmp_path, monkeypatch):
 
 def test_nonlinear_pipeline_certifies_with_scenario_settings(tmp_path, monkeypatch):
     # the sweep starts from the certify stage's bundle and certificate: the
-    # base is built and certified once, with the scenario's sampling and
-    # threshold, and a bundle the certify stage rejects is not passed silently
+    # base is built and certified once, with the scenario's threshold, and a
+    # bundle the certify stage rejects is not passed silently
     import umot.nonlinear
 
     spath = _variant(
         tmp_path,
         inversion={"path": "nonlinear", "kmax": 2},
-        certify={"xi_samples": 128, "margin_threshold": 0.9},
+        certify={"margin_threshold": 0.9},
     )
     calls, base_builds = [], []
     for module in (umot.pipeline, umot.nonlinear):
 
         def recording(bundle, certify=module.certify_field, **kwargs):
             report = certify(bundle, **kwargs)
-            calls.append((kwargs["n_xi"], kwargs["margin_threshold"], report.elliptic))
+            calls.append((kwargs["margin_threshold"], report.elliptic))
             return report
 
         def counting(coeffs, *args, build=module.build_bundle, **kwargs):
@@ -387,7 +389,7 @@ def test_nonlinear_pipeline_certifies_with_scenario_settings(tmp_path, monkeypat
     messages = [str(w.message) for w in warned]
     assert any("base bundle margin" in m for m in messages)
     assert any("failed certification" in m for m in messages)
-    assert calls == [(128, 0.9, False)]
+    assert calls == [(0.9, False)]
     assert len(base_builds) == 1
 
 

@@ -20,6 +20,8 @@ from umot.errors import AllNodesDegenerate
 
 SQ2 = np.sqrt(2.0) / 2.0
 E1 = np.array([1.0, 0.0])
+_ANGLES = np.pi * np.arange(512) / 512
+XI_512 = np.stack([np.cos(_ANGLES), np.sin(_ANGLES)], axis=1)  # dense half circle
 
 
 def test_certify_field_constant_background(bundle24):
@@ -40,19 +42,63 @@ def _harmonic_bundle(n, *traces):
 def test_certify_field_two_coordinate_solutions_fails():
     # first half of the 2-D three-solution lemma: the harmonic x and y alone
     # lose rank where their light cones cross, at 45 degrees; one solution
-    # alone has rank at most 1 everywhere
+    # alone has rank at most 1 everywhere.  Fewer than three rows never span
+    # the J-by-3 closed form, so the margin is 0.
     for n in (17, 25):
         assert not certify_field(_harmonic_bundle(n, lambda x, y: x)).elliptic
         report = certify_field(_harmonic_bundle(n, lambda x, y: x, lambda x, y: y))
         assert not report.elliptic
+        assert report.global_margin < 1e-15
         node, xi = report.witness
         assert np.abs(np.abs(xi) - SQ2).max() < 1e-12
 
 
-def test_certify_field_sampling_stability(bundle24):
-    m64 = certify_field(bundle24, n_xi=64).global_margin
-    m256 = certify_field(bundle24, n_xi=256).global_margin
-    assert abs(m64 - m256) / m256 < 0.05
+def _heterogeneous_bundle(n):
+    """Traces 1 + x, 1 + y, 1 + x + y on a varying background: theta and d vary."""
+    g = Grid.unit_square(n)
+    coeffs = CoefficientPair(
+        ScalarField.from_function(g, lambda x, y: 1.0 + 0.2 * np.sin(3 * x) * y),
+        ScalarField.from_function(g, lambda x, y: 0.3 + 0.1 * x),
+    )
+    traces = (lambda x, y: 1 + x, lambda x, y: 1 + y, lambda x, y: 1 + x + y)
+    return build_bundle(coeffs, [BoundaryData.from_function(g, f) for f in traces])
+
+
+def _symbol_smin(bundle, nodes, xis):
+    """Smallest singular value of the J-by-2 symbol, per node and sampled xi."""
+    theta = np.stack([geo.theta.values[nodes] for geo in bundle.geometry])  # (J, m, 2)
+    q = np.stack([geo.d.values[nodes] for geo in bundle.geometry]) ** 2  # (J, m)
+    p = 1.0 - 2.0 * np.einsum("jmc,kc->mkj", theta, xis) ** 2  # (m, k, J)
+    sym = np.stack([p, np.broadcast_to(-q.T[:, None, :], p.shape)], axis=-1)
+    return np.linalg.svd(sym, compute_uv=False)[..., -1]  # (m, k)
+
+
+def test_certify_field_closed_form_matches_dense_sampling():
+    # the closed form is the exact minimum over xi: at or below a 512-sample
+    # minimum (to round-off), and within 1e-3 of it
+    bundle = _heterogeneous_bundle(24)
+    report = certify_field(bundle)
+    assert report.elliptic
+    sampled = _symbol_smin(bundle, bundle.grid.interior_indices(), XI_512).min()
+    assert report.global_margin <= sampled * (1.0 + 1e-12)
+    assert (sampled - report.global_margin) / sampled < 1e-3
+    # the threshold's row scale is the exact max of sqrt(p^2 + q^2) = sqrt(1 + d^4)
+    d4 = max((geo.d.values ** 4).max() for geo in bundle.geometry)
+    assert report.threshold == pytest.approx(1e-6 * np.sqrt(1.0 + d4), rel=1e-14)
+
+
+def test_certify_field_witness_attains_margin():
+    # a threshold above every margin forces a witness at the minimizing node;
+    # there the J-by-2 symbol at the witness xi has the node's margin as its
+    # smallest singular value, and no sampled xi does better
+    bundle = _heterogeneous_bundle(24)
+    report = certify_field(bundle, margin_threshold=10.0)
+    assert not report.elliptic
+    node, xi = report.witness
+    assert abs(np.linalg.norm(xi) - 1.0) < 1e-15
+    at_witness = _symbol_smin(bundle, [node], xi[None, :])[0, 0]
+    assert abs(at_witness - report.global_margin) < 1e-12
+    assert _symbol_smin(bundle, [node], XI_512).min() >= at_witness - 1e-12
 
 
 def test_certify_field_scale_invariance(bundle24):
@@ -93,9 +139,7 @@ def test_certify_field_masked_bundle():
         certify_field(bundle)
 
 
-def test_certify_field_guards_sample_count(bundle24):
-    with pytest.raises(ValueError):
-        certify_field(bundle24, n_xi=8)
+def test_certify_field_guards_threshold(bundle24):
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="margin threshold"):
             certify_field(bundle24, margin_threshold=bad)

@@ -169,7 +169,7 @@ def test_refreshed_mode(setup):
 
 def test_refreshed_mode_recertifies_each_iterate(setup, monkeypatch):
     # a refreshed sweep certifies the bundle it reassembles at, with the base
-    # report's sampling and threshold: an iterate whose certificate fails
+    # report's threshold: an iterate whose certificate fails
     # makes the solve warn, not inherit the base's
     import dataclasses
 
@@ -178,12 +178,12 @@ def test_refreshed_mode_recertifies_each_iterate(setup, monkeypatch):
     g, coeffs0, traces = setup
     bt = build_bundle(_truth(g, 0.02), traces)
     base = build_bundle(coeffs0, traces)
-    report = certify_field(base, n_xi=32)
+    report = certify_field(base, margin_threshold=1e-5)
     certify = nl.certify_field
     calls = []
 
     def failing(bundle, **kwargs):
-        calls.append((kwargs["n_xi"], kwargs["margin_threshold"]))
+        calls.append(kwargs["margin_threshold"])
         return dataclasses.replace(
             certify(bundle, **kwargs), elliptic=False, witness=(0, np.array([1.0, 0.0]))
         )
@@ -191,7 +191,7 @@ def test_refreshed_mode_recertifies_each_iterate(setup, monkeypatch):
     monkeypatch.setattr(nl, "certify_field", failing)
     with pytest.warns(UserWarning, match="failed certification"):
         sweep(list(bt.H), base, report, ReconstructOptions(mode="refreshed", kmax=2))
-    assert calls and all(c == (32, 1e-6) for c in calls)
+    assert calls and all(c == 1e-5 for c in calls)
 
 
 def test_sweep_builds_every_trial_like_its_base(setup, monkeypatch):
@@ -232,17 +232,17 @@ def test_reconstruct_certifies_with_certify_field_default(setup, monkeypatch):
     g, coeffs0, traces = setup
     bt = build_bundle(_truth(g, 0.01), traces)
     certify = nl.certify_field
-    samples = []
+    thresholds = []
 
     def recording(bundle, **kwargs):
         report = certify(bundle, **kwargs)
-        samples.append(report.xi_samples)
+        thresholds.append(report.margin_threshold)
         return report
 
     monkeypatch.setattr(nl, "certify_field", recording)
     reconstruct(list(bt.H), traces, coeffs0, opts=ReconstructOptions(kmax=1))
-    default = inspect.signature(certify).parameters["n_xi"].default
-    assert samples == [default] == [128]
+    default = inspect.signature(certify).parameters["margin_threshold"].default
+    assert thresholds == [default] == [1e-6]
 
 
 def test_not_elliptic_strict(setup):

@@ -142,7 +142,9 @@ BUMP = {"center": [0.5, 0.5], "radius": 0.2, "amplitude": 0.02, "target": "gamma
 @pytest.mark.parametrize(
     "section, values, message",
     [
-        ("certify", {"xi_samples": 8}, "xi_samples"),
+        # the retired frequency sample count is an unknown key, alone or
+        # next to a valid threshold
+        ("certify", {"xi_samples": 128}, "xi_samples"),
         ("noise", {"level": -0.1, "seed": 3}, "noise level"),
         ("inversion", {"path": "nonlinear", "kmax": -1}, "kmax"),
         ("boundary_set", {"type": "constant_bg", "dirs": [[1, 0, 0], [0, 1, 0]]},
@@ -150,7 +152,7 @@ BUMP = {"center": [0.5, 0.5], "radius": 0.2, "amplitude": 0.02, "target": "gamma
         ("boundary_set", {"type": "constant_bg", "dirs": [[1, 0], [0, 0]]}, "nonzero"),
         ("boundary_set", {"type": "constant_bg"}, "boundary_set.dirs"),
         ("inversion", {"path": "nonlinear", "kmax": 1.5}, "kmax"),
-        ("certify", {"xi_samples": 20.5}, "xi_samples"),
+        ("certify", {"xi_samples": 64, "margin_threshold": 1e-5}, "xi_samples"),
         ("grid", {"nx": 7.5, "ny": 16, "hx": 1 / 15, "hy": 1 / 15}, "integers"),
         ("grid", {"nx": 3, "ny": 16, "hx": 1 / 15, "hy": 1 / 15}, "at least 5"),
         ("grid", {"nx": 16, "ny": 16, "hx": -0.1, "hy": 1 / 15}, "spacings"),
@@ -188,6 +190,7 @@ BUMP = {"center": [0.5, 0.5], "radius": 0.2, "amplitude": 0.02, "target": "gamma
         ("phantom", {"bumps": [BUMP | {"amplitude": NAN}]}, "finite"),
         ("eta", NAN, "eta"),
         ("eta", -INF, "eta"),
+        ("phantom", {"bumps": [BUMP | {"center": [0.5, 0.5, 0.5]}]}, "2-component center"),
     ],
 )
 def test_scenario_rejects_out_of_range_values(section, values, message):
