@@ -42,8 +42,8 @@ def clamped_biharmonic_system(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]
 def biharmonic_lifts(gs: list[BoundaryData]) -> list[ScalarField]:
     """Clamped lifts: lap^2 phi = 0, phi = 0, d(phi)/dnu = g for each g.
 
-    The solves share one factorization, built only for a nonzero g, and are
-    residual-checked to 1e-8.
+    The solves share one factorization, built only for a nonzero g, which
+    checks each solve's residual.
     """
     grid = gs[0].grid
     M, G = clamped_biharmonic_system(grid)
@@ -55,6 +55,6 @@ def biharmonic_lifts(gs: list[BoundaryData]) -> list[ScalarField]:
         full = np.zeros(grid.n_nodes)
         if np.any(rhs):
             factor = factor or SparseFactor(M)
-            full[iidx] = factor.solve(rhs, 1e-8)
+            full[iidx] = factor.solve(rhs)
         out.append(ScalarField(grid, full))
     return out

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import PipelineStageError, UmotError
 from .field_core import BoundaryData
-from .fileio import dump_json, field_from_dict, load_json, read_field_list_json
+from .fileio import dump_json, field_from_dict, load_json, read_field_list_json, require_key
 from .forward import CoefficientPair
 from .pipeline import (
     Recorder,
@@ -72,9 +72,10 @@ def cmd_linearize(args) -> int:
     setup = _setup(args)
     g = None
     if args.g:
+        components = require_key(load_json(args.g), "components", "--g file")
         g = [
-            BoundaryData(setup.grid, np.asarray(comp["values"], dtype=float))
-            for comp in load_json(args.g)["components"]
+            BoundaryData(setup.grid, np.asarray(require_key(c, "values", "--g component"), float))
+            for c in components
         ]
     dump_json(linearized_reconstruction(setup, read_field_list_json(args.dh), g=g), args.out)
     print(f"wrote {args.out}")
@@ -90,7 +91,7 @@ def cmd_constbg(args) -> int:
 def cmd_reconstruct(args) -> int:
     init = load_json(args.init)
     coeffs0 = CoefficientPair(
-        field_from_dict(init["gamma"]), field_from_dict(init["sigma"])
+        *(field_from_dict(require_key(init, k, "--init file")) for k in ("gamma", "sigma"))
     )
     setup = replace(_setup(args), background=coeffs0)
     result, diverged = nonlinear_reconstruction(

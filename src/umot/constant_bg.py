@@ -51,8 +51,6 @@ from .field_core import (
 )
 from .solvers import SparseFactor
 
-CONST_BG_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ConstantBackground:
@@ -225,7 +223,7 @@ def solve_constant_bg(
     """Recover (dgamma, dsigma) from preprocessed data fields.
 
     Solves the 2-by-2 fourth-order normal system sum_i [C_i B_i]^T [C_i B_i]
-    on clamped interior unknowns to the relative residual CONST_BG_TOL.
+    on clamped interior unknowns; SparseFactor checks its residual.
     """
     grid = data[0].grid
     for d in data[1:]:
@@ -238,7 +236,7 @@ def solve_constant_bg(
     n_int = iidx.size
     A = sp.vstack(blocks, format="csr")
     rhs = np.sum([blk.T @ S.values[iidx] for blk, S in zip(blocks, data)], axis=0)
-    w = SparseFactor((A.T @ A).tocsr()).solve(rhs, CONST_BG_TOL)
+    w = SparseFactor((A.T @ A).tocsr()).solve(rhs)
     dgamma = np.zeros(grid.n_nodes)
     dsigma = np.zeros(grid.n_nodes)
     dgamma[iidx] = w[:n_int]
@@ -275,7 +273,8 @@ def sigma_zero_recover_dgamma_2d(dH1: ScalarField, dH12: ScalarField) -> ScalarF
     Expects the data with the dsigma contribution already removed: dH1 from
     the background x_1 and dH12 the polarization cross term.  Applies the
     discrete Laplacian to both fields, stacks the wave-operator rows, and
-    solves the normal equations on clamped interior unknowns to CONST_BG_TOL.
+    solves the normal equations on clamped interior unknowns; SparseFactor
+    checks the residual.
     """
     if dH1.grid != dH12.grid:
         raise GridMismatch("data fields on different grids")
@@ -289,7 +288,7 @@ def sigma_zero_recover_dgamma_2d(dH1: ScalarField, dH12: ScalarField) -> ScalarF
     D2i = D2[iidx][:, iidx]
     N = (D1i.T @ D1i + D2i.T @ D2i).tocsr()
     rhs = D1i.T @ t1[iidx] + D2i.T @ t2[iidx]
-    w = SparseFactor(N).solve(rhs, CONST_BG_TOL)
+    w = SparseFactor(N).solve(rhs)
     out = np.zeros(grid.n_nodes)
     out[iidx] = w
     return ScalarField(grid, out)

@@ -18,7 +18,7 @@ class NotUnitVector(UmotError):
 
 
 class SolverDivergence(UmotError):
-    """A linear solve failed to reach the requested residual."""
+    """A linear solve stalled or missed the solve layer's residual bound."""
 
 
 class AllNodesDegenerate(UmotError):

@@ -4,7 +4,8 @@ Fields travel as JSON objects
 {"nx", "ny", "hx", "hy", "x0", "y0", "values": [row-major floats]}
 with a CSV mirror (header ``x,y,value``, one row per node, row-major) for
 plotting.  JSON is written with sorted keys so identical data produces
-identical bytes.
+identical bytes.  A file that lacks a key it needs is refused with a
+ValueError that names the key.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ def load_json(path):
     return json.loads(Path(path).read_text())
 
 
+def require_key(d, key: str, what: str):
+    """``d[key]``, or a ValueError naming the key when ``d`` lacks it."""
+    if not isinstance(d, dict) or key not in d:
+        raise ValueError(f"{what} is missing the key '{key}'")
+    return d[key]
+
+
 def field_to_dict(f: ScalarField) -> dict:
     g = f.grid
     return {
@@ -39,11 +47,11 @@ def field_to_dict(f: ScalarField) -> dict:
 
 
 def field_from_dict(d: dict) -> ScalarField:
-    grid = Grid(
-        int(d["nx"]), int(d["ny"]), float(d["hx"]), float(d["hy"]),
-        float(d.get("x0", 0.0)), float(d.get("y0", 0.0)),
-    )
-    return ScalarField(grid, np.asarray(d["values"], dtype=float))
+    """The field a dict of field_to_dict describes; Grid refuses non-integer counts."""
+    keys = ("nx", "ny", "hx", "hy", "values")
+    nx, ny, hx, hy, values = (require_key(d, k, "field") for k in keys)
+    grid = Grid(nx, ny, float(hx), float(hy), float(d.get("x0", 0.0)), float(d.get("y0", 0.0)))
+    return ScalarField(grid, np.asarray(values, dtype=float))
 
 
 def write_field_json(f: ScalarField, path) -> None:
@@ -74,4 +82,4 @@ def write_field_list_json(fields: list[ScalarField], path) -> None:
 
 
 def read_field_list_json(path) -> list[ScalarField]:
-    return [field_from_dict(d) for d in load_json(path)["fields"]]
+    return [field_from_dict(d) for d in require_key(load_json(path), "fields", "field list")]

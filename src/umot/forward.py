@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, SolverDivergence
+from .errors import GridMismatch
 from .field_core import (
     BoundaryData,
     Grid,
@@ -32,7 +32,6 @@ from .field_core import (
 from .solvers import Multigrid, SparseFactor, cg_solve
 
 DEFAULT_ETA = 1.0
-DEFAULT_SOLVER_TOL = 1e-10
 DIRECT_THRESHOLD = 2500  # interior unknowns; larger forward problems use multigrid CG
 GAMMA_FLOOR = 1e-12  # smallest admissible diffusion coefficient
 
@@ -83,15 +82,13 @@ class DiffusionSolver:
     boundary coupling A_IB, so a Dirichlet solve is A_II u_I = -A_IB f.
     A_II gets a sparse factorization, built once, up to DIRECT_THRESHOLD
     interior unknowns.  Above it, conjugate gradients run preconditioned by a
-    multigrid V-cycle whose hierarchy is built once; a stalled iteration raises
-    SolverDivergence.  ``tol`` never changes a solution: the factorization is
-    exact and CG always stops at a relative residual of 1e-14.  It only bounds
-    the residual check of each solve.
+    multigrid V-cycle whose hierarchy is built once.  Every solve is checked
+    at the solve layer's one residual bound, and a stalled iteration or a
+    solve above that bound raises SolverDivergence.
     """
 
-    def __init__(self, coeffs: CoefficientPair, tol: float = DEFAULT_SOLVER_TOL):
+    def __init__(self, coeffs: CoefficientPair):
         self.coeffs = coeffs
-        self.tol = tol
         grid = coeffs.grid
         self.interior = grid.interior_indices()
         self.boundary = grid.boundary_indices()
@@ -105,8 +102,8 @@ class DiffusionSolver:
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         if self._factor is not None:
-            return self._factor.solve(rhs, self.tol)
-        return cg_solve(self.A_II, rhs, self._mg, self.tol)
+            return self._factor.solve(rhs)
+        return cg_solve(self.A_II, rhs, self._mg)
 
     def solve(self, f: BoundaryData) -> ScalarField:
         """Solution of the Dirichlet problem with trace f."""
@@ -176,8 +173,7 @@ class SolutionBundle:
     """Forward solutions, functionals, and geometry for one coefficient pair.
 
     ``solutions`` holds the (f_j, u_j) pairs.  ``at`` repeats the bundle's build
-    (``eta``, ``grad_floor``, forward tolerance ``solver.tol``) at other coefficients.
-    The forward tolerance only bounds the residual checks; see DiffusionSolver.
+    (traces, ``eta`` and ``grad_floor``) at other coefficients.
     """
 
     coeffs: CoefficientPair
@@ -197,9 +193,9 @@ class SolutionBundle:
         return self.coeffs.grid
 
     def at(self, coeffs: CoefficientPair) -> "SolutionBundle":
-        """This bundle's build (traces, eta, grad_floor, tolerance) at ``coeffs``."""
+        """This bundle's build (traces, eta, grad_floor) at ``coeffs``."""
         traces = [f for f, _ in self.solutions]
-        return build_bundle(coeffs, traces, self.eta, self.grad_floor, self.solver.tol)
+        return build_bundle(coeffs, traces, self.eta, self.grad_floor)
 
 
 def build_bundle(
@@ -207,26 +203,20 @@ def build_bundle(
     traces: list[BoundaryData],
     eta: float = DEFAULT_ETA,
     grad_floor: float | None = None,
-    tol: float = DEFAULT_SOLVER_TOL,
 ) -> SolutionBundle:
     """Solve the forward problem for every trace and package the results.
 
-    The discrete residual of each stored solution is verified against
-    ``10 * tol``; the boundary restriction of u_j equals f_j exactly by
-    construction.  ``tol`` bounds only these checks and the solver's own: it
-    never changes a solution (see DiffusionSolver).
+    Each solve is residual-checked by the solver (see DiffusionSolver); the
+    boundary restriction of u_j equals f_j exactly by construction.
     """
     if not traces:
         raise ValueError("need at least one boundary condition")
-    solver = DiffusionSolver(coeffs, tol)
+    solver = DiffusionSolver(coeffs)
     solutions = []
     geometry = []
     functionals = []
     for f in traces:
         u = solver.solve(f)
-        res = solver.residual(u, f)
-        if res > 10.0 * tol:
-            raise SolverDivergence(f"stored solution residual {res:.3e}")
         solutions.append((f, u))
         geometry.append(solution_geometry(u, grad_floor))
         functionals.append(internal_functional(coeffs, u, eta))

@@ -44,7 +44,6 @@ from .field_core import (
 from .forward import SolutionBundle
 from .solvers import SparseFactor
 
-NORMAL_TOL = 1e-10
 RANK_DEFICIENT_REL = 1e-8
 
 
@@ -239,7 +238,6 @@ def solve_normal_equations(
     sys: LinearizedSystem,
     g: list[BoundaryData] | None = None,
     rhs: np.ndarray | None = None,
-    tol: float = NORMAL_TOL,
 ) -> PerturbationVector:
     """Least-squares solution of the stacked system via its normal equations.
 
@@ -247,7 +245,8 @@ def solve_normal_equations(
     ordered dgamma, dsigma, du_1..du_J), the solution is split v = w + phi
     with phi the clamped biharmonic lift of g, and the homogeneous remainder
     w is solved for on the system's cached normal-matrix factorization,
-    after the rank probe has cleared it.
+    after the rank probe has cleared it; the factor checks the solve's
+    residual against the solve layer's one bound.
     """
     if sys.certified is False:
         warnings.warn("solving a system whose bundle failed certification")
@@ -272,7 +271,7 @@ def solve_normal_equations(
     if not np.any(rhs_n):
         w = np.zeros(A.shape[1])
     else:
-        w = _ensure_full_rank(sys).solve(rhs_n, tol)
+        w = _ensure_full_rank(sys).solve(rhs_n)
 
     if phis is not None:
         w = w + phi_int

@@ -20,7 +20,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import __version__
-from .constant_bg import ConstantBackground, preprocess_data, solve_constant_bg
+from .constant_bg import preprocess_data, solve_constant_bg
 from .ellipticity import EllipticityReport, certify_field
 from .errors import Diverged, PipelineStageError, UmotError
 from .field_core import BoundaryData, Grid, ScalarField, rel_l2_error
@@ -93,12 +93,12 @@ def _stage(name: str):
 @dataclass
 class ScenarioSetup:
     """A scenario's base point: grid, background, traces and, made on first use,
-    the background bundle (with the scenario's ``eta``, ``grad_floor`` and
-    ``forward_tol``) and its certificate (with the scenario's
-    ``margin_threshold``).  Every reconstruction starts from these, so each
-    is built once, and every later bundle is the base bundle's build at other
-    coefficients.  ``umot reconstruct`` swaps in its ``--init``
-    coefficients as the background and keeps the scenario's traces.
+    the background bundle (with the scenario's ``eta`` and ``grad_floor``) and
+    its certificate (with the scenario's ``margin_threshold``).  Every
+    reconstruction starts from these, so each is built once, and every later
+    bundle is the base bundle's build at other coefficients.  ``umot
+    reconstruct`` swaps in its ``--init`` coefficients as the background and
+    keeps the scenario's traces.
     """
 
     config: ScenarioConfig
@@ -114,10 +114,8 @@ class ScenarioSetup:
 
     @cached_property
     def bundle(self) -> SolutionBundle:
-        solver = self.config.solver
-        return build_bundle(
-            self.background, self.traces, self.config.eta, solver.grad_floor, solver.forward_tol
-        )
+        config = self.config
+        return build_bundle(self.background, self.traces, config.eta, config.solver.grad_floor)
 
     @cached_property
     def certificate(self) -> EllipticityReport:
@@ -183,7 +181,7 @@ def linearized_reconstruction(setup: ScenarioSetup, dH, g=None, truth=None) -> d
     """Linearized solve at the base point (optional normal data ``g``) as a dict."""
     sys = assemble_system(setup.bundle, dH)
     sys.certified = setup.certificate.elliptic
-    v = solve_normal_equations(sys, g=g, tol=setup.config.solver.normal_tol)
+    v = solve_normal_equations(sys, g=g)
     out = {
         "dgamma": field_to_dict(v.dgamma),
         "dsigma": field_to_dict(v.dsigma),
@@ -198,11 +196,7 @@ def linearized_reconstruction(setup: ScenarioSetup, dH, g=None, truth=None) -> d
 
 def constant_bg_reconstruction(setup: ScenarioSetup, dH, truth=None) -> dict:
     """Constant-background fourth-order solve, dividing by the bundle's u_j, as a dict."""
-    config = setup.config
-    bg = ConstantBackground(
-        config.background["gamma0"], config.background["sigma0"], config.eta,
-        config.make_directions(),
-    )
+    bg = setup.config.make_constant_background()
     data = [preprocess_data(d, u, bg) for d, (_, u) in zip(dH, setup.bundle.solutions)]
     dgamma, dsigma = solve_constant_bg(bg, data)
     out = {"dgamma": field_to_dict(dgamma), "dsigma": field_to_dict(dsigma)}

@@ -15,10 +15,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .constant_bg import ConstantBackground
 from .ellipticity import DirectionSet, cgo_boundary_set, constant_bg_boundary_set
-from .errors import ScenarioError
+from .errors import DirectionsNotCertified, ScenarioError, ZeroEta
 from .field_core import BoundaryData, Grid, ScalarField
-from .fileio import field_from_dict, load_json
+from .fileio import field_from_dict, load_json, require_key
 from .forward import CoefficientPair
 from .phantom import BumpSpec, generate_phantom
 
@@ -69,13 +70,9 @@ def _check_real(name: str, value, positive: bool = False) -> None:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    forward_tol: float = 1e-10
-    normal_tol: float = 1e-10
     grad_floor: float | None = None
 
     def __post_init__(self):
-        _check_real("forward_tol", self.forward_tol, positive=True)
-        _check_real("normal_tol", self.normal_tol, positive=True)
         if self.grad_floor is not None:
             _check_real("grad_floor", self.grad_floor)
 
@@ -140,8 +137,10 @@ class ScenarioConfig:
         grid = self.make_grid()  # the library constructors' range checks, at parse time
         if self.background["type"] == "constant":
             self.make_background(grid)
-        if self.boundary_set["type"] == "cgo":
+        if self.boundary_set["type"] in ("cgo", "constant_bg"):
             self.make_traces(grid, None)
+        if self.inversion.path == "constant_bg":
+            self.make_constant_background()
 
     def make_grid(self) -> Grid:
         g = self.grid
@@ -175,6 +174,10 @@ class ScenarioConfig:
         vecs = [v / np.linalg.norm(v) for v in vecs]
         return DirectionSet(2, tuple(vecs))
 
+    def make_constant_background(self) -> ConstantBackground:
+        bg = self.background
+        return ConstantBackground(bg["gamma0"], bg["sigma0"], self.eta, self.make_directions())
+
     def make_traces(self, grid: Grid, background: CoefficientPair) -> list[BoundaryData]:
         bs = self.boundary_set
         if bs["type"] == "cgo":
@@ -187,8 +190,8 @@ class ScenarioConfig:
         if bs["type"] == "explicit":
             out = []
             for f in bs["files"]:
-                d = load_json(f)
-                out.append(BoundaryData(grid, np.asarray(d["values"], dtype=float)))
+                values = require_key(load_json(f), "values", "boundary file")
+                out.append(BoundaryData(grid, np.asarray(values, dtype=float)))
             return out
         raise ScenarioError(f"unknown boundary set type '{bs['type']}'")
 
@@ -254,7 +257,7 @@ def parse_scenario(data) -> ScenarioConfig:
     noise_d = data.get("noise", {})
     _require_keys(noise_d, "noise", optional={"level", "seed"})
     solver_d = data.get("solver", {})
-    _require_keys(solver_d, "solver", optional={"forward_tol", "normal_tol", "grad_floor"})
+    _require_keys(solver_d, "solver", optional={"grad_floor"})
     certify_d = data.get("certify", {})
     _require_keys(certify_d, "certify", optional={"margin_threshold"})
     inv_d = data.get("inversion", {})
@@ -272,7 +275,8 @@ def parse_scenario(data) -> ScenarioConfig:
             certify=CertifyConfig(**certify_d),
             inversion=InversionConfig(**inv_d),
         )
-    except (TypeError, ValueError) as exc:  # refused by a library constructor
+    except (TypeError, ValueError, DirectionsNotCertified, ZeroEta) as exc:
+        # refused by a library constructor
         raise ScenarioError(f"invalid scenario value: {exc}") from exc
 
 

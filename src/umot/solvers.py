@@ -8,8 +8,9 @@ on A + A^T, SuperLU's symmetric mode), built once per matrix, reused for
 every right-hand side, and also driving the inverse iteration of the
 smallest-singular-value probe.  Large forward problems use conjugate
 gradients preconditioned by a geometric multigrid V-cycle instead, with no
-fallback: a stalled iteration is an error.  Every solve is residual-checked;
-SolverDivergence is raised when the requested tolerance is not met.
+fallback: a stalled iteration is an error.  Every solve is checked against
+one relative-residual bound, SOLVE_RTOL, and raises SolverDivergence above
+it.  The bound never changes a solution; it only refuses one.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ MG_COARSEST = 400  # unknowns at or below which the hierarchy stops and factors
 MG_OMEGA = 0.8  # damped-Jacobi weight
 MG_SWEEPS = 2  # smoothing sweeps before and after the coarse correction
 CG_RTOL = 1e-14  # relative residual at which multigrid CG stops
+SOLVE_RTOL = 1e-10  # relative residual above which any solve raises
 
 
 def _residual(A, x, b) -> float:
@@ -33,10 +35,10 @@ def _residual(A, x, b) -> float:
     return float(np.linalg.norm(A @ x - b) / bn)
 
 
-def _check(A, x, b, tol: float, what: str) -> np.ndarray:
+def _check(A, x, b, what: str) -> np.ndarray:
     res = _residual(A, x, b)
-    if not np.isfinite(res) or res > tol:
-        raise SolverDivergence(f"{what} residual {res:.3e} exceeds {tol:.1e}")
+    if not np.isfinite(res) or res > SOLVE_RTOL:
+        raise SolverDivergence(f"{what} residual {res:.3e} exceeds {SOLVE_RTOL:.1e}")
     return x
 
 
@@ -45,7 +47,8 @@ class SparseFactor:
 
     Reused for every solve and probe.  Raises ValueError when A is not
     symmetric to 1e-12 relative to its largest entry, and SolverDivergence
-    when it is exactly singular.
+    when it is exactly singular or a solve's relative residual exceeds
+    SOLVE_RTOL.
     """
 
     def __init__(self, A: sp.spmatrix):
@@ -62,10 +65,10 @@ class SparseFactor:
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise SolverDivergence(f"singular factorization: {exc}") from exc
 
-    def solve(self, b: np.ndarray, tol: float) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         if np.linalg.norm(b) == 0.0:
             return np.zeros(self.A.shape[0])
-        return _check(self.A, self._lu.solve(b), b, tol, "factorized solve")
+        return _check(self.A, self._lu.solve(b), b, "factorized solve")
 
     def smallest_singular(self, A: sp.spmatrix) -> tuple[float, float]:
         """Estimate (smallest, largest) singular values of A, factored as A^T A.
@@ -144,13 +147,11 @@ class Multigrid:
         return x
 
 
-def cg_solve(
-    A: sp.spmatrix, b: np.ndarray, mg: Multigrid, tol: float = 1e-10, maxiter: int = 1000
-) -> np.ndarray:
+def cg_solve(A: sp.spmatrix, b: np.ndarray, mg: Multigrid, maxiter: int = 1000) -> np.ndarray:
     """CG on an SPD matrix, preconditioned by one V-cycle of ``mg`` per step.
 
-    The iteration stops at a relative residual of CG_RTOL; ``tol`` only
-    bounds the residual check of the result.  A stall raises.
+    The iteration stops at a relative residual of CG_RTOL, and the result is
+    checked against SOLVE_RTOL.  A stall within ``maxiter`` steps raises.
     """
     n = A.shape[0]
     if np.linalg.norm(b) == 0.0:
@@ -161,7 +162,7 @@ def cg_solve(
         raise SolverDivergence(
             f"CG stalled (info={info}) at residual {_residual(A, x, b):.3e}"
         )
-    return _check(A, x, b, tol, "CG")
+    return _check(A, x, b, "CG")
 
 
 def largest_eigenvalue(A: sp.spmatrix) -> float:

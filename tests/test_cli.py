@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -91,15 +92,23 @@ def test_pipeline_determinism(tmp_path, scenario_file):
     assert ma["config_digest"] == mb["config_digest"]
 
 
-def test_pipeline_rejects_two_direction_set(tmp_path):
+def test_pipeline_rejects_two_direction_set(tmp_path, capsys):
+    # two directions cannot certify, and the constant_bg traces are built
+    # when the scenario is parsed: refused before any file is written
     bad = json.loads(json.dumps(SCENARIO))
     bad["boundary_set"]["dirs"] = [[1, 0], [0, 1]]
     spath = tmp_path / "bad.json"
     spath.write_text(json.dumps(bad))
     rc = main(["pipeline", "--scenario", str(spath), "--out", str(tmp_path / "run")])
-    assert rc != 0
-    # the failing stage kept its prior outputs
+    assert rc == 1
+    assert "direction set margin" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    # a stage that fails after parsing keeps its prior outputs
+    spath = _variant(tmp_path, certify={"margin_threshold": 10.0})
+    rc = main(["pipeline", "--scenario", str(spath), "--out", str(tmp_path / "run")])
+    assert rc == 2
     assert (tmp_path / "run" / "scenario.json").exists()
+    assert (tmp_path / "run" / "u_0.json").exists()
     assert not (tmp_path / "run" / "manifest.json").exists()
 
 
@@ -229,6 +238,35 @@ def test_constant_bg_path_needs_constant_bg_boundary_set(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"eta": 0.0, "inversion": {"path": "constant_bg"}}, "eta must be nonzero"),
+        ({"background": {"type": "constant", "gamma0": 1.0, "sigma0": 0.0}}, "sigma0 > 0"),
+        ({"boundary_set": {"type": "constant_bg", "dirs": [[1, 0], [-1, 0]]}}, "margin"),
+    ],
+)
+def test_constant_bg_requirements_checked_at_parse(tmp_path, capsys, changes, message):
+    # the constant-background traces and route are built when the scenario
+    # is parsed, so a scenario they refuse writes nothing
+    spath = _variant(tmp_path, **changes)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--scenario", str(spath), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["forward_tol", "normal_tol"])
+def test_retired_solver_tolerances_are_unknown_keys(tmp_path, capsys, key):
+    # every solve is checked at one fixed bound, so no scenario sets one
+    spath = _variant(tmp_path, solver={key: 1e-10})
+    out = tmp_path / "run"
+    assert main(["pipeline", "--scenario", str(spath), "--out", str(out)]) == 1
+    assert f"unknown keys ['{key}'] in solver" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_certify_command_refuses_xi_samples(tmp_path, scenario_file, capsys):
     # the frequency sample count is gone: a scenario that still sets it is
     # refused as an unknown key, and the flag no longer parses
@@ -256,6 +294,11 @@ NB = 4 * 18 - 4  # boundary nodes of the 18x18 scenario grid
         ("linearize", 3, [NB] * 4 + [5], None, "boundary"),
         ("constbg", 2, None, None, "one data field per direction"),
         ("reconstruct", 3, None, -0.5, "absorption"),
+        # a file without a key it needs names the key
+        ("linearize", 3, None, None, "field list is missing the key 'fields'"),
+        ("linearize", 3, None, None, "field is missing the key 'ny'"),
+        ("linearize", 3, [NB] * 5, None, "--g file is missing the key 'components'"),
+        ("reconstruct", 3, None, 0.5, "--init file is missing the key 'gamma'"),
     ],
 )
 def test_malformed_input_files_exit_1(
@@ -266,6 +309,7 @@ def test_malformed_input_files_exit_1(
     g = Grid(18, 18, 1 / 17, 1 / 17)
     fields_path = tmp_path / "fields.json"
     write_field_list_json([ScalarField.constant(g, 0.01)] * n_fields, fields_path)
+    carrier = {"fields": fields_path, "ny": fields_path}  # the file that holds each key
     out = tmp_path / "out.json"
     args = [command, "--scenario", str(scenario_file), "--out", str(out)]
     if command == "reconstruct":
@@ -277,13 +321,23 @@ def test_malformed_input_files_exit_1(
             },
             init_path,
         )
+        carrier["gamma"] = init_path
         args += ["--hmeas", str(fields_path), "--init", str(init_path)]
     else:
         args += ["--dh", str(fields_path)]
     if g_sizes is not None:
         g_path = tmp_path / "g.json"
         g_path.write_text(json.dumps({"components": [{"values": [0.0] * n} for n in g_sizes]}))
+        carrier["components"] = g_path
         args += ["--g", str(g_path)]
+    missing = re.search(r"missing the key '(\w+)'", message)
+    if missing:  # drop the named key from the file that carries it
+        key = missing.group(1)
+        path = carrier[key]
+        d = load_json(path)
+        for obj in d["fields"] if key == "ny" else [d]:
+            del obj[key]
+        dump_json(d, path)
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

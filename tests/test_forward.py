@@ -166,6 +166,21 @@ def test_forward_cg_stall_raises(bundle24):
         cg_solve(solver.A_II, rhs, mg, maxiter=5)
 
 
+def test_solve_residual_bound_refuses_ill_conditioned_solve():
+    # every solve is checked at one relative-residual bound: the 8x8 Hilbert
+    # matrix solved along its smallest eigenvector leaves about 3e-7
+    import scipy.sparse as sp
+    from scipy.linalg import hilbert
+
+    from umot.errors import SolverDivergence
+    from umot.solvers import SparseFactor
+
+    H = hilbert(8)
+    b = np.linalg.eigh(H)[1][:, 0]
+    with pytest.raises(SolverDivergence, match="exceeds 1.0e-10"):
+        SparseFactor(sp.csr_matrix(H)).solve(b)
+
+
 @pytest.mark.parametrize("n", [64, 128])
 def test_forward_cg_iterations_stay_flat(n, dirs3, monkeypatch):
     # multigrid-preconditioned CG: the iteration count does not grow with the grid
@@ -215,7 +230,7 @@ def test_multigrid_cg_matches_direct_solve(case):
     assert solver.interior.size > DIRECT_THRESHOLD
     f = BoundaryData.from_function(solver.coeffs.grid, lambda x, y: np.cos(3 * x) + x * y)
     u = solver.solve(f).values[solver.interior]
-    ref = SparseFactor(solver.A_II).solve(-(solver.A_IB @ f.values), 1e-10)
+    ref = SparseFactor(solver.A_II).solve(-(solver.A_IB @ f.values))
     assert np.abs(u - ref).max() <= 1e-9 * np.abs(ref).max()
 
 

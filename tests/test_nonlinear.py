@@ -196,7 +196,7 @@ def test_refreshed_mode_recertifies_each_iterate(setup, monkeypatch):
 
 def test_sweep_builds_every_trial_like_its_base(setup, monkeypatch):
     # the base point carries its build settings: under default options every
-    # trial bundle gets the base's grad_floor and forward tolerance
+    # trial bundle gets the base's grad_floor
     import inspect
 
     import umot.forward
@@ -204,23 +204,23 @@ def test_sweep_builds_every_trial_like_its_base(setup, monkeypatch):
 
     g, coeffs0, traces = setup
     bt = build_bundle(_truth(g, 0.01), traces)
-    base = build_bundle(coeffs0, traces, grad_floor=1e-9, tol=1e-11)
+    base = build_bundle(coeffs0, traces, grad_floor=1e-9)
     report = certify_field(base)
     build = umot.forward.build_bundle
     signature = inspect.signature(build)
-    settings = []
+    floors = []
 
     def recording(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
-        settings.append((bound.arguments["grad_floor"], bound.arguments["tol"]))
+        floors.append(bound.arguments["grad_floor"])
         return build(*args, **kwargs)
 
     for module in (umot.forward, umot.nonlinear):
         monkeypatch.setattr(module, "build_bundle", recording)
     res = sweep(list(bt.H), base, report, ReconstructOptions(kmax=3))
     assert res.iterations >= 1
-    assert settings and all(s == (1e-9, 1e-11) for s in settings)
+    assert floors and all(f == 1e-9 for f in floors)
 
 
 def test_reconstruct_certifies_with_certify_field_default(setup, monkeypatch):

@@ -80,6 +80,19 @@ def test_field_json_round_trip(tmp_path):
     assert np.array_equal(f2.values, f.values)
 
 
+@pytest.mark.parametrize("count", ["nx", "ny"])
+def test_field_file_with_fractional_node_count_is_refused(tmp_path, count):
+    # the node count reaches Grid as written, so 7.9 is not read as 7
+    g = Grid(9, 7, 0.1, 0.2)
+    path = tmp_path / "f.json"
+    write_field_json(ScalarField.constant(g, 1.0), path)
+    d = json.loads(path.read_text())
+    d[count] += 0.9
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="integers"):
+        read_field_json(path)
+
+
 def test_field_csv_round_trip(tmp_path):
     g = Grid(6, 5, 0.25, 0.5)
     rng = np.random.default_rng(1)
@@ -169,11 +182,14 @@ BUMP = {"center": [0.5, 0.5], "radius": 0.2, "amplitude": 0.02, "target": "gamma
          ({"type": "constant", "sigma0": 0.5}, {"type": "cgo", "M": 4.0, "k": 1.0}), "gamma0"),
         (("background", "boundary_set"),
          ({"type": "fields", "gamma_file": "gamma.json"}, {"type": "cgo"}), "sigma_file"),
-        ("solver", {"forward_tol": NAN}, "forward_tol"),
-        ("solver", {"forward_tol": "1e-10"}, "forward_tol"),
+        # the retired solve tolerances are unknown keys, at their old default,
+        # at any other value, or next to a valid grad_floor (the full message
+        # is pinned in test_cli)
+        ("solver", {"forward_tol": 1e-10}, "forward_tol"),
+        ("solver", {"forward_tol": 1e-11, "grad_floor": 1e-9}, "forward_tol"),
         ("solver", {"forward_tol": 0.0}, "forward_tol"),
-        ("solver", {"forward_tol": -1e-10}, "forward_tol"),
-        ("solver", {"normal_tol": NAN}, "normal_tol"),
+        ("solver", {"forward_tol": NAN}, "forward_tol"),
+        ("solver", {"normal_tol": 1e-10}, "normal_tol"),
         ("solver", {"normal_tol": INF}, "normal_tol"),
         ("solver", {"grad_floor": -1.0}, "grad_floor"),
         ("solver", {"grad_floor": NAN}, "grad_floor"),
