@@ -171,7 +171,7 @@ def main(argv=None) -> int:
     except PipelineStageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UmotError, ValueError) as exc:  # ValueError: a malformed input file
+    except (UmotError, ValueError, OSError) as exc:  # a malformed or unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -65,11 +65,13 @@ class Grid:
     def index(self, i, j):
         return j * self.nx + i
 
+    def axes(self):
+        """Node coordinates along each axis: x (nx values) and y (ny values)."""
+        return self.x0 + self.hx * np.arange(self.nx), self.y0 + self.hy * np.arange(self.ny)
+
     def coords(self):
         """Flat row-major node coordinates (X, Y)."""
-        x = self.x0 + self.hx * np.arange(self.nx)
-        y = self.y0 + self.hy * np.arange(self.ny)
-        X, Y = np.meshgrid(x, y)
+        X, Y = np.meshgrid(*self.axes())
         return X.ravel(), Y.ravel()
 
     def boundary_indices(self) -> np.ndarray:

@@ -4,7 +4,12 @@ Fields travel as JSON objects
 {"nx", "ny", "hx", "hy", "x0", "y0", "values": [row-major floats]}
 with a CSV mirror (header ``x,y,value``, one row per node, row-major) for
 plotting.  JSON is written with sorted keys so identical data produces
-identical bytes.  A file that lacks a key it needs is refused with a
+identical bytes.  Both files write each value, and the CSV each coordinate,
+as the shortest string that reads back to the same float (``repr``), so the
+JSON and its CSV mirror carry the same digits.  The field writers format the
+values once per field and build both files from those strings, byte for
+byte what ``dump_json(field_to_dict(f))`` and a per-node ``repr`` would
+write.  A file that lacks a key it needs is refused with a
 ValueError that names the key.
 """
 
@@ -33,17 +38,17 @@ def require_key(d, key: str, what: str):
     return d[key]
 
 
+def _grid_dict(g: Grid) -> dict:
+    return {"nx": g.nx, "ny": g.ny, "hx": g.hx, "hy": g.hy, "x0": g.x0, "y0": g.y0}
+
+
 def field_to_dict(f: ScalarField) -> dict:
-    g = f.grid
-    return {
-        "nx": g.nx,
-        "ny": g.ny,
-        "hx": g.hx,
-        "hy": g.hy,
-        "x0": g.x0,
-        "y0": g.y0,
-        "values": [float(v) for v in f.values],
-    }
+    return {**_grid_dict(f.grid), "values": f.values.tolist()}
+
+
+def _reprs(a) -> list[str]:
+    """``repr(float(v))`` for each entry of ``a``; for finite values, also json's."""
+    return list(map(float.__repr__, np.asarray(a, dtype=float).tolist()))
 
 
 def field_from_dict(d: dict) -> ScalarField:
@@ -54,27 +59,36 @@ def field_from_dict(d: dict) -> ScalarField:
     return ScalarField(grid, np.asarray(values, dtype=float))
 
 
-def write_field_json(f: ScalarField, path) -> None:
-    dump_json(field_to_dict(f), path)
+def write_field_json(f: ScalarField, path) -> list[str]:
+    """Write ``f`` as ``dump_json(field_to_dict(f), path)`` would; return the
+    value strings, which ``write_field_csv`` takes for the mirror.
+
+    ``json`` writes the grid keys and the layout; the values (finite, as
+    ScalarField guarantees) are spliced in as their reprs, which is what
+    json writes for a finite float.
+    """
+    values = _reprs(f.values)
+    empty = json.dumps({**_grid_dict(f.grid), "values": []}, sort_keys=True, indent=1)
+    head, tail = empty.split('"values": []')
+    Path(path).write_text(head + '"values": [\n  ' + ",\n  ".join(values) + "\n ]" + tail + "\n")
+    return values
 
 
 def read_field_json(path) -> ScalarField:
     return field_from_dict(load_json(path))
 
 
-def write_field_csv(f: ScalarField, path) -> None:
-    X, Y = f.grid.coords()
+def write_field_csv(f: ScalarField, path, values: list[str]) -> None:
+    """Write the CSV mirror of ``f`` from ``values``, the strings that
+    ``write_field_json`` returned for ``f``.  The x strings are formatted once
+    per column and the y strings once per row.
+    """
+    nx = f.grid.nx
+    xs, ys = map(_reprs, f.grid.axes())
     lines = ["x,y,value"]
-    lines.extend(
-        f"{float(x)!r},{float(y)!r},{float(v)!r}" for x, y, v in zip(X, Y, f.values)
-    )
+    for j, y in enumerate(ys):
+        lines.extend(map(f",{y},".join, zip(xs, values[j * nx:(j + 1) * nx])))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_field_csv(path, grid: Grid) -> ScalarField:
-    rows = Path(path).read_text().strip().splitlines()[1:]
-    vals = np.array([float(r.split(",")[2]) for r in rows])
-    return ScalarField(grid, vals)
 
 
 def write_field_list_json(fields: list[ScalarField], path) -> None:

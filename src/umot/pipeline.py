@@ -69,8 +69,8 @@ class Recorder:
     def field(self, name: str, f: ScalarField) -> None:
         jpath = self.out_dir / f"{name}.json"
         cpath = self.out_dir / f"{name}.csv"
-        write_field_json(f, jpath)
-        write_field_csv(f, cpath)
+        values = write_field_json(f, jpath)
+        write_field_csv(f, cpath, values)
         self.files.extend([jpath, cpath])
 
     def text(self, name: str, content: str) -> None:

@@ -4,7 +4,9 @@ Unknown keys and missing required keys are rejected at every level, a seed
 is mandatory whenever noise is requested, and the parsed configuration
 serializes back to itself with all defaults made explicit.  Counts must be
 integers, and the library constructors' range checks run at parse time, their
-refusals as ScenarioError.
+refusals as ScenarioError.  The files a scenario names (a ``fields``
+background, an ``explicit`` boundary set) are read at parse time too, so a
+missing or malformed one is a ScenarioError before anything is written.
 """
 
 from __future__ import annotations
@@ -35,6 +37,15 @@ def _require_keys(
     unknown = set(d) - required - optional
     if unknown:
         raise ScenarioError(f"unknown keys {sorted(unknown)} in {where}")
+
+
+def _read_file(path, what: str, convert):
+    """``convert`` of the JSON in ``path``, or a ScenarioError naming the file."""
+    try:
+        return convert(load_json(path))
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise ScenarioError(f"cannot read {what} '{path}': {reason}") from exc
 
 
 def _is_direction(v) -> bool:
@@ -134,11 +145,10 @@ class ScenarioConfig:
             raise ScenarioError("constant_bg boundary sets need a constant background")
         if self.inversion.path == "constant_bg" and self.boundary_set["type"] != "constant_bg":
             raise ScenarioError("inversion path 'constant_bg' needs a constant_bg boundary set")
-        grid = self.make_grid()  # the library constructors' range checks, at parse time
-        if self.background["type"] == "constant":
-            self.make_background(grid)
-        if self.boundary_set["type"] in ("cgo", "constant_bg"):
-            self.make_traces(grid, None)
+        # the library constructors' range checks and the named files' reads, at parse time
+        grid = self.make_grid()
+        self.make_background(grid)
+        self.make_traces(grid, None)
         if self.inversion.path == "constant_bg":
             self.make_constant_background()
 
@@ -153,8 +163,10 @@ class ScenarioConfig:
         bg = self.background
         if bg["type"] == "constant":
             return CoefficientPair.constant(grid, bg["gamma0"], bg["sigma0"])
-        gamma = field_from_dict(load_json(bg["gamma_file"]))
-        sigma = field_from_dict(load_json(bg["sigma_file"]))
+        gamma, sigma = (
+            _read_file(bg[key], f"background {key}", field_from_dict)
+            for key in ("gamma_file", "sigma_file")
+        )
         if gamma.grid != grid or sigma.grid != grid:
             raise ScenarioError("background field files disagree with the grid")
         return CoefficientPair(gamma, sigma)
@@ -188,11 +200,11 @@ class ScenarioConfig:
                 grid, bg["gamma0"], bg["sigma0"], self.make_directions()
             )
         if bs["type"] == "explicit":
-            out = []
-            for f in bs["files"]:
-                values = require_key(load_json(f), "values", "boundary file")
-                out.append(BoundaryData(grid, np.asarray(values, dtype=float)))
-            return out
+            def trace(d):
+                values = require_key(d, "values", "boundary file")
+                return BoundaryData(grid, np.asarray(values, dtype=float))
+
+            return [_read_file(f, "boundary file", trace) for f in bs["files"]]
         raise ScenarioError(f"unknown boundary set type '{bs['type']}'")
 
     def to_dict(self) -> dict:

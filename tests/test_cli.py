@@ -344,6 +344,56 @@ def test_malformed_input_files_exit_1(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["linearize", "pipeline"])
+def test_missing_input_file_exits_1(tmp_path, scenario_file, capsys, command):
+    # a file that is not there is reported as an error, not a traceback
+    out = tmp_path / "out"
+    if command == "linearize":
+        args = ["linearize", "--scenario", str(scenario_file), "--dh", "/no/such.json"]
+    else:
+        args = ["pipeline", "--scenario", str(tmp_path / "missing.json")]
+    assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "slot, content, message",
+    [
+        ("gamma_file", None, "cannot read background gamma_file '{bad}': No such file"),
+        ("sigma_file", "{not json", "cannot read background sigma_file '{bad}': Expecting"),
+        ("trace", None, "cannot read boundary file '{bad}': No such file"),
+        ("trace", "{not json", "cannot read boundary file '{bad}': Expecting"),
+        ("trace", json.dumps({"values": [1.0] * 5}), "boundary data needs 68 values"),
+    ],
+    ids=["gamma-missing", "sigma-malformed", "trace-missing", "trace-malformed", "trace-short"],
+)
+def test_scenario_files_are_read_at_parse(tmp_path, capsys, slot, content, message):
+    # the files a scenario names are read when it is parsed: a missing or
+    # malformed one is refused before any file is written
+    g = Grid(18, 18, 1 / 17, 1 / 17)
+    field = tmp_path / "field.json"
+    dump_json(field_to_dict(ScalarField.constant(g, 1.0)), field)
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"values": [1.0] * g.n_boundary}))
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content)
+    files = {"gamma_file": field, "sigma_file": field, "trace": trace, slot: bad}
+    spath = _variant(
+        tmp_path,
+        background={"type": "fields", "gamma_file": str(files["gamma_file"]),
+                    "sigma_file": str(files["sigma_file"])},
+        boundary_set={"type": "explicit", "files": [str(trace), str(trace), str(files["trace"])]},
+    )
+    out = tmp_path / "run"
+    assert main(["pipeline", "--scenario", str(spath), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message.format(bad=bad) in err
+    assert not out.exists()
+
+
 def test_reconstruct_command(tmp_path, scenario_file):
     out = tmp_path / "run"
     assert main(["pipeline", "--scenario", str(scenario_file), "--out", str(out)]) == 0

@@ -15,7 +15,7 @@ from umot import (
     serialize_scenario,
 )
 from umot.fileio import (
-    read_field_csv,
+    field_to_dict,
     read_field_json,
     write_field_csv,
     write_field_json,
@@ -98,11 +98,46 @@ def test_field_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     f = ScalarField(g, rng.standard_normal(g.n_nodes))
     path = tmp_path / "f.csv"
-    write_field_csv(f, path)
-    f2 = read_field_csv(path, g)
-    assert np.array_equal(f2.values, f.values)
-    header = path.read_text().splitlines()[0]
+    write_field_csv(f, path, write_field_json(f, tmp_path / "f.json"))
+    header, *rows = path.read_text().splitlines()
     assert header == "x,y,value"
+    x, y, values = np.array([[float(c) for c in r.split(",")] for r in rows]).T
+    X, Y = g.coords()
+    assert np.array_equal(x, X) and np.array_equal(y, Y)
+    assert np.array_equal(values, f.values)
+
+
+def _reference_csv(f: ScalarField) -> str:
+    X, Y = f.grid.coords()
+    lines = ["x,y,value"]
+    lines.extend(
+        f"{float(x)!r},{float(y)!r},{float(v)!r}" for x, y, v in zip(X, Y, f.values)
+    )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(9, 6, 0.1, 0.3, x0=-1.7, y0=2.25),  # non-square, nonzero origin
+        Grid(7, 5, 2, 0.5, x0=3),  # integer spacing and origin, which Grid keeps as given
+    ],
+    ids=["non-square-origin", "integer-hx-x0"],
+)
+def test_field_writers_match_reference_bytes(tmp_path, grid):
+    # the writers format each value once and splice the strings into both
+    # files; the bytes stay those of json.dumps and of a per-node repr
+    rng = np.random.default_rng(2)
+    values = rng.standard_normal(grid.n_nodes) * 10.0 ** rng.integers(-30, 30, grid.n_nodes)
+    values[:5] = [-0.0, 5e-324, 1e-05, 1e300, 2.0]
+    f = ScalarField(grid, values)
+    jpath, cpath = tmp_path / "f.json", tmp_path / "f.csv"
+    strings = write_field_json(f, jpath)
+    reference = json.dumps(field_to_dict(f), sort_keys=True, indent=1) + "\n"
+    assert ('"hx": 2,' in reference) == isinstance(grid.hx, int)
+    assert jpath.read_text() == reference
+    write_field_csv(f, cpath, strings)
+    assert cpath.read_text() == _reference_csv(f)
 
 
 SCENARIO = {
