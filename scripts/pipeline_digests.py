@@ -1,4 +1,4 @@
-"""Print the sha256 of every artifact of eight fixed pipeline scenarios.
+"""Print the sha256 of every artifact of nine fixed pipeline scenarios.
 
     python3 scripts/pipeline_digests.py --out DIR
 
@@ -9,8 +9,8 @@ artifacts, so ``diff`` of the two listings is a behaviour check for changes
 that should not move any number.  The ``settings`` scenario sets
 ``grad_floor`` and ``margin_threshold`` away from their defaults, so its
 digests also pin that those values reach each bundle build and certification
-of the sweep.  The
-script works inside DIR, so the field-file paths that ``scenario.json``
+of the sweep.  The ``explicit`` scenario reads its three traces from files.
+The script works inside DIR, so the file paths that ``scenario.json``
 records are the same on every run.
 """
 
@@ -68,6 +68,10 @@ SCENARIOS = {
             "type": "fields", "gamma_file": "fields/gamma.json", "sigma_file": "fields/sigma.json"
         },
     },
+    "explicit": {
+        **NOISE_FREE,
+        "boundary_set": {"type": "explicit", "files": [f"traces/f{j}.json" for j in range(3)]},
+    },
 }
 
 
@@ -81,6 +85,16 @@ def _write_background_fields() -> None:
     dump_json(field_to_dict(sigma), "fields/sigma.json")
 
 
+def _write_boundary_traces() -> None:
+    """Traces exp(x.v) of the ``explicit`` scenario, one file per direction v."""
+    grid = umot.Grid(18, 18, 1 / 17, 1 / 17)
+    Path("traces").mkdir(exist_ok=True)
+    X, Y = grid.coords()
+    b = grid.boundary_indices()
+    for j, (vx, vy) in enumerate([(1.0, 0.0), (0.0, 1.0), (SQ2, SQ2)]):
+        dump_json({"values": np.exp(vx * X[b] + vy * Y[b]).tolist()}, f"traces/f{j}.json")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="directory for the artifacts")
@@ -89,6 +103,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
     _write_background_fields()
+    _write_boundary_traces()
     for name, changes in SCENARIOS.items():
         config = umot.parse_scenario(json.dumps({**BASE, **changes}))
         manifest = umot.run_pipeline(config, name)

@@ -7,10 +7,15 @@ rescaling leaves a 2-by-1 row of constant-coefficient second-order operators
 per direction:
 
     C_i dgamma + B_i dsigma = S_i,
-    C_i = -lap + 2 dv_i^2 + 2 (1 + eta) sqrt(sigma0/gamma0) dv_i
-          + 2 (1 + eta) sigma0/gamma0
-    B_i = -eta (gamma0/sigma0) lap - 2 (1 + eta) sqrt(gamma0/sigma0) dv_i
-          - 2 (1 + eta)
+    C_i = -lap + 2 dv_i^2 + c1 dv_i + c0,
+    B_i = -eta (gamma0/sigma0) lap - b1 dv_i - b0,
+
+with c1 = 2 (1 + eta) sqrt(sigma0/gamma0), c0 = 2 (1 + eta) sigma0/gamma0,
+b1 = 2 (1 + eta) sqrt(gamma0/sigma0) and b0 = 2 (1 + eta), written once in
+``ConstantBackground.lower_order``; ``symbols`` evaluates both symbols, in
+the continuum or on a grid.  A ``ConstantBackground`` is valid by
+construction (sigma0 > 0, eta != 0, a certified 2-D direction set), so the
+operators, the preprocessing and the solve take it as given.
 
 The first-order coefficients follow from carrying the product rule through
 L(u_i w) = u_i (-gamma0 lap - 2 gamma0 sqrt(sigma0/gamma0) dv_i) w; the
@@ -34,14 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    DirectionsNotCertified,
-    GridMismatch,
-    NonPositiveSolution,
-    ZeroAbsorption,
-    ZeroEta,
-)
-from .ellipticity import DirectionSet, certify_directions
+from .errors import GridMismatch, NonPositiveSolution, ZeroAbsorption, ZeroEta
+from .ellipticity import DirectionSet, certified_planar
 from .field_core import (
     DiscreteOperator,
     Grid,
@@ -54,7 +53,8 @@ from .solvers import SparseFactor
 
 @dataclass(frozen=True)
 class ConstantBackground:
-    """Constant diffusion/absorption levels plus certified directions."""
+    """Constant levels and directions: gamma0 > 0, sigma0 > 0 (0 raises
+    ZeroAbsorption), eta != 0 and a set that passes ``certified_planar``."""
 
     gamma0: float
     sigma0: float
@@ -66,12 +66,19 @@ class ConstantBackground:
             raise ValueError("gamma0 must be positive")
         if self.sigma0 < 0.0:
             raise ValueError("sigma0 must be nonnegative")
+        if self.sigma0 == 0.0:
+            raise ZeroAbsorption("C_i and B_i need sigma0 > 0; sigma0 = 0 has its own routes")
         if self.eta == 0.0:
             raise ZeroEta("eta must be nonzero")
+        certified_planar(self.dirs)
 
-    @property
-    def rate(self) -> float:
-        return float(np.sqrt(self.sigma0 / self.gamma0))
+    def lower_order(self) -> tuple[float, float, float, float]:
+        """(c1, c0, b1, b0): the first- and zeroth-order coefficients of C_i and B_i."""
+        c1 = 2.0 * (1.0 + self.eta) * float(np.sqrt(self.sigma0 / self.gamma0))
+        c0 = 2.0 * (1.0 + self.eta) * self.sigma0 / self.gamma0
+        b1 = 2.0 * (1.0 + self.eta) * np.sqrt(self.gamma0 / self.sigma0)
+        b0 = 2.0 * (1.0 + self.eta)
+        return c1, c0, b1, b0
 
 
 def _directional_parts(grid: Grid, v):
@@ -92,81 +99,41 @@ def _interior_identity(grid: Grid) -> sp.csr_matrix:
 
 def operator_C(bg: ConstantBackground, v, grid: Grid) -> DiscreteOperator:
     """Row operator multiplying dgamma; interior rows only."""
-    if bg.sigma0 <= 0.0:
-        raise ZeroAbsorption("C_i needs a positive absorption level")
     dv, dvv, lap = _directional_parts(grid, v)
-    c1 = 2.0 * (1.0 + bg.eta) * bg.rate
-    c0 = 2.0 * (1.0 + bg.eta) * bg.sigma0 / bg.gamma0
+    c1, c0, _, _ = bg.lower_order()
     m = -lap + 2.0 * dvv + c1 * dv + c0 * _interior_identity(grid)
     return DiscreteOperator(m.tocsr())
 
 
 def operator_B(bg: ConstantBackground, v, grid: Grid) -> DiscreteOperator:
     """Row operator multiplying dsigma; interior rows only."""
-    if bg.sigma0 <= 0.0:
-        raise ZeroAbsorption("B_i needs a positive absorption level")
     dv, _, lap = _directional_parts(grid, v)
-    ratio = bg.gamma0 / bg.sigma0
-    b1 = 2.0 * (1.0 + bg.eta) * np.sqrt(ratio)
-    b0 = 2.0 * (1.0 + bg.eta)
-    m = -bg.eta * ratio * lap - b1 * dv - b0 * _interior_identity(grid)
+    _, _, b1, b0 = bg.lower_order()
+    m = -bg.eta * (bg.gamma0 / bg.sigma0) * lap - b1 * dv - b0 * _interior_identity(grid)
     return DiscreteOperator(m.tocsr())
 
 
-def discrete_symbol_C(bg: ConstantBackground, v, grid: Grid, xi) -> complex:
-    """Closed-form action of operator_C on the plane wave exp(i xi.x)."""
+def symbols(bg: ConstantBackground, v, xi, grid: Grid | None = None) -> tuple[complex, complex]:
+    """Symbols (C, B) of C_i and B_i at the frequency xi.
+
+    In the continuum the per-axis symbols of -d^2 and -i d are s2 = xi^2 and
+    s1 = xi; on ``grid`` they are those of the centered differences,
+    s2 = (2 - 2 cos xi h) / h^2 and s1 = sin(xi h) / h, and the result is the
+    exact action of operator_C and operator_B on exp(i xi.x).
+    """
     v = np.asarray(v, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    s2x = (2.0 - 2.0 * np.cos(xi[0] * grid.hx)) / grid.hx ** 2
-    s2y = (2.0 - 2.0 * np.cos(xi[1] * grid.hy)) / grid.hy ** 2
-    s1x = np.sin(xi[0] * grid.hx) / grid.hx
-    s1y = np.sin(xi[1] * grid.hy) / grid.hy
-    c1 = 2.0 * (1.0 + bg.eta) * bg.rate
-    c0 = 2.0 * (1.0 + bg.eta) * bg.sigma0 / bg.gamma0
-    real = (
-        (1.0 - 2.0 * v[0] ** 2) * s2x
-        + (1.0 - 2.0 * v[1] ** 2) * s2y
-        - 4.0 * v[0] * v[1] * s1x * s1y
-        + c0
-    )
-    imag = c1 * (v[0] * s1x + v[1] * s1y)
-    return complex(real, imag)
-
-
-def discrete_symbol_B(bg: ConstantBackground, v, grid: Grid, xi) -> complex:
-    """Closed-form action of operator_B on the plane wave exp(i xi.x)."""
-    v = np.asarray(v, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    s2x = (2.0 - 2.0 * np.cos(xi[0] * grid.hx)) / grid.hx ** 2
-    s2y = (2.0 - 2.0 * np.cos(xi[1] * grid.hy)) / grid.hy ** 2
-    s1x = np.sin(xi[0] * grid.hx) / grid.hx
-    s1y = np.sin(xi[1] * grid.hy) / grid.hy
-    ratio = bg.gamma0 / bg.sigma0
-    real = bg.eta * ratio * (s2x + s2y) - 2.0 * (1.0 + bg.eta)
-    imag = -2.0 * (1.0 + bg.eta) * np.sqrt(ratio) * (v[0] * s1x + v[1] * s1y)
-    return complex(real, imag)
-
-
-def continuum_symbol_C(bg: ConstantBackground, v, xi) -> complex:
-    """|xi|^2 - 2 (v.xi)^2 + i 2(1+eta) sqrt(sigma0/gamma0) (v.xi) + 2(1+eta) sigma0/gamma0."""
-    v = np.asarray(v, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    vx = float(v @ xi)
-    return complex(
-        float(xi @ xi) - 2.0 * vx ** 2 + 2.0 * (1.0 + bg.eta) * bg.sigma0 / bg.gamma0,
-        2.0 * (1.0 + bg.eta) * bg.rate * vx,
-    )
-
-
-def continuum_symbol_B(bg: ConstantBackground, v, xi) -> complex:
-    """eta (gamma0/sigma0) |xi|^2 - i 2(1+eta) sqrt(gamma0/sigma0) (v.xi) - 2(1+eta)."""
-    v = np.asarray(v, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    ratio = bg.gamma0 / bg.sigma0
-    return complex(
-        bg.eta * ratio * float(xi @ xi) - 2.0 * (1.0 + bg.eta),
-        -2.0 * (1.0 + bg.eta) * np.sqrt(ratio) * float(v @ xi),
-    )
+    if grid is None:
+        s2, s1 = xi ** 2, xi
+    else:
+        h = np.array([grid.hx, grid.hy])
+        s2, s1 = (2.0 - 2.0 * np.cos(xi * h)) / h ** 2, np.sin(xi * h) / h
+    c1, c0, b1, b0 = bg.lower_order()
+    dvv = v[0] ** 2 * s2[0] + 2.0 * v[0] * v[1] * s1[0] * s1[1] + v[1] ** 2 * s2[1]
+    dv = float(v @ s1)
+    C = complex(s2.sum() - 2.0 * dvv + c0, c1 * dv)
+    B = complex(bg.eta * (bg.gamma0 / bg.sigma0) * s2.sum() - b0, -b1 * dv)
+    return C, B
 
 
 def preprocess_data(
@@ -179,8 +146,6 @@ def preprocess_data(
     """
     if dH_i.grid != u_i.grid:
         raise GridMismatch("data and solution on different grids")
-    if bg.sigma0 <= 0.0:
-        raise ZeroAbsorption("preprocessing needs a positive absorption level")
     if u_i.values.min() <= 0.0:
         raise NonPositiveSolution("background solution must be positive")
     grid = dH_i.grid
@@ -194,19 +159,7 @@ def preprocess_data(
 
 
 def direction_blocks(bg: ConstantBackground, grid: Grid) -> list[sp.csr_matrix]:
-    """Interior row block [C_i | B_i] of each direction, once the set is certified."""
-    if bg.dirs.dim != 2:  # the operators would read two components of each vector
-        raise GridMismatch(f"{bg.dirs.dim}-D directions on a 2-D grid")
-    report = certify_directions(bg.dirs)
-    if not report.elliptic:
-        raise DirectionsNotCertified(
-            f"direction margin {report.global_margin:.3e} below threshold"
-        )
-    n_req = bg.dirs.dim + 1
-    if len(bg.dirs) < n_req:
-        raise DirectionsNotCertified(
-            f"constant-background route needs {n_req} directions"
-        )
+    """Interior row block [C_i | B_i] of each (certified) direction."""
     iidx = grid.interior_indices()
     return [
         sp.hstack(

@@ -10,7 +10,8 @@ the smallest singular value of a J-by-3 matrix per node;
 ``certify_directions`` checks the constant-background direction criterion
 (xi.v_i)^2 = (xi.v_j)^2, where the symbol of steered exponential solutions
 reduces to the directions alone.  These two are the only evaluators of the
-symbol.  The module also generates the exponential boundary-condition
+symbol, and ``certified_planar`` is the one check of a constant-background
+direction set.  The module also generates the exponential boundary-condition
 families that provably achieve ellipticity.
 """
 
@@ -262,6 +263,22 @@ def certify_directions(dirs: DirectionSet) -> EllipticityReport:
     )
 
 
+def certified_planar(dirs: DirectionSet) -> None:
+    """Refuse a direction set the 2-D constant-background route cannot use.
+
+    The grid operators read two components of each vector, so a set that is
+    not 2-D raises GridMismatch; a set that ``certify_directions`` does not
+    certify raises DirectionsNotCertified.
+    """
+    if dirs.dim != 2:
+        raise GridMismatch(f"{dirs.dim}-D directions on a 2-D grid")
+    report = certify_directions(dirs)
+    if not report.elliptic:
+        raise DirectionsNotCertified(
+            f"direction set margin {report.global_margin:.3e} below threshold"
+        )
+
+
 def cgo_boundary_set(
     grid: Grid, M: float = 4.0, k: float = 1.0, background: CoefficientPair | None = None
 ) -> list[BoundaryData]:
@@ -301,17 +318,11 @@ def constant_bg_boundary_set(
 
     These solve the constant-coefficient equation exactly, so the discrete
     solutions reproduce theta_i = v_i and d_i = sqrt(gamma0/sigma0) up to
-    discretization error.  The direction set must certify first.
+    discretization error.  The direction set must pass ``certified_planar``.
     """
     if gamma0 <= 0.0 or sigma0 <= 0.0:
         raise ValueError("constant background needs gamma0 > 0 and sigma0 > 0")
-    if dirs.dim != 2:
-        raise ValueError("grid traces require 2D directions")
-    report = certify_directions(dirs)
-    if not report.elliptic:
-        raise DirectionsNotCertified(
-            f"direction set margin {report.global_margin:.3e} below threshold"
-        )
+    certified_planar(dirs)
     rate = np.sqrt(sigma0 / gamma0)
     X, Y = grid.coords()
     b = grid.boundary_indices()

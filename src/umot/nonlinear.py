@@ -115,7 +115,7 @@ def reconstruct(
 
     Builds the base bundle at ``coeffs0`` from the traces ``f`` with the
     ``build_bundle`` defaults, certifies it with the ``certify_field``
-    defaults (128 frequency samples), then runs ``sweep``.
+    default margin threshold, then runs ``sweep``.
     """
     bundle0 = build_bundle(coeffs0, f, eta)
     return sweep(H_meas, bundle0, certify_field(bundle0), opts or ReconstructOptions(), truth)

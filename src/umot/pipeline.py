@@ -108,9 +108,8 @@ class ScenarioSetup:
 
     @classmethod
     def from_config(cls, config: ScenarioConfig) -> "ScenarioSetup":
-        grid = config.make_grid()
-        background = config.make_background(grid)
-        return cls(config, grid, background, config.make_traces(grid, background))
+        e = config.experiment  # built when the scenario was parsed
+        return cls(config, e.grid, e.background, e.traces)
 
     @cached_property
     def bundle(self) -> SolutionBundle:
@@ -127,7 +126,7 @@ class ScenarioSetup:
 def forward_stage(setup: ScenarioSetup, rec: Recorder):
     """Write u_j, noisy H_j, dH_j and the truth fields; return (truth, H_j, dH_j)."""
     config, grid = setup.config, setup.grid
-    truth = config.make_truth(grid, setup.background)
+    truth = config.experiment.truth
     bundle_truth = setup.bundle.at(truth)
     H_meas = list(bundle_truth.H)
     if config.noise.level > 0.0:
@@ -196,7 +195,7 @@ def linearized_reconstruction(setup: ScenarioSetup, dH, g=None, truth=None) -> d
 
 def constant_bg_reconstruction(setup: ScenarioSetup, dH, truth=None) -> dict:
     """Constant-background fourth-order solve, dividing by the bundle's u_j, as a dict."""
-    bg = setup.config.make_constant_background()
+    bg = setup.config.constant_background
     data = [preprocess_data(d, u, bg) for d, (_, u) in zip(dH, setup.bundle.solutions)]
     dgamma, dsigma = solve_constant_bg(bg, data)
     out = {"dgamma": field_to_dict(dgamma), "dsigma": field_to_dict(dsigma)}

@@ -3,10 +3,12 @@
 Unknown keys and missing required keys are rejected at every level, a seed
 is mandatory whenever noise is requested, and the parsed configuration
 serializes back to itself with all defaults made explicit.  Counts must be
-integers, and the library constructors' range checks run at parse time, their
-refusals as ScenarioError.  The files a scenario names (a ``fields``
-background, an ``explicit`` boundary set) are read at parse time too, so a
-missing or malformed one is a ScenarioError before anything is written.
+integers.  Parsing builds the experiment, once: the grid, the background
+(reading a ``fields`` background's files), the traces (reading an
+``explicit`` boundary set's files), the truth and, on the ``constant_bg``
+path, the constant background.  So the library constructors' refusals and a
+missing or malformed file are a ScenarioError before anything is written,
+and the pipeline reuses what parsing built.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .constant_bg import ConstantBackground
 from .ellipticity import DirectionSet, cgo_boundary_set, constant_bg_boundary_set
-from .errors import DirectionsNotCertified, ScenarioError, ZeroEta
+from .errors import BumpTouchesBoundary, DirectionsNotCertified, ScenarioError, ZeroEta
 from .field_core import BoundaryData, Grid, ScalarField
 from .fileio import field_from_dict, load_json, require_key
 from .forward import CoefficientPair
@@ -33,7 +36,7 @@ def _require_keys(
 ) -> None:
     missing = required - set(d)
     if missing:
-        raise ScenarioError(f"{where} is missing {sorted(missing)}")
+        raise ScenarioError(f"missing {', '.join(f'{where}.{k}' for k in sorted(missing))}")
     unknown = set(d) - required - optional
     if unknown:
         raise ScenarioError(f"unknown keys {sorted(unknown)} in {where}")
@@ -102,8 +105,7 @@ class NoiseConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if not self.level >= 0.0:
-            raise ScenarioError(f"noise level must be nonnegative, got {self.level}")
+        _check_real("noise level", self.level)
         if self.seed is not None:
             _check_count("noise seed", self.seed, 0)
         elif self.level > 0.0:
@@ -127,6 +129,17 @@ class InversionConfig:
 
 
 @dataclass(frozen=True)
+class Experiment:
+    """What a scenario builds: grid, background, traces (at that background)
+    and truth (the background plus the phantom)."""
+
+    grid: Grid
+    background: CoefficientPair
+    traces: list
+    truth: CoefficientPair
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     grid: dict
     eta: float
@@ -145,12 +158,23 @@ class ScenarioConfig:
             raise ScenarioError("constant_bg boundary sets need a constant background")
         if self.inversion.path == "constant_bg" and self.boundary_set["type"] != "constant_bg":
             raise ScenarioError("inversion path 'constant_bg' needs a constant_bg boundary set")
-        # the library constructors' range checks and the named files' reads, at parse time
-        grid = self.make_grid()
-        self.make_background(grid)
-        self.make_traces(grid, None)
+        # built now, so that a refusal comes before anything is written
+        self.experiment
         if self.inversion.path == "constant_bg":
-            self.make_constant_background()
+            self.constant_background
+
+    @cached_property
+    def experiment(self) -> Experiment:
+        grid = self.make_grid()
+        bg = self.make_background(grid)
+        return Experiment(grid, bg, self.make_traces(grid, bg), self.make_truth(grid, bg))
+
+    @cached_property
+    def constant_background(self) -> ConstantBackground:
+        """Background of the constant-background route: built at parse on the
+        ``constant_bg`` path, on first use (``umot constbg``) on the others."""
+        bg = self.background
+        return ConstantBackground(bg["gamma0"], bg["sigma0"], self.eta, self.make_directions())
 
     def make_grid(self) -> Grid:
         g = self.grid
@@ -185,10 +209,6 @@ class ScenarioConfig:
         vecs = [np.asarray(v, dtype=float) for v in bs["dirs"]]
         vecs = [v / np.linalg.norm(v) for v in vecs]
         return DirectionSet(2, tuple(vecs))
-
-    def make_constant_background(self) -> ConstantBackground:
-        bg = self.background
-        return ConstantBackground(bg["gamma0"], bg["sigma0"], self.eta, self.make_directions())
 
     def make_traces(self, grid: Grid, background: CoefficientPair) -> list[BoundaryData]:
         bs = self.boundary_set
@@ -253,12 +273,14 @@ def parse_scenario(data) -> ScenarioConfig:
     if bs.get("type") == "cgo":
         _require_keys(bs, "boundary_set", {"type"}, {"M", "k"})
     elif bs.get("type") == "constant_bg":
-        _require_keys(bs, "boundary_set", {"type"}, {"dirs"})
-        dirs = bs.get("dirs")
+        _require_keys(bs, "boundary_set", {"type", "dirs"})
+        dirs = bs["dirs"]
         if not isinstance(dirs, (list, tuple)) or not all(map(_is_direction, dirs)):
             raise ScenarioError("boundary_set.dirs must list nonzero 2-component vectors")
     elif bs.get("type") == "explicit":
         _require_keys(bs, "boundary_set", {"type", "files"})
+        if not isinstance(bs["files"], (list, tuple)) or not bs["files"]:
+            raise ScenarioError("boundary_set.files must list at least one boundary file")
     else:
         raise ScenarioError("boundary set type must be cgo, constant_bg, or explicit")
 
@@ -287,7 +309,7 @@ def parse_scenario(data) -> ScenarioConfig:
             certify=CertifyConfig(**certify_d),
             inversion=InversionConfig(**inv_d),
         )
-    except (TypeError, ValueError, DirectionsNotCertified, ZeroEta) as exc:
+    except (TypeError, ValueError, BumpTouchesBoundary, DirectionsNotCertified, ZeroEta) as exc:
         # refused by a library constructor
         raise ScenarioError(f"invalid scenario value: {exc}") from exc
 

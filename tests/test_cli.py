@@ -14,6 +14,7 @@ from umot.fileio import (
     write_field_list_json,
 )
 from umot.nonlinear import IterationRecord, ReconstructionResult
+from umot.scenario import parse_scenario
 
 SCENARIO = {
     "grid": {"nx": 18, "ny": 18, "hx": 1 / 17, "hy": 1 / 17},
@@ -392,6 +393,51 @@ def test_scenario_files_are_read_at_parse(tmp_path, capsys, slot, content, messa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message.format(bad=bad) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"phantom": {"bumps": [SCENARIO["phantom"]["bumps"][0] | {"amplitude": -2.0}]}},
+         "diffusion coefficient below"),
+        ({"phantom": {"bumps": [SCENARIO["phantom"]["bumps"][1] | {"amplitude": -2.0}]}},
+         "absorption coefficient must be nonnegative"),
+        ({"phantom": {"bumps": [SCENARIO["phantom"]["bumps"][0] | {"center": [0.15, 0.5]}]}},
+         "reaches the boundary band"),
+        ({"noise": {"level": float("inf"), "seed": 11}}, "noise level must be a finite number"),
+        ({"boundary_set": {"type": "explicit", "files": []}}, "at least one boundary file"),
+    ],
+    ids=["gamma-truth", "sigma-truth", "bump-at-boundary", "noise-infinite", "no-trace-files"],
+)
+def test_scenario_values_refused_at_parse(tmp_path, capsys, changes, message):
+    # the truth is built, the noise level range-checked and the trace list
+    # checked when the scenario is parsed: refused before any file is written
+    spath = _variant(tmp_path, **changes)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--scenario", str(spath), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_pipeline_reuses_what_parse_read(tmp_path):
+    # a fields background is read once, when the scenario is parsed: the
+    # pipeline runs on what parsing built after its files are gone
+    g = Grid(20, 20, 1 / 19, 1 / 19)
+    files = {"gamma_file": tmp_path / "gamma.json", "sigma_file": tmp_path / "sigma.json"}
+    dump_json(field_to_dict(ScalarField.constant(g, 1.0)), files["gamma_file"])
+    dump_json(field_to_dict(ScalarField.constant(g, 0.2)), files["sigma_file"])
+    scen = json.loads(json.dumps(SCENARIO))
+    scen["grid"] = {"nx": 20, "ny": 20, "hx": 1 / 19, "hy": 1 / 19}
+    scen["background"] = {"type": "fields", **{k: str(p) for k, p in files.items()}}
+    scen["boundary_set"] = {"type": "cgo", "M": 4.0, "k": 1.0}
+    scen["phantom"] = {"bumps": scen["phantom"]["bumps"][:1]}
+    config = parse_scenario(json.dumps(scen))
+    for path in files.values():
+        path.unlink()
+    manifest = umot.pipeline.run_pipeline(config, tmp_path / "run")
+    assert "reconstruction.json" in {p for p, _ in manifest.outputs}
+    assert load_json(tmp_path / "run" / "certify.json")["elliptic"] is True
 
 
 def test_reconstruct_command(tmp_path, scenario_file):
