@@ -1,4 +1,4 @@
-"""Print the sha256 of every artifact of nine fixed pipeline scenarios.
+"""Print the sha256 of every artifact of twelve fixed pipeline scenarios.
 
     python3 scripts/pipeline_digests.py --out DIR
 
@@ -10,6 +10,9 @@ that should not move any number.  The ``settings`` scenario sets
 ``grad_floor`` and ``margin_threshold`` away from their defaults, so its
 digests also pin that those values reach each bundle build and certification
 of the sweep.  The ``explicit`` scenario reads its three traces from files.
+The three ``uncertified_*`` scenarios set ``margin_threshold`` above the
+margin and run with ``allow_noncertified``, one per inversion path, so they
+pin that an allowed failure changes no number (it warns on stderr).
 The script works inside DIR, so the file paths that ``scenario.json``
 records are the same on every run.
 """
@@ -73,6 +76,15 @@ SCENARIOS = {
         "boundary_set": {"type": "explicit", "files": [f"traces/f{j}.json" for j in range(3)]},
     },
 }
+UNCERTIFIED = {
+    "uncertified_linearized": {"path": "linearized"},
+    "uncertified_nonlinear": {"path": "nonlinear", "kmax": 4},
+    "uncertified_constant_bg": {"path": "constant_bg"},
+}
+SCENARIOS.update(
+    (name, {**NOISE_FREE, "certify": {"margin_threshold": 10.0}, "inversion": inversion})
+    for name, inversion in UNCERTIFIED.items()
+)
 
 
 def _write_background_fields() -> None:
@@ -106,7 +118,7 @@ def main(argv=None) -> int:
     _write_boundary_traces()
     for name, changes in SCENARIOS.items():
         config = umot.parse_scenario(json.dumps({**BASE, **changes}))
-        manifest = umot.run_pipeline(config, name)
+        manifest = umot.run_pipeline(config, name, allow_noncertified=name in UNCERTIFIED)
         for path, digest in manifest.outputs:
             print(f"{name}/{path} {digest}")
     return 0

@@ -2,9 +2,10 @@
 
 Subcommands: forward, certify, linearize, constbg, reconstruct, pipeline.
 All read a scenario and call the stage functions and serializers of
-umot.pipeline, so each writes what the matching pipeline stage writes.
-Output is JSON (plus CSV mirrors for fields).  The UMOT_LOG environment
-variable selects the logging level (error, info, debug).
+umot.pipeline, so each writes what the matching pipeline stage writes, and
+gate their base bundle as the certify stage does (``EllipticityReport.require``,
+exit 2).  Output is JSON (plus CSV mirrors for fields).  The UMOT_LOG
+environment variable selects the logging level (error, info, debug).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PipelineStageError, UmotError
+from .errors import NotElliptic, PipelineStageError, UmotError
 from .field_core import BoundaryData
 from .fileio import dump_json, field_from_dict, load_json, read_field_list_json, require_key
 from .forward import CoefficientPair
@@ -61,15 +62,16 @@ def cmd_forward(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    config = parse_scenario(Path(args.scenario).read_text())
-    report = ScenarioSetup.from_config(config).certificate
+    report = _setup(args).certificate
     dump_json(report_dict(report), args.report)
     print(f"elliptic={report.elliptic} margin={report.global_margin:.6e}")
-    return 0 if report.elliptic or args.allow_noncertified else 2
+    report.require(args.allow_noncertified)
+    return 0
 
 
 def cmd_linearize(args) -> int:
     setup = _setup(args)
+    setup.certificate.require()
     g = None
     if args.g:
         components = require_key(load_json(args.g), "components", "--g file")
@@ -83,7 +85,9 @@ def cmd_linearize(args) -> int:
 
 
 def cmd_constbg(args) -> int:
-    dump_json(constant_bg_reconstruction(_setup(args), read_field_list_json(args.dh)), args.out)
+    setup = _setup(args)
+    setup.certificate.require()
+    dump_json(constant_bg_reconstruction(setup, read_field_list_json(args.dh)), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -94,9 +98,8 @@ def cmd_reconstruct(args) -> int:
         *(field_from_dict(require_key(init, k, "--init file")) for k in ("gamma", "sigma"))
     )
     setup = replace(_setup(args), background=coeffs0)
-    result, diverged = nonlinear_reconstruction(
-        setup, read_field_list_json(args.hmeas), args.allow_noncertified
-    )
+    setup.certificate.require(args.allow_noncertified)
+    result, diverged = nonlinear_reconstruction(setup, read_field_list_json(args.hmeas))
     if args.log:
         Path(args.log).write_text(trace_csv(result))
     dump_json(nonlinear_dict(result, diverged), args.out)
@@ -168,7 +171,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except PipelineStageError as exc:
+    except (NotElliptic, PipelineStageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UmotError, ValueError, OSError) as exc:  # a malformed or unreadable input file

@@ -53,8 +53,9 @@ from .solvers import SparseFactor
 
 @dataclass(frozen=True)
 class ConstantBackground:
-    """Constant levels and directions: gamma0 > 0, sigma0 > 0 (0 raises
-    ZeroAbsorption), eta != 0 and a set that passes ``certified_planar``."""
+    """Constant levels and directions: finite levels, gamma0 > 0, sigma0 > 0
+    (0 raises ZeroAbsorption), eta != 0 and a set that passes
+    ``certified_planar``."""
 
     gamma0: float
     sigma0: float
@@ -62,6 +63,8 @@ class ConstantBackground:
     dirs: DirectionSet
 
     def __post_init__(self):
+        if not np.isfinite([self.gamma0, self.sigma0, self.eta]).all():
+            raise ValueError("gamma0, sigma0 and eta must be finite")
         if self.gamma0 <= 0.0:
             raise ValueError("gamma0 must be positive")
         if self.sigma0 < 0.0:

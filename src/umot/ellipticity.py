@@ -17,6 +17,7 @@ families that provably achieve ellipticity.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -26,6 +27,7 @@ from .errors import (
     AllNodesDegenerate,
     DirectionsNotCertified,
     GridMismatch,
+    NotElliptic,
     NotUnitVector,
 )
 from .field_core import BoundaryData, Grid
@@ -72,7 +74,8 @@ class EllipticityReport:
     It records its relative ``margin_threshold``; ``threshold`` is the
     absolute cut, the relative one times the largest row norm (equal to it
     for a direction set).  ``witness`` is (node_index, xi), node_index None
-    for direction sets, present exactly when not certified.
+    for direction sets, present exactly when not certified.  ``require`` is
+    the one place a failed certification becomes a refusal or a warning.
     """
 
     global_margin: float
@@ -88,6 +91,18 @@ class EllipticityReport:
             raise ValueError("certified report must not carry a witness")
         if not self.elliptic and self.witness is None:
             raise ValueError("failed report must carry a witness")
+
+    def require(self, allow: bool = False) -> None:
+        """Nothing if certified; else raise NotElliptic, or warn once if ``allow``."""
+        if self.elliptic:
+            return
+        msg = f"failed certification: margin {self.global_margin:.3e}, "
+        msg += f"threshold {self.threshold:.3e}"
+        if self.masked_fraction > MASKED_INTERIOR_LIMIT:
+            msg += f", {self.masked_fraction:.1%} of interior nodes masked"
+        if not allow:
+            raise NotElliptic(msg)
+        warnings.warn(msg, stacklevel=2)
 
 
 def _half_circle(n: int) -> np.ndarray:

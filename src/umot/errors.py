@@ -50,7 +50,7 @@ class ZeroEta(UmotError):
 
 
 class NotElliptic(UmotError):
-    """Reconstruction refused: base-point system failed certification."""
+    """A bundle failed certification and its caller did not allow that."""
 
 
 class Diverged(UmotError):

@@ -25,8 +25,8 @@ biharmonic lift and the solve runs on the homogeneous remainder.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,16 +55,6 @@ class PerturbationVector:
     dsigma: ScalarField
     du: tuple
 
-    def __post_init__(self):
-        grid = self.dgamma.grid
-        if self.dsigma.grid != grid or any(u.grid != grid for u in self.du):
-            raise GridMismatch("perturbation components on different grids")
-        b = grid.boundary_indices()
-        for u in self.du:
-            if np.max(np.abs(u.values[b])) > 1e-12:
-                raise ValueError("du components must vanish on the boundary")
-        object.__setattr__(self, "du", tuple(self.du))
-
 
 @dataclass
 class LinearizedSystem:
@@ -74,31 +64,48 @@ class LinearizedSystem:
     interior blocks [dgamma | dsigma | du_1 ... du_J].  ``A_boundary`` holds the
     columns of the boundary nodes of the dgamma/dsigma blocks (zero in the
     default interior-supported model; needed when a lift supplies boundary
-    values).
+    values).  The system carries no certification: callers gate the bundle
+    with ``EllipticityReport.require`` before they assemble.
     """
 
     A: DiscreteOperator
     rhs: np.ndarray
     bundle: SolutionBundle
     A_boundary: sp.csr_matrix
-    certified: bool | None = None
-    _normal: tuple | None = field(default=None, repr=False)
 
     @property
     def J(self) -> int:
         return self.bundle.J
 
+    @cached_property
+    def normal(self) -> tuple:
+        """(factor, probe, sigma_max) of the normal matrix, built once per system.
+
+        An exactly singular factorization gives (None, 0.0, 0.0).
+        """
+        A = self.A.matrix
+        try:
+            factor = SparseFactor((A.T @ A).tocsr())
+        except SolverDivergence:
+            return None, 0.0, 0.0
+        return (factor, *factor.smallest_singular(A))
+
     def data_rhs(self, dH: list[ScalarField]) -> np.ndarray:
         """Right-hand side for a new set of functional perturbations."""
-        grid = self.bundle.grid
-        iidx = grid.interior_indices()
-        n_int = iidx.size
-        rhs = np.zeros(2 * self.J * n_int)
-        for j, dh in enumerate(dH):
-            if dh.grid != grid:
-                raise GridMismatch("dH field on the wrong grid")
-            rhs[2 * j * n_int : (2 * j + 1) * n_int] = dh.values[iidx]
-        return rhs
+        return _data_rhs(self.bundle, dH)
+
+
+def _data_rhs(bundle: SolutionBundle, dH: list[ScalarField]) -> np.ndarray:
+    """The data rows' right-hand side: dH_j on the interior, zero state rows."""
+    grid = bundle.grid
+    iidx = grid.interior_indices()
+    n_int = iidx.size
+    rhs = np.zeros(2 * bundle.J * n_int)
+    for j, dh in enumerate(dH):
+        if dh.grid != grid:
+            raise GridMismatch("dH field on the wrong grid")
+        rhs[2 * j * n_int : (2 * j + 1) * n_int] = dh.values[iidx]
+    return rhs
 
 
 def assemble_system(
@@ -153,11 +160,9 @@ def assemble_system(
     A_bnd = sp.hstack(
         [sp.vstack(boundary_rows), sp.csr_matrix((2 * J * n_int, bidx.size))], format="csr"
     )
-    system = LinearizedSystem(
-        DiscreteOperator(sp.bmat(rows, format="csr")), None, bundle, A_bnd
+    return LinearizedSystem(
+        DiscreteOperator(sp.bmat(rows, format="csr")), _data_rhs(bundle, dH), bundle, A_bnd
     )
-    system.rhs = system.data_rhs(dH)
-    return system
 
 
 def apply_linearized_forward(
@@ -200,22 +205,6 @@ def apply_linearized_forward(
     return dH_out, du_out
 
 
-def _normal_factor(sys: LinearizedSystem) -> tuple:
-    """(factor, probe, sigma_max) of the normal matrix, built once per system.
-
-    An exactly singular factorization is cached as (None, 0.0, 0.0).
-    """
-    if sys._normal is None:
-        A = sys.A.matrix
-        try:
-            factor = SparseFactor((A.T @ A).tocsr())
-        except SolverDivergence:
-            sys._normal = (None, 0.0, 0.0)
-        else:
-            sys._normal = (factor, *factor.smallest_singular(A))
-    return sys._normal
-
-
 def _ensure_full_rank(sys: LinearizedSystem) -> SparseFactor:
     """The normal factor, or RankDeficient when the smallest singular value collapses.
 
@@ -223,7 +212,7 @@ def _ensure_full_rank(sys: LinearizedSystem) -> SparseFactor:
     direct factorization can return an arbitrarily large spurious solution
     without tripping any residual check; hence the probe before every solve.
     """
-    factor, probe, smax = _normal_factor(sys)
+    factor, probe, smax = sys.normal
     if factor is None:
         raise RankDeficient("normal matrix is exactly singular: injectivity failure")
     if probe < RANK_DEFICIENT_REL * smax:
@@ -248,8 +237,6 @@ def solve_normal_equations(
     after the rank probe has cleared it; the factor checks the solve's
     residual against the solve layer's one bound.
     """
-    if sys.certified is False:
-        warnings.warn("solving a system whose bundle failed certification")
     grid = sys.bundle.grid
     iidx = grid.interior_indices()
     bidx = grid.boundary_indices()
@@ -311,7 +298,7 @@ def injectivity_probe(sys: LinearizedSystem, relative: bool = False) -> float:
     structurally null directions therefore report far below the eigenvalue
     round-off floor, and an exactly singular factor reports 0.
     """
-    _, probe, smax = _normal_factor(sys)
+    _, probe, smax = sys.normal
     if relative:
         return probe / smax if smax > 0 else 0.0
     return probe

@@ -7,9 +7,9 @@ back onto the admissible set (gamma bounded below, sigma nonnegative).  In
 frozen mode the linearized operator is assembled and factorized once at the
 base point: that is the contraction map whose quadratic remainder shrinks on
 a small ball.  Refreshed mode reassembles at each iterate (a Gauss-Newton
-flavored extension) and certifies each iterate's bundle before solving on it.
-Every bundle of a sweep is built and certified with the settings of its base
-bundle and base certificate.
+flavored extension) and certifies each iterate's bundle, warning for one that
+fails.  Every bundle of a sweep is built and certified with the settings of
+its base bundle and base certificate; the caller gates the base itself.
 
 Residuals and steps are measured in a grid-weighted L2 norm augmented with
 h-scaled first differences (a first-order Sobolev proxy).
@@ -17,13 +17,12 @@ h-scaled first differences (a first-order Sobolev proxy).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ellipticity import EllipticityReport, certify_field
-from .errors import Diverged, InsufficientHistory, NotElliptic
+from .errors import Diverged, GridMismatch, InsufficientHistory
 from .field_core import BoundaryData, ScalarField, gradient, l2_norm, rel_l2_error
 from .forward import CoefficientPair, SolutionBundle, build_bundle
 from .linearized import assemble_system, solve_normal_equations
@@ -50,15 +49,13 @@ def h1_proxy_norm(fields: list[ScalarField]) -> float:
 @dataclass(frozen=True)
 class ReconstructOptions:
     """How a sweep iterates: ``mode`` ("frozen" or "refreshed"), the relative
-    residual ``tol`` and step ``steptol`` that stop it, at most ``kmax`` sweeps,
-    and whether an uncertified base raises (``strict_ellipticity``) or warns.
-    Builds and certifications take their settings from the base point."""
+    residual ``tol`` and step ``steptol`` that stop it, and at most ``kmax``
+    sweeps.  Builds and certifications take their settings from the base point."""
 
     mode: str = "frozen"
     tol: float = 1e-8
     steptol: float = 1e-10
     kmax: int = 100
-    strict_ellipticity: bool = True
 
     def __post_init__(self):
         if self.mode not in ("frozen", "refreshed"):
@@ -115,10 +112,12 @@ def reconstruct(
 
     Builds the base bundle at ``coeffs0`` from the traces ``f`` with the
     ``build_bundle`` defaults, certifies it with the ``certify_field``
-    default margin threshold, then runs ``sweep``.
+    default margin threshold, raises NotElliptic if it fails, then runs ``sweep``.
     """
     bundle0 = build_bundle(coeffs0, f, eta)
-    return sweep(H_meas, bundle0, certify_field(bundle0), opts or ReconstructOptions(), truth)
+    report = certify_field(bundle0)
+    report.require()
+    return sweep(H_meas, bundle0, report, opts or ReconstructOptions(), truth)
 
 
 def sweep(
@@ -130,21 +129,19 @@ def sweep(
 ) -> ReconstructionResult:
     """Fixed-point sweep from a base bundle and its certificate ``report``.
 
-    The base point fixes the settings: every trial bundle is ``bundle0``'s
-    build at new coefficients (``SolutionBundle.at``), and refreshed mode
-    recertifies each iterate with the report's ``margin_threshold``.
+    The caller has gated the base (``report.require``); the sweep reads only
+    the report's ``margin_threshold``, with which refreshed mode recertifies
+    each iterate, warning for one that fails.  Every trial bundle is
+    ``bundle0``'s build at new coefficients (``SolutionBundle.at``).
     Terminates on relative residual <= tol, relative step <= steptol, or kmax
-    sweeps.  Raises NotElliptic when the base report is not elliptic in strict
-    mode, and Diverged (carrying the partial result) after five consecutive
-    residual increases.
+    sweeps.  Raises GridMismatch for functionals off the base grid, and
+    Diverged (carrying the partial result) after five consecutive residual
+    increases.
     """
     if len(H_meas) != bundle0.J:
         raise ValueError("need one measured functional per boundary condition")
-    if not report.elliptic:
-        msg = f"base bundle margin {report.global_margin:.3e} below threshold"
-        if opts.strict_ellipticity:
-            raise NotElliptic(msg)
-        warnings.warn(msg)
+    if any(h.grid != bundle0.grid for h in H_meas):
+        raise GridMismatch("measured functional on the wrong grid")
     coeffs0 = bundle0.coeffs
 
     scale = h1_proxy_norm(H_meas) or 1.0
@@ -152,7 +149,6 @@ def sweep(
 
     zero = [ScalarField(coeffs0.grid, np.zeros(coeffs0.grid.n_nodes))] * bundle0.J
     sys0 = assemble_system(bundle0, zero)
-    sys0.certified = report.elliptic
 
     history: list[IterationRecord] = []
     bundle_k = bundle0
@@ -185,10 +181,8 @@ def sweep(
             return result(False, k, residual)
 
         if opts.mode == "refreshed" and k > 0:
-            sys_k = assemble_system(bundle_k, dh)
-            cert_k = certify_field(bundle_k, margin_threshold=report.margin_threshold)
-            sys_k.certified = cert_k.elliptic
-            v = solve_normal_equations(sys_k)
+            certify_field(bundle_k, margin_threshold=report.margin_threshold).require(allow=True)
+            v = solve_normal_equations(assemble_system(bundle_k, dh))
         else:
             v = solve_normal_equations(sys0, rhs=sys0.data_rhs(dh))
 
@@ -259,11 +253,13 @@ def stability_probe(
     Pairs with vanishing data difference are excluded.  ``noise`` optionally
     maps a functional list to its noisy version before reconstruction.  The
     base is built and certified as in ``reconstruct``, and each truth bundle
-    is the base's build at the truth coefficients.
+    is the base's build at the truth coefficients; an uncertified base raises
+    NotElliptic.
     """
     opts = opts or ReconstructOptions()
     base_bundle = build_bundle(coeffs0, f, eta)
     report = certify_field(base_bundle)
+    report.require()
     H0 = list(base_bundle.H)
     xs, ys = [], []
     for truth in truth_pairs:

@@ -1,12 +1,13 @@
 """Scenario pipeline: forward -> certify -> invert, with a run manifest.
 
-Every stage works on one ``ScenarioSetup``, the scenario's certified base
-point, and the invert stage runs one of three reconstructions on it.
-Artifacts are written as each stage completes, so a failing stage preserves
-everything produced before it and its error names the stage.  Numeric
-outputs are deterministic for a fixed configuration (and seed); the manifest
-lists every output file with a content digest.  The ``umot`` subcommands
-call the same stage functions and serializers.
+Every stage works on one ``ScenarioSetup``, the scenario's base point, which
+the certify stage gates (``EllipticityReport.require``: refuse, or warn once
+with ``allow_noncertified``); the invert stage runs one of three
+reconstructions on it.  Artifacts are written as each stage completes, so a
+failing stage preserves everything produced before it and its error names
+the stage.  Numeric outputs are deterministic for a fixed configuration (and
+seed); the manifest lists every output file with a content digest.  The
+``umot`` subcommands call the same stage functions and serializers.
 """
 
 from __future__ import annotations
@@ -179,7 +180,6 @@ def _errors(dgamma, dsigma, truth: CoefficientPair, background: CoefficientPair)
 def linearized_reconstruction(setup: ScenarioSetup, dH, g=None, truth=None) -> dict:
     """Linearized solve at the base point (optional normal data ``g``) as a dict."""
     sys = assemble_system(setup.bundle, dH)
-    sys.certified = setup.certificate.elliptic
     v = solve_normal_equations(sys, g=g)
     out = {
         "dgamma": field_to_dict(v.dgamma),
@@ -205,14 +205,12 @@ def constant_bg_reconstruction(setup: ScenarioSetup, dH, truth=None) -> dict:
 
 
 def nonlinear_reconstruction(
-    setup: ScenarioSetup, H_meas, allow_noncertified: bool, truth=None
+    setup: ScenarioSetup, H_meas, truth=None
 ) -> tuple[ReconstructionResult, str | None]:
     """Sweep from the base point: (result, None), or (best iterate, message)
     when the sweep diverges."""
     inv = setup.config.inversion
-    opts = ReconstructOptions(
-        mode=inv.mode, tol=inv.tol, kmax=inv.kmax, strict_ellipticity=not allow_noncertified
-    )
+    opts = ReconstructOptions(mode=inv.mode, tol=inv.tol, kmax=inv.kmax)
     try:
         return sweep(H_meas, setup.bundle, setup.certificate, opts, truth), None
     except Diverged as exc:
@@ -255,17 +253,12 @@ def run_pipeline(
     with _stage("certify"):
         report = setup.certificate
         rec.json("certify.json", report_dict(report))
-    if not report.elliptic and not allow_noncertified:
-        raise PipelineStageError(
-            "certify", f"bundle not certified (margin {report.global_margin:.3e})"
-        )
+        report.require(allow_noncertified)
 
     path = config.inversion.path
     with _stage("invert"):
         if path == "nonlinear":
-            result, diverged = nonlinear_reconstruction(
-                setup, H_meas, allow_noncertified, truth
-            )
+            result, diverged = nonlinear_reconstruction(setup, H_meas, truth)
             rec.text("trace.csv", trace_csv(result))
             rec.json("reconstruction.json", nonlinear_dict(result, diverged))
             if diverged is not None:

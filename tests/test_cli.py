@@ -6,6 +6,7 @@ import pytest
 import umot.pipeline
 from umot import Grid, ScalarField
 from umot.cli import main
+from umot.errors import NotElliptic
 from umot.fileio import (
     dump_json,
     field_to_dict,
@@ -147,7 +148,7 @@ def test_linearize_command(tmp_path, scenario_file):
     assert v["injectivity_probe_rel"] > 1e-6
 
 
-def test_linearize_command_uses_scenario_threshold(tmp_path, scenario_file):
+def test_linearize_command_uses_scenario_threshold(tmp_path, scenario_file, capsys):
     # a margin threshold above the bundle's margin must fail certification
     # in the standalone command exactly as it does in the pipeline
     out = tmp_path / "run"
@@ -158,12 +159,13 @@ def test_linearize_command_uses_scenario_threshold(tmp_path, scenario_file):
     strict["certify"] = {"margin_threshold": 10.0}
     strict_path = tmp_path / "strict.json"
     strict_path.write_text(json.dumps(strict))
-    with pytest.warns(UserWarning, match="failed certification"):
-        rc = main(
-            ["linearize", "--scenario", str(strict_path), "--dh", str(dh_path),
-             "--out", str(tmp_path / "v.json")]
-        )
-    assert rc == 0
+    rc = main(
+        ["linearize", "--scenario", str(strict_path), "--dh", str(dh_path),
+         "--out", str(tmp_path / "v.json")]
+    )
+    assert rc == 2
+    assert "failed certification" in capsys.readouterr().err
+    assert not (tmp_path / "v.json").exists()
 
 
 def test_linearize_command_with_normal_data(tmp_path, scenario_file):
@@ -536,9 +538,9 @@ def test_nonlinear_pipeline_certifies_with_scenario_settings(tmp_path, monkeypat
              "--allow-noncertified"]
         )
     assert rc == 0
+    # the certify stage's gate warns once; the sweep and its solves do not
     messages = [str(w.message) for w in warned]
-    assert any("base bundle margin" in m for m in messages)
-    assert any("failed certification" in m for m in messages)
+    assert len(messages) == 1 and "failed certification" in messages[0]
     assert calls == [(0.9, False)]
     assert len(base_builds) == 1
 
@@ -622,3 +624,87 @@ def test_noise_pipeline_deterministic(tmp_path):
     ma = load_json(tmp_path / "a" / "manifest.json")
     mb = load_json(tmp_path / "b" / "manifest.json")
     assert ma["outputs"] == mb["outputs"]
+
+
+def _uncertified_run(tmp_path, command):
+    """Argv of ``command`` on a scenario whose threshold its margin misses,
+    the files that argv names as outputs, and the gate's expected message."""
+    spath = _variant(tmp_path, certify={"margin_threshold": 10.0})
+    setup = umot.pipeline.ScenarioSetup.from_config(parse_scenario(spath.read_text()))
+    with pytest.raises(NotElliptic) as refused:
+        setup.certificate.require()
+    g = setup.grid
+    dh_path = tmp_path / "dh.json"
+    write_field_list_json([ScalarField.constant(g, 0.0)] * 3, dh_path)
+    h_path, init_path = _reconstruct_inputs(tmp_path, list(setup.bundle.H))
+    out = tmp_path / "out.json"
+    argv, outputs = {
+        "certify": (["--report", str(out)], [out]),
+        "linearize": (["--dh", str(dh_path), "--out", str(out)], [out]),
+        "constbg": (["--dh", str(dh_path), "--out", str(out)], [out]),
+        "reconstruct": (
+            ["--hmeas", str(h_path), "--init", str(init_path), "--out", str(out),
+             "--log", str(tmp_path / "trace.csv")],
+            [out, tmp_path / "trace.csv"],
+        ),
+        "pipeline": (["--out", str(tmp_path / "run")], [tmp_path / "run" / "manifest.json"]),
+    }[command]
+    return [command, "--scenario", str(spath), *argv], outputs, str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "command", ["certify", "linearize", "constbg", "reconstruct", "pipeline"]
+)
+def test_uncertified_base_refused_by_every_command(tmp_path, capsys, command):
+    # one gate: every subcommand exits 2 with the report's own message, and
+    # only certify writes (its report)
+    argv, outputs, message = _uncertified_run(tmp_path, command)
+    assert "failed certification" in message
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("failed certification") == 1
+    if command == "certify":
+        assert load_json(outputs[0])["elliptic"] is False
+    else:
+        assert not any(p.exists() for p in outputs)
+
+
+@pytest.mark.parametrize("command", ["certify", "reconstruct", "pipeline"])
+def test_allow_noncertified_warns_once(tmp_path, command):
+    argv, outputs, message = _uncertified_run(tmp_path, command)
+    with pytest.warns(UserWarning) as warned:
+        assert main([*argv, "--allow-noncertified"]) == 0
+    assert [str(w.message) for w in warned] == [message]
+    assert all(p.exists() for p in outputs)
+
+
+@pytest.mark.parametrize(
+    "inversion",
+    [{"path": "linearized"}, {"path": "nonlinear", "kmax": 4}, {"path": "constant_bg"}],
+    ids=lambda inv: inv["path"],
+)
+def test_pipeline_allow_noncertified_warns_once_on_every_path(tmp_path, inversion):
+    spath = _variant(tmp_path, certify={"margin_threshold": 10.0}, inversion=inversion)
+    out = tmp_path / "run"
+    with pytest.warns(UserWarning) as warned:
+        rc = main(
+            ["pipeline", "--scenario", str(spath), "--out", str(out), "--allow-noncertified"]
+        )
+    assert rc == 0
+    assert len(warned) == 1 and "failed certification" in str(warned[0].message)
+    assert load_json(out / "certify.json")["elliptic"] is False
+    assert (out / "manifest.json").exists()
+
+
+def test_reconstruct_command_refuses_hmeas_on_another_grid(tmp_path, scenario_file, capsys):
+    # the init file is on the scenario's 18x18 grid, the functionals on 20x20
+    g = Grid(18, 18, 1 / 17, 1 / 17)
+    h_path, init_path = _reconstruct_inputs(tmp_path, [ScalarField.constant(g, 1.0)] * 3)
+    write_field_list_json([ScalarField.constant(Grid(20, 20, 1 / 19, 1 / 19), 1.0)] * 3, h_path)
+    rc = main(
+        ["reconstruct", "--scenario", str(scenario_file), "--hmeas", str(h_path),
+         "--init", str(init_path), "--out", str(tmp_path / "result.json")]
+    )
+    assert rc == 1
+    assert "measured functional on the wrong grid" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()

@@ -44,6 +44,15 @@ def test_background_validation(dirs3):
         ConstantBackground(1.0, 0.5, 0.0, dirs3)
 
 
+@pytest.mark.parametrize("level", ["gamma0", "sigma0", "eta"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_background_refuses_non_finite_levels(dirs3, level, bad):
+    # every range check passes NaN and +inf, so finiteness is its own check
+    levels = {"gamma0": 1.0, "sigma0": 0.5, "eta": 1.0, level: bad}
+    with pytest.raises(ValueError, match="must be finite"):
+        ConstantBackground(dirs=dirs3, **levels)
+
+
 def test_operator_symbols_special_cases(dirs3):
     g = Grid.unit_square(17)
     v = np.array([1.0, 0.0])

@@ -18,6 +18,7 @@ from umot import (
     reconstruct,
     stability_probe,
 )
+from umot.errors import GridMismatch
 from umot.nonlinear import IterationRecord, h1_proxy_norm, sweep
 from umot.phantom import add_noise, bump_field
 
@@ -256,6 +257,19 @@ def test_not_elliptic_strict(setup):
     H = list(bundle.H)
     with pytest.raises(NotElliptic):
         reconstruct(H, [fx, fy], sigma0)
+    # the stability probe gates its base the same way
+    with pytest.raises(NotElliptic, match="failed certification"):
+        stability_probe([sigma0, sigma0], sigma0, [fx, fy])
+
+
+def test_sweep_refuses_measured_functionals_on_another_grid(setup):
+    # same node count, other spacing: refused before any system is assembled
+    g, coeffs0, traces = setup
+    base = build_bundle(coeffs0, traces)
+    other = Grid(g.nx, g.ny, 0.5 * g.hx, g.hy)
+    H = [ScalarField.constant(other, 1.0)] * base.J
+    with pytest.raises(GridMismatch, match="measured functional on the wrong grid"):
+        sweep(H, base, certify_field(base), ReconstructOptions(kmax=1))
 
 
 def test_stability_probe_linear_slope(setup):
