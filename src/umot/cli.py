@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NotElliptic, PipelineStageError, UmotError
+from .errors import GridMismatch, NotElliptic, PipelineStageError, UmotError
 from .field_core import BoundaryData
 from .fileio import dump_json, field_from_dict, load_json, read_field_list_json, require_key
 from .forward import CoefficientPair
@@ -97,7 +97,10 @@ def cmd_reconstruct(args) -> int:
     coeffs0 = CoefficientPair(
         *(field_from_dict(require_key(init, k, "--init file")) for k in ("gamma", "sigma"))
     )
-    setup = replace(_setup(args), background=coeffs0)
+    setup = _setup(args)
+    if coeffs0.grid != setup.grid:
+        raise GridMismatch(f"--init file is on {coeffs0.grid}, the scenario on {setup.grid}")
+    setup = replace(setup, background=coeffs0)
     setup.certificate.require(args.allow_noncertified)
     result, diverged = nonlinear_reconstruction(setup, read_field_list_json(args.hmeas))
     if args.log:

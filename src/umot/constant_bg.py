@@ -23,9 +23,16 @@ symbolic elimination and the numerical cross-check against the linearized
 forward map agree on them (see tests).
 
 Applying the stacked adjoint turns this into a 2-by-2 fourth-order normal
-system, solved on clamped unknowns (zero value on the boundary; the factors
-have one-node reach, so zero extension of the interior unknowns realizes the
+system on clamped unknowns (zero value on the boundary; the factors have
+one-node reach, so zero extension of the interior unknowns realizes the
 clamped elimination and the product form keeps the discrete adjoint exact).
+On the fine coefficients that system has a near-null at (pi/h, pi/h), where
+every C_i equals c0 and every B_i is the same, so the J-by-2 symbol has rank
+1.  The solve therefore restricts both unknowns to the cubic-spline coarse
+basis of ``field_core.coarse_basis``, whose range does not contain that
+mode, and runs conjugate gradients on the reduced normal matrix with a
+DST-I spectral preconditioner; nothing is factored.  The result is exact
+for truths in the spline range and fourth-order accurate for smooth ones.
 
 The absorption-free background (sigma0 = 0) gets its own routes: dsigma from
 the constant solution u_0 = 1, and in 2D a clamped fourth-order solve for
@@ -45,10 +52,11 @@ from .field_core import (
     DiscreteOperator,
     Grid,
     ScalarField,
+    coarse_basis,
     interior_derivative_matrices,
     laplacian_matrix,
 )
-from .solvers import SparseFactor
+from .solvers import SparseFactor, cg_solve
 
 
 @dataclass(frozen=True)
@@ -173,13 +181,56 @@ def direction_blocks(bg: ConstantBackground, grid: Grid) -> list[sp.csr_matrix]:
     ]
 
 
+def _spectral_preconditioner(bg: ConstantBackground, grid: Grid, shape: tuple[int, int]):
+    """Block-diagonal spectral approximation of the inverse reduced normal matrix.
+
+    Each coefficient block is preconditioned by a constant-coefficient
+    biharmonic diagonalized by the orthonormal DST-I on the mcx-by-mcy coarse
+    nodes: J/2 |xi|^4 + J c0^2 for dgamma and J (eta gamma0/sigma0)^2 |xi|^4 +
+    J b0^2 for dsigma.  J/2 |xi|^4 is the mean over the angle of xi of
+    sum_i (|xi|^2 - 2 (v_i.xi)^2)^2, |xi|^2 is the fine 5-point symbol at the
+    fine frequency w of the coarse mode, and each axis carries the squared
+    spline symbol (2 cos^4(w/2))^2.  The first-order and coupling terms are
+    left out.
+    """
+    from scipy.fft import dstn  # here, not at module level: it slows `import umot`
+
+    mcx, mcy = shape
+    J = len(bg.dirs)
+    _, c0, _, b0 = bg.lower_order()
+
+    def axis(mc: int, h: float):
+        w = 0.5 * np.pi * np.arange(1, mc + 1) / (mc + 1)
+        return (2.0 - 2.0 * np.cos(w)) / h ** 2, (2.0 * np.cos(0.5 * w) ** 4) ** 2
+
+    (s2x, ax), (s2y, ay) = axis(mcx, grid.hx), axis(mcy, grid.hy)
+    lap2 = (s2x[None, :] + s2y[:, None]) ** 2
+    spline = ay[:, None] * ax[None, :]
+    principal_sigma = J * (bg.eta * bg.gamma0 / bg.sigma0) ** 2
+    diag = np.stack([
+        spline * (0.5 * J * lap2 + J * c0 ** 2),
+        spline * (principal_sigma * lap2 + J * b0 ** 2),
+    ])
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        modes = dstn(r.reshape(2, mcy, mcx), type=1, axes=(1, 2), norm="ortho")
+        return dstn(modes / diag, type=1, axes=(1, 2), norm="ortho").ravel()
+
+    return precondition
+
+
 def solve_constant_bg(
     bg: ConstantBackground, data: list[ScalarField]
 ) -> tuple[ScalarField, ScalarField]:
     """Recover (dgamma, dsigma) from preprocessed data fields.
 
-    Solves the 2-by-2 fourth-order normal system sum_i [C_i B_i]^T [C_i B_i]
-    on clamped interior unknowns; SparseFactor checks its residual.
+    Both perturbations are sought on the cubic-spline coarse basis,
+    dgamma = Q c_gamma and dsigma = Q c_sigma with Q = coarse_basis(.,
+    "spline"), which removes the (pi/h, pi/h) mode where the fine J-by-2
+    symbol has rank 1.  The reduced normal system Q2^T (sum_i A_i^T A_i) Q2,
+    with A_i = [C_i | B_i] on clamped interior unknowns and Q2 = diag(Q, Q),
+    is solved by conjugate gradients preconditioned with
+    ``_spectral_preconditioner``; ``cg_solve`` checks its residual.
     """
     grid = data[0].grid
     for d in data[1:]:
@@ -187,17 +238,15 @@ def solve_constant_bg(
             raise GridMismatch("data fields on different grids")
     if len(data) != len(bg.dirs):
         raise ValueError("need one data field per direction")
-    blocks = direction_blocks(bg, grid)
     iidx = grid.interior_indices()
-    n_int = iidx.size
-    A = sp.vstack(blocks, format="csr")
-    rhs = np.sum([blk.T @ S.values[iidx] for blk, S in zip(blocks, data)], axis=0)
-    w = SparseFactor((A.T @ A).tocsr()).solve(rhs)
-    dgamma = np.zeros(grid.n_nodes)
-    dsigma = np.zeros(grid.n_nodes)
-    dgamma[iidx] = w[:n_int]
-    dsigma[iidx] = w[n_int:]
-    return ScalarField(grid, dgamma), ScalarField(grid, dsigma)
+    Px, Py, shape = coarse_basis((grid.nx - 2, grid.ny - 2), "spline")
+    Q = sp.kron(Py, Px, format="csr")
+    A = sp.vstack(direction_blocks(bg, grid), format="csr") @ sp.block_diag([Q, Q], format="csr")
+    rhs = A.T @ np.concatenate([S.values[iidx] for S in data])
+    c = cg_solve((A.T @ A).tocsr(), rhs, _spectral_preconditioner(bg, grid, shape))
+    out = np.zeros((2, grid.n_nodes))
+    out[:, iidx] = (Q @ c.reshape(2, -1).T).T
+    return ScalarField(grid, out[0]), ScalarField(grid, out[1])
 
 
 # ---------------------------------------------------------------------------

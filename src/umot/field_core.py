@@ -343,6 +343,57 @@ def laplacian_matrix(grid: Grid) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
+# coarse coefficient basis
+
+# kind: (coarse node count for m fine interior nodes, {fine offset: weight})
+_COARSE_KINDS = {
+    "linear": (lambda m: m // 2, {0: 1.0, -1: 0.5, 1: 0.5}),
+    "spline": (lambda m: (m - 1) // 2, {0: 0.75, -1: 0.5, 1: 0.5, -2: 0.125, 2: 0.125}),
+}
+
+
+def _coarse_basis_1d(m: int, kind: str) -> sp.csr_matrix:
+    count, taps = _COARSE_KINDS[kind]
+    nc = count(m)
+    if nc < 1:
+        raise ValueError(f"{m} interior nodes along an axis leave no {kind} coarse node")
+    k = np.arange(nc)
+    offsets, weights = zip(*taps.items())
+    rows = np.concatenate([2 * k + 1 + o for o in offsets])
+    vals = np.repeat(weights, nc)
+    keep = (rows >= 0) & (rows < m)
+    cols = np.tile(k, len(offsets))
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m, nc))
+
+
+def coarse_basis(
+    shape: tuple[int, int], kind: str
+) -> tuple[sp.csr_matrix, sp.csr_matrix, tuple[int, int]]:
+    """Coarse basis P = P_y (x) P_x on an mx-by-my block of interior nodes.
+
+    ``shape`` is (mx, my), the interior node counts of a Grid
+    (nx - 2, ny - 2) or of a coarse level.  Coarse node k of an axis sits at
+    fine interior node 2k + 1 (0-based), so the coarse spacing is 2h, and
+    the basis is zero beyond either end.  Returns (P_x, P_y, (mcx, mcy)):
+    the sparse 1-D maps from coarse to fine values and the coarse shape.
+
+    * "linear": piecewise-linear interpolation, weights 1/2, 1, 1/2, on
+      m // 2 coarse nodes; the C^0 basis of the forward multigrid.
+    * "spline": cubic B-spline subdivision, weights 1/8, 1/2, 3/4, 1/2, 1/8,
+      on (m - 1) // 2 coarse nodes; a C^2 basis whose best L2 approximation
+      of a smooth field converges at fourth order.  On an even count the last
+      coarse node then sits three fine nodes from the boundary, not one.
+
+    Both ranges are orthogonal to the checkerboard (-1)^(i+j) away from the
+    boundary.  An axis too short for one coarse node raises ValueError.
+    """
+    if kind not in _COARSE_KINDS:
+        raise ValueError(f"unknown coarse basis kind {kind!r}")
+    Px, Py = (_coarse_basis_1d(m, kind) for m in shape)
+    return Px, Py, (Px.shape[1], Py.shape[1])
+
+
+# ---------------------------------------------------------------------------
 # grid-weighted norms
 
 

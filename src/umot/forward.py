@@ -103,7 +103,7 @@ class DiffusionSolver:
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         if self._factor is not None:
             return self._factor.solve(rhs)
-        return cg_solve(self.A_II, rhs, self._mg)
+        return cg_solve(self.A_II, rhs, self._mg.cycle)
 
     def solve(self, f: BoundaryData) -> ScalarField:
         """Solution of the Dirichlet problem with trace f."""

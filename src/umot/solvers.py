@@ -1,16 +1,18 @@
 """Linear-solve layer shared by the forward and inversion modules.
 
 One factorization object serves every direct solve.  Every matrix factored
-here is symmetric positive (semi)definite: normal matrices, the fourth-order
-constant-background and biharmonic matrices, and the forward A_II.  So the
-factor is a symmetric minimum-degree LU with diagonal pivots (minimum degree
-on A + A^T, SuperLU's symmetric mode), built once per matrix, reused for
-every right-hand side, and also driving the inverse iteration of the
-smallest-singular-value probe.  Large forward problems use conjugate
-gradients preconditioned by a geometric multigrid V-cycle instead, with no
-fallback: a stalled iteration is an error.  Every solve is checked against
-one relative-residual bound, SOLVE_RTOL, and raises SolverDivergence above
-it.  The bound never changes a solution; it only refuses one.
+here is symmetric positive (semi)definite: normal matrices, the
+absorption-free fourth-order and biharmonic matrices, and the forward A_II.
+So the factor is a symmetric minimum-degree LU with diagonal pivots (minimum
+degree on A + A^T, SuperLU's symmetric mode), built once per matrix, reused
+for every right-hand side, and also driving the inverse iteration of the
+smallest-singular-value probe.  Every iterative solve goes through one
+conjugate-gradient policy, ``cg_solve``, which takes its preconditioner as a
+callable: a geometric multigrid V-cycle for large forward problems, a DST-I
+spectral solve for the constant-background route.  There is no fallback: a
+stalled iteration is an error.  Every solve is checked against one
+relative-residual bound, SOLVE_RTOL, and raises SolverDivergence above it.
+The bound never changes a solution; it only refuses one.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverDivergence
+from .field_core import coarse_basis
 
 MG_COARSEST = 400  # unknowns at or below which the hierarchy stops and factors
 MG_OMEGA = 0.8  # damped-Jacobi weight
 MG_SWEEPS = 2  # smoothing sweeps before and after the coarse correction
-CG_RTOL = 1e-14  # relative residual at which multigrid CG stops
+CG_RTOL = 1e-14  # relative residual at which CG stops
 SOLVE_RTOL = 1e-10  # relative residual above which any solve raises
 
 
@@ -94,24 +97,12 @@ class SparseFactor:
         return float(np.linalg.norm(A @ w)), sig_max
 
 
-def _interpolation(n: int) -> sp.csr_matrix:
-    """1-D linear interpolation onto n interior nodes from the n // 2 coarse
-    nodes at fine nodes 1, 3, 5, ...; the boundary beyond either end is zero."""
-    nc = n // 2
-    k = np.arange(nc)
-    rows = np.concatenate([2 * k + 1, 2 * k, 2 * k + 2])
-    cols = np.concatenate([k, k, k])
-    vals = np.concatenate([np.ones(nc), np.full(2 * nc, 0.5)])
-    keep = rows < n
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, nc))
-
-
 class Multigrid:
     """Geometric multigrid V-cycle for an SPD operator on an mx-by-my tensor grid.
 
     The unknowns are ordered row-major with x fastest, as the interior nodes
-    of a Grid.  Each level halves both node counts, prolongs by linear
-    interpolation P = P_y (x) P_x and restricts by P^T; the coarse operators
+    of a Grid.  Each level halves both node counts, prolongs by the "linear"
+    ``coarse_basis`` P = P_y (x) P_x and restricts by P^T; the coarse operators
     are Galerkin products P^T A P.  Coarsening stops at MG_COARSEST unknowns,
     or when an axis is down to one node, which has no coarse node; the last
     matrix is factored once.  MG_SWEEPS damped-Jacobi sweeps
@@ -123,11 +114,10 @@ class Multigrid:
         self.levels = []  # (A, MG_OMEGA / diag(A), P_x, P_y) above the coarsest
         A = sp.csr_matrix(A)
         while A.shape[0] > MG_COARSEST and min(mx, my) >= 2:
-            Px, Py = _interpolation(mx), _interpolation(my)
+            Px, Py, (mx, my) = coarse_basis((mx, my), "linear")
             P = sp.kron(Py, Px, format="csr")
             self.levels.append((A, MG_OMEGA / A.diagonal(), Px, Py))
             A = sp.csr_matrix(P.T @ A @ P)
-            mx, my = mx // 2, my // 2
         self.coarse = SparseFactor(A)
 
     def cycle(self, b: np.ndarray, level: int = 0) -> np.ndarray:
@@ -147,16 +137,19 @@ class Multigrid:
         return x
 
 
-def cg_solve(A: sp.spmatrix, b: np.ndarray, mg: Multigrid, maxiter: int = 1000) -> np.ndarray:
-    """CG on an SPD matrix, preconditioned by one V-cycle of ``mg`` per step.
+def cg_solve(A, b: np.ndarray, precondition, maxiter: int = 1000) -> np.ndarray:
+    """CG on an SPD matrix or operator, preconditioned by ``precondition``.
 
-    The iteration stops at a relative residual of CG_RTOL, and the result is
-    checked against SOLVE_RTOL.  A stall within ``maxiter`` steps raises.
+    ``precondition(r)`` returns an SPD approximation of A^-1 r: one V-cycle
+    of a ``Multigrid`` for the forward problems, a spectral solve for the
+    constant-background route.  The iteration stops at a relative residual
+    of CG_RTOL, and the result is checked against SOLVE_RTOL.  A stall
+    within ``maxiter`` steps raises.
     """
     n = A.shape[0]
     if np.linalg.norm(b) == 0.0:
         return np.zeros(n)
-    M = spla.LinearOperator((n, n), matvec=mg.cycle)
+    M = spla.LinearOperator((n, n), matvec=precondition)
     x, info = spla.cg(A, b, rtol=CG_RTOL, atol=0.0, maxiter=maxiter, M=M)
     if info != 0:
         raise SolverDivergence(

@@ -708,3 +708,19 @@ def test_reconstruct_command_refuses_hmeas_on_another_grid(tmp_path, scenario_fi
     assert rc == 1
     assert "measured functional on the wrong grid" in capsys.readouterr().err
     assert not (tmp_path / "result.json").exists()
+
+
+def test_reconstruct_command_refuses_init_on_another_grid(tmp_path, scenario_file, capsys):
+    # the functionals are on the scenario's 18x18 grid, the init file on 20x20
+    g = Grid(20, 20, 1 / 19, 1 / 19)
+    h_path, init_path = _reconstruct_inputs(tmp_path, [ScalarField.constant(g, 1.0)] * 3)
+    write_field_list_json([ScalarField.constant(Grid(18, 18, 1 / 17, 1 / 17), 1.0)] * 3, h_path)
+    rc = main(
+        ["reconstruct", "--scenario", str(scenario_file), "--hmeas", str(h_path),
+         "--init", str(init_path), "--out", str(tmp_path / "result.json")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --init file is on Grid(nx=20, ny=20")
+    assert "the scenario on Grid(nx=18, ny=18" in err
+    assert not (tmp_path / "result.json").exists()

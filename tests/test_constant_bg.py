@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from umot import (
     CoefficientPair,
@@ -23,7 +25,7 @@ from umot import (
 from umot.constant_bg import sigma_zero_gamma_rows, symbols
 from umot.ellipticity import DirectionSet
 from umot.errors import GridMismatch, NonPositiveSolution
-from umot.field_core import rel_l2_error
+from umot.field_core import coarse_basis, rel_l2_error
 from umot.forward import DiffusionSolver
 from umot.phantom import bump_field
 
@@ -203,22 +205,90 @@ def test_normal_operator_spd(bg):
     assert vals[0] > 0.0
 
 
-def test_round_trip_inverse_crime(bg, dirs3):
-    g = Grid.unit_square(33)
+def _row_data(bg, g, dg, ds):
+    """Data fields C_i dg + B_i ds on interior nodes, one per direction."""
     iidx = g.interior_indices()
-    dg = bump_field(g, (0.4, 0.45), 0.22, 0.05, power=4)
-    ds = bump_field(g, (0.6, 0.6), 0.2, 0.04, power=4)
     data = []
-    for v in dirs3.vectors:
+    for v in bg.dirs.vectors:
         s = np.zeros(g.n_nodes)
-        s[iidx] = (
-            (operator_C(bg, v, g).matrix @ dg.values)
-            + (operator_B(bg, v, g).matrix @ ds.values)
-        )[iidx]
+        s[iidx] = ((operator_C(bg, v, g).matrix @ dg) + (operator_B(bg, v, g).matrix @ ds))[iidx]
         data.append(ScalarField(g, s))
-    rg, rs = solve_constant_bg(bg, data)
-    assert rel_l2_error(rg.values, dg.values, g) < 1e-8
-    assert rel_l2_error(rs.values, ds.values, g) < 1e-8
+    return data
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_round_trip_in_spline_range(bg, n):
+    # the solve seeks dgamma and dsigma in the range of the spline coarse
+    # basis, so a truth inside that range comes back to solver precision
+    g = Grid.unit_square(n)
+    Px, Py, (mx, my) = coarse_basis((n - 2, n - 2), "spline")
+    Q = sp.kron(Py, Px, format="csr")
+    iidx = g.interior_indices()
+    truths = []
+    for center, radius, amp in (((0.4, 0.45), 0.22, 0.05), ((0.6, 0.6), 0.2, 0.04)):
+        coarse = bump_field(g, center, radius, amp, power=4).as_matrix()[2:2 * my + 1:2, 2:2 * mx + 1:2]
+        t = np.zeros(g.n_nodes)
+        t[iidx] = Q @ coarse.ravel()
+        truths.append(t)
+    rg, rs = solve_constant_bg(bg, _row_data(bg, g, *truths))
+    assert rel_l2_error(rg.values, truths[0], g) < 1e-8
+    assert rel_l2_error(rs.values, truths[1], g) < 1e-8
+
+
+def test_fine_truth_error_falls_at_fourth_order(bg):
+    # against truths on the fine grid the spline basis is not exact; its
+    # error falls with h at about fourth order (2.0e-2, 1.1e-3, 6.6e-5)
+    errs = []
+    for n in (33, 65, 129):
+        g = Grid.unit_square(n)
+        dg = bump_field(g, (0.4, 0.45), 0.22, 0.05, power=4).values
+        ds = bump_field(g, (0.6, 0.6), 0.2, 0.04, power=4).values
+        rg, rs = solve_constant_bg(bg, _row_data(bg, g, dg, ds))
+        errs.append((rel_l2_error(rg.values, dg, g), rel_l2_error(rs.values, ds, g)))
+    errs = np.array(errs)
+    assert errs[-1].max() < 1e-4
+    assert np.all(np.log2(errs[:-1] / errs[1:]) >= 3.5)
+
+
+@pytest.mark.parametrize("coarse, fine", [(64, 128), (65, 129)], ids=["even", "odd"])
+def test_cg_iterations_nearly_flat(bg, coarse, fine, monkeypatch):
+    # the spline basis removes the (pi/h, pi/h) null, so the DST-preconditioned
+    # CG needs about as many steps on the finer grid (51 and 64 even, 48 and
+    # 52 odd); on the fine coefficients it needed 4,312 at 64x64
+    iterations = []
+    cg = spla.cg
+
+    def counting_cg(*args, **kwargs):
+        iterations.append(0)
+
+        def count(xk):
+            iterations[-1] += 1
+
+        return cg(*args, callback=count, **kwargs)
+
+    monkeypatch.setattr(spla, "cg", counting_cg)
+    for n in (coarse, fine):
+        g = Grid.unit_square(n)
+        dg = bump_field(g, (0.4, 0.45), 0.22, 0.05, power=4).values
+        ds = bump_field(g, (0.6, 0.6), 0.2, 0.04, power=4).values
+        solve_constant_bg(bg, _row_data(bg, g, dg, ds))
+    assert len(iterations) == 2
+    assert iterations[1] <= 1.3 * iterations[0]
+
+
+def test_fine_symbol_has_rank_one_at_nyquist_corner(bg):
+    # at xi = (pi/h, pi/h) the first differences vanish and both second
+    # differences read 4/h^2, so C_i = c0 for every unit v and B_i is the
+    # same for every v: the fine J-by-2 symbol has rank 1 there
+    g = Grid.unit_square(33)
+    xi = np.array([np.pi / g.hx, np.pi / g.hy])
+    _, c0, _, _ = bg.lower_order()
+    angles = np.linspace(0.0, np.pi, 7)
+    rows = np.array([symbols(bg, (np.cos(a), np.sin(a)), xi, g) for a in angles])
+    assert np.abs(rows[:, 0] - c0).max() < 1e-9
+    assert np.abs(rows[:, 1] - rows[0, 1]).max() < 1e-9 * abs(rows[0, 1])
+    sv = np.linalg.svd(rows, compute_uv=False)
+    assert sv[1] < 1e-12 * sv[0]
 
 
 def test_nonlinear_data_error_scales_with_amplitude(bg, dirs3):

@@ -15,7 +15,8 @@ from umot import (
     assemble_diffusion_operator,
     gradient,
 )
-from umot.field_core import l2_norm, rel_l2_error
+from umot.field_core import coarse_basis, l2_norm, rel_l2_error
+from umot.phantom import bump_field
 
 
 def test_grid_invariants():
@@ -193,3 +194,57 @@ def test_norm_helpers():
     ones = np.ones(g.n_nodes)
     assert l2_norm(ones, g) == pytest.approx(np.sqrt(25 * 0.25))
     assert rel_l2_error(2 * ones, ones, g) == pytest.approx(1.0)
+
+
+KINDS = ["linear", "spline"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("shape", [(31, 31), (30, 30), (31, 28)], ids=["odd", "even", "mixed"])
+def test_coarse_basis_is_blind_to_the_checkerboard(kind, shape):
+    # P^T of (-1)^(i+j) vanishes on every coarse node away from the boundary
+    Px, Py, (mcx, mcy) = coarse_basis(shape, kind)
+    mx, my = shape
+    checker = (-1.0) ** np.add.outer(np.arange(my), np.arange(mx))
+    r = Py.T @ (Px.T @ checker.T).T
+    assert r.shape == (mcy, mcx)
+    assert np.abs(r[1:-1, 1:-1]).max() < 1e-14
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("m", [30, 31])
+def test_coarse_basis_on_even_and_odd_counts(kind, m):
+    # coarse node k sits at fine node 2k + 1; "linear" keeps m // 2 of them,
+    # "spline" (m - 1) // 2; both reproduce constants away from the ends
+    Px, Py, shape = coarse_basis((m, m + 1), kind)
+    nc = m // 2 if kind == "linear" else (m - 1) // 2
+    assert Px.shape == (m, nc) and shape[0] == nc
+    assert Py.shape == (m + 1, shape[1])
+    ones = Px @ np.ones(nc)
+    assert np.allclose(ones[2:2 * nc - 1], 1.0)
+    assert Px[2 * np.arange(nc) + 1, np.arange(nc)].min() == (1.0 if kind == "linear" else 0.75)
+
+
+def test_spline_basis_approximates_at_fourth_order():
+    # best L2 approximation of a smooth bump by the range of P_y (x) P_x
+    errs = []
+    for n in (33, 65, 129):
+        g = Grid.unit_square(n)
+        u = bump_field(g, (0.4, 0.45), 0.22, 1.0, power=4).values[g.interior_indices()]
+        Px, Py, _ = coarse_basis((n - 2, n - 2), "spline")
+        P = sp.kron(Py, Px, format="csc")
+        c = spla.spsolve((P.T @ P).tocsc(), P.T @ u)
+        errs.append(np.linalg.norm(P @ c - u) / np.linalg.norm(u))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 3.5)
+
+
+@pytest.mark.parametrize("kind, shape", [("linear", (1, 9)), ("spline", (9, 2)), ("spline", (1, 1))])
+def test_coarse_basis_refuses_axis_without_coarse_node(kind, shape):
+    with pytest.raises(ValueError, match=f"interior nodes along an axis leave no {kind} coarse node"):
+        coarse_basis(shape, kind)
+
+
+def test_coarse_basis_refuses_unknown_kind():
+    with pytest.raises(ValueError, match="unknown coarse basis kind 'cubic'"):
+        coarse_basis((9, 9), "cubic")

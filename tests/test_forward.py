@@ -160,10 +160,10 @@ def test_forward_cg_stall_raises(bundle24):
     f, u = bundle24.solutions[0]
     rhs = -(solver.A_IB @ f.values)
     mg = Multigrid(solver.A_II, bundle24.grid.nx - 2, bundle24.grid.ny - 2)
-    x = cg_solve(solver.A_II, rhs, mg)
+    x = cg_solve(solver.A_II, rhs, mg.cycle)
     assert np.abs(x - u.values[solver.interior]).max() < 1e-8
     with pytest.raises(SolverDivergence, match="info=5"):
-        cg_solve(solver.A_II, rhs, mg, maxiter=5)
+        cg_solve(solver.A_II, rhs, mg.cycle, maxiter=5)
 
 
 def test_solve_residual_bound_refuses_ill_conditioned_solve():
