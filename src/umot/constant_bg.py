@@ -22,17 +22,23 @@ L(u_i w) = u_i (-gamma0 lap - 2 gamma0 sqrt(sigma0/gamma0) dv_i) w; the
 symbolic elimination and the numerical cross-check against the linearized
 forward map agree on them (see tests).
 
-Applying the stacked adjoint turns this into a 2-by-2 fourth-order normal
-system on clamped unknowns (zero value on the boundary; the factors have
-one-node reach, so zero extension of the interior unknowns realizes the
-clamped elimination and the product form keeps the discrete adjoint exact).
-On the fine coefficients that system has a near-null at (pi/h, pi/h), where
-every C_i equals c0 and every B_i is the same, so the J-by-2 symbol has rank
-1.  The solve therefore restricts both unknowns to the cubic-spline coarse
-basis of ``field_core.coarse_basis``, whose range does not contain that
-mode, and runs conjugate gradients on the reduced normal matrix with a
-DST-I spectral preconditioner; nothing is factored.  The result is exact
-for truths in the spline range and fourth-order accurate for smooth ones.
+Each C_i and B_i is a constant-coefficient 3-by-3 stencil (``stencils``),
+built once from ``lower_order`` and the finite-difference stencils of
+``field_core.derivative_stencils``; ``operator_C`` and ``operator_B`` are their
+sparse forms.  Applying the stacked adjoint turns the rows into a 2-by-2
+fourth-order normal system on clamped unknowns (zero value on the boundary;
+the stencils have one-node reach, so zero extension of the interior unknowns
+realizes the clamped elimination, and applying the transposed stencils keeps
+the discrete adjoint exact).  On the fine coefficients that system has a
+near-null at (pi/h, pi/h), where every C_i equals c0 and every B_i is the
+same, so the J-by-2 symbol has rank 1.  The solve therefore restricts both
+unknowns to the cubic-spline coarse basis of ``field_core.coarse_basis``,
+whose range does not contain that mode, and runs conjugate gradients on the
+reduced normal operator with a DST-I spectral preconditioner.  The operator
+is applied in place, P_y c P_x^T per unknown and then the stencils on
+shifted windows, so no matrix is assembled or factored and memory is O(n).
+The result is exact for truths in the spline range and fourth-order
+accurate for smooth ones.
 
 The absorption-free background (sigma0 = 0) gets its own routes: dsigma from
 the constant solution u_0 = 1, and in 2D a clamped fourth-order solve for
@@ -53,7 +59,9 @@ from .field_core import (
     Grid,
     ScalarField,
     coarse_basis,
+    derivative_stencils,
     interior_derivative_matrices,
+    interior_stencil_matrix,
     laplacian_matrix,
 )
 from .solvers import SparseFactor, cg_solve
@@ -92,36 +100,33 @@ class ConstantBackground:
         return c1, c0, b1, b0
 
 
-def _directional_parts(grid: Grid, v):
+def stencils(bg: ConstantBackground, v, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """3-by-3 stencils of C_i and B_i for the direction ``v`` on ``grid``.
+
+    Entry [1 + dj, 1 + di] weighs node (i + di, j + dj), as in
+    ``field_core.derivative_stencils``.
+    """
     v = np.asarray(v, dtype=float)
-    dx, dy, dxx, dyy, dxy = interior_derivative_matrices(grid, "x", "y", "xx", "yy", "xy")
+    dx, dy, dxx, dyy, dxy = derivative_stencils(grid, "x", "y", "xx", "yy", "xy")
     dv = v[0] * dx + v[1] * dy
     dvv = v[0] ** 2 * dxx + 2.0 * v[0] * v[1] * dxy + v[1] ** 2 * dyy
     lap = dxx + dyy
-    return dv, dvv, lap
-
-
-def _interior_identity(grid: Grid) -> sp.csr_matrix:
-    iidx = grid.interior_indices()
-    return sp.coo_matrix(
-        (np.ones(iidx.size), (iidx, iidx)), shape=(grid.n_nodes, grid.n_nodes)
-    ).tocsr()
+    centre = np.zeros((3, 3))
+    centre[1, 1] = 1.0
+    c1, c0, b1, b0 = bg.lower_order()
+    C = -lap + 2.0 * dvv + c1 * dv + c0 * centre
+    B = -bg.eta * (bg.gamma0 / bg.sigma0) * lap - b1 * dv - b0 * centre
+    return C, B
 
 
 def operator_C(bg: ConstantBackground, v, grid: Grid) -> DiscreteOperator:
     """Row operator multiplying dgamma; interior rows only."""
-    dv, dvv, lap = _directional_parts(grid, v)
-    c1, c0, _, _ = bg.lower_order()
-    m = -lap + 2.0 * dvv + c1 * dv + c0 * _interior_identity(grid)
-    return DiscreteOperator(m.tocsr())
+    return DiscreteOperator(interior_stencil_matrix(grid, stencils(bg, v, grid)[0]))
 
 
 def operator_B(bg: ConstantBackground, v, grid: Grid) -> DiscreteOperator:
     """Row operator multiplying dsigma; interior rows only."""
-    dv, _, lap = _directional_parts(grid, v)
-    _, _, b1, b0 = bg.lower_order()
-    m = -bg.eta * (bg.gamma0 / bg.sigma0) * lap - b1 * dv - b0 * _interior_identity(grid)
-    return DiscreteOperator(m.tocsr())
+    return DiscreteOperator(interior_stencil_matrix(grid, stencils(bg, v, grid)[1]))
 
 
 def symbols(bg: ConstantBackground, v, xi, grid: Grid | None = None) -> tuple[complex, complex]:
@@ -169,18 +174,6 @@ def preprocess_data(
     return ScalarField(grid, out)
 
 
-def direction_blocks(bg: ConstantBackground, grid: Grid) -> list[sp.csr_matrix]:
-    """Interior row block [C_i | B_i] of each (certified) direction."""
-    iidx = grid.interior_indices()
-    return [
-        sp.hstack(
-            [op(bg, v, grid).matrix[iidx][:, iidx] for op in (operator_C, operator_B)],
-            format="csr",
-        )
-        for v in bg.dirs.vectors
-    ]
-
-
 def _spectral_preconditioner(bg: ConstantBackground, grid: Grid, shape: tuple[int, int]):
     """Block-diagonal spectral approximation of the inverse reduced normal matrix.
 
@@ -219,6 +212,57 @@ def _spectral_preconditioner(bg: ConstantBackground, grid: Grid, shape: tuple[in
     return precondition
 
 
+class _SplineRows:
+    """The stacked rows A = [C_i | B_i] on spline coefficients, applied in place.
+
+    ``forward`` maps the coefficients c = (c_gamma, c_sigma), each mcy-by-mcx
+    and flattened, to the J data rows on the interior nodes: Q c is
+    P_y c P_x^T per unknown, the mx-by-my interior is zero-padded by one
+    node (the clamped unknowns), and all J rows are one product of the
+    J-by-18 tap matrix with the nine shifted windows of both padded fields.
+    ``adjoint`` is its transpose: the transposed product, scattered back
+    onto the windows, then P_y^T f P_x.  Memory is O(n); no matrix is
+    assembled beyond the 1-D bases.
+    """
+
+    def __init__(self, bg: ConstantBackground, grid: Grid):
+        self.mx, self.my = grid.nx - 2, grid.ny - 2
+        self.Px, self.Py, self.coarse_shape = coarse_basis((self.mx, self.my), "spline")
+        self.PxT, self.PyT = self.Px.T.tocsr(), self.Py.T.tocsr()
+        # row i: the nine taps of C_i, then those of B_i, in window order
+        self.taps = np.array([np.concatenate([C.ravel(), B.ravel()])
+                              for C, B in (stencils(bg, v, grid) for v in bg.dirs.vectors)])
+
+    def fine(self, c: np.ndarray) -> np.ndarray:
+        """Q2 c as a (2, my, mx) array of interior values."""
+        mcx, mcy = self.coarse_shape
+        return np.stack([self.Py @ (self.Px @ ck.T).T for ck in c.reshape(2, mcy, mcx)])
+
+    def forward(self, c: np.ndarray) -> np.ndarray:
+        mx, my = self.mx, self.my
+        padded = np.zeros((2, my + 2, mx + 2))
+        padded[:, 1:-1, 1:-1] = self.fine(c)
+        windows = np.empty((2, 3, 3, my, mx))
+        for dj in range(3):
+            for di in range(3):
+                windows[:, dj, di] = padded[:, dj:dj + my, di:di + mx]
+        return self.taps @ windows.reshape(18, -1)
+
+    def adjoint(self, r: np.ndarray) -> np.ndarray:
+        mx, my = self.mx, self.my
+        windows = (self.taps.T @ r).reshape(2, 3, 3, my, mx)
+        padded = np.zeros((2, my + 2, mx + 2))
+        for dj in range(3):
+            for di in range(3):
+                padded[:, dj:dj + my, di:di + mx] += windows[:, dj, di]
+        return np.concatenate([(self.PyT @ (self.PxT @ f.T).T).ravel()
+                               for f in padded[:, 1:-1, 1:-1]])
+
+    def normal(self, c: np.ndarray) -> np.ndarray:
+        """Q2^T (sum_i A_i^T A_i) Q2 c."""
+        return self.adjoint(self.forward(c))
+
+
 def solve_constant_bg(
     bg: ConstantBackground, data: list[ScalarField]
 ) -> tuple[ScalarField, ScalarField]:
@@ -229,8 +273,9 @@ def solve_constant_bg(
     "spline"), which removes the (pi/h, pi/h) mode where the fine J-by-2
     symbol has rank 1.  The reduced normal system Q2^T (sum_i A_i^T A_i) Q2,
     with A_i = [C_i | B_i] on clamped interior unknowns and Q2 = diag(Q, Q),
-    is solved by conjugate gradients preconditioned with
-    ``_spectral_preconditioner``; ``cg_solve`` checks its residual.
+    is applied matrix-free by ``_SplineRows`` and solved by conjugate
+    gradients preconditioned with ``_spectral_preconditioner``; ``cg_solve``
+    checks its residual.
     """
     grid = data[0].grid
     for d in data[1:]:
@@ -239,13 +284,11 @@ def solve_constant_bg(
     if len(data) != len(bg.dirs):
         raise ValueError("need one data field per direction")
     iidx = grid.interior_indices()
-    Px, Py, shape = coarse_basis((grid.nx - 2, grid.ny - 2), "spline")
-    Q = sp.kron(Py, Px, format="csr")
-    A = sp.vstack(direction_blocks(bg, grid), format="csr") @ sp.block_diag([Q, Q], format="csr")
-    rhs = A.T @ np.concatenate([S.values[iidx] for S in data])
-    c = cg_solve((A.T @ A).tocsr(), rhs, _spectral_preconditioner(bg, grid, shape))
+    rows = _SplineRows(bg, grid)
+    rhs = rows.adjoint(np.stack([S.values[iidx] for S in data]))
+    c = cg_solve(rows.normal, rhs, _spectral_preconditioner(bg, grid, rows.coarse_shape))
     out = np.zeros((2, grid.n_nodes))
-    out[:, iidx] = (Q @ c.reshape(2, -1).T).T
+    out[:, iidx] = rows.fine(c).reshape(2, -1)
     return ScalarField(grid, out[0]), ScalarField(grid, out[1])
 
 

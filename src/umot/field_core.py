@@ -310,30 +310,50 @@ def diffusion_flux_jacobian(gamma: ScalarField, u: ScalarField) -> sp.csr_matrix
 # derivative matrices
 
 
+# name: ((px, py), {(di, dj): w}); node (i + di, j + dj) weighs w / (hx^px hy^py)
+_DERIVATIVE_TAPS = {
+    "x": ((1, 0), {(1, 0): 0.5, (-1, 0): -0.5}),
+    "y": ((0, 1), {(0, 1): 0.5, (0, -1): -0.5}),
+    "xx": ((2, 0), {(1, 0): 1.0, (0, 0): -2.0, (-1, 0): 1.0}),
+    "yy": ((0, 2), {(0, 1): 1.0, (0, 0): -2.0, (0, -1): 1.0}),
+    "xy": ((1, 1), {(1, 1): 0.25, (-1, -1): 0.25, (-1, 1): -0.25, (1, -1): -0.25}),
+}
+
+
+def derivative_stencils(grid: Grid, *names: str) -> list[np.ndarray]:
+    """3-by-3 central-difference stencils of the named derivatives.
+
+    The names are "x", "y", "xx", "yy" and "xy", the keys of the one tap
+    table; entry [1 + dj, 1 + di] weighs node (i + di, j + dj) in the
+    derivative at node (i, j).
+    """
+    out = []
+    for name in names:
+        (px, py), taps = _DERIVATIVE_TAPS[name]
+        st = np.zeros((3, 3))
+        for (di, dj), w in taps.items():
+            st[1 + dj, 1 + di] = w / (grid.hx ** px * grid.hy ** py)
+        out.append(st)
+    return out
+
+
+def interior_stencil_matrix(grid: Grid, stencil: np.ndarray) -> sp.csr_matrix:
+    """The 3-by-3 ``stencil`` (as from derivative_stencils) on interior rows only."""
+    c = grid.interior_indices()
+    dj, di = np.nonzero(stencil)
+    rows = np.tile(c, di.size)
+    cols = np.concatenate([c + (i - 1) + (j - 1) * grid.nx for i, j in zip(di, dj)])
+    vals = np.repeat(stencil[dj, di], c.size)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(grid.n_nodes,) * 2).tocsr()
+
+
 def interior_derivative_matrices(grid: Grid, *names: str) -> list[sp.csr_matrix]:
     """Central-difference matrices of the named derivatives, interior rows only.
 
-    The names are "x", "y", "xx", "yy" and "xy"; only the named matrices are
-    built, in the order given.
+    Only the named matrices are built, in the order given; see
+    derivative_stencils for the names.
     """
-    hx, hy = grid.hx, grid.hy
-    q = 1 / (4 * hx * hy)
-    taps = {  # name: {(di, dj): weight of node (i + di, j + dj)}
-        "x": {(1, 0): 1 / (2 * hx), (-1, 0): -1 / (2 * hx)},
-        "y": {(0, 1): 1 / (2 * hy), (0, -1): -1 / (2 * hy)},
-        "xx": {(1, 0): 1 / hx**2, (0, 0): -2 / hx**2, (-1, 0): 1 / hx**2},
-        "yy": {(0, 1): 1 / hy**2, (0, 0): -2 / hy**2, (0, -1): 1 / hy**2},
-        "xy": {(1, 1): q, (-1, -1): q, (-1, 1): -q, (1, -1): -q},
-    }
-    c = grid.interior_indices()
-    out = []
-    for name in names:
-        offsets, weights = zip(*taps[name].items())
-        rows = np.tile(c, len(offsets))
-        cols = np.concatenate([c + di + dj * grid.nx for di, dj in offsets])
-        vals = np.repeat(weights, c.size)
-        out.append(sp.coo_matrix((vals, (rows, cols)), shape=(grid.n_nodes,) * 2).tocsr())
-    return out
+    return [interior_stencil_matrix(grid, st) for st in derivative_stencils(grid, *names)]
 
 
 def laplacian_matrix(grid: Grid) -> sp.csr_matrix:

@@ -93,8 +93,9 @@ class DiffusionSolver:
         self.interior = grid.interior_indices()
         self.boundary = grid.boundary_indices()
         A = assemble_diffusion_operator(coeffs.gamma, coeffs.sigma).matrix
-        self.A_II = A[self.interior][:, self.interior]
-        self.A_IB = A[self.interior][:, self.boundary]
+        A_I = A[self.interior]
+        self.A_II = A_I[:, self.interior]
+        self.A_IB = A_I[:, self.boundary]
         if self.interior.size <= DIRECT_THRESHOLD:
             self._factor, self._mg = SparseFactor(self.A_II), None
         else:

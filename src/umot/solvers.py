@@ -7,9 +7,10 @@ So the factor is a symmetric minimum-degree LU with diagonal pivots (minimum
 degree on A + A^T, SuperLU's symmetric mode), built once per matrix, reused
 for every right-hand side, and also driving the inverse iteration of the
 smallest-singular-value probe.  Every iterative solve goes through one
-conjugate-gradient policy, ``cg_solve``, which takes its preconditioner as a
-callable: a geometric multigrid V-cycle for large forward problems, a DST-I
-spectral solve for the constant-background route.  There is no fallback: a
+conjugate-gradient policy, ``cg_solve``, which takes a matrix or a
+matrix-free product and its preconditioner as a callable: a geometric
+multigrid V-cycle for large forward problems, a DST-I spectral solve for the
+matrix-free constant-background route.  There is no fallback: a
 stalled iteration is an error.  Every solve is checked against one
 relative-residual bound, SOLVE_RTOL, and raises SolverDivergence above it.
 The bound never changes a solution; it only refuses one.
@@ -111,12 +112,15 @@ class Multigrid:
     """
 
     def __init__(self, A: sp.spmatrix, mx: int, my: int):
-        self.levels = []  # (A, MG_OMEGA / diag(A), P_x, P_y) above the coarsest
+        # (A, MG_OMEGA / diag(A), P_x, P_y, P_x^T, P_y^T) above the coarsest
+        self.levels = []
         A = sp.csr_matrix(A)
         while A.shape[0] > MG_COARSEST and min(mx, my) >= 2:
             Px, Py, (mx, my) = coarse_basis((mx, my), "linear")
             P = sp.kron(Py, Px, format="csr")
-            self.levels.append((A, MG_OMEGA / A.diagonal(), Px, Py))
+            self.levels.append(
+                (A, MG_OMEGA / A.diagonal(), Px, Py, Px.T.tocsr(), Py.T.tocsr())
+            )
             A = sp.csr_matrix(P.T @ A @ P)
         self.coarse = SparseFactor(A)
 
@@ -124,12 +128,12 @@ class Multigrid:
         """One V-cycle from a zero initial guess: an approximation of A^-1 b."""
         if level == len(self.levels):
             return self.coarse._lu.solve(b)
-        A, dinv, Px, Py = self.levels[level]
+        A, dinv, Px, Py, PxT, PyT = self.levels[level]
         x = dinv * b
         for _ in range(MG_SWEEPS - 1):
             x += dinv * (b - A @ x)
         r = (b - A @ x).reshape(Py.shape[0], Px.shape[0])
-        rc = Py.T @ (Px.T @ r.T).T
+        rc = PyT @ (PxT @ r.T).T
         ec = self.cycle(rc.ravel(), level + 1).reshape(Py.shape[1], Px.shape[1])
         x += (Py @ (Px @ ec.T).T).ravel()
         for _ in range(MG_SWEEPS):
@@ -138,18 +142,24 @@ class Multigrid:
 
 
 def cg_solve(A, b: np.ndarray, precondition, maxiter: int = 1000) -> np.ndarray:
-    """CG on an SPD matrix or operator, preconditioned by ``precondition``.
+    """CG on an SPD matrix, or on an SPD operator given as its product
+    ``A(x)``, preconditioned by ``precondition``.
 
     ``precondition(r)`` returns an SPD approximation of A^-1 r: one V-cycle
     of a ``Multigrid`` for the forward problems, a spectral solve for the
-    constant-background route.  The iteration stops at a relative residual
-    of CG_RTOL, and the result is checked against SOLVE_RTOL.  A stall
-    within ``maxiter`` steps raises.
+    constant-background route.  The preconditioner, and an operator given
+    as its product, run as float ``LinearOperator``s, so scipy applies
+    neither to a zero vector to learn a dtype: each CG step applies the
+    preconditioner once.  The iteration stops at a relative residual of
+    CG_RTOL, and the result is checked against SOLVE_RTOL.  A stall within
+    ``maxiter`` steps raises.
     """
-    n = A.shape[0]
+    n = b.size
     if np.linalg.norm(b) == 0.0:
         return np.zeros(n)
-    M = spla.LinearOperator((n, n), matvec=precondition)
+    if callable(A):
+        A = spla.LinearOperator((n, n), matvec=A, dtype=float)
+    M = spla.LinearOperator((n, n), matvec=precondition, dtype=float)
     x, info = spla.cg(A, b, rtol=CG_RTOL, atol=0.0, maxiter=maxiter, M=M)
     if info != 0:
         raise SolverDivergence(

@@ -39,3 +39,23 @@ def bundle32(dirs3):
     coeffs = CoefficientPair.constant(g, 1.0, 0.5)
     traces = constant_bg_boundary_set(g, 1.0, 0.5, dirs3)
     return build_bundle(coeffs, traces)
+
+
+@pytest.fixture
+def cg_steps(monkeypatch) -> list[int]:
+    """Steps of every ``spla.cg`` call made while the test runs, one entry per call."""
+    import scipy.sparse.linalg as spla
+
+    steps = []
+    cg = spla.cg
+
+    def counting_cg(*args, **kwargs):
+        steps.append(0)
+
+        def count(xk):
+            steps[-1] += 1
+
+        return cg(*args, callback=count, **kwargs)
+
+    monkeypatch.setattr(spla, "cg", counting_cg)
+    return steps

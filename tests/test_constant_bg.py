@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -25,7 +27,7 @@ from umot import (
 from umot.constant_bg import sigma_zero_gamma_rows, symbols
 from umot.ellipticity import DirectionSet
 from umot.errors import GridMismatch, NonPositiveSolution
-from umot.field_core import coarse_basis, rel_l2_error
+from umot.field_core import coarse_basis, interior_derivative_matrices, rel_l2_error
 from umot.forward import DiffusionSolver
 from umot.phantom import bump_field
 
@@ -194,12 +196,18 @@ def test_solve_rejects_3d_directions():
         constant_bg_boundary_set(Grid.unit_square(9), 1.0, 0.5, dirs)
 
 
-def test_normal_operator_spd(bg):
-    from umot.constant_bg import direction_blocks
-    import scipy.sparse.linalg as spla
+def _interior_blocks(bg, g):
+    """[C_i | B_i] on interior rows and columns, assembled from the public operators."""
+    iidx = g.interior_indices()
+    return [
+        sp.hstack([op(bg, v, g).matrix[iidx][:, iidx] for op in (operator_C, operator_B)])
+        for v in bg.dirs.vectors
+    ]
 
+
+def test_normal_operator_spd(bg):
     g = Grid.unit_square(13)
-    N = sum(blk.T @ blk for blk in direction_blocks(bg, g))
+    N = sum(blk.T @ blk for blk in _interior_blocks(bg, g))
     assert abs(N - N.T).max() < 1e-10
     vals = spla.eigsh(N, k=1, sigma=-1e-8, which="LM", return_eigenvectors=False)
     assert vals[0] > 0.0
@@ -251,29 +259,105 @@ def test_fine_truth_error_falls_at_fourth_order(bg):
 
 
 @pytest.mark.parametrize("coarse, fine", [(64, 128), (65, 129)], ids=["even", "odd"])
-def test_cg_iterations_nearly_flat(bg, coarse, fine, monkeypatch):
+def test_cg_iterations_nearly_flat(bg, coarse, fine, cg_steps):
     # the spline basis removes the (pi/h, pi/h) null, so the DST-preconditioned
-    # CG needs about as many steps on the finer grid (51 and 64 even, 48 and
+    # CG needs about as many steps on the finer grid (51 and 63 even, 48 and
     # 52 odd); on the fine coefficients it needed 4,312 at 64x64
-    iterations = []
-    cg = spla.cg
-
-    def counting_cg(*args, **kwargs):
-        iterations.append(0)
-
-        def count(xk):
-            iterations[-1] += 1
-
-        return cg(*args, callback=count, **kwargs)
-
-    monkeypatch.setattr(spla, "cg", counting_cg)
     for n in (coarse, fine):
         g = Grid.unit_square(n)
         dg = bump_field(g, (0.4, 0.45), 0.22, 0.05, power=4).values
         ds = bump_field(g, (0.6, 0.6), 0.2, 0.04, power=4).values
         solve_constant_bg(bg, _row_data(bg, g, dg, ds))
-    assert len(iterations) == 2
-    assert iterations[1] <= 1.3 * iterations[0]
+    assert len(cg_steps) == 2
+    assert cg_steps[1] <= 1.3 * cg_steps[0]
+
+
+def test_operators_equal_their_derivative_matrix_sums(bg):
+    # the 3x3 stencils give, bit for bit, the matrices summed from the
+    # derivative matrices as C_i = -lap + 2 dvv + c1 dv + c0 and
+    # B_i = -eta (gamma0/sigma0) lap - b1 dv - b0
+    g = Grid(19, 23, 0.05, 0.04)
+    dx, dy, dxx, dyy, dxy = interior_derivative_matrices(g, "x", "y", "xx", "yy", "xy")
+    eye = sp.diags((g.depth() >= 1).astype(float))
+    lap = dxx + dyy
+    c1, c0, b1, b0 = bg.lower_order()
+    for v in list(bg.dirs.vectors) + [np.array([0.6, -0.8])]:
+        dv = v[0] * dx + v[1] * dy
+        dvv = v[0] ** 2 * dxx + 2.0 * v[0] * v[1] * dxy + v[1] ** 2 * dyy
+        C = -lap + 2.0 * dvv + c1 * dv + c0 * eye
+        B = -bg.eta * (bg.gamma0 / bg.sigma0) * lap - b1 * dv - b0 * eye
+        assert np.array_equal(operator_C(bg, v, g).matrix.toarray(), C.toarray())
+        assert np.array_equal(operator_B(bg, v, g).matrix.toarray(), B.toarray())
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid.unit_square(17), Grid.unit_square(18), Grid(17, 22, 1 / 16, 0.05)],
+    ids=["17", "18", "17x22"],
+)
+def test_matrix_free_rows_match_assembled_operator(bg, grid):
+    # the in-place stencil application is A Q2, its adjoint (A Q2)^T and its
+    # normal operator Q2^T (sum_i A_i^T A_i) Q2, assembled here from the
+    # public operators
+    from umot.constant_bg import _SplineRows
+
+    rows = _SplineRows(bg, grid)
+    Px, Py, _ = coarse_basis((grid.nx - 2, grid.ny - 2), "spline")
+    Q = sp.kron(Py, Px, format="csr")
+    AQ = (sp.vstack(_interior_blocks(bg, grid)) @ sp.block_diag([Q, Q])).toarray()
+    N = AQ.T @ AQ
+    free = np.column_stack([rows.normal(e) for e in np.eye(N.shape[0])])
+    assert np.abs(free - N).max() <= 1e-13 * np.abs(N).max()
+    rng = np.random.default_rng(6)
+    c, r = rng.standard_normal(AQ.shape[1]), rng.standard_normal(AQ.shape[0])
+    assert np.abs(rows.forward(c).ravel() - AQ @ c).max() <= 1e-13 * np.abs(AQ @ c).max()
+    assert np.abs(rows.adjoint(r.reshape(len(bg.dirs), -1)) - AQ.T @ r).max() <= (
+        1e-13 * np.abs(AQ.T @ r).max()
+    )
+
+
+def test_solve_applies_preconditioner_once_per_step(bg, cg_steps, monkeypatch):
+    # the operators are typed, so scipy runs no extra spectral solve on a
+    # zero vector to learn a dtype
+    import umot.constant_bg as cbg
+
+    applied = []
+    build = cbg._spectral_preconditioner
+
+    def counting_build(*args):
+        precondition = build(*args)
+
+        def counted(r):
+            applied.append(1)
+            return precondition(r)
+
+        return counted
+
+    monkeypatch.setattr(cbg, "_spectral_preconditioner", counting_build)
+    g = Grid.unit_square(33)
+    dg = bump_field(g, (0.4, 0.45), 0.22, 0.05, power=4).values
+    solve_constant_bg(bg, _row_data(bg, g, dg, 0.5 * dg))
+    assert len(cg_steps) == 1
+    assert len(applied) == cg_steps[0] > 0
+
+
+def test_solve_memory_stays_small_at_129(bg):
+    # nothing is assembled: the traced peak of the solve at 129x129 is a few
+    # MB (the assembled normal matrix took 35.7 MB); a first, small solve
+    # keeps the lazy import of scipy.fft out of the trace
+    small = Grid.unit_square(17)
+    solve_constant_bg(bg, _row_data(bg, small, np.ones(small.n_nodes), np.ones(small.n_nodes)))
+    g = Grid.unit_square(129)
+    dg = bump_field(g, (0.4, 0.45), 0.22, 0.05, power=4).values
+    ds = bump_field(g, (0.6, 0.6), 0.2, 0.04, power=4).values
+    data = _row_data(bg, g, dg, ds)
+    tracemalloc.start()
+    try:
+        solve_constant_bg(bg, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_fine_symbol_has_rank_one_at_nyquist_corner(bg):

@@ -182,28 +182,35 @@ def test_solve_residual_bound_refuses_ill_conditioned_solve():
 
 
 @pytest.mark.parametrize("n", [64, 128])
-def test_forward_cg_iterations_stay_flat(n, dirs3, monkeypatch):
+def test_forward_cg_iterations_stay_flat(n, dirs3, cg_steps):
     # multigrid-preconditioned CG: the iteration count does not grow with the grid
-    import scipy.sparse.linalg as spla
-
-    iterations = []
-    cg = spla.cg
-
-    def counting_cg(*args, **kwargs):
-        iterations.append(0)
-
-        def count(xk):
-            iterations[-1] += 1
-
-        return cg(*args, callback=count, **kwargs)
-
-    monkeypatch.setattr(spla, "cg", counting_cg)
     g = Grid.unit_square(n)
     build_bundle(
         CoefficientPair.constant(g, 1.0, 0.5), constant_bg_boundary_set(g, 1.0, 0.5, dirs3)
     )
-    assert len(iterations) == 3
-    assert max(iterations) <= 12
+    assert len(cg_steps) == 3
+    assert max(cg_steps) <= 12
+
+
+def test_forward_cg_runs_one_cycle_per_step(cg_steps, monkeypatch):
+    # CG applies the V-cycle once per step and nowhere else: the operators
+    # are typed, so scipy runs no extra cycle on a zero vector to learn a dtype
+    from umot.solvers import Multigrid
+
+    cycles = []
+    cycle = Multigrid.cycle
+
+    def counting_cycle(self, b, level=0):
+        if level == 0:
+            cycles.append(1)
+        return cycle(self, b, level)
+
+    monkeypatch.setattr(Multigrid, "cycle", counting_cycle)
+    g = Grid.unit_square(64)
+    solver = DiffusionSolver(CoefficientPair.constant(g, 1.0, 0.5))
+    solver.solve(BoundaryData.from_function(g, lambda x, y: np.exp(x) * np.cos(y)))
+    assert len(cg_steps) == 1
+    assert len(cycles) == cg_steps[0] > 0
 
 
 HARD_CASES = ["gamma-jump-60", "anisotropic-101x51", "strip-5x1000"]

@@ -140,6 +140,31 @@ def test_field_writers_match_reference_bytes(tmp_path, grid):
     assert cpath.read_text() == _reference_csv(f)
 
 
+def test_dump_json_matches_json_bytes(tmp_path):
+    # finite float lists are spliced in as reprs; everything else, and a
+    # list holding NaN or inf, goes through json, so the bytes are json's
+    from umot.fileio import dump_json
+
+    rng = np.random.default_rng(8)
+    long = (rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30, 40)).tolist()
+    long[:4] = [-0.0, 5e-324, 1e-05, 2.0]
+    obj = {
+        "b": long,
+        "a": {"x": {"y": [long, {"z": long[:20]}], "empty": []}, "short": long[:3]},
+        "ints": list(range(30)),
+        "mixed": long[:20] + [1],
+        "tuple": tuple(long[:16]),
+        "nonfinite": long[:20] + [float("nan"), float("inf"), -float("inf")],
+        "scalar": 0.1,
+        "name": "\u0000 not a placeholder",
+    }
+    # a string json spells like a placeholder sends the whole object through json
+    trap = {"b": long, "s": "\u00000"}
+    for o in (obj, long, [obj, [long]], {}, [], trap):
+        dump_json(o, tmp_path / "o.json")
+        assert (tmp_path / "o.json").read_text() == json.dumps(o, sort_keys=True, indent=1) + "\n"
+
+
 SCENARIO = {
     "grid": {"nx": 16, "ny": 16, "hx": 1 / 15, "hy": 1 / 15},
     "eta": 1.0,
