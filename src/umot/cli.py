@@ -17,11 +17,17 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .errors import GridMismatch, NotElliptic, PipelineStageError, UmotError
 from .field_core import BoundaryData
-from .fileio import dump_json, field_from_dict, load_json, read_field_list_json, require_key
+from .fileio import (
+    dump_json,
+    field_from_dict,
+    load_json,
+    read_field_list_json,
+    require_floats,
+    require_key,
+    require_list,
+)
 from .forward import CoefficientPair
 from .pipeline import (
     Recorder,
@@ -74,9 +80,9 @@ def cmd_linearize(args) -> int:
     setup.certificate.require()
     g = None
     if args.g:
-        components = require_key(load_json(args.g), "components", "--g file")
+        components = require_list(load_json(args.g), "components", "--g file")
         g = [
-            BoundaryData(setup.grid, np.asarray(require_key(c, "values", "--g component"), float))
+            BoundaryData(setup.grid, require_floats(c, "values", "--g component"))
             for c in components
         ]
     dump_json(linearized_reconstruction(setup, read_field_list_json(args.dh), g=g), args.out)

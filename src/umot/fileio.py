@@ -79,6 +79,23 @@ def require_key(d, key: str, what: str):
     return d[key]
 
 
+def require_list(d, key: str, what: str) -> list:
+    """``d[key]`` when it is a JSON list, or a ValueError naming the key."""
+    value = require_key(d, key, what)
+    if not isinstance(value, list):
+        raise ValueError(f"{what} key '{key}' must be a list, got {type(value).__name__}")
+    return value
+
+
+def require_floats(d, key: str, what: str) -> np.ndarray:
+    """``d[key]`` as a float array, or a ValueError naming the key when ``d``
+    lacks it or it holds anything but numbers."""
+    try:
+        return np.asarray(require_list(d, key, what), dtype=float)
+    except TypeError as exc:  # a nested object
+        raise ValueError(f"{what} key '{key}' must hold numbers: {exc}") from exc
+
+
 def _grid_dict(g: Grid) -> dict:
     return {"nx": g.nx, "ny": g.ny, "hx": g.hx, "hy": g.hy, "x0": g.x0, "y0": g.y0}
 
@@ -93,11 +110,14 @@ def _reprs(a) -> list[str]:
 
 
 def field_from_dict(d: dict) -> ScalarField:
-    """The field a dict of field_to_dict describes; Grid refuses non-integer counts."""
-    keys = ("nx", "ny", "hx", "hy", "values")
-    nx, ny, hx, hy, values = (require_key(d, k, "field") for k in keys)
-    grid = Grid(nx, ny, float(hx), float(hy), float(d.get("x0", 0.0)), float(d.get("y0", 0.0)))
-    return ScalarField(grid, np.asarray(values, dtype=float))
+    """The field a dict of field_to_dict describes.  Grid refuses non-integer
+    counts; the spacings and origin must be numbers, the values a list of them."""
+    nx, ny, hx, hy = (require_key(d, k, "field") for k in ("nx", "ny", "hx", "hy"))
+    values = require_floats(d, "values", "field")
+    spacing = (hx, hy, d.get("x0", 0.0), d.get("y0", 0.0))
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in spacing):
+        raise ValueError(f"field spacings and origin must be numbers, got {spacing}")
+    return ScalarField(Grid(nx, ny, *map(float, spacing)), values)
 
 
 def write_field_json(f: ScalarField, path) -> list[str]:
@@ -137,4 +157,4 @@ def write_field_list_json(fields: list[ScalarField], path) -> None:
 
 
 def read_field_list_json(path) -> list[ScalarField]:
-    return [field_from_dict(d) for d in require_key(load_json(path), "fields", "field list")]
+    return [field_from_dict(d) for d in require_list(load_json(path), "fields", "field list")]

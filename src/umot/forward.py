@@ -29,10 +29,9 @@ from .field_core import (
     assemble_diffusion_operator,
     gradient,
 )
-from .solvers import Multigrid, SparseFactor, cg_solve
+from .solvers import Multigrid, cg_solve
 
 DEFAULT_ETA = 1.0
-DIRECT_THRESHOLD = 2500  # interior unknowns; larger forward problems use multigrid CG
 GAMMA_FLOOR = 1e-12  # smallest admissible diffusion coefficient
 
 
@@ -76,15 +75,16 @@ class SolutionGeometry:
 
 
 class DiffusionSolver:
-    """Factorized forward operator for repeated boundary-value solves.
+    """Forward operator for repeated boundary-value solves.
 
     The assembled operator splits into the interior block A_II and the
     boundary coupling A_IB, so a Dirichlet solve is A_II u_I = -A_IB f.
-    A_II gets a sparse factorization, built once, up to DIRECT_THRESHOLD
-    interior unknowns.  Above it, conjugate gradients run preconditioned by a
-    multigrid V-cycle whose hierarchy is built once.  Every solve is checked
-    at the solve layer's one residual bound, and a stalled iteration or a
-    solve above that bound raises SolverDivergence.
+    Every solve is conjugate gradients on A_II preconditioned by a multigrid
+    V-cycle whose hierarchy is built once.  A problem with at most
+    MG_COARSEST unknowns has no levels: its V-cycle is the exact coarse
+    solve, so CG stops after one step.  Every solve is checked at the solve
+    layer's one residual bound, and a stalled iteration or a solve above
+    that bound raises SolverDivergence.
     """
 
     def __init__(self, coeffs: CoefficientPair):
@@ -96,14 +96,9 @@ class DiffusionSolver:
         A_I = A[self.interior]
         self.A_II = A_I[:, self.interior]
         self.A_IB = A_I[:, self.boundary]
-        if self.interior.size <= DIRECT_THRESHOLD:
-            self._factor, self._mg = SparseFactor(self.A_II), None
-        else:
-            self._factor, self._mg = None, Multigrid(self.A_II, grid.nx - 2, grid.ny - 2)
+        self._mg = Multigrid(self.A_II, grid.nx - 2, grid.ny - 2)
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        if self._factor is not None:
-            return self._factor.solve(rhs)
         return cg_solve(self.A_II, rhs, self._mg.cycle)
 
     def solve(self, f: BoundaryData) -> ScalarField:

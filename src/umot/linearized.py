@@ -18,9 +18,10 @@ rows times h) balance the discrete system across derivative orders.
 
 Unknown layout: perturbation blocks [dgamma | dsigma | du_1 ... du_J], each
 restricted to interior nodes.  Boundary values of dgamma and dsigma are
-pinned to zero (perturbations are modeled as interior-supported); when
-normal-derivative data g is supplied they are instead carried by a clamped
-biharmonic lift and the solve runs on the homogeneous remainder.
+pinned to zero (perturbations are modeled as interior-supported).  When
+normal-derivative data g is supplied, a clamped biharmonic lift carries it:
+the lift vanishes on the boundary and has normal derivative g there, and the
+solve runs on the homogeneous remainder.
 """
 
 from __future__ import annotations
@@ -61,17 +62,14 @@ class LinearizedSystem:
     """Assembled least-squares system A v = rhs.
 
     ``A`` carries the row weights already applied; its columns are the
-    interior blocks [dgamma | dsigma | du_1 ... du_J].  ``A_boundary`` holds the
-    columns of the boundary nodes of the dgamma/dsigma blocks (zero in the
-    default interior-supported model; needed when a lift supplies boundary
-    values).  The system carries no certification: callers gate the bundle
-    with ``EllipticityReport.require`` before they assemble.
+    interior blocks [dgamma | dsigma | du_1 ... du_J].  The system carries no
+    certification: callers gate the bundle with ``EllipticityReport.require``
+    before they assemble.
     """
 
     A: DiscreteOperator
     rhs: np.ndarray
     bundle: SolutionBundle
-    A_boundary: sp.csr_matrix
 
     @property
     def J(self) -> int:
@@ -126,8 +124,6 @@ def assemble_system(
         raise TooFewSolutions("the 2D inversion needs at least three solutions")
     grid = bundle.grid
     iidx = grid.interior_indices()
-    bidx = grid.boundary_indices()
-    n_int = iidx.size
     w_pde = float(np.sqrt(grid.hx * grid.hy))
     gam = bundle.coeffs.gamma.values[iidx]
     sig = bundle.coeffs.sigma.values[iidx]
@@ -135,7 +131,7 @@ def assemble_system(
     dx, dy = dx[iidx][:, iidx], dy[iidx][:, iidx]  # boundary du columns are zero
     L = w_pde * bundle.solver.A_II
 
-    rows, boundary_rows = [], []
+    rows = []
     for j, ((_, u), geo) in enumerate(zip(bundle.solutions, bundle.geometry)):
         F = geo.F.values[iidx]
         uj = u.values[iidx]
@@ -150,18 +146,11 @@ def assemble_system(
             + [du_data if k == j else None for k in range(J)]
         )
         # state rows (weighted by h): flux-jacobian in dgamma, u dsigma, L du
-        M = w_pde * diffusion_flux_jacobian(bundle.coeffs.gamma, u)[iidx]
-        rows.append(
-            [M[:, iidx], sp.diags(w_pde * uj)] + [L if k == j else None for k in range(J)]
-        )
-        boundary_rows += [sp.csr_matrix((n_int, bidx.size)), M[:, bidx]]
+        M = w_pde * diffusion_flux_jacobian(bundle.coeffs.gamma, u)[iidx][:, iidx]
+        rows.append([M, sp.diags(w_pde * uj)] + [L if k == j else None for k in range(J)])
 
-    # boundary dsigma columns never appear (pointwise term at interior rows)
-    A_bnd = sp.hstack(
-        [sp.vstack(boundary_rows), sp.csr_matrix((2 * J * n_int, bidx.size))], format="csr"
-    )
     return LinearizedSystem(
-        DiscreteOperator(sp.bmat(rows, format="csr")), _data_rhs(bundle, dH), bundle, A_bnd
+        DiscreteOperator(sp.bmat(rows, format="csr")), _data_rhs(bundle, dH), bundle
     )
 
 
@@ -239,20 +228,16 @@ def solve_normal_equations(
     """
     grid = sys.bundle.grid
     iidx = grid.interior_indices()
-    bidx = grid.boundary_indices()
     n_int = iidx.size
     J = sys.J
     A = sys.A.matrix
     b = sys.rhs if rhs is None else rhs
 
-    phis = None
     if g is not None:
         if len(g) != 2 + J:
             raise ValueError("need normal data for each unknown block")
-        phis = biharmonic_lifts(g)
-        phi_int = np.concatenate([p.values[iidx] for p in phis])
-        phi_bnd = np.concatenate([phis[0].values[bidx], phis[1].values[bidx]])
-        b = b - A @ phi_int - sys.A_boundary @ phi_bnd
+        phi_int = np.concatenate([p.values[iidx] for p in biharmonic_lifts(g)])
+        b = b - A @ phi_int
 
     rhs_n = A.T @ b
     if not np.any(rhs_n):
@@ -260,20 +245,16 @@ def solve_normal_equations(
     else:
         w = _ensure_full_rank(sys).solve(rhs_n)
 
-    if phis is not None:
+    if g is not None:
         w = w + phi_int
 
-    def unpack(block: int, boundary_from=None) -> ScalarField:
+    def unpack(block: int) -> ScalarField:
         full = np.zeros(grid.n_nodes)
         full[iidx] = w[block * n_int : (block + 1) * n_int]
-        if boundary_from is not None:
-            full[bidx] = boundary_from.values[bidx]
         return ScalarField(grid, full)
 
-    dgamma = unpack(0, phis[0] if phis else None)
-    dsigma = unpack(1, phis[1] if phis else None)
     du = tuple(unpack(2 + j) for j in range(J))
-    return PerturbationVector(dgamma, dsigma, du)
+    return PerturbationVector(unpack(0), unpack(1), du)
 
 
 def normal_residual(sys: LinearizedSystem, v: PerturbationVector) -> float:

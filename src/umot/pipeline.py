@@ -196,6 +196,8 @@ def linearized_reconstruction(setup: ScenarioSetup, dH, g=None, truth=None) -> d
 def constant_bg_reconstruction(setup: ScenarioSetup, dH, truth=None) -> dict:
     """Constant-background fourth-order solve, dividing by the bundle's u_j, as a dict."""
     bg = setup.config.constant_background
+    if len(dH) != len(bg.dirs):
+        raise ValueError("need one data field per direction")
     data = [preprocess_data(d, u, bg) for d, (_, u) in zip(dH, setup.bundle.solutions)]
     dgamma, dsigma = solve_constant_bg(bg, data)
     out = {"dgamma": field_to_dict(dgamma), "dsigma": field_to_dict(dsigma)}

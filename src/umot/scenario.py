@@ -31,10 +31,17 @@ from .phantom import BumpSpec, generate_phantom
 _OPTIONAL_TOP_KEYS = {"eta", "phantom", "noise", "solver", "certify", "inversion"}
 
 
+def _object(d, where: str) -> dict:
+    """``d``, or a ScenarioError when the section is not a JSON object."""
+    if not isinstance(d, dict):
+        raise ScenarioError(f"{where} must be a JSON object")
+    return d
+
+
 def _require_keys(
     d: dict, where: str, required: set = frozenset(), optional: set = frozenset()
 ) -> None:
-    missing = required - set(d)
+    missing = required - set(_object(d, where))
     if missing:
         raise ScenarioError(f"missing {', '.join(f'{where}.{k}' for k in sorted(missing))}")
     unknown = set(d) - required - optional
@@ -256,12 +263,10 @@ def parse_scenario(data) -> ScenarioConfig:
             data = json.loads(data)
         except json.JSONDecodeError:
             data = load_json(data)
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a JSON object")
     _require_keys(data, "scenario", {"grid", "background", "boundary_set"}, _OPTIONAL_TOP_KEYS)
     _require_keys(data["grid"], "grid", {"nx", "ny", "hx", "hy"}, {"x0", "y0"})
 
-    bg = data["background"]
+    bg = _object(data["background"], "background")
     if bg.get("type") == "constant":
         _require_keys(bg, "background", {"type", "gamma0", "sigma0"})
     elif bg.get("type") == "fields":
@@ -269,7 +274,7 @@ def parse_scenario(data) -> ScenarioConfig:
     else:
         raise ScenarioError("background type must be 'constant' or 'fields'")
 
-    bs = data["boundary_set"]
+    bs = _object(data["boundary_set"], "boundary_set")
     if bs.get("type") == "cgo":
         _require_keys(bs, "boundary_set", {"type"}, {"M", "k"})
     elif bs.get("type") == "constant_bg":

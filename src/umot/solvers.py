@@ -2,16 +2,17 @@
 
 One factorization object serves every direct solve.  Every matrix factored
 here is symmetric positive (semi)definite: normal matrices, the
-absorption-free fourth-order and biharmonic matrices, and the forward A_II.
-So the factor is a symmetric minimum-degree LU with diagonal pivots (minimum
-degree on A + A^T, SuperLU's symmetric mode), built once per matrix, reused
-for every right-hand side, and also driving the inverse iteration of the
-smallest-singular-value probe.  Every iterative solve goes through one
-conjugate-gradient policy, ``cg_solve``, which takes a matrix or a
-matrix-free product and its preconditioner as a callable: a geometric
-multigrid V-cycle for large forward problems, a DST-I spectral solve for the
-matrix-free constant-background route.  There is no fallback: a
-stalled iteration is an error.  Every solve is checked against one
+absorption-free fourth-order and biharmonic matrices, and the coarsest
+multigrid level of a forward A_II (all of A_II when it has at most
+MG_COARSEST unknowns).  So the factor is a symmetric minimum-degree LU with
+diagonal pivots (minimum degree on A + A^T, SuperLU's symmetric mode), built
+once per matrix, reused for every right-hand side, and also driving the
+inverse iteration of the smallest-singular-value probe.  Every iterative
+solve goes through one conjugate-gradient policy, ``cg_solve``, which takes
+a matrix or a matrix-free product and its preconditioner as a callable: a
+geometric multigrid V-cycle for every forward problem, a DST-I spectral
+solve for the matrix-free constant-background route.  There is no fallback:
+a stalled iteration is an error.  Every solve is checked against one
 relative-residual bound, SOLVE_RTOL, and raises SolverDivergence above it.
 The bound never changes a solution; it only refuses one.
 """

@@ -302,6 +302,8 @@ NB = 4 * 18 - 4  # boundary nodes of the 18x18 scenario grid
         ("linearize", 3, None, None, "field is missing the key 'ny'"),
         ("linearize", 3, [NB] * 5, None, "--g file is missing the key 'components'"),
         ("reconstruct", 3, None, 0.5, "--init file is missing the key 'gamma'"),
+        # extra fields are refused, not dropped
+        ("constbg", 4, None, None, "one data field per direction"),
     ],
 )
 def test_malformed_input_files_exit_1(
@@ -342,6 +344,53 @@ def test_malformed_input_files_exit_1(
             del obj[key]
         dump_json(d, path)
     assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def _first_field(d: dict, **changes) -> dict:
+    d["fields"][0].update(changes)
+    return d
+
+
+@pytest.mark.parametrize(
+    "command, flag, edit, message",
+    [
+        ("linearize", "--dh", lambda d: {"fields": 5},
+         "field list key 'fields' must be a list, got int"),
+        ("reconstruct", "--hmeas", lambda d: {"fields": 5},
+         "field list key 'fields' must be a list, got int"),
+        ("linearize", "--dh", lambda d: _first_field(d, values={"a": 1.0}),
+         "field key 'values' must be a list, got dict"),
+        ("linearize", "--dh", lambda d: _first_field(d, values=[{}] * 324),
+         "field key 'values' must hold numbers"),
+        ("linearize", "--dh", lambda d: _first_field(d, hx=[1 / 17]),
+         "field spacings and origin must be numbers"),
+        ("linearize", "--g", lambda d: {"components": 5},
+         "--g file key 'components' must be a list, got int"),
+    ],
+    ids=["dh-fields-int", "hmeas-fields-int", "values-object", "values-objects", "hx-list",
+         "g-components-int"],
+)
+def test_wrongly_typed_input_files_exit_1(
+    tmp_path, scenario_file, capsys, command, flag, edit, message
+):
+    # a value of the wrong JSON type in an input file is reported as an
+    # error, not a traceback, and no output is written
+    g = Grid(18, 18, 1 / 17, 1 / 17)
+    files = dict.fromkeys(["--dh", "--hmeas"], tmp_path / "fields.json")
+    write_field_list_json([ScalarField.constant(g, 0.01)] * 3, files["--dh"])
+    files["--init"] = tmp_path / "init.json"
+    dump_json({k: field_to_dict(ScalarField.constant(g, 1.0)) for k in ("gamma", "sigma")},
+              files["--init"])
+    files["--g"] = tmp_path / "g.json"
+    dump_json({"components": [{"values": [0.0] * NB}] * 5}, files["--g"])
+    dump_json(edit(load_json(files[flag])), files[flag])
+    flags = ["--dh", "--g"] if command == "linearize" else ["--hmeas", "--init"]
+    out = tmp_path / "out.json"
+    args = [command, "--scenario", str(scenario_file), "--out", str(out)]
+    assert main(args + [a for f in flags for a in (f, str(files[f]))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
@@ -408,8 +457,12 @@ def test_scenario_files_are_read_at_parse(tmp_path, capsys, slot, content, messa
          "reaches the boundary band"),
         ({"noise": {"level": float("inf"), "seed": 11}}, "noise level must be a finite number"),
         ({"boundary_set": {"type": "explicit", "files": []}}, "at least one boundary file"),
+        ({"background": [1]}, "background must be a JSON object"),
+        ({"boundary_set": "cgo"}, "boundary_set must be a JSON object"),
+        ({"noise": 5}, "noise must be a JSON object"),
     ],
-    ids=["gamma-truth", "sigma-truth", "bump-at-boundary", "noise-infinite", "no-trace-files"],
+    ids=["gamma-truth", "sigma-truth", "bump-at-boundary", "noise-infinite", "no-trace-files",
+         "background-list", "boundary-set-string", "noise-int"],
 )
 def test_scenario_values_refused_at_parse(tmp_path, capsys, changes, message):
     # the truth is built, the noise level range-checked and the trace list

@@ -152,7 +152,7 @@ def test_bundle_residuals_and_traces(bundle24):
 
 
 def test_forward_cg_stall_raises(bundle24):
-    # the CG path of large forward problems has no silent direct fallback
+    # the forward CG solve has no silent direct fallback
     from umot.errors import SolverDivergence
     from umot.solvers import Multigrid, cg_solve
 
@@ -181,7 +181,7 @@ def test_solve_residual_bound_refuses_ill_conditioned_solve():
         SparseFactor(sp.csr_matrix(H)).solve(b)
 
 
-@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("n", [48, 64, 128])
 def test_forward_cg_iterations_stay_flat(n, dirs3, cg_steps):
     # multigrid-preconditioned CG: the iteration count does not grow with the grid
     g = Grid.unit_square(n)
@@ -190,6 +190,17 @@ def test_forward_cg_iterations_stay_flat(n, dirs3, cg_steps):
     )
     assert len(cg_steps) == 3
     assert max(cg_steps) <= 12
+
+
+def test_small_forward_problem_solves_in_one_cg_step(dirs3, cg_steps):
+    # 256 interior unknowns are at most MG_COARSEST: the hierarchy has no
+    # levels, its V-cycle is the exact coarse solve, and CG stops after one step
+    g = Grid.unit_square(18)
+    bundle = build_bundle(
+        CoefficientPair.constant(g, 1.0, 0.5), constant_bg_boundary_set(g, 1.0, 0.5, dirs3)
+    )
+    assert bundle.solver._mg.levels == []
+    assert cg_steps == [1, 1, 1]
 
 
 def test_forward_cg_runs_one_cycle_per_step(cg_steps, monkeypatch):
@@ -230,11 +241,9 @@ def _hard_solver(case: str) -> DiffusionSolver:
 
 @pytest.mark.parametrize("case", HARD_CASES)
 def test_multigrid_cg_matches_direct_solve(case):
-    from umot.forward import DIRECT_THRESHOLD
     from umot.solvers import SparseFactor
 
     solver = _hard_solver(case)
-    assert solver.interior.size > DIRECT_THRESHOLD
     f = BoundaryData.from_function(solver.coeffs.grid, lambda x, y: np.cos(3 * x) + x * y)
     u = solver.solve(f).values[solver.interior]
     ref = SparseFactor(solver.A_II).solve(-(solver.A_IB @ f.values))
