@@ -8,7 +8,9 @@ forward bundle on a heterogeneous background with the CGO boundary set
 workload, and prints one row: interior unknowns, CG calls, mean and largest
 CG iterations per solve, the ``build_bundle`` wall time, the worst residual
 of a stored solution, the ``certify_field`` wall time and margin of that
-bundle, and the process's peak RSS so far.
+bundle, the tracemalloc peak of a second, traced ``build_bundle`` and
+``certify_field`` (this grid's footprint), and the process's peak RSS so far
+(which only grows from grid to grid).
 
 ``constant-bg``: for each n x n unit-square grid (64, 65, 128, 129, 192, 193,
 256 and 257) it synthesizes exact row data C_i dgamma + B_i dsigma from
@@ -99,6 +101,10 @@ def forward_row(n: int) -> dict:
     start = time.perf_counter()
     report = umot.certify_field(bundle)
     certify_s = time.perf_counter() - start
+    tracemalloc.start()
+    umot.certify_field(umot.build_bundle(background, traces))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     return {
         "grid": f"{n}x{n}",
         "unknowns": grid.n_nodes - grid.n_boundary,
@@ -109,6 +115,7 @@ def forward_row(n: int) -> dict:
         "residual": max(bundle.solver.residual(u, f) for f, u in bundle.solutions),
         "certify_s": certify_s,
         "margin": report.global_margin,
+        "peak_mb": peak / 2**20,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
@@ -163,7 +170,8 @@ ROUTES = {
          ("cg calls", "cg_calls", 8, ""), ("its/solve", "its_per_solve", 9, ".1f"),
          ("max its", "max_steps", 7, ""), ("build s", "build_s", 8, ".3f"),
          ("residual", "residual", 9, ".2e"), ("certify s", "certify_s", 9, ".4f"),
-         ("margin", "margin", 12, ".10f"), ("peak RSS MB", "peak_rss_mb", 11, ".1f")],
+         ("margin", "margin", 12, ".10f"), ("peak MB", "peak_mb", 8, ".1f"),
+         ("peak RSS MB", "peak_rss_mb", 11, ".1f")],
     ),
     "constant-bg": (
         (64, 65, 128, 129, 192, 193, 256, 257),

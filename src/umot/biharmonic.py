@@ -22,7 +22,7 @@ from .field_core import BoundaryData, Grid, ScalarField, laplacian_matrix
 from .solvers import SparseFactor
 
 
-def clamped_biharmonic_system(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def clamped_biharmonic_system(grid: Grid) -> tuple[sp.csc_matrix, sp.csr_matrix]:
     """Interior matrix M and boundary-data map G of the clamped problem.
 
     M phi_int = q_int + G g  reproduces lap^2 phi = q with phi = 0 and
@@ -32,7 +32,7 @@ def clamped_biharmonic_system(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]
     iidx, bidx = grid.interior_indices(), grid.boundary_indices()
     L = laplacian_matrix(grid)[iidx]
     L_II, L_IB = L[:, iidx], L[:, bidx]
-    M = (L_II @ L_II + 2.0 * (L_IB @ L_IB.T)).tocsr()
+    M = (L_II @ L_II + 2.0 * (L_IB @ L_IB.T)).tocsc()  # the format SparseFactor keeps
     i = bidx % grid.nx
     h_nu = np.where((i == 0) | (i == grid.nx - 1), grid.hx, grid.hy)
     G = (-2.0 * L_IB @ sp.diags(1.0 / h_nu)).tocsr()

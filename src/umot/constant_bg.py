@@ -334,7 +334,7 @@ def sigma_zero_recover_dgamma_2d(dH1: ScalarField, dH12: ScalarField) -> ScalarF
     iidx = grid.interior_indices()
     D1i = D1[iidx][:, iidx]
     D2i = D2[iidx][:, iidx]
-    N = (D1i.T @ D1i + D2i.T @ D2i).tocsr()
+    N = D1i.T @ D1i + D2i.T @ D2i
     rhs = D1i.T @ t1[iidx] + D2i.T @ t2[iidx]
     w = SparseFactor(N).solve(rhs)
     out = np.zeros(grid.n_nodes)

@@ -38,6 +38,7 @@ DEFAULT_XI_3D = 10000
 DEFAULT_MARGIN_THRESHOLD = 1e-6
 MASKED_INTERIOR_LIMIT = 0.01
 SVD_RECHECK_BELOW = 1e-2  # margins under this fraction of the row scale are redone by SVD
+CERTIFY_BLOCK = 4096  # nodes whose symbol rows are built and reduced at once
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,23 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     )
 
 
+def _symbol_rows(geometry: tuple, nodes: np.ndarray) -> np.ndarray:
+    """The (nodes, max(J, 3), 3) symbol rows; zero rows pad J < 3."""
+    rows = np.zeros((nodes.size, max(len(geometry), 3), 3))
+    for j, geo in enumerate(geometry):
+        tx, ty = geo.theta.values[nodes].T
+        rows[:, j, 0] = tx * tx - ty * ty
+        rows[:, j, 1] = 2.0 * tx * ty
+        rows[:, j, 2] = geo.d.values[nodes] ** 2
+    return rows
+
+
+def _row_blocks(geometry: tuple, nodes: np.ndarray):
+    """The symbol rows of ``nodes``, CERTIFY_BLOCK nodes at a time, in order."""
+    for s in range(0, nodes.size, CERTIFY_BLOCK):
+        yield _symbol_rows(geometry, nodes[s : s + CERTIFY_BLOCK])
+
+
 def certify_field(
     bundle: SolutionBundle,
     *,
@@ -146,30 +164,33 @@ def certify_field(
     the condition number; nodes whose estimate lies below
     ``SVD_RECHECK_BELOW`` of the row scale, and the minimizer, are recomputed
     by SVD, so the margin keeps its digits wherever the verdict is decided.
+    The rows are built CERTIFY_BLOCK nodes at a time, and again only for the
+    recomputed nodes and the witness, so no (nodes, J, 3) array of the whole
+    grid is held; each node's margin is the same whatever the block size.
     """
     del n_xi
     if not 0.0 <= margin_threshold < np.inf:
         raise ValueError(f"margin threshold must be finite and >= 0, got {margin_threshold}")
-    mask = np.any([geo.degenerate_mask for geo in bundle.geometry], axis=0)
+    geometry = bundle.geometry
+    mask = np.any([geo.degenerate_mask for geo in geometry], axis=0)
     interior = bundle.grid.interior_indices()
     if mask[interior].all():
         raise AllNodesDegenerate("no interior node carries usable gradient geometry")
     nodes = interior[~mask[interior]]
 
-    d2 = np.stack([geo.d.values for geo in bundle.geometry]) ** 2  # (J, n)
-    row_scale = float(np.sqrt(1.0 + d2.max() ** 2))
-    rows = np.zeros((nodes.size, max(bundle.J, 3), 3))  # zero rows pad J < 3
-    for j, geo in enumerate(bundle.geometry):
-        tx, ty = geo.theta.values[nodes].T
-        rows[:, j, 0] = tx * tx - ty * ty
-        rows[:, j, 1] = 2.0 * tx * ty
-        rows[:, j, 2] = d2[j, nodes]
-
-    gram = rows.transpose(0, 2, 1) @ rows
-    margins = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, 0], 0.0))
+    d_max = max(float(np.abs(geo.d.values).max()) for geo in geometry)
+    d2_max = d_max * d_max  # squaring is monotone, so this is the largest d_j^2
+    row_scale = float(np.sqrt(1.0 + d2_max * d2_max))
+    margins = np.concatenate([
+        np.sqrt(np.maximum(np.linalg.eigvalsh(rows.transpose(0, 2, 1) @ rows)[:, 0], 0.0))
+        for rows in _row_blocks(geometry, nodes)
+    ])
     redo = margins < SVD_RECHECK_BELOW * row_scale
     redo[np.argmin(margins)] = True
-    margins[redo] = np.linalg.svd(rows[redo], compute_uv=False)[:, -1]
+    margins[redo] = np.concatenate([
+        np.linalg.svd(rows, compute_uv=False)[:, -1]
+        for rows in _row_blocks(geometry, nodes[redo])
+    ])
     k = int(np.argmin(margins))  # the first minimizer in node order
     global_margin = float(margins[k])
     threshold = margin_threshold * row_scale
@@ -178,7 +199,7 @@ def certify_field(
     elliptic = global_margin > threshold and masked_fraction <= MASKED_INTERIOR_LIMIT
     witness = None
     if not elliptic:
-        z = np.linalg.svd(rows[k])[2][-1]
+        z = np.linalg.svd(_symbol_rows(geometry, nodes[k : k + 1])[0])[2][-1]
         t = 0.5 * np.arctan2(z[1], z[0])
         witness = (int(nodes[k]), np.array([np.cos(t), np.sin(t)]))
     return EllipticityReport(

@@ -4,7 +4,7 @@ For each boundary condition f_j this module solves
 
     -div(gamma grad u_j) + sigma u_j = 0   in X,   u_j = f_j  on dX,
 
-forms the interior functional
+and, on first read, forms the interior functional
 
     H_j = gamma |grad u_j|^2 + eta sigma u_j^2,
 
@@ -17,6 +17,7 @@ populated with unstable quotients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -166,17 +167,19 @@ def solution_geometry(u: ScalarField, grad_floor: float | None = None) -> Soluti
 
 @dataclass(frozen=True)
 class SolutionBundle:
-    """Forward solutions, functionals, and geometry for one coefficient pair.
+    """Forward solutions for one coefficient pair, with geometry and H on demand.
 
-    ``solutions`` holds the (f_j, u_j) pairs.  ``at`` repeats the bundle's build
+    ``solutions`` holds the (f_j, u_j) pairs; they are all the bundle stores
+    besides its build settings.  ``geometry`` and ``H`` are computed from the
+    solutions on first read and kept, so a bundle whose geometry nothing
+    reads never holds it, and ``dataclasses.replace(bundle, solutions=...)``
+    derives both for the new solutions.  ``at`` repeats the bundle's build
     (traces, ``eta`` and ``grad_floor``) at other coefficients.
     """
 
     coeffs: CoefficientPair
     eta: float
     solutions: tuple
-    geometry: tuple
-    H: tuple
     solver: DiffusionSolver
     grad_floor: float | None = None
 
@@ -187,6 +190,16 @@ class SolutionBundle:
     @property
     def grid(self) -> Grid:
         return self.coeffs.grid
+
+    @cached_property
+    def geometry(self) -> tuple:
+        """``solution_geometry`` of each u_j at the bundle's ``grad_floor``."""
+        return tuple(solution_geometry(u, self.grad_floor) for _, u in self.solutions)
+
+    @cached_property
+    def H(self) -> tuple:
+        """The internal functional H_j of each u_j at the bundle's ``eta``."""
+        return tuple(internal_functional(self.coeffs, u, self.eta) for _, u in self.solutions)
 
     def at(self, coeffs: CoefficientPair) -> "SolutionBundle":
         """This bundle's build (traces, eta, grad_floor) at ``coeffs``."""
@@ -200,7 +213,7 @@ def build_bundle(
     eta: float = DEFAULT_ETA,
     grad_floor: float | None = None,
 ) -> SolutionBundle:
-    """Solve the forward problem for every trace and package the results.
+    """Solve the forward problem for every trace and package the solutions.
 
     Each solve is residual-checked by the solver (see DiffusionSolver); the
     boundary restriction of u_j equals f_j exactly by construction.
@@ -208,14 +221,5 @@ def build_bundle(
     if not traces:
         raise ValueError("need at least one boundary condition")
     solver = DiffusionSolver(coeffs)
-    solutions = []
-    geometry = []
-    functionals = []
-    for f in traces:
-        u = solver.solve(f)
-        solutions.append((f, u))
-        geometry.append(solution_geometry(u, grad_floor))
-        functionals.append(internal_functional(coeffs, u, eta))
-    return SolutionBundle(
-        coeffs, eta, tuple(solutions), tuple(geometry), tuple(functionals), solver, grad_floor
-    )
+    solutions = tuple((f, solver.solve(f)) for f in traces)
+    return SolutionBundle(coeffs, eta, solutions, solver, grad_floor)

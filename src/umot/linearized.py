@@ -83,7 +83,7 @@ class LinearizedSystem:
         """
         A = self.A.matrix
         try:
-            factor = SparseFactor((A.T @ A).tocsr())
+            factor = SparseFactor(A.T @ A)
         except SolverDivergence:
             return None, 0.0, 0.0
         return (factor, *factor.smallest_singular(A))

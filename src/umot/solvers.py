@@ -57,12 +57,12 @@ class SparseFactor:
     """
 
     def __init__(self, A: sp.spmatrix):
-        self.A = sp.csr_matrix(A)
+        self.A = sp.csc_matrix(A)  # the one copy, also the matrix SuperLU factors
         if abs(self.A - self.A.T).max() > 1e-12 * abs(self.A).max():
             raise ValueError("SparseFactor needs a symmetric matrix")
         try:
             self._lu = spla.splu(
-                sp.csc_matrix(A),
+                self.A,
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},

@@ -101,6 +101,25 @@ def test_certify_field_witness_attains_margin():
     assert _symbol_smin(bundle, [node], XI_512).min() >= at_witness - 1e-12
 
 
+@pytest.mark.parametrize("threshold", [1e-6, 10.0])
+def test_certify_field_block_size_changes_nothing(threshold, monkeypatch):
+    # 484 certified interior nodes: blocks of 7 (the last one short) against
+    # one block holding them all give bit-identical margins and witnesses
+    import umot.ellipticity as el
+
+    bundle = _heterogeneous_bundle(24)
+    reports = []
+    for block in (7, bundle.grid.n_nodes + 1):
+        monkeypatch.setattr(el, "CERTIFY_BLOCK", block)
+        reports.append(certify_field(bundle, margin_threshold=threshold))
+    small, whole = reports
+    assert small.global_margin == whole.global_margin
+    assert small.elliptic == whole.elliptic == (threshold < 1.0)
+    if whole.witness is not None:
+        assert small.witness[0] == whole.witness[0]
+        assert np.array_equal(small.witness[1], whole.witness[1])
+
+
 def test_certify_field_scale_invariance(bundle24):
     report = certify_field(bundle24)
     scaled_geo = [
@@ -118,12 +137,7 @@ def test_certify_field_row_removal_never_helps(bundle24):
     full = certify_field(bundle24).global_margin
     import dataclasses
 
-    sub = dataclasses.replace(
-        bundle24,
-        solutions=bundle24.solutions[:2],
-        geometry=bundle24.geometry[:2],
-        H=bundle24.H[:2],
-    )
+    sub = dataclasses.replace(bundle24, solutions=bundle24.solutions[:2])
     reduced = certify_field(sub).global_margin
     assert reduced <= full + 1e-12
 

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from umot import (
     Grid,
     ScalarField,
     build_bundle,
+    cgo_boundary_set,
     constant_bg_boundary_set,
     internal_functional,
     solution_geometry,
@@ -149,6 +153,49 @@ def test_bundle_residuals_and_traces(bundle24):
         assert np.array_equal(u.values[iidx], f.values)
         assert bundle24.solver.residual(u, f) < 1e-9
     assert bundle24.J == 3
+
+
+def _heterogeneous_cgo(n: int):
+    """Coefficients and CGO traces (J = 5) on a heterogeneous n x n background."""
+    g = Grid.unit_square(n)
+    X, Y = g.coords()
+    coeffs = CoefficientPair(
+        ScalarField(g, 1.0 + 0.2 * X * Y), ScalarField(g, 0.5 + 0.1 * X)
+    )
+    return coeffs, cgo_boundary_set(g, 4.0, 1.0, coeffs)
+
+
+def test_bundle_derives_geometry_and_H_on_first_read():
+    bundle = build_bundle(*_heterogeneous_cgo(24), eta=0.7)
+    assert "geometry" not in bundle.__dict__ and "H" not in bundle.__dict__
+    for (_, u), geo, h in zip(bundle.solutions, bundle.geometry, bundle.H):
+        ref = solution_geometry(u, bundle.grad_floor)
+        for name in ("F", "theta", "d"):
+            assert np.array_equal(getattr(geo, name).values, getattr(ref, name).values)
+        assert np.array_equal(geo.degenerate_mask, ref.degenerate_mask)
+        assert np.array_equal(h.values, internal_functional(bundle.coeffs, u, 0.7).values)
+    assert bundle.geometry is bundle.geometry  # computed once, then kept
+
+    sub = dataclasses.replace(bundle, solutions=bundle.solutions[:2])
+    assert sub.J == 2 and len(sub.geometry) == 2 and len(sub.H) == 2
+    for geo, h, geo_all, h_all in zip(sub.geometry, sub.H, bundle.geometry, bundle.H):
+        assert np.array_equal(geo.d.values, geo_all.d.values)
+        assert np.array_equal(h.values, h_all.values)
+
+
+def test_bundle_holds_no_geometry_after_build():
+    # At 128² the five solutions take 0.6 MB and the solver with its multigrid
+    # hierarchy about 1.9 MB; the five geometries and functionals would add
+    # 4 MB more, so a build that derived them eagerly holds about 6.4 MB.
+    coeffs, traces = _heterogeneous_cgo(128)
+    tracemalloc.start()
+    try:
+        bundle = build_bundle(coeffs, traces)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert bundle.J == 5
+    assert current < 4 * 2**20
 
 
 def test_forward_cg_stall_raises(bundle24):

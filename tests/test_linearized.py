@@ -33,12 +33,7 @@ def _planted(grid, amp_g=0.03, amp_s=0.02):
 def test_assemble_requires_three_solutions(bundle24):
     import dataclasses
 
-    small = dataclasses.replace(
-        bundle24,
-        solutions=bundle24.solutions[:2],
-        geometry=bundle24.geometry[:2],
-        H=bundle24.H[:2],
-    )
+    small = dataclasses.replace(bundle24, solutions=bundle24.solutions[:2])
     with pytest.raises(TooFewSolutions):
         assemble_system(small, _zero_fields(bundle24.grid, 2))
     assemble_system(small, _zero_fields(bundle24.grid, 2), allow_deficient=True)
@@ -268,12 +263,7 @@ def test_rank_deficient_solve_refused(bundle24, J):
     from umot.errors import RankDeficient
 
     g = bundle24.grid
-    small = dataclasses.replace(
-        bundle24,
-        solutions=bundle24.solutions[:J],
-        geometry=bundle24.geometry[:J],
-        H=bundle24.H[:J],
-    )
+    small = dataclasses.replace(bundle24, solutions=bundle24.solutions[:J])
     dg, ds = _planted(g)
     dH, _ = apply_linearized_forward(small, dg, ds)
     sys_ = assemble_system(small, dH, allow_deficient=True)
@@ -390,12 +380,7 @@ def test_injectivity_probe_certified_vs_deficient(bundle24):
 
     import dataclasses
 
-    b1 = dataclasses.replace(
-        bundle24,
-        solutions=bundle24.solutions[:1],
-        geometry=bundle24.geometry[:1],
-        H=bundle24.H[:1],
-    )
+    b1 = dataclasses.replace(bundle24, solutions=bundle24.solutions[:1])
     sys1 = assemble_system(b1, _zero_fields(bundle24.grid, 1), allow_deficient=True)
     assert injectivity_probe(sys1, relative=True) < 1e-10
 
