@@ -15,7 +15,6 @@ from .errors import (
     Diverged,
     GridMismatch,
     InsufficientHistory,
-    NonPositiveDiffusion,
     NonPositiveSolution,
     NotElliptic,
     NotUnitVector,
@@ -34,7 +33,6 @@ from .field_core import (
     Grid,
     ScalarField,
     VectorField,
-    assemble_diffusion_operator,
     gradient,
 )
 from .forward import (

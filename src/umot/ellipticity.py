@@ -38,7 +38,7 @@ DEFAULT_XI_3D = 10000
 DEFAULT_MARGIN_THRESHOLD = 1e-6
 MASKED_INTERIOR_LIMIT = 0.01
 SVD_RECHECK_BELOW = 1e-2  # margins under this fraction of the row scale are redone by SVD
-CERTIFY_BLOCK = 4096  # nodes whose symbol rows are built and reduced at once
+CERTIFY_BLOCK = 4096  # nodes whose Gram entries or symbol rows are formed at once
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,102 @@ def _symbol_rows(geometry: tuple, nodes: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _row_blocks(geometry: tuple, nodes: np.ndarray):
-    """The symbol rows of ``nodes``, CERTIFY_BLOCK nodes at a time, in order."""
+def _blocks(nodes: np.ndarray):
+    """``nodes`` in order, CERTIFY_BLOCK at a time."""
     for s in range(0, nodes.size, CERTIFY_BLOCK):
-        yield _symbol_rows(geometry, nodes[s : s + CERTIFY_BLOCK])
+        yield nodes[s : s + CERTIFY_BLOCK]
+
+
+def _gram_entries(geometry: tuple, nodes: np.ndarray) -> tuple:
+    """The six entries (g00, g11, g22, g01, g02, g12) of each node's Gram matrix.
+
+    Each is a sum over j of products of the symbol rows' three columns, so
+    zero rows padding J < 3 add nothing.
+    """
+    g = [np.zeros(nodes.size) for _ in range(6)]
+    for geo in geometry:
+        tx, ty = geo.theta.values[nodes].T
+        a = tx * tx - ty * ty
+        b = 2.0 * tx * ty
+        c = geo.d.values[nodes] ** 2
+        for k, term in enumerate((a * a, b * b, c * c, a * b, a * c, b * c)):
+            g[k] += term
+    return tuple(g)
+
+
+def _smith(g00, g11, g22, g01, g02, g12) -> tuple:
+    """(r, lambda_1, lambda_3) of each symmetric 3-by-3 matrix by Smith's formula.
+
+    The spectrum is q + 2 p cos(phi + 2 pi k / 3), k = 0, 1, 2, with
+    q = trace / 3, 6 p^2 = ||A - q I||_F^2 and cos 3 phi = r =
+    det(A - q I) / (2 p^3) (Commun. ACM 4, 1961).
+    """
+    q = (g00 + g11 + g22) / 3.0
+    b00, b11, b22 = g00 - q, g11 - q, g22 - q
+    off2 = g01 * g01 + g02 * g02 + g12 * g12
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * off2) / 6.0)
+    det = (b00 * (b11 * b22 - g12 * g12) - g01 * (g01 * b22 - g12 * g02)
+           + g02 * (g01 * g12 - b11 * g02))
+    r = np.clip(det / np.where(p > 0.0, 2.0 * p**3, 1.0), -1.0, 1.0)  # p = 0: A = q I
+    phi = np.arccos(r) / 3.0
+    return r, q + 2.0 * p * np.cos(phi), q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+
+
+def _null_vector(c00, c11, c22, c01, c02, c12) -> np.ndarray:
+    """(3, n) unit null vectors of rank-2 symmetric C: the longest row cross product.
+
+    Where C is zero any unit vector will do, and the first axis is returned.
+    """
+    crosses = (  # rows 0 x 1, 0 x 2 and 1 x 2
+        (c01 * c12 - c02 * c11, c02 * c01 - c00 * c12, c00 * c11 - c01 * c01),
+        (c01 * c22 - c02 * c12, c02 * c02 - c00 * c22, c00 * c12 - c01 * c02),
+        (c11 * c22 - c12 * c12, c12 * c02 - c01 * c22, c01 * c12 - c11 * c02),
+    )
+    v, longest = np.array(crosses[0]), 0.0
+    for cross in crosses:
+        norm = cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2]
+        v = np.where(norm > longest, cross, v)
+        longest = np.maximum(longest, norm)
+    scale = np.sqrt(np.where(longest > 0.0, longest, 1.0))
+    return np.where(longest > 0.0, v / scale, [[1.0], [0.0], [0.0]])
+
+
+def _deflated_smallest(g00, g11, g22, g01, g02, g12, v0, v1, v2) -> np.ndarray:
+    """Smaller eigenvalue of each matrix on the plane orthogonal to its eigenvector v.
+
+    With 2 h = trace(A) - v^T A v and B = P (A - h I) P, P = I - v v^T, it is
+    h - ||B||_F / sqrt(2): no root cancels, also when the two are equal.
+    """
+    a0 = g00 * v0 + g01 * v1 + g02 * v2
+    a1 = g01 * v0 + g11 * v1 + g12 * v2
+    a2 = g02 * v0 + g12 * v1 + g22 * v2
+    rho = v0 * a0 + v1 * a1 + v2 * a2
+    h = 0.5 * (g00 + g11 + g22 - rho)
+    s = 0.5 * (rho + h)  # u = A v - s v, so that B = A - h I - v u^T - u v^T
+    u0, u1, u2 = a0 - s * v0, a1 - s * v1, a2 - s * v2
+    d0, d1, d2 = g00 - h - 2.0 * v0 * u0, g11 - h - 2.0 * v1 * u1, g22 - h - 2.0 * v2 * u2
+    e01, e02, e12 = g01 - v0 * u1 - u0 * v1, g02 - v0 * u2 - u0 * v2, g12 - v1 * u2 - u1 * v2
+    frob2 = d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (e01 * e01 + e02 * e02 + e12 * e12)
+    return h - np.sqrt(0.5 * frob2)
+
+
+def _smallest_eigenvalue(g00, g11, g22, g01, g02, g12) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric 3-by-3 matrix given by its six entries.
+
+    Smith's formula keeps its digits only at the separated end of the
+    spectrum: a nearly double root is off by about sqrt(eps) of the scale.
+    When r <= 0 the smallest eigenvalue is the separated one, and the formula
+    gives it.  When r > 0 the largest is, so its eigenvector, the null vector
+    of A - lambda_1 I, is deflated.  Either way the result is within a few
+    eps of the largest eigenvalue.  Each matrix is first scaled by a power of
+    two that brings its trace into [1/2, 1): that changes no rounding, and
+    keeps the fourth powers of its entries in range.
+    """
+    _, exponent = np.frexp(g00 + g11 + g22)
+    g = [np.ldexp(entry, -exponent) for entry in (g00, g11, g22, g01, g02, g12)]
+    r, lam1, lam3 = _smith(*g)
+    v = _null_vector(g[0] - lam1, g[1] - lam1, g[2] - lam1, *g[3:])
+    return np.ldexp(np.where(r > 0.0, _deflated_smallest(*g, *v), lam3), exponent)
 
 
 def certify_field(
@@ -160,13 +252,15 @@ def certify_field(
     and a bundle with more than 1% masked interior nodes is not certified.
     ``n_xi`` is accepted and ignored: the margin no longer samples xi.
 
-    Every node is first estimated from its 3-by-3 Gram matrix, which squares
-    the condition number; nodes whose estimate lies below
-    ``SVD_RECHECK_BELOW`` of the row scale, and the minimizer, are recomputed
-    by SVD, so the margin keeps its digits wherever the verdict is decided.
-    The rows are built CERTIFY_BLOCK nodes at a time, and again only for the
-    recomputed nodes and the witness, so no (nodes, J, 3) array of the whole
-    grid is held; each node's margin is the same whatever the block size.
+    Every node is first estimated from its 3-by-3 Gram matrix, whose six
+    entries are sums over j and whose smallest eigenvalue has a closed form
+    (``_smallest_eigenvalue``); the Gram matrix squares the condition number,
+    so nodes whose estimate lies below ``SVD_RECHECK_BELOW`` of the row
+    scale, and the minimizer, are recomputed by SVD, and the margin keeps its
+    digits wherever the verdict is decided.  The Gram entries are formed
+    CERTIFY_BLOCK nodes at a time, and the rows only for the recomputed
+    nodes and the witness, so no (nodes, J, 3) array of the whole grid is
+    held; each node's margin is the same whatever the block size.
     """
     del n_xi
     if not 0.0 <= margin_threshold < np.inf:
@@ -182,14 +276,14 @@ def certify_field(
     d2_max = d_max * d_max  # squaring is monotone, so this is the largest d_j^2
     row_scale = float(np.sqrt(1.0 + d2_max * d2_max))
     margins = np.concatenate([
-        np.sqrt(np.maximum(np.linalg.eigvalsh(rows.transpose(0, 2, 1) @ rows)[:, 0], 0.0))
-        for rows in _row_blocks(geometry, nodes)
+        np.sqrt(np.maximum(_smallest_eigenvalue(*_gram_entries(geometry, block)), 0.0))
+        for block in _blocks(nodes)
     ])
     redo = margins < SVD_RECHECK_BELOW * row_scale
     redo[np.argmin(margins)] = True
     margins[redo] = np.concatenate([
-        np.linalg.svd(rows, compute_uv=False)[:, -1]
-        for rows in _row_blocks(geometry, nodes[redo])
+        np.linalg.svd(_symbol_rows(geometry, block), compute_uv=False)[:, -1]
+        for block in _blocks(nodes[redo])
     ])
     k = int(np.argmin(margins))  # the first minimizer in node order
     global_margin = float(margins[k])

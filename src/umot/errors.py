@@ -9,10 +9,6 @@ class GridMismatch(UmotError):
     """Operands live on different grids."""
 
 
-class NonPositiveDiffusion(UmotError):
-    """Diffusion coefficient is not strictly positive."""
-
-
 class NotUnitVector(UmotError):
     """A direction argument is not of unit length."""
 

@@ -8,8 +8,9 @@ Conventions
 -----------
 * node (i, j) sits at (x0 + i*hx, y0 + j*hy) and has linear index j*nx + i
 * boundary nodes are ordered counterclockwise starting at (x0, y0)
-* interior rows of assembled operators hold the stencil; boundary rows of the
-  diffusion operator are identity so the "pinned" full system stays solvable
+* assembled operators hold the stencil on interior rows only; the diffusion
+  operator is assembled as its interior block A_II and boundary coupling
+  A_IB (``diffusion_blocks``), and no whole-grid diffusion matrix is formed
 * interior stencils are second-order central differences; gradients fall back
   to second-order one-sided stencils on the boundary
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GridMismatch, NonPositiveDiffusion
+from .errors import GridMismatch
 
 
 @dataclass(frozen=True)
@@ -243,38 +244,50 @@ def face_average_partials(a, b):
 # diffusion operator
 
 
-def _diffusion_csr(gamma_vals, sigma_vals, grid: Grid) -> sp.csr_matrix:
-    """Flux-conservative 5-point stencil for -div(gamma grad) + sigma.
-
-    Interior rows carry the stencil, boundary rows are identity.
-    """
-    c, e, w, n, s = _interior_stencil_indices(grid)
-    hx2, hy2 = grid.hx ** 2, grid.hy ** 2
-    ge = face_average(gamma_vals[c], gamma_vals[e]) / hx2
-    gw = face_average(gamma_vals[c], gamma_vals[w]) / hx2
-    gn = face_average(gamma_vals[c], gamma_vals[n]) / hy2
-    gs = face_average(gamma_vals[c], gamma_vals[s]) / hy2
-    diag = ge + gw + gn + gs + sigma_vals[c]
-
-    b = grid.boundary_indices()
-    rows = np.concatenate([c, c, c, c, c, b])
-    cols = np.concatenate([c, e, w, n, s, b])
-    vals = np.concatenate([diag, -ge, -gw, -gn, -gs, np.ones(b.size)])
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(grid.n_nodes, grid.n_nodes))
-    return m.tocsr()
+def _rows_csr(data, indices, counts, n_cols: int) -> sp.csr_matrix:
+    """CSR matrix from its entries in row order and the entry count of each row."""
+    indptr = np.concatenate([[0], np.cumsum(counts.ravel())])
+    return sp.csr_matrix((data, indices, indptr), shape=(counts.size, n_cols))
 
 
-def assemble_diffusion_operator(gamma: ScalarField, sigma: ScalarField) -> DiscreteOperator:
-    """Assemble -div(gamma grad u) + sigma u on interior rows.
+def diffusion_blocks(gamma: ScalarField, sigma: ScalarField) -> tuple:
+    """Flux-conservative 5-point stencil for -div(gamma grad) + sigma, as two blocks.
 
-    Boundary rows are identity; DiffusionSolver splits off the interior
-    system.  Raises NonPositiveDiffusion when min(gamma) <= 0.
+    Returns (A_II, A_IB) in CSR: the interior rows restricted to the
+    interior columns (row-major interior numbering, each row's entries in
+    ascending column order: south, west, centre, east, north) and to the
+    boundary columns (numbered as ``boundary_indices``, in the same order),
+    so a Dirichlet problem reads A_II u_I = -A_IB f.  Each face's
+    harmonic-mean diffusivity is evaluated once and written into both rows
+    it couples; no full-grid matrix is formed.
     """
     _check_same_grid(gamma, sigma)
-    if gamma.values.min() <= 0.0:
-        raise NonPositiveDiffusion("diffusion coefficient must be positive")
-    m = _diffusion_csr(gamma.values, sigma.values, gamma.grid)
-    return DiscreteOperator(m)
+    grid = gamma.grid
+    mx, my = grid.nx - 2, grid.ny - 2
+    G = gamma.as_matrix()
+    fx = face_average(G[1:-1, :-1], G[1:-1, 1:]) / grid.hx**2  # face (i, j)-(i + 1, j)
+    fy = face_average(G[:-1, 1:-1], G[1:, 1:-1]) / grid.hy**2  # face (i, j)-(i, j + 1)
+    gw, ge, gs, gn = fx[:, :-1], fx[:, 1:], fy[:-1], fy[1:]
+    diag = ge + gw + gn + gs + sigma.as_matrix()[1:-1, 1:-1]
+    taps = np.stack([-gs, -gw, diag, -ge, -gn], axis=-1)  # (my, mx, 5)
+
+    inner = np.ones(taps.shape, dtype=bool)  # the taps that reach an interior node
+    inner[0, :, 0] = inner[:, 0, 1] = inner[:, -1, 3] = inner[-1, :, 4] = False
+    counts = np.full((my, mx), 5)
+    counts[0] -= 1
+    counts[-1] -= 1
+    counts[:, 0] -= 1
+    counts[:, -1] -= 1
+    cols = np.arange(mx * my, dtype=np.int32).reshape(my, mx, 1)
+    cols = cols + np.array([-mx, -1, 0, 1, mx], dtype=np.int32)
+    A_II = _rows_csr(taps[inner], cols[inner], counts, mx * my)
+
+    j, i, t = np.nonzero(~inner)  # the boundary couplings, in row order
+    position = np.empty(grid.n_nodes, dtype=np.intp)  # of each boundary node in f
+    position[grid.boundary_indices()] = np.arange(grid.n_boundary)
+    node = (j + 1) * grid.nx + (i + 1) + np.array([-grid.nx, -1, 0, 1, grid.nx])[t]
+    A_IB = _rows_csr(taps[j, i, t], position[node], 5 - counts, grid.n_boundary)
+    return A_II, A_IB
 
 
 def diffusion_flux_jacobian(gamma: ScalarField, u: ScalarField) -> sp.csr_matrix:

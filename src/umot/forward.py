@@ -27,7 +27,7 @@ from .field_core import (
     Grid,
     ScalarField,
     VectorField,
-    assemble_diffusion_operator,
+    diffusion_blocks,
     gradient,
 )
 from .solvers import Multigrid, cg_solve
@@ -78,8 +78,9 @@ class SolutionGeometry:
 class DiffusionSolver:
     """Forward operator for repeated boundary-value solves.
 
-    The assembled operator splits into the interior block A_II and the
-    boundary coupling A_IB, so a Dirichlet solve is A_II u_I = -A_IB f.
+    The operator is assembled directly as its interior block A_II and its
+    boundary coupling A_IB (``diffusion_blocks``), so a Dirichlet solve is
+    A_II u_I = -A_IB f.
     Every solve is conjugate gradients on A_II preconditioned by a multigrid
     V-cycle whose hierarchy is built once.  A problem with at most
     MG_COARSEST unknowns has no levels: its V-cycle is the exact coarse
@@ -93,10 +94,7 @@ class DiffusionSolver:
         grid = coeffs.grid
         self.interior = grid.interior_indices()
         self.boundary = grid.boundary_indices()
-        A = assemble_diffusion_operator(coeffs.gamma, coeffs.sigma).matrix
-        A_I = A[self.interior]
-        self.A_II = A_I[:, self.interior]
-        self.A_IB = A_I[:, self.boundary]
+        self.A_II, self.A_IB = diffusion_blocks(coeffs.gamma, coeffs.sigma)
         self._mg = Multigrid(self.A_II, grid.nx - 2, grid.ny - 2)
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:

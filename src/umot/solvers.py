@@ -83,6 +83,7 @@ class SparseFactor:
         direct Rayleigh quotient ||A w|| / ||w||, which resolves structurally
         null directions far below the eigenvalue round-off floor.  An iterate
         that overflows marks a numerically singular factor and reports 0.
+        The largest is the square root of ``largest_eigenvalue`` of A^T A.
         """
         sig_max = float(np.sqrt(largest_eigenvalue(self.A)))
         if sig_max == 0.0:
@@ -170,16 +171,28 @@ def cg_solve(A, b: np.ndarray, precondition, maxiter: int = 1000) -> np.ndarray:
 
 
 def largest_eigenvalue(A: sp.spmatrix) -> float:
-    """Deterministic estimate of the top eigenvalue (PSD A), 60 power steps."""
+    """Deterministic estimate of the top eigenvalue (PSD A): 20 Lanczos steps.
+
+    Each new basis vector is reorthogonalized against all the previous ones,
+    and the estimate is the largest eigenvalue of the tridiagonal projection:
+    a Ritz value, so it never exceeds the true one.
+    """
     n = A.shape[0]
-    v = np.ones(n) + 1e-3 * np.sin(np.arange(n))
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(60):
-        w = A @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        lam = float(v @ w)
-        v = w / nw
-    return abs(lam)
+    steps = min(20, n)
+    V = np.empty((steps, n))
+    V[0] = np.ones(n) + 1e-3 * np.sin(np.arange(n))
+    V[0] /= np.linalg.norm(V[0])
+    alpha, beta = [], []
+    for i in range(steps):
+        w = A @ V[i]
+        alpha.append(float(V[i] @ w))
+        if i + 1 == steps:
+            break
+        w -= V[: i + 1].T @ (V[: i + 1] @ w)
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:  # an invariant subspace: the projection is exact
+            break
+        beta.append(nw)
+        V[i + 1] = w / nw
+    T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    return max(float(np.linalg.eigvalsh(T)[-1]), 0.0)

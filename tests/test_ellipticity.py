@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,96 @@ def test_certify_field_block_size_changes_nothing(threshold, monkeypatch):
     if whole.witness is not None:
         assert small.witness[0] == whole.witness[0]
         assert np.array_equal(small.witness[1], whole.witness[1])
+
+
+def _gram_stack(kind, scale, rng):
+    """(200, 3, 3) symmetric PSD matrices of one adversarial kind at one scale."""
+    if kind.startswith("rows J="):
+        rows = rng.standard_normal((200, int(kind[-1]), 3))
+        G = rows.transpose(0, 2, 1) @ rows
+    else:
+        spectrum = {
+            "equal top pair": [1.0, 1.0, 0.3],
+            "top pair 1e-9 apart": [1.0, 1.0 - 1e-9, 0.3],
+            "equal bottom pair": [1.0, 0.3, 0.3],
+            "bottom pair 1e-9 apart": [1.0, 0.3 + 1e-9, 0.3],
+            "rank 1": [1.0, 0.0, 0.0],
+            "rank 2": [1.0, 0.5, 0.0],
+            "multiple of I": [1.0, 1.0, 1.0],
+            "zero": [0.0, 0.0, 0.0],
+        }[kind]
+        Q = np.linalg.qr(rng.standard_normal((200, 3, 3)))[0]
+        G = Q @ (np.array(spectrum)[None, :, None] * Q.transpose(0, 2, 1))
+        G[:5] = np.diag(spectrum)  # axis-aligned: zero off-diagonal entries
+    G = 0.5 * (G + G.transpose(0, 2, 1))
+    return scale * G
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e8, 1e150])
+@pytest.mark.parametrize(
+    "kind",
+    ["rows J=3", "rows J=5", "equal top pair", "top pair 1e-9 apart", "equal bottom pair",
+     "bottom pair 1e-9 apart", "rank 1", "rank 2", "multiple of I", "zero"],
+)
+def test_smallest_eigenvalue_matches_eigvalsh(kind, scale):
+    # the closed form keeps every digit a Householder eigensolver keeps, also
+    # at the nearly double roots where Smith's formula alone loses half
+    import umot.ellipticity as el
+
+    G = _gram_stack(kind, scale, np.random.default_rng(len(kind)))
+    lam = el._smallest_eigenvalue(G[:, 0, 0], G[:, 1, 1], G[:, 2, 2], G[:, 0, 1], G[:, 0, 2],
+                                  G[:, 1, 2])
+    ref = np.linalg.eigvalsh(G)
+    assert np.all(np.abs(lam - ref[:, 0]) <= 1e-13 * np.abs(ref[:, -1]))
+
+
+def _svd_everywhere(bundle):
+    """Reference certification: the SVD margin of every certified node."""
+    import umot.ellipticity as el
+
+    mask = np.any([geo.degenerate_mask for geo in bundle.geometry], axis=0)
+    nodes = bundle.grid.interior_indices()
+    nodes = nodes[~mask[nodes]]
+    rows = el._symbol_rows(bundle.geometry, nodes)
+    margins = np.linalg.svd(rows, compute_uv=False)[:, -1]
+    k = int(np.argmin(margins))
+    z = np.linalg.svd(rows[k])[2][-1]
+    t = 0.5 * np.arctan2(z[1], z[0])
+    return margins[k], nodes[k], np.array([np.cos(t), np.sin(t)])
+
+
+def _cgo_bundle48():
+    g = Grid.unit_square(48)
+    coeffs = CoefficientPair(
+        ScalarField.from_function(g, lambda x, y: 1.0 + 0.2 * np.sin(3 * x) * y),
+        ScalarField.from_function(g, lambda x, y: 0.3 + 0.1 * x),
+    )
+    return build_bundle(coeffs, cgo_boundary_set(g, 4.0, 1.0, coeffs))
+
+
+def _two_solution_bundle24():
+    bundle = _heterogeneous_bundle(24)
+    return dataclasses.replace(bundle, solutions=bundle.solutions[:2])
+
+
+@pytest.mark.parametrize(
+    "make, margin, node",
+    [(_cgo_bundle48, 0.4779361245070459, 2254), (_two_solution_bundle24, 0.0, 25)],
+)
+@pytest.mark.parametrize("threshold", [1e-6, 10.0])
+def test_certify_field_keeps_svd_minimizer(make, margin, node, threshold):
+    # the Gram estimate finds the node that an SVD of every node finds, so the
+    # margin, verdict and witness are the SVD's; the literal margins and nodes
+    # are those of the batched-eigvalsh estimate (J = 2 pads a zero row)
+    bundle = make()
+    report = certify_field(bundle, margin_threshold=threshold)
+    ref_margin, ref_node, ref_xi = _svd_everywhere(bundle)
+    assert report.global_margin == ref_margin
+    assert report.global_margin == pytest.approx(margin, rel=1e-12, abs=1e-300)
+    assert report.elliptic == (margin > report.threshold)
+    if not report.elliptic:
+        assert report.witness[0] == ref_node == node
+        assert np.array_equal(report.witness[1], ref_xi)
 
 
 def test_certify_field_scale_invariance(bundle24):

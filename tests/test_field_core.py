@@ -9,10 +9,8 @@ from umot import (
     DiffusionSolver,
     DiscreteOperator,
     Grid,
-    NonPositiveDiffusion,
     ScalarField,
     VectorField,
-    assemble_diffusion_operator,
     gradient,
 )
 from umot.field_core import coarse_basis, l2_norm, rel_l2_error
@@ -80,27 +78,60 @@ def test_gradient_convergence_order():
     assert np.log2(e1 / e2) >= 1.9
 
 
+def _full_diffusion_operator(gamma, sigma):
+    """Reference: the whole-grid 5-point operator through COO, boundary rows identity."""
+    g = gamma.grid
+    c = g.interior_indices()
+    g_v = gamma.values
+    faces = [
+        (nb, 2.0 * g_v[c] * g_v[nb] / (g_v[c] + g_v[nb]) / h2)
+        for nb, h2 in ((c + 1, g.hx**2), (c - 1, g.hx**2), (c + g.nx, g.hy**2), (c - g.nx, g.hy**2))
+    ]
+    diag = faces[0][1] + faces[1][1] + faces[2][1] + faces[3][1] + sigma.values[c]
+    b = g.boundary_indices()
+    rows = np.concatenate([c, c, c, c, c, b])
+    cols = np.concatenate([c] + [nb for nb, _ in faces] + [b])
+    vals = np.concatenate([diag] + [-w for _, w in faces] + [np.ones(b.size)])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(g.n_nodes, g.n_nodes)).tocsr()
+
+
 def test_diffusion_operator_constant_coefficients():
     g = Grid(5, 5, 0.5, 0.5)
     one = ScalarField.constant(g, 1.0)
     zero = ScalarField.constant(g, 0.0)
-    op = assemble_diffusion_operator(one, zero)
-    A = op.matrix.toarray()
-    c = g.index(2, 2)
+    A = DiffusionSolver(CoefficientPair(one, zero)).A_II.toarray()
+    c = 4  # interior node (2, 2), whose four neighbours are interior too
     h2 = 1 / 0.25
     assert A[c, c] == pytest.approx(4 * h2)
-    for nb in (g.index(1, 2), g.index(3, 2), g.index(2, 1), g.index(2, 3)):
+    for nb in (1, 3, 5, 7):
         assert A[c, nb] == pytest.approx(-h2)
     # zeroth-order term is additive on the diagonal
-    op_s = assemble_diffusion_operator(one, ScalarField.constant(g, 0.7))
-    assert op_s.matrix.toarray()[c, c] == pytest.approx(4 * h2 + 0.7)
+    A_s = DiffusionSolver(CoefficientPair(one, ScalarField.constant(g, 0.7))).A_II.toarray()
+    assert A_s[c, c] == pytest.approx(4 * h2 + 0.7)
 
 
-def test_diffusion_operator_rejects_nonpositive():
-    g = Grid(5, 5, 0.5, 0.5)
-    bad = ScalarField.constant(g, 0.0)
-    with pytest.raises(NonPositiveDiffusion):
-        assemble_diffusion_operator(bad, bad)
+@pytest.mark.parametrize(
+    "nx, ny, hx, hy",
+    [(5, 5, 0.25, 0.25), (6, 5, 0.2, 0.25), (7, 40, 1 / 6, 1 / 39), (40, 6, 1 / 39, 0.2),
+     (9, 11, 0.05, 0.37)],
+)
+@pytest.mark.parametrize("heterogeneous", [False, True])
+def test_diffusion_blocks_match_full_operator(nx, ny, hx, hy, heterogeneous):
+    g = Grid(nx, ny, hx, hy)
+    if heterogeneous:
+        rng = np.random.default_rng(nx * ny)
+        gamma = ScalarField(g, 0.3 + rng.random(g.n_nodes))
+        sigma = ScalarField(g, rng.random(g.n_nodes))
+    else:
+        gamma, sigma = ScalarField.constant(g, 1.3), ScalarField.constant(g, 0.4)
+    solver = DiffusionSolver(CoefficientPair(gamma, sigma))
+    A_I = _full_diffusion_operator(gamma, sigma)[g.interior_indices()]
+    ref_II, ref_IB = A_I[:, g.interior_indices()], A_I[:, g.boundary_indices()]
+    # bitwise the same stored entries in the same order, so every CG product matches
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(solver.A_II, name), getattr(ref_II, name)), name
+    assert solver.A_IB.shape == ref_IB.shape
+    assert np.array_equal(solver.A_IB.toarray(), ref_IB.toarray())
 
 
 def test_diffusion_manufactured_solution_order():
@@ -117,9 +148,10 @@ def test_diffusion_manufactured_solution_order():
             + np.sin(X) * np.cos(Y)
             + 0.3 * ustar
         )
-        op = assemble_diffusion_operator(gamma, sigma)
-        r = op.matrix @ ustar - f
-        return np.abs(r[g.interior_indices()]).max()
+        solver = DiffusionSolver(CoefficientPair(gamma, sigma))
+        iidx = g.interior_indices()
+        r = solver.A_II @ ustar[iidx] + solver.A_IB @ ustar[g.boundary_indices()] - f[iidx]
+        return np.abs(r).max()
 
     e1, e2 = resid(17), resid(33)
     assert np.log2(e1 / e2) >= 1.9
@@ -130,9 +162,7 @@ def test_diffusion_interior_block_symmetric():
     X, Y = g.coords()
     gamma = ScalarField(g, 1.0 + 0.4 * X * Y)
     sigma = ScalarField(g, 0.2 + 0.1 * X)
-    op = assemble_diffusion_operator(gamma, sigma)
-    iidx = g.interior_indices()
-    A_II = op.matrix[iidx][:, iidx]
+    A_II = DiffusionSolver(CoefficientPair(gamma, sigma)).A_II
     assert abs(A_II - A_II.T).max() < 1e-14
 
 
@@ -173,10 +203,9 @@ def test_eliminate_dirichlet_matches_pinned_full_solve():
     u = DiffusionSolver(CoefficientPair(gamma, sigma)).solve(BoundaryData(g, bvals))
 
     # pinned full system: boundary rows are identity, rhs holds the data
-    op = assemble_diffusion_operator(gamma, sigma)
     rhs = np.zeros(g.n_nodes)
     rhs[g.boundary_indices()] = bvals
-    u_full = spla.spsolve(op.matrix.tocsc(), rhs)
+    u_full = spla.spsolve(_full_diffusion_operator(gamma, sigma).tocsc(), rhs)
     iidx = g.interior_indices()
     assert np.abs(u_full[iidx] - u.values[iidx]).max() < 1e-10
 

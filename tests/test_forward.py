@@ -67,15 +67,11 @@ def test_dense_direct_oracle():
         ScalarField(g, 1.0 + 0.5 * bump), ScalarField.constant(g, 0.1)
     )
     f = BoundaryData.from_function(g, lambda x, y: 1.0 + x)
-    u = solve_diffusion(coeffs, f)
+    solver = DiffusionSolver(coeffs)
+    u = solver.solve(f)
 
-    from umot import assemble_diffusion_operator
-
-    A = assemble_diffusion_operator(coeffs.gamma, coeffs.sigma).matrix.toarray()
-    rhs = np.zeros(g.n_nodes)
-    rhs[g.boundary_indices()] = f.values
-    u_dense = np.linalg.solve(A, rhs)
-    assert np.abs(u.values - u_dense).max() < 1e-10
+    u_dense = np.linalg.solve(solver.A_II.toarray(), -(solver.A_IB @ f.values))
+    assert np.abs(u.values[g.interior_indices()] - u_dense).max() < 1e-10
 
 
 def test_maximum_principle_heuristic():

@@ -410,3 +410,20 @@ def test_injectivity_probe_domain_shrink(dirs3):
 
     p_full, p_half = probe(1.0), probe(0.5)
     assert p_half >= 0.5 * p_full
+
+
+def test_largest_eigenvalue_is_a_close_lower_bound(bundle24):
+    # the sigma_max half of the rank probe: 20 Lanczos steps give a Ritz
+    # value, never above the top eigenvalue, here within 1% of it
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    from umot.solvers import largest_eigenvalue
+
+    A = assemble_system(bundle24, _zero_fields(bundle24.grid, 3)).A.matrix
+    N = (A.T @ A).tocsc()
+    top = spla.eigsh(N, k=1, which="LA", tol=1e-12)[0][0]
+    estimate = largest_eigenvalue(N)
+    assert 0.99 * top < estimate <= top * (1.0 + 1e-12)
+    assert largest_eigenvalue(sp.csr_matrix((4, 4))) == 0.0
+    assert largest_eigenvalue(sp.diags([3.0, 1.0, 2.0])) == pytest.approx(3.0, rel=1e-14)
