@@ -110,6 +110,18 @@ def test_diffusion_operator_constant_coefficients():
     assert A_s[c, c] == pytest.approx(4 * h2 + 0.7)
 
 
+def test_diffusion_operator_rejects_nonpositive():
+    # the operator is only built through CoefficientPair, which refuses gamma <= 0
+    g = Grid(5, 5, 0.5, 0.5)
+    bad = ScalarField.constant(g, 0.0)
+    with pytest.raises(ValueError):
+        DiffusionSolver(CoefficientPair(bad, bad))
+    values = np.ones(g.n_nodes)
+    values[g.index(2, 2)] = -1.0  # a single nonpositive interior node
+    with pytest.raises(ValueError):
+        DiffusionSolver(CoefficientPair(ScalarField(g, values), ScalarField.constant(g, 0.0)))
+
+
 @pytest.mark.parametrize(
     "nx, ny, hx, hy",
     [(5, 5, 0.25, 0.25), (6, 5, 0.2, 0.25), (7, 40, 1 / 6, 1 / 39), (40, 6, 1 / 39, 0.2),
