@@ -1,6 +1,7 @@
 """Solver ladders: CG steps, time and memory of one solve route by grid size.
 
     python3 scripts/ladder.py {forward,constant-bg} [--max N] [--max-steps K]
+                              [--max-peak-mb M]
 
 ``forward``: for each n x n unit-square grid (64, 128 and 256) it builds one
 forward bundle on a heterogeneous background with the CGO boundary set
@@ -25,7 +26,8 @@ and odd sizes are both listed because the spline coarse grid fits the DST
 layout of the preconditioner only on odd ones.
 
 ``--max N`` drops the grids larger than N.  With ``--max-steps K`` the script
-exits 1 when any solve took more than K CG steps.  BLAS runs on one thread,
+exits 1 when any solve took more than K CG steps, and with ``--max-peak-mb M``
+when any row's ``peak MB`` exceeds M.  BLAS runs on one thread,
 as in ``perfbench``: with more, the threaded vector operations of CG made the
 128x128 forward build up to eight times slower in a process started after a
 pause.
@@ -197,6 +199,8 @@ def main() -> int:
     ap.add_argument("--max", type=int, default=None, help="largest grid size n")
     ap.add_argument("--max-steps", type=int, default=None,
                     help="exit 1 when a solve takes more CG steps than this")
+    ap.add_argument("--max-peak-mb", type=float, default=None,
+                    help="exit 1 when a row's traced peak MB exceeds this")
     args = ap.parse_args()
     all_sizes, row, columns = ROUTES[args.route]
     sizes = [n for n in all_sizes if args.max is None or n <= args.max]
@@ -204,16 +208,21 @@ def main() -> int:
         ap.error(f"--max must be at least {min(all_sizes)}")
 
     print(" ".join(f"{header:>{width}}" for header, _, width, _ in columns))
-    worst = 0
+    worst, peak = 0, 0.0
     for n in sizes:
         r = row(n)
-        worst = max(worst, r["max_steps"])
+        worst, peak = max(worst, r["max_steps"]), max(peak, r["peak_mb"])
         print(" ".join(f"{r[key]:>{width}{fmt}}" for _, key, width, fmt in columns), flush=True)
+    failed = False
     if args.max_steps is not None and worst > args.max_steps:
         print(f"error: a solve took {worst} CG steps, more than {args.max_steps}",
               file=sys.stderr)
-        return 1
-    return 0
+        failed = True
+    if args.max_peak_mb is not None and peak > args.max_peak_mb:
+        print(f"error: a row peaked at {peak:.1f} MB, more than {args.max_peak_mb:g}",
+              file=sys.stderr)
+        failed = True
+    return int(failed)
 
 
 if __name__ == "__main__":

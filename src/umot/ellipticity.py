@@ -125,10 +125,11 @@ def _symbol_rows(geometry: tuple, nodes: np.ndarray) -> np.ndarray:
     """The (nodes, max(J, 3), 3) symbol rows; zero rows pad J < 3."""
     rows = np.zeros((nodes.size, max(len(geometry), 3), 3))
     for j, geo in enumerate(geometry):
-        tx, ty = geo.theta.values[nodes].T
+        theta, d = geo.at(nodes)
+        tx, ty = theta.T
         rows[:, j, 0] = tx * tx - ty * ty
         rows[:, j, 1] = 2.0 * tx * ty
-        rows[:, j, 2] = geo.d.values[nodes] ** 2
+        rows[:, j, 2] = d**2
     return rows
 
 
@@ -146,10 +147,11 @@ def _gram_entries(geometry: tuple, nodes: np.ndarray) -> tuple:
     """
     g = [np.zeros(nodes.size) for _ in range(6)]
     for geo in geometry:
-        tx, ty = geo.theta.values[nodes].T
+        theta, d = geo.at(nodes)
+        tx, ty = theta.T
         a = tx * tx - ty * ty
         b = 2.0 * tx * ty
-        c = geo.d.values[nodes] ** 2
+        c = d**2
         for k, term in enumerate((a * a, b * b, c * c, a * b, a * c, b * c)):
             g[k] += term
     return tuple(g)
@@ -257,10 +259,14 @@ def certify_field(
     (``_smallest_eigenvalue``); the Gram matrix squares the condition number,
     so nodes whose estimate lies below ``SVD_RECHECK_BELOW`` of the row
     scale, and the minimizer, are recomputed by SVD, and the margin keeps its
-    digits wherever the verdict is decided.  The Gram entries are formed
-    CERTIFY_BLOCK nodes at a time, and the rows only for the recomputed
-    nodes and the witness, so no (nodes, J, 3) array of the whole grid is
-    held; each node's margin is the same whatever the block size.
+    digits wherever the verdict is decided.  Then every estimate at or below
+    the smallest recomputed margin is recomputed too, until none is left, so
+    the global margin is always an SVD value.  theta_j and d_j are formed
+    from F_j and u_j (``SolutionGeometry.at``) CERTIFY_BLOCK nodes at a
+    time, the Gram entries from them, and the rows only for the recomputed
+    nodes and the witness, so no theta_j, d_j or (nodes, J, 3) array of the
+    whole grid is held; each node's margin is the same whatever the block
+    size.
     """
     del n_xi
     if not 0.0 <= margin_threshold < np.inf:
@@ -272,7 +278,11 @@ def certify_field(
         raise AllNodesDegenerate("no interior node carries usable gradient geometry")
     nodes = interior[~mask[interior]]
 
-    d_max = max(float(np.abs(geo.d.values).max()) for geo in geometry)
+    d_max = max(  # over every node: a boundary node's d_j counts too
+        float(np.abs(geo.at(slice(s, s + CERTIFY_BLOCK))[1]).max())
+        for geo in geometry
+        for s in range(0, bundle.grid.n_nodes, CERTIFY_BLOCK)
+    )
     d2_max = d_max * d_max  # squaring is monotone, so this is the largest d_j^2
     row_scale = float(np.sqrt(1.0 + d2_max * d2_max))
     margins = np.concatenate([
@@ -281,10 +291,14 @@ def certify_field(
     ])
     redo = margins < SVD_RECHECK_BELOW * row_scale
     redo[np.argmin(margins)] = True
-    margins[redo] = np.concatenate([
-        np.linalg.svd(_symbol_rows(geometry, block), compute_uv=False)[:, -1]
-        for block in _blocks(nodes[redo])
-    ])
+    rechecked = np.zeros(nodes.size, dtype=bool)
+    while redo.any():  # until the minimum is an SVD value
+        margins[redo] = np.concatenate([
+            np.linalg.svd(_symbol_rows(geometry, block), compute_uv=False)[:, -1]
+            for block in _blocks(nodes[redo])
+        ])
+        rechecked |= redo
+        redo = ~rechecked & (margins <= margins[rechecked].min())
     k = int(np.argmin(margins))  # the first minimizer in node order
     global_margin = float(margins[k])
     threshold = margin_threshold * row_scale

@@ -9,8 +9,9 @@ Conventions
 * node (i, j) sits at (x0 + i*hx, y0 + j*hy) and has linear index j*nx + i
 * boundary nodes are ordered counterclockwise starting at (x0, y0)
 * assembled operators hold the stencil on interior rows only; the diffusion
-  operator is assembled as its interior block A_II and boundary coupling
-  A_IB (``diffusion_blocks``), and no whole-grid diffusion matrix is formed
+  operator is assembled as its interior block A_II, stored by its five
+  diagonals, and its boundary coupling A_IB in CSR (``diffusion_blocks``),
+  and no whole-grid diffusion matrix is formed
 * interior stencils are second-order central differences; gradients fall back
   to second-order one-sided stencils on the boundary
 """
@@ -244,26 +245,25 @@ def face_average_partials(a, b):
 # diffusion operator
 
 
-def _rows_csr(data, indices, counts, n_cols: int) -> sp.csr_matrix:
-    """CSR matrix from its entries in row order and the entry count of each row."""
-    indptr = np.concatenate([[0], np.cumsum(counts.ravel())])
-    return sp.csr_matrix((data, indices, indptr), shape=(counts.size, n_cols))
-
-
 def diffusion_blocks(gamma: ScalarField, sigma: ScalarField) -> tuple:
     """Flux-conservative 5-point stencil for -div(gamma grad) + sigma, as two blocks.
 
-    Returns (A_II, A_IB) in CSR: the interior rows restricted to the
-    interior columns (row-major interior numbering, each row's entries in
-    ascending column order: south, west, centre, east, north) and to the
-    boundary columns (numbered as ``boundary_indices``, in the same order),
-    so a Dirichlet problem reads A_II u_I = -A_IB f.  Each face's
-    harmonic-mean diffusivity is evaluated once and written into both rows
-    it couples; no full-grid matrix is formed.
+    Returns (A_II, A_IB): the interior rows restricted to the interior
+    columns (row-major interior numbering) and to the boundary columns
+    (numbered as ``boundary_indices``), so a Dirichlet problem reads
+    A_II u_I = -A_IB f.  A_II is a ``dia_matrix`` with the offsets
+    (-mx, -1, 0, 1, mx) in ascending order, south, west, centre, east and
+    north, and each tap that reaches a boundary node stored as 0: its
+    product sums each row's products in ascending column order, as a sorted
+    CSR product does, and to the same bits.  A_IB is CSR, each row's entries
+    in that same order.  Each face's harmonic-mean diffusivity is evaluated
+    once and written into both rows it couples; no full-grid matrix is
+    formed.
     """
     _check_same_grid(gamma, sigma)
     grid = gamma.grid
     mx, my = grid.nx - 2, grid.ny - 2
+    n = mx * my
     G = gamma.as_matrix()
     fx = face_average(G[1:-1, :-1], G[1:-1, 1:]) / grid.hx**2  # face (i, j)-(i + 1, j)
     fy = face_average(G[:-1, 1:-1], G[1:, 1:-1]) / grid.hy**2  # face (i, j)-(i, j + 1)
@@ -273,20 +273,19 @@ def diffusion_blocks(gamma: ScalarField, sigma: ScalarField) -> tuple:
 
     inner = np.ones(taps.shape, dtype=bool)  # the taps that reach an interior node
     inner[0, :, 0] = inner[:, 0, 1] = inner[:, -1, 3] = inner[-1, :, 4] = False
-    counts = np.full((my, mx), 5)
-    counts[0] -= 1
-    counts[-1] -= 1
-    counts[:, 0] -= 1
-    counts[:, -1] -= 1
-    cols = np.arange(mx * my, dtype=np.int32).reshape(my, mx, 1)
-    cols = cols + np.array([-mx, -1, 0, 1, mx], dtype=np.int32)
-    A_II = _rows_csr(taps[inner], cols[inner], counts, mx * my)
+    offsets = np.array([-mx, -1, 0, 1, mx])
+    rows = np.where(inner, taps, 0.0).reshape(n, 5).T
+    data = np.zeros((5, n))  # data[k, c] is the entry of row c - offsets[k]
+    for k, o in enumerate(offsets):
+        data[k, max(o, 0) : n + min(o, 0)] = rows[k, max(-o, 0) : n - max(o, 0)]
+    A_II = sp.dia_matrix((data, offsets), shape=(n, n))
 
     j, i, t = np.nonzero(~inner)  # the boundary couplings, in row order
     position = np.empty(grid.n_nodes, dtype=np.intp)  # of each boundary node in f
     position[grid.boundary_indices()] = np.arange(grid.n_boundary)
     node = (j + 1) * grid.nx + (i + 1) + np.array([-grid.nx, -1, 0, 1, grid.nx])[t]
-    A_IB = _rows_csr(taps[j, i, t], position[node], 5 - counts, grid.n_boundary)
+    indptr = np.concatenate([[0], np.cumsum((~inner).sum(axis=-1).ravel())])
+    A_IB = sp.csr_matrix((taps[j, i, t], position[node], indptr), shape=(n, grid.n_boundary))
     return A_II, A_IB
 
 

@@ -8,10 +8,13 @@ and, on first read, forms the interior functional
 
     H_j = gamma |grad u_j|^2 + eta sigma u_j^2,
 
-and derives the per-solution geometry: the gradient field F_j, its unit
-direction theta_j, and the ratio d_j = u_j / |grad u_j|.  Nodes where the
-gradient magnitude falls below a floor are flagged as degenerate rather than
-populated with unstable quotients.
+and derives the per-solution geometry: the gradient field F_j, kept, and
+from it, at the nodes asked for, the unit direction theta_j and the ratio
+d_j = u_j / |grad u_j|.  Nodes where the gradient magnitude falls below a
+floor are flagged as degenerate rather than populated with unstable
+quotients.  The operator's interior block is stored by its five diagonals
+and every multigrid level by its diagonals too, so a bundle holds the
+solutions, the solver and, once read, F_j and H_j.
 """
 
 from __future__ import annotations
@@ -62,27 +65,50 @@ class CoefficientPair:
 
 @dataclass(frozen=True)
 class SolutionGeometry:
-    """Gradient field, unit direction, and value-to-gradient ratio."""
+    """Gradient field of u_j, its degenerate nodes, and u_j itself (not a copy).
+
+    The unit direction theta_j and the ratio d_j are not stored: ``at``
+    forms them at any nodes, and ``theta`` and ``d`` at every node on each
+    read, so a geometry holds only F beyond the solution it describes.
+    """
 
     F: VectorField
-    theta: VectorField
-    d: ScalarField
     degenerate_mask: np.ndarray
+    u: ScalarField
 
     def __post_init__(self):
         m = np.asarray(self.degenerate_mask, dtype=bool).copy()
         m.setflags(write=False)
         object.__setattr__(self, "degenerate_mask", m)
 
+    def at(self, nodes) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, d) at ``nodes``, shapes (m, 2) and (m,); zero at masked nodes."""
+        F = self.F.values[nodes]
+        mask = self.degenerate_mask[nodes]
+        safe = np.where(mask, 1.0, np.sqrt(F[:, 0] ** 2 + F[:, 1] ** 2))
+        theta = F / safe[:, None]
+        theta[mask] = 0.0
+        d = np.where(mask, 0.0, self.u.values[nodes] / safe)
+        return theta, d
+
+    @property
+    def theta(self) -> VectorField:
+        return VectorField(self.F.grid, self.at(slice(None))[0])
+
+    @property
+    def d(self) -> ScalarField:
+        return ScalarField(self.F.grid, self.at(slice(None))[1])
+
 
 class DiffusionSolver:
     """Forward operator for repeated boundary-value solves.
 
-    The operator is assembled directly as its interior block A_II and its
-    boundary coupling A_IB (``diffusion_blocks``), so a Dirichlet solve is
-    A_II u_I = -A_IB f.
+    The operator is assembled directly as its interior block A_II, a
+    ``dia_matrix`` of five diagonals, and its boundary coupling A_IB in CSR
+    (``diffusion_blocks``), so a Dirichlet solve is A_II u_I = -A_IB f.
     Every solve is conjugate gradients on A_II preconditioned by a multigrid
-    V-cycle whose hierarchy is built once.  A problem with at most
+    V-cycle whose hierarchy is built once and keeps A_II itself as its
+    finest level.  A problem with at most
     MG_COARSEST unknowns has no levels: its V-cycle is the exact coarse
     solve, so CG stops after one step.  Every solve is checked at the solve
     layer's one residual bound, and a stalled iteration or a solve above
@@ -143,7 +169,7 @@ def internal_functional(
 
 
 def solution_geometry(u: ScalarField, grad_floor: float | None = None) -> SolutionGeometry:
-    """Unit direction and value ratio of the gradient field of u.
+    """Gradient field of u and its degenerate nodes; see SolutionGeometry.
 
     Nodes with |grad u| below ``grad_floor`` (default 1e-8 times the largest
     gradient magnitude) are masked; theta and d are zero there.
@@ -154,13 +180,7 @@ def solution_geometry(u: ScalarField, grad_floor: float | None = None) -> Soluti
         grad_floor = 1e-8 * float(mag.max())
     if grad_floor <= 0.0:
         grad_floor = np.finfo(float).tiny
-    mask = mag < grad_floor
-    safe = np.where(mask, 1.0, mag)
-    theta = F.values / safe[:, None]
-    theta[mask] = 0.0
-    d = u.values / safe
-    d = np.where(mask, 0.0, d)
-    return SolutionGeometry(F, VectorField(u.grid, theta), ScalarField(u.grid, d), mask)
+    return SolutionGeometry(F, mag < grad_floor, u)
 
 
 @dataclass(frozen=True)

@@ -106,24 +106,28 @@ class Multigrid:
     The unknowns are ordered row-major with x fastest, as the interior nodes
     of a Grid.  Each level halves both node counts, prolongs by the "linear"
     ``coarse_basis`` P = P_y (x) P_x and restricts by P^T; the coarse operators
-    are Galerkin products P^T A P.  Coarsening stops at MG_COARSEST unknowns,
-    or when an axis is down to one node, which has no coarse node; the last
-    matrix is factored once.  MG_SWEEPS damped-Jacobi sweeps
-    (weight MG_OMEGA) run before and after each coarse correction, so the
-    cycle is a symmetric positive definite preconditioner.
+    are Galerkin products P^T A P, formed in CSR.  Coarsening stops at
+    MG_COARSEST unknowns, or when an axis is down to one node, which has no
+    coarse node; the last matrix is factored once.  Every level above it
+    keeps its operator as a ``dia_matrix`` (5 diagonals on the finest level,
+    9 below), whose product sums each row in ascending column order, as the
+    sorted CSR product does, and to the same bits.  MG_SWEEPS damped-Jacobi
+    sweeps (weight MG_OMEGA) run before and after each coarse correction, so
+    the cycle is a symmetric positive definite preconditioner.
     """
 
     def __init__(self, A: sp.spmatrix, mx: int, my: int):
-        # (A, MG_OMEGA / diag(A), P_x, P_y, P_x^T, P_y^T) above the coarsest
+        # (A by diagonals, MG_OMEGA / diag(A), P_x, P_y, P_x^T, P_y^T) above the coarsest
         self.levels = []
-        A = sp.csr_matrix(A)
+        level, A = A, sp.csr_matrix(A)  # a given dia_matrix is kept, not copied
         while A.shape[0] > MG_COARSEST and min(mx, my) >= 2:
             Px, Py, (mx, my) = coarse_basis((mx, my), "linear")
             P = sp.kron(Py, Px, format="csr")
             self.levels.append(
-                (A, MG_OMEGA / A.diagonal(), Px, Py, Px.T.tocsr(), Py.T.tocsr())
+                (sp.dia_matrix(level), MG_OMEGA / A.diagonal(), Px, Py, Px.T.tocsr(),
+                 Py.T.tocsr())
             )
-            A = sp.csr_matrix(P.T @ A @ P)
+            level = A = sp.csr_matrix(P.T @ A @ P)
         self.coarse = SparseFactor(A)
 
     def cycle(self, b: np.ndarray, level: int = 0) -> np.ndarray:

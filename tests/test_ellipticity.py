@@ -212,6 +212,33 @@ def test_certify_field_keeps_svd_minimizer(make, margin, node, threshold):
         assert np.array_equal(report.witness[1], ref_xi)
 
 
+@pytest.mark.parametrize("lowered", [0.0, 1e-6])
+def test_certify_field_global_margin_is_an_svd_value(dirs3, lowered, monkeypatch):
+    # the linearized-64 benchmark's setup: constant background, exponential
+    # traces along e1, e2 and the diagonal, where the smallest margins agree
+    # to 1e-15 and another node's Gram estimate can lie below the rechecked
+    # minimizer.  Lowering every estimate by 0.5 to 1.5 times ``lowered``
+    # forces that case; the nodes are rechecked until the minimum is an SVD
+    # value, and it equals the minimum of an SVD of every interior node
+    import umot.ellipticity as el
+
+    estimate = el._smallest_eigenvalue
+    rng = np.random.default_rng(3)
+
+    def lowered_estimate(*gram):
+        lam = estimate(*gram)
+        return lam - lowered * (0.5 + rng.random(lam.size))
+
+    monkeypatch.setattr(el, "_smallest_eigenvalue", lowered_estimate)
+    g = Grid.unit_square(64)
+    bundle = build_bundle(
+        CoefficientPair.constant(g, 1.0, 0.5), constant_bg_boundary_set(g, 1.0, 0.5, dirs3)
+    )
+    report = certify_field(bundle)
+    assert report.masked_count == 0
+    assert report.global_margin == _svd_everywhere(bundle)[0]
+
+
 def test_certify_field_scale_invariance(bundle24):
     report = certify_field(bundle24)
     scaled_geo = [

@@ -139,9 +139,15 @@ def test_diffusion_blocks_match_full_operator(nx, ny, hx, hy, heterogeneous):
     solver = DiffusionSolver(CoefficientPair(gamma, sigma))
     A_I = _full_diffusion_operator(gamma, sigma)[g.interior_indices()]
     ref_II, ref_IB = A_I[:, g.interior_indices()], A_I[:, g.boundary_indices()]
-    # bitwise the same stored entries in the same order, so every CG product matches
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(solver.A_II, name), getattr(ref_II, name)), name
+    # stored by diagonals in ascending order, so each row sums south, west,
+    # centre, east and north as the sorted CSR product does: bit for bit
+    mx = nx - 2
+    assert solver.A_II.format == "dia"
+    assert solver.A_II.offsets.tolist() == [-mx, -1, 0, 1, mx]
+    assert np.array_equal(solver.A_II.toarray(), ref_II.toarray())
+    rng = np.random.default_rng(7)
+    for x in rng.standard_normal((4, ref_II.shape[1])):
+        assert np.array_equal(solver.A_II @ x, ref_II @ x)
     assert solver.A_IB.shape == ref_IB.shape
     assert np.array_equal(solver.A_IB.toarray(), ref_IB.toarray())
 
@@ -175,7 +181,8 @@ def test_diffusion_interior_block_symmetric():
     gamma = ScalarField(g, 1.0 + 0.4 * X * Y)
     sigma = ScalarField(g, 0.2 + 0.1 * X)
     A_II = DiffusionSolver(CoefficientPair(gamma, sigma)).A_II
-    assert abs(A_II - A_II.T).max() < 1e-14
+    assert A_II.format == "dia"
+    assert abs((A_II - A_II.T).tocsr()).max() < 1e-14
 
 
 def _dirichlet_contribution(solver, bc):

@@ -10,6 +10,7 @@ from umot import (
     Grid,
     ScalarField,
     build_bundle,
+    certify_field,
     cgo_boundary_set,
     constant_bg_boundary_set,
     internal_functional,
@@ -107,10 +108,18 @@ def test_internal_functional_cases():
 def test_solution_geometry():
     g = Grid.unit_square(17)
     X, Y = g.coords()
-    geo = solution_geometry(ScalarField(g, X))
+    u = ScalarField(g, X)
+    geo = solution_geometry(u)
+    assert geo.u is u  # referenced, not copied
     assert not geo.degenerate_mask.any()
     assert np.abs(geo.theta.values[:, 0] - 1.0).max() < 1e-12
     assert np.abs(geo.d.values - X).max() < 1e-12
+    # theta and d are formed on each read, at every node or at the nodes asked for
+    assert "theta" not in vars(geo) and "d" not in vars(geo)
+    nodes = g.interior_indices()[::5]
+    theta, d = geo.at(nodes)
+    assert np.array_equal(theta, geo.theta.values[nodes])
+    assert np.array_equal(d, geo.d.values[nodes])
 
     geo_flat = solution_geometry(ScalarField.constant(g, 1.0))
     assert geo_flat.degenerate_mask.all()
@@ -181,8 +190,9 @@ def test_bundle_derives_geometry_and_H_on_first_read():
 
 def test_bundle_holds_no_geometry_after_build():
     # At 128² the five solutions take 0.6 MB and the solver with its multigrid
-    # hierarchy about 1.9 MB; the five geometries and functionals would add
-    # 4 MB more, so a build that derived them eagerly holds about 6.4 MB.
+    # hierarchy, stored by diagonals, about 1.4 MB; the five geometries (F
+    # alone) and functionals would add 2 MB more, so a build that derived them
+    # eagerly holds about 4 MB, and a lean one about 2 MB.
     coeffs, traces = _heterogeneous_cgo(128)
     tracemalloc.start()
     try:
@@ -191,7 +201,18 @@ def test_bundle_holds_no_geometry_after_build():
     finally:
         tracemalloc.stop()
     assert bundle.J == 5
-    assert current < 4 * 2**20
+    assert current < 3 * 2**20
+
+
+def test_certified_bundle_holds_no_full_grid_theta_or_d():
+    # certify_field forms theta and d block by block from F and u: afterwards
+    # each geometry still holds only F, its mask and a reference to u_j
+    bundle = build_bundle(*_heterogeneous_cgo(48))
+    assert certify_field(bundle).elliptic
+    for (_, u), geo in zip(bundle.solutions, bundle.geometry):
+        assert "theta" not in vars(geo) and "d" not in vars(geo)
+        assert set(vars(geo)) == {"F", "degenerate_mask", "u"}
+        assert geo.u is u
 
 
 def test_forward_cg_stall_raises(bundle24):
@@ -291,6 +312,23 @@ def test_multigrid_cg_matches_direct_solve(case):
     u = solver.solve(f).values[solver.interior]
     ref = SparseFactor(solver.A_II).solve(-(solver.A_IB @ f.values))
     assert np.abs(u - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", HARD_CASES)
+def test_multigrid_levels_stored_by_diagonals(case):
+    # every level above the coarsest is a dia_matrix with ascending offsets,
+    # whose product is its sorted CSR product bit for bit; the finest is
+    # A_II itself, not a copy
+    solver = _hard_solver(case)
+    levels = solver._mg.levels
+    assert levels[0][0].data is solver.A_II.data
+    rng = np.random.default_rng(11)
+    for A, *_ in levels:
+        assert A.format == "dia"
+        assert np.all(np.diff(A.offsets) > 0)
+        for x in rng.standard_normal((3, A.shape[0])):
+            assert np.array_equal(A @ x, A.tocsr() @ x)
+    assert [len(A.offsets) for A, *_ in levels] == [5] + [9] * (len(levels) - 1)
 
 
 @pytest.mark.parametrize("case", HARD_CASES)
