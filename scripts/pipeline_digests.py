@@ -1,4 +1,4 @@
-"""Print the sha256 of every artifact of twelve fixed pipeline scenarios.
+"""Print the sha256 of every artifact of thirteen fixed pipeline scenarios.
 
     python3 scripts/pipeline_digests.py --out DIR
 
@@ -9,7 +9,10 @@ artifacts, so ``diff`` of the two listings is a behaviour check for changes
 that should not move any number.  The ``settings`` scenario sets
 ``grad_floor`` and ``margin_threshold`` away from their defaults, so its
 digests also pin that those values reach each bundle build and certification
-of the sweep.  The ``explicit`` scenario reads its three traces from files.
+of the sweep.  The ``explicit`` scenario reads its three traces from files.  The
+``cgo_fields48`` scenario reads a heterogeneous 48x48 background from files,
+so its forward solves run on a multigrid hierarchy of two coarse levels
+below A_II, and its digests pin the coarse operators to round-off.
 The three ``uncertified_*`` scenarios set ``margin_threshold`` above the
 margin and run with ``allow_noncertified``, one per inversion path, so they
 pin that an allowed failure changes no number (it warns on stderr).
@@ -49,6 +52,23 @@ CGO = {
     "background": {"type": "constant", "gamma0": 1.0, "sigma0": 0.2},
     "boundary_set": {"type": "cgo", "M": 4.0, "k": 1.0},
 }
+# the n-by-n heterogeneous backgrounds that _write_background_fields writes
+FIELDS = {20: "fields", 48: "fields48"}
+
+
+def _cgo_fields(n: int, directory: str) -> dict:
+    """CGO traces on the n-by-n heterogeneous background read from ``directory``."""
+    return {
+        **NOISE_FREE, **CGO,
+        "grid": {"nx": n, "ny": n, "hx": 1 / (n - 1), "hy": 1 / (n - 1)},
+        "background": {
+            "type": "fields",
+            "gamma_file": f"{directory}/gamma.json",
+            "sigma_file": f"{directory}/sigma.json",
+        },
+    }
+
+
 SCENARIOS = {
     "criterion9": {},
     "noise_free": NOISE_FREE,
@@ -64,13 +84,8 @@ SCENARIOS = {
         "inversion": {"path": "nonlinear", "mode": "refreshed", "kmax": 4},
     },
     "cgo24": {**NOISE_FREE, **CGO, "grid": {"nx": 24, "ny": 24, "hx": 1 / 23, "hy": 1 / 23}},
-    "cgo_fields20": {
-        **NOISE_FREE, **CGO,
-        "grid": {"nx": 20, "ny": 20, "hx": 1 / 19, "hy": 1 / 19},
-        "background": {
-            "type": "fields", "gamma_file": "fields/gamma.json", "sigma_file": "fields/sigma.json"
-        },
-    },
+    "cgo_fields20": _cgo_fields(20, FIELDS[20]),
+    "cgo_fields48": _cgo_fields(48, FIELDS[48]),
     "explicit": {
         **NOISE_FREE,
         "boundary_set": {"type": "explicit", "files": [f"traces/f{j}.json" for j in range(3)]},
@@ -88,13 +103,14 @@ SCENARIOS.update(
 
 
 def _write_background_fields() -> None:
-    """Heterogeneous background of the ``cgo_fields20`` scenario."""
-    grid = umot.Grid(20, 20, 1 / 19, 1 / 19)
-    Path("fields").mkdir(exist_ok=True)
-    gamma = umot.ScalarField.from_function(grid, lambda x, y: 1.0 + 0.2 * np.sin(3 * x) * y)
-    sigma = umot.ScalarField.from_function(grid, lambda x, y: 0.3 + 0.1 * x)
-    dump_json(field_to_dict(gamma), "fields/gamma.json")
-    dump_json(field_to_dict(sigma), "fields/sigma.json")
+    """Heterogeneous backgrounds of the ``cgo_fields<n>`` scenarios, one per FIELDS entry."""
+    for n, directory in FIELDS.items():
+        grid = umot.Grid(n, n, 1 / (n - 1), 1 / (n - 1))
+        Path(directory).mkdir(exist_ok=True)
+        gamma = umot.ScalarField.from_function(grid, lambda x, y: 1.0 + 0.2 * np.sin(3 * x) * y)
+        sigma = umot.ScalarField.from_function(grid, lambda x, y: 0.3 + 0.1 * x)
+        dump_json(field_to_dict(gamma), f"{directory}/gamma.json")
+        dump_json(field_to_dict(sigma), f"{directory}/sigma.json")
 
 
 def _write_boundary_traces() -> None:

@@ -264,9 +264,10 @@ def certify_field(
     the global margin is always an SVD value.  theta_j and d_j are formed
     from F_j and u_j (``SolutionGeometry.at``) CERTIFY_BLOCK nodes at a
     time, the Gram entries from them, and the rows only for the recomputed
-    nodes and the witness, so no theta_j, d_j or (nodes, J, 3) array of the
-    whole grid is held; each node's margin is the same whatever the block
-    size.
+    nodes and the witness; d_max is taken over every grid node from d_j
+    alone (``SolutionGeometry.d_at``), also CERTIFY_BLOCK nodes at a time.
+    So no theta_j, d_j or (nodes, J, 3) array of the whole grid is held, and
+    each node's margin is the same whatever the block size.
     """
     del n_xi
     if not 0.0 <= margin_threshold < np.inf:
@@ -279,7 +280,7 @@ def certify_field(
     nodes = interior[~mask[interior]]
 
     d_max = max(  # over every node: a boundary node's d_j counts too
-        float(np.abs(geo.at(slice(s, s + CERTIFY_BLOCK))[1]).max())
+        float(np.abs(geo.d_at(slice(s, s + CERTIFY_BLOCK))).max())
         for geo in geometry
         for s in range(0, bundle.grid.n_nodes, CERTIFY_BLOCK)
     )

@@ -253,40 +253,61 @@ def diffusion_blocks(gamma: ScalarField, sigma: ScalarField) -> tuple:
     (numbered as ``boundary_indices``), so a Dirichlet problem reads
     A_II u_I = -A_IB f.  A_II is a ``dia_matrix`` with the offsets
     (-mx, -1, 0, 1, mx) in ascending order, south, west, centre, east and
-    north, and each tap that reaches a boundary node stored as 0: its
-    product sums each row's products in ascending column order, as a sorted
-    CSR product does, and to the same bits.  A_IB is CSR, each row's entries
-    in that same order.  Each face's harmonic-mean diffusivity is evaluated
-    once and written into both rows it couples; no full-grid matrix is
-    formed.
+    north, each diagonal written straight from the face diffusivities, and
+    each tap that reaches a boundary node stored as 0: its product sums each
+    row's products in ascending column order, as a sorted CSR product does,
+    and to the same bits.  A_IB is CSR, written from the faces of the
+    boundary ring, each row's entries in that same order.  Each face's
+    harmonic-mean diffusivity is evaluated once, and A_II is exactly
+    symmetric; no full-grid matrix is formed.
     """
     _check_same_grid(gamma, sigma)
     grid = gamma.grid
-    mx, my = grid.nx - 2, grid.ny - 2
+    nx, ny = grid.nx, grid.ny
+    mx, my = nx - 2, ny - 2
     n = mx * my
     G = gamma.as_matrix()
     fx = face_average(G[1:-1, :-1], G[1:-1, 1:]) / grid.hx**2  # face (i, j)-(i + 1, j)
     fy = face_average(G[:-1, 1:-1], G[1:, 1:-1]) / grid.hy**2  # face (i, j)-(i, j + 1)
     gw, ge, gs, gn = fx[:, :-1], fx[:, 1:], fy[:-1], fy[1:]
-    diag = ge + gw + gn + gs + sigma.as_matrix()[1:-1, 1:-1]
-    taps = np.stack([-gs, -gw, diag, -ge, -gn], axis=-1)  # (my, mx, 5)
 
-    inner = np.ones(taps.shape, dtype=bool)  # the taps that reach an interior node
-    inner[0, :, 0] = inner[:, 0, 1] = inner[:, -1, 3] = inner[-1, :, 4] = False
-    offsets = np.array([-mx, -1, 0, 1, mx])
-    rows = np.where(inner, taps, 0.0).reshape(n, 5).T
-    data = np.zeros((5, n))  # data[k, c] is the entry of row c - offsets[k]
-    for k, o in enumerate(offsets):
-        data[k, max(o, 0) : n + min(o, 0)] = rows[k, max(-o, 0) : n - max(o, 0)]
-    A_II = sp.dia_matrix((data, offsets), shape=(n, n))
+    data = np.zeros((5, my, mx))  # node c of data[k] holds the entry of row c - offsets[k]
+    data[0, :-1] = data[4, 1:] = -fy[1:-1]  # the faces between interior rows
+    data[1, :, :-1] = data[3, :, 1:] = -fx[:, 1:-1]  # ... and interior columns
+    data[2] = ge + gw + gn + gs + sigma.as_matrix()[1:-1, 1:-1]
+    A_II = sp.dia_matrix((data.reshape(5, n), [-mx, -1, 0, 1, mx]), shape=(n, n))
 
-    j, i, t = np.nonzero(~inner)  # the boundary couplings, in row order
-    position = np.empty(grid.n_nodes, dtype=np.intp)  # of each boundary node in f
+    # the boundary couplings: a face of the ring per tap, and the boundary
+    # node it reaches, numbered by its position in f (``boundary_indices``)
+    i, j = np.arange(mx), np.arange(my)
+    ring = _ring_rows(-fy[0], -fx[:, 0], -fx[:, -1], -fy[-1])
+    node = _ring_rows(i + 1, (j + 1) * nx, (j + 2) * nx - 1, (ny - 1) * nx + i + 1)
+    position = np.empty(grid.n_nodes, dtype=np.intp)
     position[grid.boundary_indices()] = np.arange(grid.n_boundary)
-    node = (j + 1) * grid.nx + (i + 1) + np.array([-grid.nx, -1, 0, 1, grid.nx])[t]
-    indptr = np.concatenate([[0], np.cumsum((~inner).sum(axis=-1).ravel())])
-    A_IB = sp.csr_matrix((taps[j, i, t], position[node], indptr), shape=(n, grid.n_boundary))
+    count = np.zeros((my, mx), dtype=np.intp)  # couplings per row
+    count[0] += 1
+    count[-1] += 1
+    count[:, 0] += 1
+    count[:, -1] += 1
+    indptr = np.concatenate([[0], np.cumsum(count.ravel())])
+    A_IB = sp.csr_matrix((ring, position[node], indptr), shape=(n, grid.n_boundary))
     return A_II, A_IB
+
+
+def _ring_rows(south, west, east, north) -> np.ndarray:
+    """Taps of the interior rows next to the boundary, in CSR order.
+
+    ``south`` and ``north`` hold one value per column of the first and last
+    interior rows, ``west`` and ``east`` one per row of the first and last
+    interior columns.  Rows come in order, and each row's taps in the order
+    south, west, east, north.
+    """
+    sides = np.column_stack([west[1:-1], east[1:-1]]).ravel()
+    return np.concatenate([
+        south[:1], west[:1], south[1:], east[:1],
+        sides,
+        west[-1:], north[:-1], east[-1:], north[-1:],
+    ])
 
 
 def diffusion_flux_jacobian(gamma: ScalarField, u: ScalarField) -> sp.csr_matrix:

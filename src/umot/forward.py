@@ -68,8 +68,9 @@ class SolutionGeometry:
     """Gradient field of u_j, its degenerate nodes, and u_j itself (not a copy).
 
     The unit direction theta_j and the ratio d_j are not stored: ``at``
-    forms them at any nodes, and ``theta`` and ``d`` at every node on each
-    read, so a geometry holds only F beyond the solution it describes.
+    forms both at any nodes, ``d_at`` the ratio alone, and ``theta`` and
+    ``d`` form them at every node on each read, so a geometry holds only F
+    beyond the solution it describes.
     """
 
     F: VectorField
@@ -81,15 +82,23 @@ class SolutionGeometry:
         m.setflags(write=False)
         object.__setattr__(self, "degenerate_mask", m)
 
-    def at(self, nodes) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, d) at ``nodes``, shapes (m, 2) and (m,); zero at masked nodes."""
+    def _parts(self, nodes) -> tuple:
+        """(F, mask, |F| with 1 at masked nodes, d) at ``nodes``."""
         F = self.F.values[nodes]
         mask = self.degenerate_mask[nodes]
         safe = np.where(mask, 1.0, np.sqrt(F[:, 0] ** 2 + F[:, 1] ** 2))
+        return F, mask, safe, np.where(mask, 0.0, self.u.values[nodes] / safe)
+
+    def at(self, nodes) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, d) at ``nodes``, shapes (m, 2) and (m,); zero at masked nodes."""
+        F, mask, safe, d = self._parts(nodes)
         theta = F / safe[:, None]
         theta[mask] = 0.0
-        d = np.where(mask, 0.0, self.u.values[nodes] / safe)
         return theta, d
+
+    def d_at(self, nodes) -> np.ndarray:
+        """d at ``nodes``, as ``at`` forms it, without forming theta."""
+        return self._parts(nodes)[3]
 
     @property
     def theta(self) -> VectorField:
@@ -97,7 +106,7 @@ class SolutionGeometry:
 
     @property
     def d(self) -> ScalarField:
-        return ScalarField(self.F.grid, self.at(slice(None))[1])
+        return ScalarField(self.F.grid, self.d_at(slice(None)))
 
 
 class DiffusionSolver:

@@ -10,8 +10,10 @@ once per matrix, reused for every right-hand side, and also driving the
 inverse iteration of the smallest-singular-value probe.  Every iterative
 solve goes through one conjugate-gradient policy, ``cg_solve``, which takes
 a matrix or a matrix-free product and its preconditioner as a callable: a
-geometric multigrid V-cycle for every forward problem, a DST-I spectral
-solve for the matrix-free constant-background route.  There is no fallback:
+geometric multigrid V-cycle for every forward problem, whose coarse levels
+are Galerkin stencils formed by array arithmetic on the grid (no
+sparse-sparse product), and a DST-I spectral solve for the matrix-free
+constant-background route.  There is no fallback:
 a stalled iteration is an error.  Every solve is checked against one
 relative-residual bound, SOLVE_RTOL, and raises SolverDivergence above it.
 The bound never changes a solution; it only refuses one.
@@ -101,33 +103,40 @@ class SparseFactor:
 
 
 class Multigrid:
-    """Geometric multigrid V-cycle for an SPD operator on an mx-by-my tensor grid.
+    """Geometric multigrid V-cycle for the interior block A_II of a forward operator.
 
-    The unknowns are ordered row-major with x fastest, as the interior nodes
-    of a Grid.  Each level halves both node counts, prolongs by the "linear"
-    ``coarse_basis`` P = P_y (x) P_x and restricts by P^T; the coarse operators
-    are Galerkin products P^T A P, formed in CSR.  Coarsening stops at
-    MG_COARSEST unknowns, or when an axis is down to one node, which has no
-    coarse node; the last matrix is factored once.  Every level above it
-    keeps its operator as a ``dia_matrix`` (5 diagonals on the finest level,
-    9 below), whose product sums each row in ascending column order, as the
-    sorted CSR product does, and to the same bits.  MG_SWEEPS damped-Jacobi
-    sweeps (weight MG_OMEGA) run before and after each coarse correction, so
-    the cycle is a symmetric positive definite preconditioner.
+    ``A`` is the ``dia_matrix`` that ``field_core.diffusion_blocks`` returns
+    for an mx-by-my block of interior nodes, ordered row-major with x
+    fastest: a symmetric 5-point stencil with offsets (-mx, -1, 0, 1, mx).
+    Each level halves both node counts, prolongs by the "linear"
+    ``coarse_basis`` P = P_y (x) P_x and restricts by P^T; the coarse
+    operator P^T A P is formed as a stencil (``_galerkin``), one pass along x
+    and one along y, from the centre and the four upper taps of the level
+    above, and written straight into a ``dia_matrix`` with ascending offsets
+    (nine, fewer on a grid one or two nodes across) whose lower taps mirror
+    the upper ones, so every level is exactly symmetric.  The finest stencil is read from A_II's diagonals as views,
+    and A_II itself is level 0.  Coarsening stops at MG_COARSEST unknowns,
+    or when an axis is down to one node, which has no coarse node; the last
+    matrix is factored once.  MG_SWEEPS damped-Jacobi sweeps (weight
+    MG_OMEGA) run in place before and after each coarse correction, so the
+    cycle is a symmetric positive definite preconditioner.
     """
 
-    def __init__(self, A: sp.spmatrix, mx: int, my: int):
+    def __init__(self, A: sp.dia_matrix, mx: int, my: int):
         # (A by diagonals, MG_OMEGA / diag(A), P_x, P_y, P_x^T, P_y^T) above the coarsest
         self.levels = []
-        level, A = A, sp.csr_matrix(A)  # a given dia_matrix is kept, not copied
+        # by symmetry the diagonal of offset -o holds, at each node, its tap at offset +o
+        diagonals = dict(zip(A.offsets, A.data))
+        C, E, N = (diagonals[o].reshape(my, mx) for o in (0, -1, -mx))
+        zero = np.broadcast_to(0.0, (my, mx))  # a 5-point stencil has no corner taps
+        taps = (C, E, zero, N, zero)
         while A.shape[0] > MG_COARSEST and min(mx, my) >= 2:
             Px, Py, (mx, my) = coarse_basis((mx, my), "linear")
-            P = sp.kron(Py, Px, format="csr")
             self.levels.append(
-                (sp.dia_matrix(level), MG_OMEGA / A.diagonal(), Px, Py, Px.T.tocsr(),
-                 Py.T.tocsr())
+                (A, MG_OMEGA / taps[0].ravel(), Px, Py, Px.T.tocsr(), Py.T.tocsr())
             )
-            level = A = sp.csr_matrix(P.T @ A @ P)
+            taps = _galerkin(taps, mx, my)
+            A = _stencil_matrix(taps)
         self.coarse = SparseFactor(A)
 
     def cycle(self, b: np.ndarray, level: int = 0) -> np.ndarray:
@@ -136,15 +145,125 @@ class Multigrid:
             return self.coarse._lu.solve(b)
         A, dinv, Px, Py, PxT, PyT = self.levels[level]
         x = dinv * b
-        for _ in range(MG_SWEEPS - 1):
-            x += dinv * (b - A @ x)
-        r = (b - A @ x).reshape(Py.shape[0], Px.shape[0])
+        _smooth(A, dinv, x, b, MG_SWEEPS - 1)
+        r = _defect(A, x, b).reshape(Py.shape[0], Px.shape[0])
         rc = PyT @ (PxT @ r.T).T
         ec = self.cycle(rc.ravel(), level + 1).reshape(Py.shape[1], Px.shape[1])
         x += (Py @ (Px @ ec.T).T).ravel()
-        for _ in range(MG_SWEEPS):
-            x += dinv * (b - A @ x)
+        _smooth(A, dinv, x, b, MG_SWEEPS)
         return x
+
+
+def _defect(A, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b - A x, formed in the array that holds A x."""
+    r = A @ x
+    np.subtract(b, r, out=r)
+    return r
+
+
+def _smooth(A, dinv: np.ndarray, x: np.ndarray, b: np.ndarray, sweeps: int) -> None:
+    """``sweeps`` damped-Jacobi sweeps x += dinv * (b - A x), in place."""
+    for _ in range(sweeps):
+        r = _defect(A, x, b)
+        r *= dinv
+        x += r
+
+
+# (dy, dx) of the centre and the four upper taps of a 9-point stencil, in the
+# order of the tap tuples below: C, E, NW, N, NE
+_UPPER_TAPS = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _thirds(a: np.ndarray, c: int, axis: int) -> tuple:
+    """``a`` at fine nodes 2k, 2k + 1 and 2k + 2 along ``axis``, for k < c.
+
+    Coarse node k sits at fine node 2k + 1; a node past the end reads 0.
+    """
+    if a.shape[axis] < 2 * c + 1:  # an even count: node 2c is past the end
+        edge = list(a.shape)
+        edge[axis] = 1
+        a = np.concatenate([a, np.zeros(edge)], axis=axis)
+    lead = (slice(None),) * axis
+    return tuple(a[lead + (slice(k, 2 * c + k, 2),)] for k in range(3))
+
+
+def _shift(a: np.ndarray, dx: int) -> np.ndarray:
+    """b[:, X] = a[:, X + dx] for dx = +-1, zero where X + dx is off the grid."""
+    b = np.zeros_like(a)
+    if dx > 0:
+        b[:, :-1] = a[:, 1:]
+    else:
+        b[:, 1:] = a[:, :-1]
+    return b
+
+
+def _clip(taps: tuple) -> tuple:
+    """Zero, in place, every tap that reaches past the edge of its grid."""
+    _, E, NW, N, NE = taps
+    E[:, -1] = NE[:, -1] = NW[:, 0] = 0.0
+    NW[-1] = N[-1] = NE[-1] = 0.0
+    return taps
+
+
+def _galerkin(taps: tuple, mcx: int, mcy: int) -> tuple:
+    """Centre and upper taps (C, E, NW, N, NE) of P^T A P on the mcx-by-mcy grid.
+
+    ``taps`` are those of a symmetric 9-point A, each an (my, mx) array
+    (a lower tap is the upper tap of the neighbour it reaches), and P is the
+    "linear" ``coarse_basis``: coarse node k weighs fine node 2k + 1 by 1 and
+    fine nodes 2k and 2k + 2 by 1/2.  The pass along x contracts each row of
+    taps (dy = 0 and dy = +1) with P_x; the pass along y contracts the result
+    with P_y.  A row of taps (a_-1, a_0, a_+1) along an axis gives the
+    coarse taps
+      t = 0:   (a_0[2k] + a_0[2k+2])/4 + a_0[2k+1]
+               + (a_+1[2k] + a_-1[2k+1] + a_+1[2k+1] + a_-1[2k+2])/2,
+      t = +1:  a_0[2k+2]/4 + (a_+1[2k+1] + a_+1[2k+2])/2,
+      t = -1:  a_0[2k]/4 + (a_-1[2k] + a_-1[2k+1])/2,
+    and on a symmetric row a_-1[i + 1] = a_+1[i].
+    """
+    C, E, NW, N, NE = (_thirds(t, mcx, 1) for t in taps)
+    B = _clip((  # P_x^T A P_x: x coarse, y fine
+        (C[0] + C[2]) * 0.25 + C[1] + E[0] + E[1],
+        C[2] * 0.25 + (E[1] + E[2]) * 0.5,
+        N[0] * 0.25 + (NW[0] + NW[1]) * 0.5,
+        (N[0] + N[2]) * 0.25 + N[1] + (NE[0] + NW[1] + NE[1] + NW[2]) * 0.5,
+        N[2] * 0.25 + (NE[1] + NE[2]) * 0.5,
+    ))
+    W = _thirds(_shift(B[1], -1), mcy, 0)  # tap (0, -1): E of the west neighbour
+    SE = _thirds(_shift(B[2], 1), mcy, 0)  # row y: tap (-1, +1) of row y + 1
+    C, E, NW, N, NE = (_thirds(t, mcy, 0) for t in B)
+    return _clip((
+        (C[0] + C[2]) * 0.25 + C[1] + N[0] + N[1],
+        (E[0] + E[2]) * 0.25 + E[1] + (NE[0] + SE[0] + NE[1] + SE[1]) * 0.5,
+        W[2] * 0.25 + (NW[1] + NW[2]) * 0.5,
+        C[2] * 0.25 + (N[1] + N[2]) * 0.5,
+        E[2] * 0.25 + (NE[1] + NE[2]) * 0.5,
+    ))
+
+
+def _stencil_matrix(taps: tuple) -> sp.dia_matrix:
+    """The symmetric 9-point operator with centre and upper taps ``taps``, by diagonals.
+
+    The diagonal of offset +o holds the tap of row r at column r + o, and
+    the diagonal of offset -o the same values, one row of the matrix per
+    node; offsets come out ascending.  On a grid two nodes wide, or one,
+    offsets coincide, and the taps that share a diagonal never meet at a
+    node inside the grid, so they are summed into it.  On a grid one node
+    tall, a tap whose offset reaches past the last node is 0 and has no
+    diagonal.
+    """
+    my, mx = taps[0].shape
+    n = mx * my
+    kept = [(dy * mx + dx, t) for (dy, dx), t in zip(_UPPER_TAPS, taps) if dy * mx + dx < n]
+    upper, taps = zip(*kept)
+    offsets = np.unique(np.concatenate([upper, np.negative(upper)]))
+    data = np.zeros((offsets.size, n))
+    for o, t in zip(upper, taps):
+        t = t.ravel()[: n - o]
+        data[np.searchsorted(offsets, o), o:] += t
+        if o:
+            data[np.searchsorted(offsets, -o), : n - o] += t
+    return sp.dia_matrix((data, offsets), shape=(n, n))
 
 
 def cg_solve(A, b: np.ndarray, precondition, maxiter: int = 1000) -> np.ndarray:

@@ -160,14 +160,17 @@ def test_bundle_residuals_and_traces(bundle24):
     assert bundle24.J == 3
 
 
-def _heterogeneous_cgo(n: int):
-    """Coefficients and CGO traces (J = 5) on a heterogeneous n x n background."""
+def _heterogeneous(n: int) -> CoefficientPair:
+    """A heterogeneous background on the n x n unit square."""
     g = Grid.unit_square(n)
     X, Y = g.coords()
-    coeffs = CoefficientPair(
-        ScalarField(g, 1.0 + 0.2 * X * Y), ScalarField(g, 0.5 + 0.1 * X)
-    )
-    return coeffs, cgo_boundary_set(g, 4.0, 1.0, coeffs)
+    return CoefficientPair(ScalarField(g, 1.0 + 0.2 * X * Y), ScalarField(g, 0.5 + 0.1 * X))
+
+
+def _heterogeneous_cgo(n: int):
+    """Coefficients and CGO traces (J = 5) on a heterogeneous n x n background."""
+    coeffs = _heterogeneous(n)
+    return coeffs, cgo_boundary_set(coeffs.grid, 4.0, 1.0, coeffs)
 
 
 def test_bundle_derives_geometry_and_H_on_first_read():
@@ -288,18 +291,23 @@ def test_forward_cg_runs_one_cycle_per_step(cg_steps, monkeypatch):
     assert len(cycles) == cg_steps[0] > 0
 
 
-HARD_CASES = ["gamma-jump-60", "anisotropic-101x51", "strip-5x1000"]
+HARD_CASES = ["gamma-jump-60", "anisotropic-101x51", "strip-5x1000", "strip-1000x5"]
 
 
 def _hard_solver(case: str) -> DiffusionSolver:
     """A 100x jump in gamma on a 60x60 grid, cells with hx = 4 hy on 101x51, or
-    a strip whose 3-node interior axis coarsens to a single node."""
+    a strip, along y or along x, whose 3-node interior axis coarsens to a
+    single node."""
     if case == "gamma-jump-60":
         g = Grid.unit_square(60)
         X, Y = g.coords()
         gamma = np.where((X - 0.4) ** 2 + (Y - 0.6) ** 2 < 0.09, 100.0, 1.0)
         return DiffusionSolver(CoefficientPair(ScalarField(g, gamma), ScalarField.constant(g, 0.5)))
-    g = Grid(101, 51, 0.04, 0.01) if case == "anisotropic-101x51" else Grid(5, 1000, 0.01, 0.01)
+    g = {
+        "anisotropic-101x51": Grid(101, 51, 0.04, 0.01),
+        "strip-5x1000": Grid(5, 1000, 0.01, 0.01),
+        "strip-1000x5": Grid(1000, 5, 0.01, 0.01),
+    }[case]
     return DiffusionSolver(CoefficientPair.constant(g, 1.0, 0.5))
 
 
@@ -345,3 +353,31 @@ def test_multigrid_cycle_is_symmetric_positive(case):
         Mx, My = mg.cycle(x), mg.cycle(y)
         assert abs(Mx @ y - x @ My) <= 1e-12 * np.linalg.norm(Mx) * np.linalg.norm(y)
         assert Mx @ x > 0.0
+
+
+@pytest.mark.parametrize("case", HARD_CASES + ["heterogeneous-96", "heterogeneous-97"])
+def test_multigrid_levels_are_galerkin_products(case):
+    # the hierarchy is built by stencil arithmetic; every level below the
+    # finest, and the factored coarsest matrix, is the Galerkin product
+    # P^T A P of the level above with the "linear" coarse basis
+    import scipy.sparse as sp
+
+    from umot.field_core import coarse_basis
+
+    if case.startswith("heterogeneous"):
+        solver = DiffusionSolver(_heterogeneous(int(case.rsplit("-", 1)[1])))
+    else:
+        solver = _hard_solver(case)
+    mg = solver._mg
+    grid = solver.coeffs.grid
+    mx, my = grid.nx - 2, grid.ny - 2
+    A = sp.csr_matrix(solver.A_II)
+    for level in [A for A, *_ in mg.levels[1:]] + [mg.coarse.A]:
+        Px, Py, (mx, my) = coarse_basis((mx, my), "linear")
+        P = sp.kron(Py, Px, format="csr")
+        A = sp.csr_matrix(P.T @ A @ P)
+        level = sp.csr_matrix(level)
+        assert level.shape == A.shape == (mx * my,) * 2
+        assert abs(level - A).max() <= 1e-13 * abs(A).max()
+        assert (level != level.T).nnz == 0
+    assert len(mg.levels) >= (2 if case.startswith("heterogeneous") else 1)
