@@ -59,6 +59,7 @@ from .field_core import (
     Grid,
     ScalarField,
     coarse_basis,
+    coarse_restriction,
     derivative_stencils,
     interior_derivative_matrices,
     interior_stencil_matrix,
@@ -165,13 +166,29 @@ def preprocess_data(
     if u_i.values.min() <= 0.0:
         raise NonPositiveSolution("background solution must be positive")
     grid = dH_i.grid
-    w = dH_i.values / u_i.values
-    lap = laplacian_matrix(grid)
-    iidx = grid.interior_indices()
-    Lw = -bg.gamma0 * (lap @ w) + bg.sigma0 * w
-    out = np.zeros(grid.n_nodes)
-    out[iidx] = Lw[iidx] / (bg.sigma0 * u_i.values[iidx])
-    return ScalarField(grid, out)
+    shape = (grid.ny, grid.nx)
+    w = (dH_i.values / u_i.values).reshape(shape)
+    dxx, dyy = derivative_stencils(grid, "xx", "yy")
+    # the 5-point Laplacian on interior nodes, summed south, west, centre,
+    # east, north: the order of a row of laplacian_matrix, so equal to its product
+    centre = w[1:-1, 1:-1]
+    lap = dyy[0, 1] * w[:-2, 1:-1]
+    lap += dxx[1, 0] * w[1:-1, :-2]
+    lap += (dxx[1, 1] + dyy[1, 1]) * centre
+    lap += dxx[1, 2] * w[1:-1, 2:]
+    lap += dyy[2, 1] * w[2:, 1:-1]
+    out = np.zeros(shape)
+    out[1:-1, 1:-1] = (-bg.gamma0 * lap + bg.sigma0 * centre) / (
+        bg.sigma0 * u_i.values.reshape(shape)[1:-1, 1:-1]
+    )
+    return ScalarField(grid, out.ravel())
+
+
+def _sine_matrix(n: int) -> np.ndarray:
+    """The orthonormal DST-I on n points, sqrt(2/(n+1)) sin(pi j k/(n+1)) for
+    j, k = 1..n: symmetric and its own inverse."""
+    k = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
 
 
 def _spectral_preconditioner(bg: ConstantBackground, grid: Grid, shape: tuple[int, int]):
@@ -184,10 +201,11 @@ def _spectral_preconditioner(bg: ConstantBackground, grid: Grid, shape: tuple[in
     sum_i (|xi|^2 - 2 (v_i.xi)^2)^2, |xi|^2 is the fine 5-point symbol at the
     fine frequency w of the coarse mode, and each axis carries the squared
     spline symbol (2 cos^4(w/2))^2.  The first-order and coupling terms are
-    left out.
+    left out.  The transform is applied as dense sine matrices, S_y R S_x on
+    each (mcy, mcx) block: faster than an FFT below about 254 coarse nodes
+    per axis (a 512x512 grid) and level with it there, beyond every scenario
+    and ladder row.
     """
-    from scipy.fft import dstn  # here, not at module level: it slows `import umot`
-
     mcx, mcy = shape
     J = len(bg.dirs)
     _, c0, _, b0 = bg.lower_order()
@@ -204,10 +222,11 @@ def _spectral_preconditioner(bg: ConstantBackground, grid: Grid, shape: tuple[in
         spline * (0.5 * J * lap2 + J * c0 ** 2),
         spline * (principal_sigma * lap2 + J * b0 ** 2),
     ])
+    Sx, Sy = _sine_matrix(mcx), _sine_matrix(mcy)
 
     def precondition(r: np.ndarray) -> np.ndarray:
-        modes = dstn(r.reshape(2, mcy, mcx), type=1, axes=(1, 2), norm="ortho")
-        return dstn(modes / diag, type=1, axes=(1, 2), norm="ortho").ravel()
+        modes = Sy @ r.reshape(2, mcy, mcx) @ Sx
+        return (Sy @ (modes / diag) @ Sx).ravel()
 
     return precondition
 
@@ -228,7 +247,7 @@ class _SplineRows:
     def __init__(self, bg: ConstantBackground, grid: Grid):
         self.mx, self.my = grid.nx - 2, grid.ny - 2
         self.Px, self.Py, self.coarse_shape = coarse_basis((self.mx, self.my), "spline")
-        self.PxT, self.PyT = self.Px.T.tocsr(), self.Py.T.tocsr()
+        self.PxT, self.PyT = coarse_restriction((self.mx, self.my), "spline")
         # row i: the nine taps of C_i, then those of B_i, in window order
         self.taps = np.array([np.concatenate([C.ravel(), B.ravel()])
                               for C, B in (stencils(bg, v, grid) for v in bg.dirs.vectors)])

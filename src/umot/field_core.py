@@ -405,18 +405,31 @@ _COARSE_KINDS = {
 }
 
 
-def _coarse_basis_1d(m: int, kind: str) -> sp.csr_matrix:
+def _coarse_map_1d(m: int, kind: str, transpose: bool) -> sp.csr_matrix:
+    """The 1-D map P (m-by-nc), or P^T, as CSR with sorted indices.
+
+    Row k of P^T holds fine nodes 2k + 1 + o with o ascending; row i of P
+    holds the coarse nodes k with i - 2k - 1 a tap offset, k ascending.
+    Both are written straight from the taps, dropping entries off the axis.
+    """
+    if kind not in _COARSE_KINDS:
+        raise ValueError(f"unknown coarse basis kind {kind!r}")
     count, taps = _COARSE_KINDS[kind]
     nc = count(m)
     if nc < 1:
         raise ValueError(f"{m} interior nodes along an axis leave no {kind} coarse node")
-    k = np.arange(nc)
-    offsets, weights = zip(*taps.items())
-    rows = np.concatenate([2 * k + 1 + o for o in offsets])
-    vals = np.repeat(weights, nc)
-    keep = (rows >= 0) & (rows < m)
-    cols = np.tile(k, len(offsets))
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m, nc))
+    offsets = np.array(sorted(taps))
+    if transpose:
+        shape, cols = (nc, m), 2 * np.arange(nc)[:, None] + 1 + offsets
+        keep = (cols >= 0) & (cols < m)
+    else:
+        offsets = offsets[::-1]
+        shape, twice = (m, nc), np.arange(m)[:, None] - 1 - offsets
+        keep = (twice >= 0) & (twice < 2 * nc) & (twice % 2 == 0)
+        cols = twice // 2
+    vals = np.broadcast_to([taps[o] for o in offsets], cols.shape)
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=shape)
 
 
 def coarse_basis(
@@ -428,7 +441,8 @@ def coarse_basis(
     (nx - 2, ny - 2) or of a coarse level.  Coarse node k of an axis sits at
     fine interior node 2k + 1 (0-based), so the coarse spacing is 2h, and
     the basis is zero beyond either end.  Returns (P_x, P_y, (mcx, mcy)):
-    the sparse 1-D maps from coarse to fine values and the coarse shape.
+    the sparse 1-D maps from coarse to fine values and the coarse shape;
+    ``coarse_restriction`` gives their transposes.
 
     * "linear": piecewise-linear interpolation, weights 1/2, 1, 1/2, on
       m // 2 coarse nodes; the C^0 basis of the forward multigrid.
@@ -440,10 +454,14 @@ def coarse_basis(
     Both ranges are orthogonal to the checkerboard (-1)^(i+j) away from the
     boundary.  An axis too short for one coarse node raises ValueError.
     """
-    if kind not in _COARSE_KINDS:
-        raise ValueError(f"unknown coarse basis kind {kind!r}")
-    Px, Py = (_coarse_basis_1d(m, kind) for m in shape)
+    Px, Py = (_coarse_map_1d(m, kind, False) for m in shape)
     return Px, Py, (Px.shape[1], Py.shape[1])
+
+
+def coarse_restriction(shape: tuple[int, int], kind: str) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(P_x^T, P_y^T) of ``coarse_basis(shape, kind)``, each as CSR."""
+    PxT, PyT = (_coarse_map_1d(m, kind, True) for m in shape)
+    return PxT, PyT
 
 
 # ---------------------------------------------------------------------------

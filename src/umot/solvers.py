@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverDivergence
-from .field_core import coarse_basis
+from .field_core import coarse_basis, coarse_restriction
 
 MG_COARSEST = 400  # unknowns at or below which the hierarchy stops and factors
 MG_OMEGA = 0.8  # damped-Jacobi weight
@@ -131,10 +131,9 @@ class Multigrid:
         zero = np.broadcast_to(0.0, (my, mx))  # a 5-point stencil has no corner taps
         taps = (C, E, zero, N, zero)
         while A.shape[0] > MG_COARSEST and min(mx, my) >= 2:
+            PxT, PyT = coarse_restriction((mx, my), "linear")
             Px, Py, (mx, my) = coarse_basis((mx, my), "linear")
-            self.levels.append(
-                (A, MG_OMEGA / taps[0].ravel(), Px, Py, Px.T.tocsr(), Py.T.tocsr())
-            )
+            self.levels.append((A, MG_OMEGA / taps[0].ravel(), Px, Py, PxT, PyT))
             taps = _galerkin(taps, mx, my)
             A = _stencil_matrix(taps)
         self.coarse = SparseFactor(A)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -27,7 +30,12 @@ from umot import (
 from umot.constant_bg import sigma_zero_gamma_rows, symbols
 from umot.ellipticity import DirectionSet
 from umot.errors import GridMismatch, NonPositiveSolution
-from umot.field_core import coarse_basis, interior_derivative_matrices, rel_l2_error
+from umot.field_core import (
+    coarse_basis,
+    interior_derivative_matrices,
+    laplacian_matrix,
+    rel_l2_error,
+)
 from umot.forward import DiffusionSolver
 from umot.phantom import bump_field
 
@@ -224,12 +232,16 @@ def _row_data(bg, g, dg, ds):
     return data
 
 
-@pytest.mark.parametrize("n", [32, 33])
-def test_round_trip_in_spline_range(bg, n):
+@pytest.mark.parametrize(
+    "g",
+    [Grid.unit_square(32), Grid.unit_square(33), Grid(33, 42, 1 / 32, 1 / 41)],
+    ids=["32", "33", "33x42"],
+)
+def test_round_trip_in_spline_range(bg, g):
     # the solve seeks dgamma and dsigma in the range of the spline coarse
-    # basis, so a truth inside that range comes back to solver precision
-    g = Grid.unit_square(n)
-    Px, Py, (mx, my) = coarse_basis((n - 2, n - 2), "spline")
+    # basis, so a truth inside that range comes back to solver precision;
+    # on 33x42 the two axes have different sine matrices and spacings
+    Px, Py, (mx, my) = coarse_basis((g.nx - 2, g.ny - 2), "spline")
     Q = sp.kron(Py, Px, format="csr")
     iidx = g.interior_indices()
     truths = []
@@ -343,10 +355,8 @@ def test_solve_applies_preconditioner_once_per_step(bg, cg_steps, monkeypatch):
 
 def test_solve_memory_stays_small_at_129(bg):
     # nothing is assembled: the traced peak of the solve at 129x129 is a few
-    # MB (the assembled normal matrix took 35.7 MB); a first, small solve
-    # keeps the lazy import of scipy.fft out of the trace
-    small = Grid.unit_square(17)
-    solve_constant_bg(bg, _row_data(bg, small, np.ones(small.n_nodes), np.ones(small.n_nodes)))
+    # MB (the assembled normal matrix took 35.7 MB); the solve imports
+    # nothing on its first call, so no warm-up solve precedes the trace
     g = Grid.unit_square(129)
     dg = bump_field(g, (0.4, 0.45), 0.22, 0.05, power=4).values
     ds = bump_field(g, (0.6, 0.6), 0.2, 0.04, power=4).values
@@ -358,6 +368,103 @@ def test_solve_memory_stays_small_at_129(bg):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def _dstn_preconditioner(bg, grid, shape):
+    """The spectral preconditioner written with scipy.fft.dstn: the reference
+    for the sine-matrix products of ``_spectral_preconditioner``."""
+    from scipy.fft import dstn
+
+    mcx, mcy = shape
+    J = len(bg.dirs)
+    _, c0, _, b0 = bg.lower_order()
+
+    def axis(mc, h):
+        w = 0.5 * np.pi * np.arange(1, mc + 1) / (mc + 1)
+        return (2.0 - 2.0 * np.cos(w)) / h ** 2, (2.0 * np.cos(0.5 * w) ** 4) ** 2
+
+    (s2x, ax), (s2y, ay) = axis(mcx, grid.hx), axis(mcy, grid.hy)
+    lap2 = (s2x[None, :] + s2y[:, None]) ** 2
+    spline = ay[:, None] * ax[None, :]
+    diag = np.stack([
+        spline * (0.5 * J * lap2 + J * c0 ** 2),
+        spline * (J * (bg.eta * bg.gamma0 / bg.sigma0) ** 2 * lap2 + J * b0 ** 2),
+    ])
+
+    def precondition(r):
+        modes = dstn(r.reshape(2, mcy, mcx), type=1, axes=(1, 2), norm="ortho")
+        return dstn(modes / diag, type=1, axes=(1, 2), norm="ortho").ravel()
+
+    return precondition
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid.unit_square(64), Grid.unit_square(65), Grid(36, 41, 1 / 35, 1 / 40)],
+    ids=["64-even", "65-odd", "36x41-mixed"],
+)
+def test_preconditioner_matches_dstn(bg, grid):
+    # S_y R S_x with the dense orthonormal sine matrices is the DST-I of
+    # scipy.fft, to round-off
+    from umot.constant_bg import _spectral_preconditioner
+
+    shape = coarse_basis((grid.nx - 2, grid.ny - 2), "spline")[2]
+    r = np.random.default_rng(11).standard_normal(2 * shape[0] * shape[1])
+    got = _spectral_preconditioner(bg, grid, shape)(r)
+    ref = _dstn_preconditioner(bg, grid, shape)(r)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 62, 63])
+def test_sine_matrix_is_its_own_inverse(n):
+    from umot.constant_bg import _sine_matrix
+
+    S = _sine_matrix(n)
+    assert np.array_equal(S, S.T)
+    assert np.abs(S @ S - np.eye(n)).max() <= 1e-13
+
+
+def test_solve_loads_no_fft():
+    # the DST-I is applied as sine matrices: neither scipy.fft nor the
+    # scipy.special it imports is loaded by a constant-background solve
+    code = """
+import sys
+import numpy as np
+import umot
+from umot.ellipticity import DirectionSet
+
+s = np.sqrt(0.5)
+dirs = DirectionSet(2, (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([s, s])))
+bg = umot.ConstantBackground(1.0, 0.5, 1.0, dirs)
+g = umot.Grid.unit_square(33)
+rng = np.random.default_rng(0)
+umot.solve_constant_bg(bg, [umot.ScalarField(g, rng.standard_normal(g.n_nodes)) for _ in range(3)])
+print(sorted(m for m in ("scipy.fft", "scipy.special") if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid.unit_square(128), Grid(19, 23, 0.05, 0.04), Grid(40, 33, 1 / 39, 1 / 32)],
+    ids=["128", "19x23", "40x33"],
+)
+def test_preprocess_laplacian_equals_matrix_product(bg, grid):
+    # the Laplacian applied by slices sums the taps in the order of a row of
+    # laplacian_matrix, so the result is that product's, bit for bit
+    rng = np.random.default_rng(5)
+    dH = ScalarField(grid, rng.standard_normal(grid.n_nodes))
+    u = ScalarField(grid, rng.uniform(0.5, 2.0, grid.n_nodes))
+    w = dH.values / u.values
+    Lw = -bg.gamma0 * (laplacian_matrix(grid) @ w) + bg.sigma0 * w
+    iidx = grid.interior_indices()
+    ref = np.zeros(grid.n_nodes)
+    ref[iidx] = Lw[iidx] / (bg.sigma0 * u.values[iidx])
+    assert np.array_equal(preprocess_data(dH, u, bg).values, ref)
 
 
 def test_fine_symbol_has_rank_one_at_nyquist_corner(bg):

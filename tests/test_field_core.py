@@ -13,7 +13,7 @@ from umot import (
     VectorField,
     gradient,
 )
-from umot.field_core import coarse_basis, l2_norm, rel_l2_error
+from umot.field_core import coarse_basis, coarse_restriction, l2_norm, rel_l2_error
 from umot.phantom import bump_field
 
 
@@ -273,6 +273,30 @@ def test_coarse_basis_on_even_and_odd_counts(kind, m):
     assert Px[2 * np.arange(nc) + 1, np.arange(nc)].min() == (1.0 if kind == "linear" else 0.75)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("m", [30, 31, 190, 191])
+def test_coarse_maps_equal_their_triplet_builds(kind, m):
+    # P and P^T are written straight from the taps; entry for entry they are
+    # the CSR matrices built from COO triplets and transposed, so every
+    # product with them is unchanged to the bit
+    nc = m // 2 if kind == "linear" else (m - 1) // 2
+    taps = {0: 1.0, -1: 0.5, 1: 0.5}
+    if kind == "spline":
+        taps = {0: 0.75, -1: 0.5, 1: 0.5, -2: 0.125, 2: 0.125}
+    k = np.arange(nc)
+    rows = np.concatenate([2 * k + 1 + o for o in taps])
+    keep = (rows >= 0) & (rows < m)
+    cols = np.tile(k, len(taps))
+    vals = np.repeat(list(taps.values()), nc)
+    P = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m, nc))
+    Px, _, _ = coarse_basis((m, 9), kind)
+    PxT, _ = coarse_restriction((m, 9), kind)
+    for got, ref in ((Px, P), (PxT, P.T.tocsr())):
+        assert got.shape == ref.shape
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(ref, part))
+
+
 def test_spline_basis_approximates_at_fourth_order():
     # best L2 approximation of a smooth bump by the range of P_y (x) P_x
     errs = []
@@ -294,5 +318,6 @@ def test_coarse_basis_refuses_axis_without_coarse_node(kind, shape):
 
 
 def test_coarse_basis_refuses_unknown_kind():
-    with pytest.raises(ValueError, match="unknown coarse basis kind 'cubic'"):
-        coarse_basis((9, 9), "cubic")
+    for build in (coarse_basis, coarse_restriction):
+        with pytest.raises(ValueError, match="unknown coarse basis kind 'cubic'"):
+            build((9, 9), "cubic")
