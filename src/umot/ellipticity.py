@@ -121,15 +121,19 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     )
 
 
+def _symbol_columns(geo, nodes: np.ndarray) -> tuple:
+    """The three columns (theta_x^2 - theta_y^2, 2 theta_x theta_y, d^2) of one
+    solution's symbol row at ``nodes``."""
+    theta, d = geo.at(nodes)
+    tx, ty = theta.T
+    return tx * tx - ty * ty, 2.0 * tx * ty, d**2
+
+
 def _symbol_rows(geometry: tuple, nodes: np.ndarray) -> np.ndarray:
     """The (nodes, max(J, 3), 3) symbol rows; zero rows pad J < 3."""
     rows = np.zeros((nodes.size, max(len(geometry), 3), 3))
     for j, geo in enumerate(geometry):
-        theta, d = geo.at(nodes)
-        tx, ty = theta.T
-        rows[:, j, 0] = tx * tx - ty * ty
-        rows[:, j, 1] = 2.0 * tx * ty
-        rows[:, j, 2] = d**2
+        rows[:, j, 0], rows[:, j, 1], rows[:, j, 2] = _symbol_columns(geo, nodes)
     return rows
 
 
@@ -147,11 +151,7 @@ def _gram_entries(geometry: tuple, nodes: np.ndarray) -> tuple:
     """
     g = [np.zeros(nodes.size) for _ in range(6)]
     for geo in geometry:
-        theta, d = geo.at(nodes)
-        tx, ty = theta.T
-        a = tx * tx - ty * ty
-        b = 2.0 * tx * ty
-        c = d**2
+        a, b, c = _symbol_columns(geo, nodes)
         for k, term in enumerate((a * a, b * b, c * c, a * b, a * c, b * c)):
             g[k] += term
     return tuple(g)

@@ -9,9 +9,10 @@ Conventions
 * node (i, j) sits at (x0 + i*hx, y0 + j*hy) and has linear index j*nx + i
 * boundary nodes are ordered counterclockwise starting at (x0, y0)
 * assembled operators hold the stencil on interior rows only; the diffusion
-  operator is assembled as its interior block A_II, stored by its five
-  diagonals, and its boundary coupling A_IB in CSR (``diffusion_blocks``),
-  and no whole-grid diffusion matrix is formed
+  operator is its interior block A_II, written into diagonals by
+  ``stencil_matrix`` as every multigrid level is, and the taps that reach
+  the boundary ring (``diffusion_blocks``); no boundary or whole-grid
+  diffusion matrix is formed
 * interior stencils are second-order central differences; gradients fall back
   to second-order one-sided stencils on the boundary
 """
@@ -248,66 +249,61 @@ def face_average_partials(a, b):
 def diffusion_blocks(gamma: ScalarField, sigma: ScalarField) -> tuple:
     """Flux-conservative 5-point stencil for -div(gamma grad) + sigma, as two blocks.
 
-    Returns (A_II, A_IB): the interior rows restricted to the interior
-    columns (row-major interior numbering) and to the boundary columns
-    (numbered as ``boundary_indices``), so a Dirichlet problem reads
-    A_II u_I = -A_IB f.  A_II is a ``dia_matrix`` with the offsets
-    (-mx, -1, 0, 1, mx) in ascending order, south, west, centre, east and
-    north, each diagonal written straight from the face diffusivities, and
-    each tap that reaches a boundary node stored as 0: its product sums each
-    row's products in ascending column order, as a sorted CSR product does,
-    and to the same bits.  A_IB is CSR, written from the faces of the
-    boundary ring, each row's entries in that same order.  Each face's
-    harmonic-mean diffusivity is evaluated once, and A_II is exactly
-    symmetric; no full-grid matrix is formed.
+    Returns (A_II, ring).  A_II, the interior rows restricted to the
+    interior columns (row-major interior numbering), is written by
+    ``stencil_matrix`` from its centre, east and north taps, each tap that
+    reaches a boundary node stored as 0, so its product sums each row
+    south, west, centre, east, north, as a sorted CSR product does, and to
+    the same bits.  ``ring`` is the boundary coupling A_IB as the taps that
+    reach the boundary, (south, west, east, north): one per column of the
+    first interior row, per row of the first and last interior columns,
+    and per column of the last interior row.  Each face's harmonic-mean
+    diffusivity is evaluated once; A_II is exactly symmetric.
     """
     _check_same_grid(gamma, sigma)
     grid = gamma.grid
-    nx, ny = grid.nx, grid.ny
-    mx, my = nx - 2, ny - 2
-    n = mx * my
     G = gamma.as_matrix()
     fx = face_average(G[1:-1, :-1], G[1:-1, 1:]) / grid.hx**2  # face (i, j)-(i + 1, j)
     fy = face_average(G[:-1, 1:-1], G[1:, 1:-1]) / grid.hy**2  # face (i, j)-(i, j + 1)
     gw, ge, gs, gn = fx[:, :-1], fx[:, 1:], fy[:-1], fy[1:]
-
-    data = np.zeros((5, my, mx))  # node c of data[k] holds the entry of row c - offsets[k]
-    data[0, :-1] = data[4, 1:] = -fy[1:-1]  # the faces between interior rows
-    data[1, :, :-1] = data[3, :, 1:] = -fx[:, 1:-1]  # ... and interior columns
-    data[2] = ge + gw + gn + gs + sigma.as_matrix()[1:-1, 1:-1]
-    A_II = sp.dia_matrix((data.reshape(5, n), [-mx, -1, 0, 1, mx]), shape=(n, n))
-
-    # the boundary couplings: a face of the ring per tap, and the boundary
-    # node it reaches, numbered by its position in f (``boundary_indices``)
-    i, j = np.arange(mx), np.arange(my)
-    ring = _ring_rows(-fy[0], -fx[:, 0], -fx[:, -1], -fy[-1])
-    node = _ring_rows(i + 1, (j + 1) * nx, (j + 2) * nx - 1, (ny - 1) * nx + i + 1)
-    position = np.empty(grid.n_nodes, dtype=np.intp)
-    position[grid.boundary_indices()] = np.arange(grid.n_boundary)
-    count = np.zeros((my, mx), dtype=np.intp)  # couplings per row
-    count[0] += 1
-    count[-1] += 1
-    count[:, 0] += 1
-    count[:, -1] += 1
-    indptr = np.concatenate([[0], np.cumsum(count.ravel())])
-    A_IB = sp.csr_matrix((ring, position[node], indptr), shape=(n, grid.n_boundary))
-    return A_II, A_IB
+    C = ge + gw + gn + gs + sigma.as_matrix()[1:-1, 1:-1]
+    ring = (-gs[0], -gw[:, 0], -ge[:, -1], -gn[-1])
+    E, N = -ge, -gn
+    E[:, -1] = N[-1] = 0.0  # the taps that reach the boundary are in ``ring``
+    return stencil_matrix((C, E, None, N, None)), ring
 
 
-def _ring_rows(south, west, east, north) -> np.ndarray:
-    """Taps of the interior rows next to the boundary, in CSR order.
+# (dy, dx) of the centre and the four upper taps of a 9-point stencil, in the
+# order of the tap tuples: C, E, NW, N, NE
+_UPPER_TAPS = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
 
-    ``south`` and ``north`` hold one value per column of the first and last
-    interior rows, ``west`` and ``east`` one per row of the first and last
-    interior columns.  Rows come in order, and each row's taps in the order
-    south, west, east, north.
+
+def stencil_matrix(taps: tuple) -> sp.dia_matrix:
+    """The symmetric 9-point operator with centre and upper taps ``taps``, by diagonals.
+
+    ``taps`` is (C, E, NW, N, NE), each an (my, mx) array over a row-major
+    block of nodes, or None for a tap the stencil lacks; a tap that reaches
+    past the block is 0.  The one writer of a stencil into diagonals, for
+    A_II and every multigrid level.  The diagonals of offsets +o and -o both
+    hold the tap of row r at column r + o, one row of the matrix per node,
+    and offsets come out ascending.  On a block two nodes wide, or one,
+    offsets coincide, and the taps that share a diagonal never meet at a
+    node inside the block, so they are summed into it.  On a block one node
+    tall, a tap whose offset reaches past the last node has no diagonal.
     """
-    sides = np.column_stack([west[1:-1], east[1:-1]]).ravel()
-    return np.concatenate([
-        south[:1], west[:1], south[1:], east[:1],
-        sides,
-        west[-1:], north[:-1], east[-1:], north[-1:],
-    ])
+    my, mx = taps[0].shape
+    n = mx * my
+    kept = [(dy * mx + dx, t) for (dy, dx), t in zip(_UPPER_TAPS, taps)
+            if t is not None and dy * mx + dx < n]
+    upper, taps = zip(*kept)
+    offsets = np.unique(np.concatenate([upper, np.negative(upper)]))
+    data = np.zeros((offsets.size, n))
+    for o, t in zip(upper, taps):
+        t = t.ravel()[: n - o]
+        data[np.searchsorted(offsets, o), o:] += t
+        if o:
+            data[np.searchsorted(offsets, -o), : n - o] += t
+    return sp.dia_matrix((data, offsets), shape=(n, n))
 
 
 def diffusion_flux_jacobian(gamma: ScalarField, u: ScalarField) -> sp.csr_matrix:

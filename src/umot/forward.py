@@ -12,9 +12,10 @@ and derives the per-solution geometry: the gradient field F_j, kept, and
 from it, at the nodes asked for, the unit direction theta_j and the ratio
 d_j = u_j / |grad u_j|.  Nodes where the gradient magnitude falls below a
 floor are flagged as degenerate rather than populated with unstable
-quotients.  The operator's interior block is stored by its five diagonals
-and every multigrid level by its diagonals too, so a bundle holds the
-solutions, the solver and, once read, F_j and H_j.
+quotients.  The operator's interior block is stored by its five diagonals,
+its boundary coupling as the taps that reach the boundary ring, and every
+multigrid level by its diagonals too, so a bundle holds the solutions, the
+solver and, once read, F_j and H_j.
 """
 
 from __future__ import annotations
@@ -113,11 +114,11 @@ class DiffusionSolver:
     """Forward operator for repeated boundary-value solves.
 
     The operator is assembled directly as its interior block A_II, a
-    ``dia_matrix`` of five diagonals, and its boundary coupling A_IB in CSR
-    (``diffusion_blocks``), so a Dirichlet solve is A_II u_I = -A_IB f.
-    Every solve is conjugate gradients on A_II preconditioned by a multigrid
-    V-cycle whose hierarchy is built once and keeps A_II itself as its
-    finest level.  A problem with at most
+    ``dia_matrix`` of five diagonals, and the taps by which the interior
+    reaches the boundary ring (``diffusion_blocks``), so a Dirichlet solve
+    is A_II u_I = ``dirichlet_rhs(f)``.  Every solve is conjugate gradients
+    on A_II preconditioned by a multigrid V-cycle whose hierarchy is built
+    once and keeps A_II itself as its finest level.  A problem with at most
     MG_COARSEST unknowns has no levels: its V-cycle is the exact coarse
     solve, so CG stops after one step.  Every solve is checked at the solve
     layer's one residual bound, and a stalled iteration or a solve above
@@ -129,8 +130,27 @@ class DiffusionSolver:
         grid = coeffs.grid
         self.interior = grid.interior_indices()
         self.boundary = grid.boundary_indices()
-        self.A_II, self.A_IB = diffusion_blocks(coeffs.gamma, coeffs.sigma)
+        self.A_II, self._ring = diffusion_blocks(coeffs.gamma, coeffs.sigma)
         self._mg = Multigrid(self.A_II, grid.nx - 2, grid.ny - 2)
+
+    def dirichlet_rhs(self, f: BoundaryData) -> np.ndarray:
+        """Interior right-hand side -A_IB f of the Dirichlet problem with trace f.
+
+        The ring taps times the boundary values they reach are added into
+        zeros south, west, east, north and the sum is negated: the order and
+        the signed zeros of a CSR product with the boundary columns.
+        """
+        grid = self.coeffs.grid
+        F = np.zeros(grid.n_nodes)
+        F[self.boundary] = f.values
+        F = F.reshape(grid.ny, grid.nx)
+        south, west, east, north = self._ring
+        r = np.zeros((grid.ny - 2, grid.nx - 2))
+        r[0] += south * F[0, 1:-1]
+        r[:, 0] += west * F[1:-1, 0]
+        r[:, -1] += east * F[1:-1, -1]
+        r[-1] += north * F[-1, 1:-1]
+        return -r.ravel()
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         return cg_solve(self.A_II, rhs, self._mg.cycle)
@@ -139,8 +159,7 @@ class DiffusionSolver:
         """Solution of the Dirichlet problem with trace f."""
         if f.grid != self.coeffs.grid:
             raise GridMismatch("boundary data on the wrong grid")
-        rhs = -(self.A_IB @ f.values)
-        u_int = self._solve_interior(rhs)
+        u_int = self._solve_interior(self.dirichlet_rhs(f))
         full = np.zeros(self.coeffs.grid.n_nodes)
         full[self.interior] = u_int
         full[self.boundary] = f.values
@@ -154,7 +173,7 @@ class DiffusionSolver:
         return ScalarField(self.coeffs.grid, full)
 
     def residual(self, u: ScalarField, f: BoundaryData) -> float:
-        rhs = -(self.A_IB @ f.values)
+        rhs = self.dirichlet_rhs(f)
         r = self.A_II @ u.values[self.interior] - rhs
         scale = max(float(np.linalg.norm(rhs)), 1e-300)
         return float(np.linalg.norm(r)) / scale

@@ -239,11 +239,7 @@ def solve_normal_equations(
         phi_int = np.concatenate([p.values[iidx] for p in biharmonic_lifts(g)])
         b = b - A @ phi_int
 
-    rhs_n = A.T @ b
-    if not np.any(rhs_n):
-        w = np.zeros(A.shape[1])
-    else:
-        w = _ensure_full_rank(sys).solve(rhs_n)
+    w = _ensure_full_rank(sys).solve(A.T @ b)
 
     if g is not None:
         w = w + phi_int
@@ -266,8 +262,9 @@ def normal_residual(sys: LinearizedSystem, v: PerturbationVector) -> float:
         + [u.values[iidx] for u in v.du]
     )
     A = sys.A.matrix
-    rN = A.T @ (A @ w) - A.T @ sys.rhs
-    scale = max(float(np.linalg.norm(A.T @ sys.rhs)), 1e-300)
+    rhs_n = A.T @ sys.rhs
+    rN = A.T @ (A @ w) - rhs_n
+    scale = max(float(np.linalg.norm(rhs_n)), 1e-300)
     return float(np.linalg.norm(rN)) / scale
 
 

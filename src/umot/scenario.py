@@ -21,11 +21,17 @@ from functools import cached_property
 import numpy as np
 
 from .constant_bg import ConstantBackground
-from .ellipticity import DirectionSet, cgo_boundary_set, constant_bg_boundary_set
+from .ellipticity import (
+    DEFAULT_MARGIN_THRESHOLD,
+    DirectionSet,
+    cgo_boundary_set,
+    constant_bg_boundary_set,
+)
 from .errors import BumpTouchesBoundary, DirectionsNotCertified, ScenarioError, ZeroEta
 from .field_core import BoundaryData, Grid, ScalarField
 from .fileio import field_from_dict, load_json, require_key
-from .forward import CoefficientPair
+from .forward import DEFAULT_ETA, CoefficientPair
+from .nonlinear import ReconstructOptions
 from .phantom import BumpSpec, generate_phantom
 
 _OPTIONAL_TOP_KEYS = {"eta", "phantom", "noise", "solver", "certify", "inversion"}
@@ -100,7 +106,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class CertifyConfig:
-    margin_threshold: float = 1e-6
+    margin_threshold: float = DEFAULT_MARGIN_THRESHOLD
 
     def __post_init__(self):
         _check_real("margin_threshold", self.margin_threshold)
@@ -122,9 +128,9 @@ class NoiseConfig:
 @dataclass(frozen=True)
 class InversionConfig:
     path: str = "linearized"
-    mode: str = "frozen"
-    tol: float = 1e-8
-    kmax: int = 100
+    mode: str = ReconstructOptions.mode
+    tol: float = ReconstructOptions.tol
+    kmax: int = ReconstructOptions.kmax
 
     def __post_init__(self):
         if self.path not in ("linearized", "constant_bg", "nonlinear"):
@@ -257,12 +263,12 @@ class ScenarioConfig:
 
 
 def parse_scenario(data) -> ScenarioConfig:
-    """Parse a scenario from a dict, JSON text, or file path."""
+    """Parse a scenario from a dict or its JSON text."""
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError:
-            data = load_json(data)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     _require_keys(data, "scenario", {"grid", "background", "boundary_set"}, _OPTIONAL_TOP_KEYS)
     _require_keys(data["grid"], "grid", {"nx", "ny", "hx", "hy"}, {"x0", "y0"})
 
@@ -305,7 +311,7 @@ def parse_scenario(data) -> ScenarioConfig:
     try:
         return ScenarioConfig(
             grid=dict(data["grid"]),
-            eta=float(data.get("eta", 1.0)),
+            eta=float(data.get("eta", DEFAULT_ETA)),
             background=dict(bg),
             boundary_set=dict(bs),
             phantom=tuple(map(_bump, ph)),

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverDivergence
-from .field_core import coarse_basis, coarse_restriction
+from .field_core import coarse_basis, coarse_restriction, stencil_matrix
 
 MG_COARSEST = 400  # unknowns at or below which the hierarchy stops and factors
 MG_OMEGA = 0.8  # damped-Jacobi weight
@@ -112,14 +112,15 @@ class Multigrid:
     ``coarse_basis`` P = P_y (x) P_x and restricts by P^T; the coarse
     operator P^T A P is formed as a stencil (``_galerkin``), one pass along x
     and one along y, from the centre and the four upper taps of the level
-    above, and written straight into a ``dia_matrix`` with ascending offsets
-    (nine, fewer on a grid one or two nodes across) whose lower taps mirror
-    the upper ones, so every level is exactly symmetric.  The finest stencil is read from A_II's diagonals as views,
-    and A_II itself is level 0.  Coarsening stops at MG_COARSEST unknowns,
-    or when an axis is down to one node, which has no coarse node; the last
-    matrix is factored once.  MG_SWEEPS damped-Jacobi sweeps (weight
-    MG_OMEGA) run in place before and after each coarse correction, so the
-    cycle is a symmetric positive definite preconditioner.
+    above, and written into its diagonals by ``field_core.stencil_matrix``,
+    the writer of A_II too (nine diagonals, fewer on a grid one or two nodes
+    across, whose lower taps mirror the upper ones, so every level is
+    exactly symmetric).  The finest stencil is read from A_II's diagonals as
+    views, and A_II itself is level 0.  Coarsening stops at MG_COARSEST
+    unknowns, or when an axis is down to one node, which has no coarse node;
+    the last matrix is factored once.  MG_SWEEPS damped-Jacobi sweeps
+    (weight MG_OMEGA) run in place before and after each coarse correction,
+    so the cycle is a symmetric positive definite preconditioner.
     """
 
     def __init__(self, A: sp.dia_matrix, mx: int, my: int):
@@ -135,7 +136,7 @@ class Multigrid:
             Px, Py, (mx, my) = coarse_basis((mx, my), "linear")
             self.levels.append((A, MG_OMEGA / taps[0].ravel(), Px, Py, PxT, PyT))
             taps = _galerkin(taps, mx, my)
-            A = _stencil_matrix(taps)
+            A = stencil_matrix(taps)
         self.coarse = SparseFactor(A)
 
     def cycle(self, b: np.ndarray, level: int = 0) -> np.ndarray:
@@ -166,11 +167,6 @@ def _smooth(A, dinv: np.ndarray, x: np.ndarray, b: np.ndarray, sweeps: int) -> N
         r = _defect(A, x, b)
         r *= dinv
         x += r
-
-
-# (dy, dx) of the centre and the four upper taps of a 9-point stencil, in the
-# order of the tap tuples below: C, E, NW, N, NE
-_UPPER_TAPS = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
 def _thirds(a: np.ndarray, c: int, axis: int) -> tuple:
@@ -238,31 +234,6 @@ def _galerkin(taps: tuple, mcx: int, mcy: int) -> tuple:
         C[2] * 0.25 + (N[1] + N[2]) * 0.5,
         E[2] * 0.25 + (NE[1] + NE[2]) * 0.5,
     ))
-
-
-def _stencil_matrix(taps: tuple) -> sp.dia_matrix:
-    """The symmetric 9-point operator with centre and upper taps ``taps``, by diagonals.
-
-    The diagonal of offset +o holds the tap of row r at column r + o, and
-    the diagonal of offset -o the same values, one row of the matrix per
-    node; offsets come out ascending.  On a grid two nodes wide, or one,
-    offsets coincide, and the taps that share a diagonal never meet at a
-    node inside the grid, so they are summed into it.  On a grid one node
-    tall, a tap whose offset reaches past the last node is 0 and has no
-    diagonal.
-    """
-    my, mx = taps[0].shape
-    n = mx * my
-    kept = [(dy * mx + dx, t) for (dy, dx), t in zip(_UPPER_TAPS, taps) if dy * mx + dx < n]
-    upper, taps = zip(*kept)
-    offsets = np.unique(np.concatenate([upper, np.negative(upper)]))
-    data = np.zeros((offsets.size, n))
-    for o, t in zip(upper, taps):
-        t = t.ravel()[: n - o]
-        data[np.searchsorted(offsets, o), o:] += t
-        if o:
-            data[np.searchsorted(offsets, -o), : n - o] += t
-    return sp.dia_matrix((data, offsets), shape=(n, n))
 
 
 def cg_solve(A, b: np.ndarray, precondition, maxiter: int = 1000) -> np.ndarray:

@@ -410,6 +410,19 @@ def test_missing_input_file_exits_1(tmp_path, scenario_file, capsys, command):
     assert not out.exists()
 
 
+def test_malformed_scenario_json_exits_1(tmp_path, capsys):
+    # a syntax error is reported as such, with its place, not as a missing file
+    path = tmp_path / "bad.json"
+    path.write_text('{"grid": {"nx": 10,}')
+    report = tmp_path / "report.json"
+    assert main(["certify", "--scenario", str(path), "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario is not valid JSON: Expecting property name")
+    assert "line 1 column 20" in err
+    assert "No such file" not in err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize(
     "slot, content, message",
     [

@@ -71,7 +71,7 @@ def test_dense_direct_oracle():
     solver = DiffusionSolver(coeffs)
     u = solver.solve(f)
 
-    u_dense = np.linalg.solve(solver.A_II.toarray(), -(solver.A_IB @ f.values))
+    u_dense = np.linalg.solve(solver.A_II.toarray(), solver.dirichlet_rhs(f))
     assert np.abs(u.values[g.interior_indices()] - u_dense).max() < 1e-10
 
 
@@ -225,7 +225,7 @@ def test_forward_cg_stall_raises(bundle24):
 
     solver = bundle24.solver
     f, u = bundle24.solutions[0]
-    rhs = -(solver.A_IB @ f.values)
+    rhs = solver.dirichlet_rhs(f)
     mg = Multigrid(solver.A_II, bundle24.grid.nx - 2, bundle24.grid.ny - 2)
     x = cg_solve(solver.A_II, rhs, mg.cycle)
     assert np.abs(x - u.values[solver.interior]).max() < 1e-8
@@ -318,7 +318,7 @@ def test_multigrid_cg_matches_direct_solve(case):
     solver = _hard_solver(case)
     f = BoundaryData.from_function(solver.coeffs.grid, lambda x, y: np.cos(3 * x) + x * y)
     u = solver.solve(f).values[solver.interior]
-    ref = SparseFactor(solver.A_II).solve(-(solver.A_IB @ f.values))
+    ref = SparseFactor(solver.A_II).solve(solver.dirichlet_rhs(f))
     assert np.abs(u - ref).max() <= 1e-9 * np.abs(ref).max()
 
 

@@ -269,6 +269,9 @@ def test_rank_deficient_solve_refused(bundle24, J):
     sys_ = assemble_system(small, dH, allow_deficient=True)
     with pytest.raises(RankDeficient):
         solve_normal_equations(sys_)
+    # zero data is refused too: the rank gate does not depend on the data
+    with pytest.raises(RankDeficient):
+        solve_normal_equations(sys_, rhs=np.zeros_like(sys_.rhs))
 
 
 def test_singular_normal_matrix_is_rank_deficient():
@@ -282,7 +285,7 @@ def test_singular_normal_matrix_is_rank_deficient():
     sys_ = assemble_system(bundle, _zero_fields(g, 1), allow_deficient=True)
     assert injectivity_probe(sys_, relative=True) == 0.0
     with pytest.raises(RankDeficient, match="exactly singular"):
-        solve_normal_equations(sys_, rhs=np.ones(sys_.A.matrix.shape[0]))
+        solve_normal_equations(sys_)
 
 
 def test_normal_matrix_factored_once(bundle24, monkeypatch):
