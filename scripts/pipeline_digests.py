@@ -7,12 +7,12 @@ prints one ``<scenario>/<artifact> <sha256>`` line per output, in manifest
 order.  Two source trees that print the same lines write byte-identical
 artifacts, so ``diff`` of the two listings is a behaviour check for changes
 that should not move any number.  The ``settings`` scenario sets
-``grad_floor`` and ``margin_threshold`` away from their defaults, so its
-digests also pin that those values reach each bundle build and certification
-of the sweep.  The ``explicit`` scenario reads its three traces from files.  The
-``cgo_fields48`` scenario reads a heterogeneous 48x48 background from files,
-so its forward solves run on a multigrid hierarchy of two coarse levels
-below A_II, and its digests pin the coarse operators to round-off.
+``margin_threshold`` away from its default, so its digests also pin that the
+value reaches each certification of the refreshed sweep.  The ``explicit``
+scenario reads its three traces from files.  The ``cgo_fields48`` scenario
+reads a heterogeneous 48x48 background from files, so its forward solves run
+on a multigrid hierarchy of two coarse levels below A_II, and its digests pin
+the coarse operators to round-off.
 The three ``uncertified_*`` scenarios set ``margin_threshold`` above the
 margin and run with ``allow_noncertified``, one per inversion path, so they
 pin that an allowed failure changes no number (it warns on stderr).
@@ -79,7 +79,6 @@ SCENARIOS = {
     },
     "settings": {
         **NOISE_FREE,
-        "solver": {"grad_floor": 1e-9},
         "certify": {"margin_threshold": 1e-5},
         "inversion": {"path": "nonlinear", "mode": "refreshed", "kmax": 4},
     },

@@ -31,7 +31,6 @@ from .fileio import (
 from .forward import CoefficientPair
 from .pipeline import (
     Recorder,
-    ScenarioSetup,
     constant_bg_reconstruction,
     forward_stage,
     linearized_reconstruction,
@@ -41,7 +40,7 @@ from .pipeline import (
     run_pipeline,
     trace_csv,
 )
-from .scenario import parse_scenario
+from .scenario import ScenarioConfig, parse_scenario
 
 
 def _setup_logging() -> None:
@@ -54,21 +53,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True, help="scenario JSON file")
 
 
-def _setup(args) -> ScenarioSetup:
-    return ScenarioSetup.from_config(parse_scenario(Path(args.scenario).read_text()))
+def _config(args) -> ScenarioConfig:
+    return parse_scenario(Path(args.scenario).read_text())
 
 
 def cmd_forward(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rec = Recorder(out)
-    forward_stage(_setup(args), rec)
+    config = _config(args)
+    forward_stage(config.setup, config.noise, rec)
     print(f"wrote {len(rec.files)} files to {out}")
     return 0
 
 
 def cmd_certify(args) -> int:
-    report = _setup(args).certificate
+    report = _config(args).setup.certificate
     dump_json(report_dict(report), args.report)
     print(f"elliptic={report.elliptic} margin={report.global_margin:.6e}")
     report.require(args.allow_noncertified)
@@ -76,7 +76,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_linearize(args) -> int:
-    setup = _setup(args)
+    setup = _config(args).setup
     setup.certificate.require()
     g = None
     if args.g:
@@ -91,9 +91,10 @@ def cmd_linearize(args) -> int:
 
 
 def cmd_constbg(args) -> int:
-    setup = _setup(args)
-    setup.certificate.require()
-    dump_json(constant_bg_reconstruction(setup, read_field_list_json(args.dh)), args.out)
+    config = _config(args)
+    config.setup.certificate.require()
+    dh = read_field_list_json(args.dh)
+    dump_json(constant_bg_reconstruction(config.setup, dh, config.constant_background), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -103,12 +104,14 @@ def cmd_reconstruct(args) -> int:
     coeffs0 = CoefficientPair(
         *(field_from_dict(require_key(init, k, "--init file")) for k in ("gamma", "sigma"))
     )
-    setup = _setup(args)
-    if coeffs0.grid != setup.grid:
-        raise GridMismatch(f"--init file is on {coeffs0.grid}, the scenario on {setup.grid}")
-    setup = replace(setup, background=coeffs0)
+    config = _config(args)
+    grid = config.setup.grid
+    if coeffs0.grid != grid:
+        raise GridMismatch(f"--init file is on {coeffs0.grid}, the scenario on {grid}")
+    setup = replace(config.setup, background=coeffs0)
     setup.certificate.require(args.allow_noncertified)
-    result, diverged = nonlinear_reconstruction(setup, read_field_list_json(args.hmeas))
+    H_meas = read_field_list_json(args.hmeas)
+    result, diverged = nonlinear_reconstruction(setup, H_meas, config.inversion)
     if args.log:
         Path(args.log).write_text(trace_csv(result))
     dump_json(nonlinear_dict(result, diverged), args.out)
@@ -119,8 +122,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config = parse_scenario(Path(args.scenario).read_text())
-    manifest = run_pipeline(config, args.out, allow_noncertified=args.allow_noncertified)
+    manifest = run_pipeline(_config(args), args.out, allow_noncertified=args.allow_noncertified)
     print(f"pipeline complete: {len(manifest.outputs)} artifacts in {args.out}")
     return 0
 

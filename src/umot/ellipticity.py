@@ -425,13 +425,13 @@ def certified_planar(dirs: DirectionSet) -> None:
 
 
 def cgo_boundary_set(
-    grid: Grid, M: float = 4.0, k: float = 1.0, background: CoefficientPair | None = None
+    grid: Grid, M: float, k: float, background: CoefficientPair
 ) -> list[BoundaryData]:
     """Five exponential-oscillatory traces achieving ellipticity for large M.
 
     u_1 = e^{M|k|x} cos(M|k|y), u_2 = e^{M|k|x} sin(M|k|y), u_3 = u_1 + u_2,
-    and u_4, u_5 repeat u_1, u_2 with M = 1.  On non-constant diffusion each
-    trace is scaled by 1/sqrt(gamma) at the boundary.
+    and u_4, u_5 repeat u_1, u_2 with M = 1, each scaled by 1/sqrt(gamma) of
+    the background at the boundary (by 1 where gamma = 1).
     """
     if M < 1.0:
         raise ValueError("oscillation strength M must be at least 1")
@@ -440,12 +440,9 @@ def cgo_boundary_set(
     X, Y = grid.coords()
     b = grid.boundary_indices()
     xb, yb = X[b], Y[b]
-    if background is not None:
-        if background.grid != grid:
-            raise GridMismatch("background on the wrong grid")
-        scale = 1.0 / np.sqrt(background.gamma.values[b])
-    else:
-        scale = np.ones(b.size)
+    if background.grid != grid:
+        raise GridMismatch("background on the wrong grid")
+    scale = 1.0 / np.sqrt(background.gamma.values[b])
 
     def pair(m):  # the scaled e^{m|k|x} cos(m|k|y) and e^{m|k|x} sin(m|k|y)
         r = m * abs(k)

@@ -10,12 +10,13 @@ and, on first read, forms the interior functional
 
 and derives the per-solution geometry: the gradient field F_j, kept, and
 from it, at the nodes asked for, the unit direction theta_j and the ratio
-d_j = u_j / |grad u_j|.  Nodes where the gradient magnitude falls below a
-floor are flagged as degenerate rather than populated with unstable
-quotients.  The operator's interior block is stored by its five diagonals,
-its boundary coupling as the taps that reach the boundary ring, and every
-multigrid level by its diagonals too, so a bundle holds the solutions, the
-solver and, once read, F_j and H_j.
+d_j = u_j / |grad u_j|.  Nodes where the gradient magnitude falls below
+GRAD_FLOOR_REL times its largest value are flagged as degenerate rather
+than populated with unstable quotients; the floor is a constant of the
+code, not a setting.  The operator's interior block is stored by its five
+diagonals, its boundary coupling as the taps that reach the boundary ring,
+and every multigrid level by its diagonals too, so a bundle holds the
+solutions, the solver and, once read, F_j and H_j.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .solvers import Multigrid, cg_solve
 
 DEFAULT_ETA = 1.0
 GAMMA_FLOOR = 1e-12  # smallest admissible diffusion coefficient
+GRAD_FLOOR_REL = 1e-8  # |grad u| below this times max |grad u| marks a degenerate node
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,8 @@ class SolutionGeometry:
     """Gradient field of u_j, its degenerate nodes, and u_j itself (not a copy).
 
     The unit direction theta_j and the ratio d_j are not stored: ``at``
-    forms both at any nodes, ``d_at`` the ratio alone, and ``theta`` and
-    ``d`` form them at every node on each read, so a geometry holds only F
-    beyond the solution it describes.
+    forms both at any nodes and ``d_at`` the ratio alone, on each call, so
+    a geometry holds only F beyond the solution it describes.
     """
 
     F: VectorField
@@ -100,14 +101,6 @@ class SolutionGeometry:
     def d_at(self, nodes) -> np.ndarray:
         """d at ``nodes``, as ``at`` forms it, without forming theta."""
         return self._parts(nodes)[3]
-
-    @property
-    def theta(self) -> VectorField:
-        return VectorField(self.F.grid, self.at(slice(None))[0])
-
-    @property
-    def d(self) -> ScalarField:
-        return ScalarField(self.F.grid, self.d_at(slice(None)))
 
 
 class DiffusionSolver:
@@ -196,19 +189,19 @@ def internal_functional(
     return ScalarField(u.grid, vals)
 
 
-def solution_geometry(u: ScalarField, grad_floor: float | None = None) -> SolutionGeometry:
+def solution_geometry(u: ScalarField) -> SolutionGeometry:
     """Gradient field of u and its degenerate nodes; see SolutionGeometry.
 
-    Nodes with |grad u| below ``grad_floor`` (default 1e-8 times the largest
-    gradient magnitude) are masked; theta and d are zero there.
+    Nodes with |grad u| below GRAD_FLOOR_REL times the largest gradient
+    magnitude (below the smallest normal float where grad u is zero at every
+    node) are masked; theta and d are zero there.
     """
     F = gradient(u)
     mag = F.magnitude()
-    if grad_floor is None:
-        grad_floor = 1e-8 * float(mag.max())
-    if grad_floor <= 0.0:
-        grad_floor = np.finfo(float).tiny
-    return SolutionGeometry(F, mag < grad_floor, u)
+    floor = GRAD_FLOOR_REL * float(mag.max())
+    if floor <= 0.0:
+        floor = np.finfo(float).tiny
+    return SolutionGeometry(F, mag < floor, u)
 
 
 @dataclass(frozen=True)
@@ -220,14 +213,13 @@ class SolutionBundle:
     solutions on first read and kept, so a bundle whose geometry nothing
     reads never holds it, and ``dataclasses.replace(bundle, solutions=...)``
     derives both for the new solutions.  ``at`` repeats the bundle's build
-    (traces, ``eta`` and ``grad_floor``) at other coefficients.
+    (traces and ``eta``) at other coefficients.
     """
 
     coeffs: CoefficientPair
     eta: float
     solutions: tuple
     solver: DiffusionSolver
-    grad_floor: float | None = None
 
     @property
     def J(self) -> int:
@@ -239,8 +231,8 @@ class SolutionBundle:
 
     @cached_property
     def geometry(self) -> tuple:
-        """``solution_geometry`` of each u_j at the bundle's ``grad_floor``."""
-        return tuple(solution_geometry(u, self.grad_floor) for _, u in self.solutions)
+        """``solution_geometry`` of each u_j."""
+        return tuple(solution_geometry(u) for _, u in self.solutions)
 
     @cached_property
     def H(self) -> tuple:
@@ -248,16 +240,15 @@ class SolutionBundle:
         return tuple(internal_functional(self.coeffs, u, self.eta) for _, u in self.solutions)
 
     def at(self, coeffs: CoefficientPair) -> "SolutionBundle":
-        """This bundle's build (traces, eta, grad_floor) at ``coeffs``."""
+        """This bundle's build (traces, eta) at ``coeffs``."""
         traces = [f for f, _ in self.solutions]
-        return build_bundle(coeffs, traces, self.eta, self.grad_floor)
+        return build_bundle(coeffs, traces, self.eta)
 
 
 def build_bundle(
     coeffs: CoefficientPair,
     traces: list[BoundaryData],
     eta: float = DEFAULT_ETA,
-    grad_floor: float | None = None,
 ) -> SolutionBundle:
     """Solve the forward problem for every trace and package the solutions.
 
@@ -268,4 +259,4 @@ def build_bundle(
         raise ValueError("need at least one boundary condition")
     solver = DiffusionSolver(coeffs)
     solutions = tuple((f, solver.solve(f)) for f in traces)
-    return SolutionBundle(coeffs, eta, solutions, solver, grad_floor)
+    return SolutionBundle(coeffs, eta, solutions, solver)

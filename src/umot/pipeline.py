@@ -1,8 +1,9 @@
 """Scenario pipeline: forward -> certify -> invert, with a run manifest.
 
-Every stage works on one ``ScenarioSetup``, the scenario's base point, which
-the certify stage gates (``EllipticityReport.require``: refuse, or warn once
-with ``allow_noncertified``); the invert stage runs one of three
+Every stage works on the scenario's one base point, the ``ScenarioSetup``
+that parsing built (``ScenarioConfig.setup``), whose lazily built bundle and
+certificate the certify stage gates (``EllipticityReport.require``: refuse,
+or warn once with ``allow_noncertified``); the invert stage runs one of three
 reconstructions on it.  Artifacts are written as each stage completes, so a
 failing stage preserves everything produced before it and its error names
 the stage.  Numeric outputs are deterministic for a fixed configuration (and
@@ -17,20 +18,26 @@ import logging
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 from . import __version__
-from .constant_bg import preprocess_data, solve_constant_bg
-from .ellipticity import EllipticityReport, certify_field
+from .constant_bg import ConstantBackground, preprocess_data, solve_constant_bg
+from .ellipticity import EllipticityReport
 from .errors import Diverged, PipelineStageError, UmotError
-from .field_core import BoundaryData, Grid, ScalarField, rel_l2_error
+from .field_core import ScalarField, rel_l2_error
 from .fileio import dump_json, field_to_dict, write_field_csv, write_field_json
-from .forward import CoefficientPair, SolutionBundle, build_bundle
+from .forward import CoefficientPair
 from .linearized import assemble_system, injectivity_probe, normal_residual, solve_normal_equations
 from .nonlinear import ReconstructionResult, ReconstructOptions, sweep
 from .phantom import add_noise
-from .scenario import ScenarioConfig, config_digest, serialize_scenario
+from .scenario import (
+    InversionConfig,
+    NoiseConfig,
+    ScenarioConfig,
+    ScenarioSetup,
+    config_digest,
+    serialize_scenario,
+)
 
 log = logging.getLogger("umot")
 
@@ -91,50 +98,13 @@ def _stage(name: str):
         raise PipelineStageError(name, str(exc)) from exc
 
 
-@dataclass
-class ScenarioSetup:
-    """A scenario's base point: grid, background, traces and, made on first use,
-    the background bundle (with the scenario's ``eta`` and ``grad_floor``) and
-    its certificate (with the scenario's ``margin_threshold``).  Every
-    reconstruction starts from these, so each is built once, and every later
-    bundle is the base bundle's build at other coefficients.  ``umot
-    reconstruct`` swaps in its ``--init`` coefficients as the background and
-    keeps the scenario's traces.
-    """
-
-    config: ScenarioConfig
-    grid: Grid
-    background: CoefficientPair
-    traces: list[BoundaryData]
-
-    @classmethod
-    def from_config(cls, config: ScenarioConfig) -> "ScenarioSetup":
-        e = config.experiment  # built when the scenario was parsed
-        return cls(config, e.grid, e.background, e.traces)
-
-    @cached_property
-    def bundle(self) -> SolutionBundle:
-        config = self.config
-        return build_bundle(self.background, self.traces, config.eta, config.solver.grad_floor)
-
-    @cached_property
-    def certificate(self) -> EllipticityReport:
-        report = certify_field(self.bundle, margin_threshold=self.config.certify.margin_threshold)
-        log.info("certification margin %.3e elliptic=%s", report.global_margin, report.elliptic)
-        return report
-
-
-def forward_stage(setup: ScenarioSetup, rec: Recorder):
-    """Write u_j, noisy H_j, dH_j and the truth fields; return (truth, H_j, dH_j)."""
-    config, grid = setup.config, setup.grid
-    truth = config.experiment.truth
+def forward_stage(setup: ScenarioSetup, noise: NoiseConfig, rec: Recorder):
+    """Write u_j, noisy H_j, dH_j and the truth fields; return (H_j, dH_j)."""
+    grid, truth = setup.grid, setup.truth
     bundle_truth = setup.bundle.at(truth)
     H_meas = list(bundle_truth.H)
-    if config.noise.level > 0.0:
-        H_meas = [
-            add_noise(h, config.noise.level, config.noise.seed + j)
-            for j, h in enumerate(H_meas)
-        ]
+    if noise.level > 0.0:
+        H_meas = [add_noise(h, noise.level, noise.seed + j) for j, h in enumerate(H_meas)]
     dH = [
         ScalarField(grid, hm.values - hb.values)
         for hm, hb in zip(H_meas, setup.bundle.H)
@@ -146,7 +116,7 @@ def forward_stage(setup: ScenarioSetup, rec: Recorder):
     rec.field("gamma_truth", truth.gamma)
     rec.field("sigma_truth", truth.sigma)
     log.info("forward stage complete (J=%d)", setup.bundle.J)
-    return truth, H_meas, dH
+    return H_meas, dH
 
 
 def report_dict(report: EllipticityReport) -> dict:
@@ -193,9 +163,10 @@ def linearized_reconstruction(setup: ScenarioSetup, dH, g=None, truth=None) -> d
     return out
 
 
-def constant_bg_reconstruction(setup: ScenarioSetup, dH, truth=None) -> dict:
+def constant_bg_reconstruction(
+    setup: ScenarioSetup, dH, bg: ConstantBackground, truth=None
+) -> dict:
     """Constant-background fourth-order solve, dividing by the bundle's u_j, as a dict."""
-    bg = setup.config.constant_background
     if len(dH) != len(bg.dirs):
         raise ValueError("need one data field per direction")
     data = [preprocess_data(d, u, bg) for d, (_, u) in zip(dH, setup.bundle.solutions)]
@@ -207,11 +178,10 @@ def constant_bg_reconstruction(setup: ScenarioSetup, dH, truth=None) -> dict:
 
 
 def nonlinear_reconstruction(
-    setup: ScenarioSetup, H_meas, truth=None
+    setup: ScenarioSetup, H_meas, inv: InversionConfig, truth=None
 ) -> tuple[ReconstructionResult, str | None]:
-    """Sweep from the base point: (result, None), or (best iterate, message)
-    when the sweep diverges."""
-    inv = setup.config.inversion
+    """Sweep from the base point with ``inv``'s mode, tol and kmax: (result,
+    None), or (best iterate, message) when the sweep diverges."""
     opts = ReconstructOptions(mode=inv.mode, tol=inv.tol, kmax=inv.kmax)
     try:
         return sweep(H_meas, setup.bundle, setup.certificate, opts, truth), None
@@ -247,10 +217,11 @@ def run_pipeline(
     out.mkdir(parents=True, exist_ok=True)
     rec = Recorder(out)
     rec.text("scenario.json", serialize_scenario(config))
+    setup = config.setup
+    truth = setup.truth
 
     with _stage("forward"):
-        setup = ScenarioSetup.from_config(config)
-        truth, H_meas, dH = forward_stage(setup, rec)
+        H_meas, dH = forward_stage(setup, config.noise, rec)
 
     with _stage("certify"):
         report = setup.certificate
@@ -260,15 +231,17 @@ def run_pipeline(
     path = config.inversion.path
     with _stage("invert"):
         if path == "nonlinear":
-            result, diverged = nonlinear_reconstruction(setup, H_meas, truth)
+            result, diverged = nonlinear_reconstruction(setup, H_meas, config.inversion, truth)
             rec.text("trace.csv", trace_csv(result))
             rec.json("reconstruction.json", nonlinear_dict(result, diverged))
             if diverged is not None:
                 # the best iterate is kept as an artifact; the stage still fails
                 raise PipelineStageError("invert", diverged)
+        elif path == "linearized":
+            rec.json("reconstruction.json", linearized_reconstruction(setup, dH, truth=truth))
         else:
-            fn = linearized_reconstruction if path == "linearized" else constant_bg_reconstruction
-            rec.json("reconstruction.json", fn(setup, dH, truth=truth))
+            bg = config.constant_background
+            rec.json("reconstruction.json", constant_bg_reconstruction(setup, dH, bg, truth))
         log.info("inversion stage complete (path=%s)", path)
 
     # ---- manifest

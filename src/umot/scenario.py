@@ -3,18 +3,20 @@
 Unknown keys and missing required keys are rejected at every level, a seed
 is mandatory whenever noise is requested, and the parsed configuration
 serializes back to itself with all defaults made explicit.  Counts must be
-integers.  Parsing builds the experiment, once: the grid, the background
-(reading a ``fields`` background's files), the traces (reading an
-``explicit`` boundary set's files), the truth and, on the ``constant_bg``
-path, the constant background.  So the library constructors' refusals and a
-missing or malformed file are a ScenarioError before anything is written,
-and the pipeline reuses what parsing built.
+integers.  Parsing builds the scenario's one base point, a ``ScenarioSetup``:
+the grid, the background (reading a ``fields`` background's files), the
+traces (reading an ``explicit`` boundary set's files) and the truth; on the
+``constant_bg`` path it also builds the constant background.  So the library
+constructors' refusals and a missing or malformed file are a ScenarioError
+before anything is written, and the pipeline and the CLI reuse what parsing
+built.  The base bundle and its certificate are made on first use.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -24,17 +26,21 @@ from .constant_bg import ConstantBackground
 from .ellipticity import (
     DEFAULT_MARGIN_THRESHOLD,
     DirectionSet,
+    EllipticityReport,
+    certify_field,
     cgo_boundary_set,
     constant_bg_boundary_set,
 )
 from .errors import BumpTouchesBoundary, DirectionsNotCertified, ScenarioError, ZeroEta
 from .field_core import BoundaryData, Grid, ScalarField
 from .fileio import field_from_dict, load_json, require_key
-from .forward import DEFAULT_ETA, CoefficientPair
+from .forward import DEFAULT_ETA, CoefficientPair, SolutionBundle, build_bundle
 from .nonlinear import ReconstructOptions
 from .phantom import BumpSpec, generate_phantom
 
-_OPTIONAL_TOP_KEYS = {"eta", "phantom", "noise", "solver", "certify", "inversion"}
+log = logging.getLogger("umot")
+
+_OPTIONAL_TOP_KEYS = {"eta", "phantom", "noise", "certify", "inversion"}
 
 
 def _object(d, where: str) -> dict:
@@ -87,21 +93,11 @@ def _check_count(name: str, value, low: int) -> None:
         raise ScenarioError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
-def _check_real(name: str, value, positive: bool = False) -> None:
-    """A real setting: a finite JSON number, >= 0, or > 0 when ``positive``."""
+def _check_real(name: str, value) -> None:
+    """A real setting: a finite JSON number >= 0."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and 0.0 <= value < np.inf) or (positive and value == 0.0):
-        bound = "> 0" if positive else ">= 0"
-        raise ScenarioError(f"{name} must be a finite number {bound}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    grad_floor: float | None = None
-
-    def __post_init__(self):
-        if self.grad_floor is not None:
-            _check_real("grad_floor", self.grad_floor)
+    if not (number and 0.0 <= value < np.inf):
+        raise ScenarioError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -142,14 +138,35 @@ class InversionConfig:
 
 
 @dataclass(frozen=True)
-class Experiment:
-    """What a scenario builds: grid, background, traces (at that background)
-    and truth (the background plus the phantom)."""
+class ScenarioSetup:
+    """A scenario's base point, as parsing builds it: grid, background, traces
+    (at that background), truth (the background plus the phantom) and the
+    scenario's ``eta`` and ``margin_threshold``; and, made on first use, the
+    background bundle and its certificate.  Every reconstruction starts from
+    these, so each is built once, and every later bundle is the base bundle's
+    build at other coefficients.  ``umot reconstruct`` swaps in its ``--init``
+    coefficients as the background with ``dataclasses.replace`` and keeps the
+    scenario's traces.  The setup holds no reference to its ScenarioConfig,
+    which holds the setup: a cycle between the two would keep each run's
+    bundle alive until a full garbage collection.
+    """
 
     grid: Grid
     background: CoefficientPair
-    traces: list
+    traces: list[BoundaryData]
     truth: CoefficientPair
+    eta: float
+    margin_threshold: float
+
+    @cached_property
+    def bundle(self) -> SolutionBundle:
+        return build_bundle(self.background, self.traces, self.eta)
+
+    @cached_property
+    def certificate(self) -> EllipticityReport:
+        report = certify_field(self.bundle, margin_threshold=self.margin_threshold)
+        log.info("certification margin %.3e elliptic=%s", report.global_margin, report.elliptic)
+        return report
 
 
 @dataclass(frozen=True)
@@ -160,7 +177,6 @@ class ScenarioConfig:
     boundary_set: dict
     phantom: tuple = ()
     noise: NoiseConfig = NoiseConfig()
-    solver: SolverConfig = SolverConfig()
     certify: CertifyConfig = CertifyConfig()
     inversion: InversionConfig = InversionConfig()
 
@@ -172,15 +188,19 @@ class ScenarioConfig:
         if self.inversion.path == "constant_bg" and self.boundary_set["type"] != "constant_bg":
             raise ScenarioError("inversion path 'constant_bg' needs a constant_bg boundary set")
         # built now, so that a refusal comes before anything is written
-        self.experiment
+        self.setup
         if self.inversion.path == "constant_bg":
             self.constant_background
 
     @cached_property
-    def experiment(self) -> Experiment:
+    def setup(self) -> ScenarioSetup:
+        """The scenario's one base point; its bundle is not built here."""
         grid = self.make_grid()
         bg = self.make_background(grid)
-        return Experiment(grid, bg, self.make_traces(grid, bg), self.make_truth(grid, bg))
+        return ScenarioSetup(
+            grid, bg, self.make_traces(grid, bg), self.make_truth(grid, bg),
+            self.eta, self.certify.margin_threshold,
+        )
 
     @cached_property
     def constant_background(self) -> ConstantBackground:
@@ -256,7 +276,6 @@ class ScenarioConfig:
                 for b in self.phantom
             ],
             "noise": {"level": self.noise.level, "seed": self.noise.seed},
-            "solver": asdict(self.solver),
             "certify": asdict(self.certify),
             "inversion": asdict(self.inversion),
         }
@@ -301,8 +320,6 @@ def parse_scenario(data) -> ScenarioConfig:
         ph = ph["bumps"]
     noise_d = data.get("noise", {})
     _require_keys(noise_d, "noise", optional={"level", "seed"})
-    solver_d = data.get("solver", {})
-    _require_keys(solver_d, "solver", optional={"grad_floor"})
     certify_d = data.get("certify", {})
     _require_keys(certify_d, "certify", optional={"margin_threshold"})
     inv_d = data.get("inversion", {})
@@ -316,7 +333,6 @@ def parse_scenario(data) -> ScenarioConfig:
             boundary_set=dict(bs),
             phantom=tuple(map(_bump, ph)),
             noise=NoiseConfig(float(noise_d.get("level", 0.0)), noise_d.get("seed")),
-            solver=SolverConfig(**solver_d),
             certify=CertifyConfig(**certify_d),
             inversion=InversionConfig(**inv_d),
         )

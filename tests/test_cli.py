@@ -262,11 +262,22 @@ def test_constant_bg_requirements_checked_at_parse(tmp_path, capsys, changes, me
 
 @pytest.mark.parametrize("key", ["forward_tol", "normal_tol"])
 def test_retired_solver_tolerances_are_unknown_keys(tmp_path, capsys, key):
-    # every solve is checked at one fixed bound, so no scenario sets one
+    # every solve is checked at one fixed bound, so no scenario sets one;
+    # the solver block that held them is gone too
     spath = _variant(tmp_path, solver={key: 1e-10})
     out = tmp_path / "run"
     assert main(["pipeline", "--scenario", str(spath), "--out", str(out)]) == 1
-    assert f"unknown keys ['{key}'] in solver" in capsys.readouterr().err
+    assert "unknown keys ['solver'] in scenario" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_retired_solver_block_is_unknown_key(tmp_path, capsys):
+    # the gradient floor is the code's own constant, so the block that held
+    # it is refused, also as every earlier scenario.json wrote it
+    spath = _variant(tmp_path, solver={"grad_floor": None})
+    out = tmp_path / "run"
+    assert main(["pipeline", "--scenario", str(spath), "--out", str(out)]) == 1
+    assert "unknown keys ['solver'] in scenario" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -577,6 +588,7 @@ def test_nonlinear_pipeline_certifies_with_scenario_settings(tmp_path, monkeypat
     # base is built and certified once, with the scenario's threshold, and a
     # bundle the certify stage rejects is not passed silently
     import umot.nonlinear
+    import umot.scenario
 
     spath = _variant(
         tmp_path,
@@ -584,7 +596,7 @@ def test_nonlinear_pipeline_certifies_with_scenario_settings(tmp_path, monkeypat
         certify={"margin_threshold": 0.9},
     )
     calls, base_builds = [], []
-    for module in (umot.pipeline, umot.nonlinear):
+    for module in (umot.scenario, umot.nonlinear):
 
         def recording(bundle, certify=module.certify_field, **kwargs):
             report = certify(bundle, **kwargs)
@@ -696,7 +708,7 @@ def _uncertified_run(tmp_path, command):
     """Argv of ``command`` on a scenario whose threshold its margin misses,
     the files that argv names as outputs, and the gate's expected message."""
     spath = _variant(tmp_path, certify={"margin_threshold": 10.0})
-    setup = umot.pipeline.ScenarioSetup.from_config(parse_scenario(spath.read_text()))
+    setup = parse_scenario(spath.read_text()).setup
     with pytest.raises(NotElliptic) as refused:
         setup.certificate.require()
     g = setup.grid

@@ -68,8 +68,8 @@ def _heterogeneous_bundle(n):
 
 def _symbol_smin(bundle, nodes, xis):
     """Smallest singular value of the J-by-2 symbol, per node and sampled xi."""
-    theta = np.stack([geo.theta.values[nodes] for geo in bundle.geometry])  # (J, m, 2)
-    q = np.stack([geo.d.values[nodes] for geo in bundle.geometry]) ** 2  # (J, m)
+    theta = np.stack([geo.at(nodes)[0] for geo in bundle.geometry])  # (J, m, 2)
+    q = np.stack([geo.d_at(nodes) for geo in bundle.geometry]) ** 2  # (J, m)
     p = 1.0 - 2.0 * np.einsum("jmc,kc->mkj", theta, xis) ** 2  # (m, k, J)
     sym = np.stack([p, np.broadcast_to(-q.T[:, None, :], p.shape)], axis=-1)
     return np.linalg.svd(sym, compute_uv=False)[..., -1]  # (m, k)
@@ -85,7 +85,7 @@ def test_certify_field_closed_form_matches_dense_sampling():
     assert report.global_margin <= sampled * (1.0 + 1e-12)
     assert (sampled - report.global_margin) / sampled < 1e-3
     # the threshold's row scale is the exact max of sqrt(p^2 + q^2) = sqrt(1 + d^4)
-    d4 = max((geo.d.values ** 4).max() for geo in bundle.geometry)
+    d4 = max((geo.d_at(slice(None)) ** 4).max() for geo in bundle.geometry)
     assert report.threshold == pytest.approx(1e-6 * np.sqrt(1.0 + d4), rel=1e-14)
 
 
@@ -246,9 +246,10 @@ def test_certify_field_scale_invariance(bundle24):
         for _, u in bundle24.solutions
     ]
     # theta and d are unchanged under a common positive scaling of u
+    every = slice(None)
     for geo_s, geo in zip(scaled_geo, bundle24.geometry):
-        assert np.abs(geo_s.d.values - geo.d.values).max() < 1e-12
-        assert np.abs(geo_s.theta.values - geo.theta.values).max() < 1e-12
+        assert np.abs(geo_s.d_at(every) - geo.d_at(every)).max() < 1e-12
+        assert np.abs(geo_s.at(every)[0] - geo.at(every)[0]).max() < 1e-12
     assert report.elliptic
 
 
@@ -262,14 +263,50 @@ def test_certify_field_row_removal_never_helps(bundle24):
 
 
 def test_certify_field_masked_bundle():
+    # a zero trace on sigma = 0 has the constant solution u = 0, exactly, so
+    # its gradient vanishes everywhere and the floor falls back to the
+    # smallest normal float: every node of that solution is masked, and one
+    # such solution leaves no interior node to certify
     g = Grid.unit_square(17)
     coeffs = CoefficientPair.constant(g, 1.0, 0.0)
     fx = BoundaryData.from_function(g, lambda x, y: x)
     fy = BoundaryData.from_function(g, lambda x, y: y)
-    f3 = BoundaryData.from_function(g, lambda x, y: x + y)
-    bundle = build_bundle(coeffs, [fx, fy, f3], grad_floor=1e6)
+    bundle = build_bundle(coeffs, [fx, fy, BoundaryData.zero(g)])
+    geo_x, geo_y, geo_0 = bundle.geometry
+    assert not geo_x.degenerate_mask.any() and not geo_y.degenerate_mask.any()
+    assert not bundle.solutions[2][1].values.any()
+    assert geo_0.degenerate_mask.all()
     with pytest.raises(AllNodesDegenerate):
         certify_field(bundle)
+
+
+def test_certify_field_refuses_above_masked_interior_limit(bundle24):
+    # a flat 6-by-6 block of nodes in one solution zeroes the central
+    # differences of the 4-by-4 block inside it; those 16 masked nodes are
+    # 3.3% of the 22-by-22 interior, above MASKED_INTERIOR_LIMIT.  At a zero
+    # threshold the margin of the nodes left passes, so the mask alone
+    # refuses certification, and ``require`` names the masked share
+    from umot.ellipticity import MASKED_INTERIOR_LIMIT
+    from umot.errors import NotElliptic
+
+    g = bundle24.grid
+    (f, u), *rest = bundle24.solutions
+    flat = u.as_matrix().copy()
+    flat[8:14, 8:14] = flat[10, 10]
+    bundle = dataclasses.replace(
+        bundle24, solutions=((f, ScalarField(g, flat.ravel())), *rest)
+    )
+    expected = np.zeros((g.ny, g.nx), dtype=bool)
+    expected[9:13, 9:13] = True
+    assert np.array_equal(bundle.geometry[0].degenerate_mask, expected.ravel())
+
+    report = certify_field(bundle, margin_threshold=0.0)
+    assert report.global_margin > report.threshold == 0.0
+    assert report.elliptic is False
+    assert report.masked_count == 16
+    assert report.masked_fraction == 16 / 484 > MASKED_INTERIOR_LIMIT
+    with pytest.raises(NotElliptic, match=r"3\.3% of interior nodes masked"):
+        report.require()
 
 
 def test_certify_field_guards_threshold(bundle24):
@@ -329,9 +366,9 @@ def test_cgo_boundary_set_formulas():
     assert np.abs(traces[0].values - f1).max() < 1e-12
     assert np.abs(traces[2].values - traces[0].values - traces[1].values).max() < 1e-14
     with pytest.raises(ValueError):
-        cgo_boundary_set(g, M=0.5)
+        cgo_boundary_set(g, 0.5, 1.0, coeffs)
     with pytest.raises(ValueError):
-        cgo_boundary_set(g, k=0.0)
+        cgo_boundary_set(g, 4.0, 0.0, coeffs)
 
 
 def test_cgo_bundle_certifies():
@@ -358,7 +395,7 @@ def test_constant_bg_geometry_ratio(bundle24):
     expected = np.sqrt(1.0 / 0.5)
     iidx = bundle24.grid.interior_indices()
     for geo in bundle24.geometry:
-        assert np.abs(geo.d.values[iidx] - expected).max() < 5e-3
+        assert np.abs(geo.d_at(iidx) - expected).max() < 5e-3
 
 
 def test_three_solution_determinant_system():

@@ -112,14 +112,16 @@ def test_solution_geometry():
     geo = solution_geometry(u)
     assert geo.u is u  # referenced, not copied
     assert not geo.degenerate_mask.any()
-    assert np.abs(geo.theta.values[:, 0] - 1.0).max() < 1e-12
-    assert np.abs(geo.d.values - X).max() < 1e-12
-    # theta and d are formed on each read, at every node or at the nodes asked for
+    theta_all, d_all = geo.at(slice(None))
+    assert np.abs(theta_all[:, 0] - 1.0).max() < 1e-12
+    assert np.abs(d_all - X).max() < 1e-12
+    # theta and d are formed on each call, at every node or at the nodes asked for
     assert "theta" not in vars(geo) and "d" not in vars(geo)
     nodes = g.interior_indices()[::5]
     theta, d = geo.at(nodes)
-    assert np.array_equal(theta, geo.theta.values[nodes])
-    assert np.array_equal(d, geo.d.values[nodes])
+    assert np.array_equal(theta, theta_all[nodes])
+    assert np.array_equal(d, d_all[nodes])
+    assert np.array_equal(geo.d_at(nodes), d)
 
     geo_flat = solution_geometry(ScalarField.constant(g, 1.0))
     assert geo_flat.degenerate_mask.all()
@@ -128,8 +130,9 @@ def test_solution_geometry():
     # error of the discrete gradient
     v = np.array([0.6, 0.8])
     geo_exp = solution_geometry(ScalarField(g, np.exp(v[0] * X + v[1] * Y)))
-    assert np.abs(geo_exp.d.values - 1.0).max() < 2e-3
-    assert np.abs(geo_exp.theta.values - v).max() < 2e-3
+    theta_exp, d_exp = geo_exp.at(slice(None))
+    assert np.abs(d_exp - 1.0).max() < 2e-3
+    assert np.abs(theta_exp - v).max() < 2e-3
 
 
 def test_polarization_identity_from_solves(bundle24):
@@ -177,9 +180,10 @@ def test_bundle_derives_geometry_and_H_on_first_read():
     bundle = build_bundle(*_heterogeneous_cgo(24), eta=0.7)
     assert "geometry" not in bundle.__dict__ and "H" not in bundle.__dict__
     for (_, u), geo, h in zip(bundle.solutions, bundle.geometry, bundle.H):
-        ref = solution_geometry(u, bundle.grad_floor)
-        for name in ("F", "theta", "d"):
-            assert np.array_equal(getattr(geo, name).values, getattr(ref, name).values)
+        ref = solution_geometry(u)
+        assert np.array_equal(geo.F.values, ref.F.values)
+        for got, want in zip(geo.at(slice(None)), ref.at(slice(None))):
+            assert np.array_equal(got, want)
         assert np.array_equal(geo.degenerate_mask, ref.degenerate_mask)
         assert np.array_equal(h.values, internal_functional(bundle.coeffs, u, 0.7).values)
     assert bundle.geometry is bundle.geometry  # computed once, then kept
@@ -187,7 +191,7 @@ def test_bundle_derives_geometry_and_H_on_first_read():
     sub = dataclasses.replace(bundle, solutions=bundle.solutions[:2])
     assert sub.J == 2 and len(sub.geometry) == 2 and len(sub.H) == 2
     for geo, h, geo_all, h_all in zip(sub.geometry, sub.H, bundle.geometry, bundle.H):
-        assert np.array_equal(geo.d.values, geo_all.d.values)
+        assert np.array_equal(geo.d_at(slice(None)), geo_all.d_at(slice(None)))
         assert np.array_equal(h.values, h_all.values)
 
 

@@ -197,31 +197,31 @@ def test_refreshed_mode_recertifies_each_iterate(setup, monkeypatch):
 
 def test_sweep_builds_every_trial_like_its_base(setup, monkeypatch):
     # the base point carries its build settings: under default options every
-    # trial bundle gets the base's grad_floor
+    # trial bundle gets the base's eta
     import inspect
 
     import umot.forward
     import umot.nonlinear
 
     g, coeffs0, traces = setup
-    bt = build_bundle(_truth(g, 0.01), traces)
-    base = build_bundle(coeffs0, traces, grad_floor=1e-9)
+    bt = build_bundle(_truth(g, 0.01), traces, eta=0.7)
+    base = build_bundle(coeffs0, traces, eta=0.7)
     report = certify_field(base)
     build = umot.forward.build_bundle
     signature = inspect.signature(build)
-    floors = []
+    etas = []
 
     def recording(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
-        floors.append(bound.arguments["grad_floor"])
+        etas.append(bound.arguments["eta"])
         return build(*args, **kwargs)
 
     for module in (umot.forward, umot.nonlinear):
         monkeypatch.setattr(module, "build_bundle", recording)
     res = sweep(list(bt.H), base, report, ReconstructOptions(kmax=3))
     assert res.iterations >= 1
-    assert floors and all(f == 1e-9 for f in floors)
+    assert etas and all(e == 0.7 for e in etas)
 
 
 def test_reconstruct_certifies_with_certify_field_default(setup, monkeypatch):

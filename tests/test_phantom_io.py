@@ -242,17 +242,18 @@ BUMP = {"center": [0.5, 0.5], "radius": 0.2, "amplitude": 0.02, "target": "gamma
          ({"type": "constant", "sigma0": 0.5}, {"type": "cgo", "M": 4.0, "k": 1.0}), "gamma0"),
         (("background", "boundary_set"),
          ({"type": "fields", "gamma_file": "gamma.json"}, {"type": "cgo"}), "sigma_file"),
-        # the retired solve tolerances are unknown keys, at their old default,
-        # at any other value, or next to a valid grad_floor (the full message
-        # is pinned in test_cli)
-        ("solver", {"forward_tol": 1e-10}, "forward_tol"),
-        ("solver", {"forward_tol": 1e-11, "grad_floor": 1e-9}, "forward_tol"),
-        ("solver", {"forward_tol": 0.0}, "forward_tol"),
-        ("solver", {"forward_tol": NAN}, "forward_tol"),
-        ("solver", {"normal_tol": 1e-10}, "normal_tol"),
-        ("solver", {"normal_tol": INF}, "normal_tol"),
-        ("solver", {"grad_floor": -1.0}, "grad_floor"),
-        ("solver", {"grad_floor": NAN}, "grad_floor"),
+        # the retired solver block is an unknown key of the scenario, with
+        # any setting it once held, valid or not, and with the null
+        # grad_floor that earlier scenario.json files carry (the full message
+        # is pinned in test_cli; a lone "]" is a literal in a regex)
+        ("solver", {"forward_tol": 1e-10}, "'solver']"),
+        ("solver", {"forward_tol": 1e-11, "grad_floor": 1e-9}, "'solver']"),
+        ("solver", {"forward_tol": 0.0}, "'solver']"),
+        ("solver", {"forward_tol": NAN}, "'solver']"),
+        ("solver", {"normal_tol": 1e-10}, "'solver']"),
+        ("solver", {"normal_tol": INF}, "'solver']"),
+        ("solver", {"grad_floor": None}, "'solver']"),
+        ("solver", {"grad_floor": NAN}, "'solver']"),
         ("certify", {"margin_threshold": -1}, "margin_threshold"),
         ("certify", {"margin_threshold": NAN}, "margin_threshold"),
         ("inversion", {"tol": NAN}, "tol"),
@@ -277,6 +278,26 @@ def test_scenario_rejects_out_of_range_values(section, values, message):
         bad[section] = values
     with pytest.raises(ScenarioError, match=message):
         parse_scenario(json.dumps(bad))
+
+
+def test_scenario_setup_is_freed_with_its_config():
+    # parsing builds the base point and the config keeps it; the setup holds
+    # no reference back, so dropping the config frees the setup and its
+    # cached bundle at once.  A config-setup cycle would keep every run's
+    # bundle until a full garbage collection.
+    import gc
+    import weakref
+
+    config = parse_scenario(json.dumps(SCENARIO))
+    assert "bundle" not in vars(config.setup)  # parsing builds no bundle
+    refs = [weakref.ref(x) for x in (config.setup, config.setup.bundle)]
+    assert config.setup.certificate.elliptic
+    gc.disable()
+    try:
+        del config
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_scenario_builds_experiment():
