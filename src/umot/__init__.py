@@ -43,7 +43,6 @@ from .forward import (
     build_bundle,
     internal_functional,
     solution_geometry,
-    solve_diffusion,
 )
 from .ellipticity import (
     DirectionSet,

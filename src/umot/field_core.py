@@ -12,7 +12,8 @@ Conventions
   operator is its interior block A_II, written into diagonals by
   ``stencil_matrix`` as every multigrid level is, and the taps that reach
   the boundary ring (``diffusion_blocks``); no boundary or whole-grid
-  diffusion matrix is formed
+  diffusion matrix is formed; ``interior_stencil_matrix`` writes every other
+  interior-row operator into CSR
 * interior stencils are second-order central differences; gradients fall back
   to second-order one-sided stencils on the boundary
 """
@@ -58,10 +59,6 @@ class Grid:
         return self.nx * self.ny
 
     @property
-    def n_interior(self) -> int:
-        return (self.nx - 2) * (self.ny - 2)
-
-    @property
     def n_boundary(self) -> int:
         return 2 * self.nx + 2 * self.ny - 4
 
@@ -89,12 +86,6 @@ class Grid:
     def interior_indices(self) -> np.ndarray:
         ii, jj = np.meshgrid(np.arange(1, self.nx - 1), np.arange(1, self.ny - 1))
         return (jj * self.nx + ii).ravel()
-
-    def depth(self) -> np.ndarray:
-        """Distance (in node steps) of each node from the boundary."""
-        i = np.arange(self.n_nodes) % self.nx
-        j = np.arange(self.n_nodes) // self.nx
-        return np.minimum.reduce([i, self.nx - 1 - i, j, self.ny - 1 - j])
 
 
 def _check_same_grid(a, b):
@@ -222,13 +213,7 @@ def gradient(u: ScalarField) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# interior stencil index helpers
-
-
-def _interior_stencil_indices(grid: Grid):
-    """Center/east/west/north/south linear indices for all interior nodes."""
-    c = grid.interior_indices()
-    return c, c + 1, c - 1, c + grid.nx, c - grid.nx
+# face averages
 
 
 def face_average(a, b):
@@ -313,26 +298,25 @@ def diffusion_flux_jacobian(gamma: ScalarField, u: ScalarField) -> sp.csr_matrix
     (M dgamma)_x = [-div(dgamma_face grad u)]_x where dgamma_face carries the
     exact derivative weights of the harmonic face average.  Together with the
     pointwise absorption derivative this is the exact Jacobian of the
-    assembled operator in the coefficients.
+    assembled operator in the coefficients.  Each face gives its neighbour
+    tap and a share of the centre tap, which sums them east, west, north, south.
     """
     _check_same_grid(gamma, u)
     grid = gamma.grid
-    c, e, w, n, s = _interior_stencil_indices(grid)
-    hx2, hy2 = grid.hx ** 2, grid.hy ** 2
-    gv, uv = gamma.values, u.values
-
-    rows, cols, vals = [], [], []
-    for nb, h2 in ((e, hx2), (w, hx2), (n, hy2), (s, hy2)):
-        t = (uv[c] - uv[nb]) / h2
-        wa, wb = face_average_partials(gv[c], gv[nb])
-        rows.extend([c, c])
-        cols.extend([c, nb])
-        vals.extend([wa * t, wb * t])
-    m = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n_nodes, grid.n_nodes),
-    )
-    return m.tocsr()
+    G, U = gamma.as_matrix(), u.as_matrix()
+    my, mx = grid.ny - 2, grid.nx - 2
+    taps = np.zeros((3, 3, my, mx))
+    hx2, hy2 = grid.hx**2, grid.hy**2
+    shares = []
+    for dj, di, h2 in ((1, 2, hx2), (1, 0, hx2), (2, 1, hy2), (0, 1, hy2)):  # E, W, N, S
+        nb = np.s_[dj:dj + my, di:di + mx]
+        t = (U[1:-1, 1:-1] - U[nb]) / h2
+        wa, wb = face_average_partials(G[1:-1, 1:-1], G[nb])
+        taps[dj, di] = wb * t
+        shares.append(wa * t)
+    east, west, north, south = shares
+    taps[1, 1] = east + west + north + south
+    return interior_stencil_matrix(grid, taps)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +351,23 @@ def derivative_stencils(grid: Grid, *names: str) -> list[np.ndarray]:
 
 
 def interior_stencil_matrix(grid: Grid, stencil: np.ndarray) -> sp.csr_matrix:
-    """The 3-by-3 ``stencil`` (as from derivative_stencils) on interior rows only."""
+    """``stencil`` on interior rows only, written straight into CSR.
+
+    ``stencil`` is one 3-by-3 stencil (as from derivative_stencils) or per-node
+    taps of shape (3, 3, ny - 2, nx - 2), entry [1 + dj, 1 + di, j - 1, i - 1]
+    weighing node (i + di, j + dj) at interior node (i, j).  A tap zero at every
+    node is left out; the others fill every interior row, zeros included.
+    """
+    taps = np.reshape(stencil, (3, 3, -1))
+    dj, di = np.nonzero(taps.any(axis=2))
     c = grid.interior_indices()
-    dj, di = np.nonzero(stencil)
-    rows = np.tile(c, di.size)
-    cols = np.concatenate([c + (i - 1) + (j - 1) * grid.nx for i, j in zip(di, dj)])
-    vals = np.repeat(stencil[dj, di], c.size)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(grid.n_nodes,) * 2).tocsr()
+    data = np.broadcast_to(taps[dj, di].T, (c.size, dj.size))
+    indices = c[:, None] + (dj - 1) * grid.nx + (di - 1)
+    indptr = np.zeros(grid.n_nodes + 1, dtype=np.int64)
+    indptr[c + 1] = dj.size
+    return sp.csr_matrix(
+        (data.ravel(), indices.ravel(), np.cumsum(indptr)), shape=(grid.n_nodes,) * 2
+    )
 
 
 def interior_derivative_matrices(grid: Grid, *names: str) -> list[sp.csr_matrix]:
@@ -387,8 +381,7 @@ def interior_derivative_matrices(grid: Grid, *names: str) -> list[sp.csr_matrix]
 
 def laplacian_matrix(grid: Grid) -> sp.csr_matrix:
     """5-point Laplacian with interior rows only (zero boundary rows)."""
-    dxx, dyy = interior_derivative_matrices(grid, "xx", "yy")
-    return (dxx + dyy).tocsr()
+    return interior_stencil_matrix(grid, sum(derivative_stencils(grid, "xx", "yy")))
 
 
 # ---------------------------------------------------------------------------

@@ -135,10 +135,6 @@ def write_field_json(f: ScalarField, path) -> list[str]:
     return values
 
 
-def read_field_json(path) -> ScalarField:
-    return field_from_dict(load_json(path))
-
-
 def write_field_csv(f: ScalarField, path, values: list[str]) -> None:
     """Write the CSV mirror of ``f`` from ``values``, the strings that
     ``write_field_json`` returned for ``f``.  The x strings are formatted once
@@ -150,10 +146,6 @@ def write_field_csv(f: ScalarField, path, values: list[str]) -> None:
     for j, y in enumerate(ys):
         lines.extend(map(f",{y},".join, zip(xs, values[j * nx:(j + 1) * nx])))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_field_list_json(fields: list[ScalarField], path) -> None:
-    dump_json({"fields": [field_to_dict(f) for f in fields]}, path)
 
 
 def read_field_list_json(path) -> list[ScalarField]:

@@ -172,11 +172,6 @@ class DiffusionSolver:
         return float(np.linalg.norm(r)) / scale
 
 
-def solve_diffusion(coeffs: CoefficientPair, f: BoundaryData) -> ScalarField:
-    """One-shot forward solve; see DiffusionSolver for the cached variant."""
-    return DiffusionSolver(coeffs).solve(f)
-
-
 def internal_functional(
     coeffs: CoefficientPair, u: ScalarField, eta: float = DEFAULT_ETA
 ) -> ScalarField:

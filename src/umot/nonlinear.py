@@ -27,11 +27,12 @@ from .field_core import BoundaryData, ScalarField, gradient, l2_norm, rel_l2_err
 from .forward import CoefficientPair, SolutionBundle, build_bundle
 from .linearized import assemble_system, solve_normal_equations
 
-# first trial step length, step halvings per sweep, and the lower bound the
-# projection keeps gamma above
+# first trial step length, step halvings per sweep, the lower bound the
+# projection keeps gamma above, and the relative step that ends a sweep
 DAMPING = 1.0
 MAX_HALVINGS = 4
 GAMMA_MIN = 1e-6
+STEPTOL = 1e-10
 
 
 def h1_proxy_norm(fields: list[ScalarField]) -> float:
@@ -49,12 +50,11 @@ def h1_proxy_norm(fields: list[ScalarField]) -> float:
 @dataclass(frozen=True)
 class ReconstructOptions:
     """How a sweep iterates: ``mode`` ("frozen" or "refreshed"), the relative
-    residual ``tol`` and step ``steptol`` that stop it, and at most ``kmax``
-    sweeps.  Builds and certifications take their settings from the base point."""
+    residual ``tol`` and at most ``kmax`` sweeps; a relative step of STEPTOL
+    ends it too.  Builds and certifications take their settings from the base point."""
 
     mode: str = "frozen"
     tol: float = 1e-8
-    steptol: float = 1e-10
     kmax: int = 100
 
     def __post_init__(self):
@@ -133,7 +133,7 @@ def sweep(
     the report's ``margin_threshold``, with which refreshed mode recertifies
     each iterate, warning for one that fails.  Every trial bundle is
     ``bundle0``'s build at new coefficients (``SolutionBundle.at``).
-    Terminates on relative residual <= tol, relative step <= steptol, or kmax
+    Terminates on relative residual <= tol, relative step <= STEPTOL, or kmax
     sweeps.  Raises GridMismatch for functionals off the base grid, and
     Diverged (carrying the partial result) after five consecutive residual
     increases.
@@ -214,7 +214,7 @@ def sweep(
         else:
             grow_streak = 0
 
-        if step <= opts.steptol:
+        if step <= STEPTOL:
             return result(new_res <= opts.tol, k + 1, new_res)
 
     raise AssertionError("unreachable: the sweep returns at k = kmax")

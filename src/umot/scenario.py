@@ -3,7 +3,8 @@
 Unknown keys and missing required keys are rejected at every level, a seed
 is mandatory whenever noise is requested, and the parsed configuration
 serializes back to itself with all defaults made explicit.  Counts must be
-integers.  Parsing builds the scenario's one base point, a ``ScenarioSetup``:
+integers, other numbers JSON numbers, not strings, booleans or nulls.
+Parsing builds the scenario's one base point, a ``ScenarioSetup``:
 the grid, the background (reading a ``fields`` background's files), the
 traces (reading an ``explicit`` boundary set's files) and the truth; on the
 ``constant_bg`` path it also builds the constant background.  So the library
@@ -70,18 +71,31 @@ def _read_file(path, what: str, convert):
         raise ScenarioError(f"cannot read {what} '{path}': {reason}") from exc
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool, which Python counts as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_numbers(d: dict, where: str, *keys) -> None:
+    """Each of ``keys`` that ``d`` holds is a number, not a string, a bool or
+    null that ``float`` would convert; ranges are checked where each is used."""
+    for key in keys:
+        if key in d and not _is_number(d[key]):
+            raise ScenarioError(f"{where}.{key} must be a number, got {d[key]!r}")
+
+
 def _is_direction(v) -> bool:
     """A finite, nonzero 2-component vector: the grid is 2-D, and every
     direction is normalized before use."""
-    try:
-        vec = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        return False
-    return vec.shape == (2,) and bool(np.all(np.isfinite(vec)) and np.any(vec))
+    vector = isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
+    return vector and bool(np.all(np.isfinite(v)) and np.any(v))
 
 
 def _bump(b: dict) -> BumpSpec:
     _require_keys(b, "phantom bump", {"center", "radius", "amplitude"}, {"target"})
+    if not (isinstance(b["center"], (list, tuple)) and all(map(_is_number, b["center"]))):
+        raise ScenarioError(f"phantom bump center must list numbers, got {b['center']!r}")
+    _check_numbers(b, "phantom bump", "radius", "amplitude")
     return BumpSpec(
         tuple(b["center"]), float(b["radius"]), float(b["amplitude"]), b.get("target", "gamma")
     )
@@ -95,8 +109,7 @@ def _check_count(name: str, value, low: int) -> None:
 
 def _check_real(name: str, value) -> None:
     """A real setting: a finite JSON number >= 0."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and 0.0 <= value < np.inf):
+    if not (_is_number(value) and 0.0 <= value < np.inf):
         raise ScenarioError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
@@ -290,10 +303,13 @@ def parse_scenario(data) -> ScenarioConfig:
             raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     _require_keys(data, "scenario", {"grid", "background", "boundary_set"}, _OPTIONAL_TOP_KEYS)
     _require_keys(data["grid"], "grid", {"nx", "ny", "hx", "hy"}, {"x0", "y0"})
+    _check_numbers(data["grid"], "grid", "hx", "hy", "x0", "y0")
+    _check_numbers(data, "scenario", "eta")
 
     bg = _object(data["background"], "background")
     if bg.get("type") == "constant":
         _require_keys(bg, "background", {"type", "gamma0", "sigma0"})
+        _check_numbers(bg, "background", "gamma0", "sigma0")
     elif bg.get("type") == "fields":
         _require_keys(bg, "background", {"type", "gamma_file", "sigma_file"})
     else:
@@ -302,11 +318,14 @@ def parse_scenario(data) -> ScenarioConfig:
     bs = _object(data["boundary_set"], "boundary_set")
     if bs.get("type") == "cgo":
         _require_keys(bs, "boundary_set", {"type"}, {"M", "k"})
+        _check_numbers(bs, "boundary_set", "M", "k")
     elif bs.get("type") == "constant_bg":
         _require_keys(bs, "boundary_set", {"type", "dirs"})
         dirs = bs["dirs"]
         if not isinstance(dirs, (list, tuple)) or not all(map(_is_direction, dirs)):
-            raise ScenarioError("boundary_set.dirs must list nonzero 2-component vectors")
+            raise ScenarioError(
+                "boundary_set.dirs must list nonzero 2-component vectors of numbers"
+            )
     elif bs.get("type") == "explicit":
         _require_keys(bs, "boundary_set", {"type", "files"})
         if not isinstance(bs["files"], (list, tuple)) or not bs["files"]:
@@ -320,6 +339,7 @@ def parse_scenario(data) -> ScenarioConfig:
         ph = ph["bumps"]
     noise_d = data.get("noise", {})
     _require_keys(noise_d, "noise", optional={"level", "seed"})
+    _check_numbers(noise_d, "noise", "level")
     certify_d = data.get("certify", {})
     _require_keys(certify_d, "certify", optional={"margin_threshold"})
     inv_d = data.get("inversion", {})

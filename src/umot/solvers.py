@@ -32,6 +32,7 @@ MG_COARSEST = 400  # unknowns at or below which the hierarchy stops and factors
 MG_OMEGA = 0.8  # damped-Jacobi weight
 MG_SWEEPS = 2  # smoothing sweeps before and after the coarse correction
 CG_RTOL = 1e-14  # relative residual at which CG stops
+CG_MAXITER = 1000  # CG steps after which a solve that has not stopped raises
 SOLVE_RTOL = 1e-10  # relative residual above which any solve raises
 
 
@@ -236,7 +237,7 @@ def _galerkin(taps: tuple, mcx: int, mcy: int) -> tuple:
     ))
 
 
-def cg_solve(A, b: np.ndarray, precondition, maxiter: int = 1000) -> np.ndarray:
+def cg_solve(A, b: np.ndarray, precondition) -> np.ndarray:
     """CG on an SPD matrix, or on an SPD operator given as its product
     ``A(x)``, preconditioned by ``precondition``.
 
@@ -246,8 +247,8 @@ def cg_solve(A, b: np.ndarray, precondition, maxiter: int = 1000) -> np.ndarray:
     as its product, run as float ``LinearOperator``s, so scipy applies
     neither to a zero vector to learn a dtype: each CG step applies the
     preconditioner once.  The iteration stops at a relative residual of
-    CG_RTOL, and the result is checked against SOLVE_RTOL.  A stall within
-    ``maxiter`` steps raises.
+    CG_RTOL, and the result is checked against SOLVE_RTOL.  CG that has not
+    stopped after CG_MAXITER steps raises.
     """
     n = b.size
     if np.linalg.norm(b) == 0.0:
@@ -255,7 +256,7 @@ def cg_solve(A, b: np.ndarray, precondition, maxiter: int = 1000) -> np.ndarray:
     if callable(A):
         A = spla.LinearOperator((n, n), matvec=A, dtype=float)
     M = spla.LinearOperator((n, n), matvec=precondition, dtype=float)
-    x, info = spla.cg(A, b, rtol=CG_RTOL, atol=0.0, maxiter=maxiter, M=M)
+    x, info = spla.cg(A, b, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, M=M)
     if info != 0:
         raise SolverDivergence(
             f"CG stalled (info={info}) at residual {_residual(A, x, b):.3e}"

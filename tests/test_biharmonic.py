@@ -65,7 +65,7 @@ def test_unit_normal_data_interior_residual():
     assert np.abs(r).max() < 1e-9 * scale
     # away from the boundary the stencil sees no ghost terms, so the
     # homogeneous equation holds for the solved field directly
-    deep = g.depth() >= 2
+    deep = np.pad(np.ones((g.ny - 4, g.nx - 4), bool), 2).ravel()  # two nodes in
     iidx = g.interior_indices()
     deep_rows = deep[iidx]
     assert np.abs((M @ phi.values[iidx])[deep_rows]).max() < 1e-9 * scale

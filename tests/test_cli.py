@@ -7,13 +7,7 @@ import umot.pipeline
 from umot import Grid, ScalarField
 from umot.cli import main
 from umot.errors import NotElliptic
-from umot.fileio import (
-    dump_json,
-    field_to_dict,
-    load_json,
-    read_field_json,
-    write_field_list_json,
-)
+from umot.fileio import dump_json, field_from_dict, field_to_dict, load_json
 from umot.nonlinear import IterationRecord, ReconstructionResult
 from umot.scenario import parse_scenario
 
@@ -41,6 +35,15 @@ def scenario_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(SCENARIO))
     return path
+
+
+def read_field_json(path) -> ScalarField:
+    return field_from_dict(load_json(path))
+
+
+def write_field_list_json(fields, path) -> None:
+    """A field-list file, as ``--hmeas`` and ``--dh`` read it."""
+    dump_json({"fields": [field_to_dict(f) for f in fields]}, path)
 
 
 def _variant(tmp_path, **changes):

@@ -13,7 +13,16 @@ from umot import (
     VectorField,
     gradient,
 )
-from umot.field_core import coarse_basis, coarse_restriction, l2_norm, rel_l2_error
+from umot.field_core import (
+    coarse_basis,
+    coarse_restriction,
+    derivative_stencils,
+    diffusion_flux_jacobian,
+    face_average_partials,
+    interior_stencil_matrix,
+    l2_norm,
+    rel_l2_error,
+)
 from umot.phantom import bump_field
 
 
@@ -188,6 +197,59 @@ def test_diffusion_interior_block_symmetric():
     A_II = DiffusionSolver(CoefficientPair(gamma, sigma)).A_II
     assert A_II.format == "dia"
     assert abs((A_II - A_II.T).tocsr()).max() < 1e-14
+
+
+def _dense_stencil_matrix(g, taps):
+    """Per-node ``taps`` (3, 3, ny - 2, nx - 2) on interior rows, entry by entry."""
+    D = np.zeros((g.n_nodes, g.n_nodes))
+    for j in range(1, g.ny - 1):
+        for i in range(1, g.nx - 1):
+            for dj in range(3):
+                for di in range(3):
+                    D[g.index(i, j), g.index(i + di - 1, j + dj - 1)] = taps[dj, di, j - 1, i - 1]
+    return D
+
+
+def test_interior_stencil_matrix_per_node_taps():
+    g = Grid(9, 6, 0.1, 0.2)
+    rng = np.random.default_rng(4)
+    taps = rng.standard_normal((3, 3, g.ny - 2, g.nx - 2))
+    taps[0, 2] = 0.0  # a tap zero at every node is left out
+    taps[2, 1, 1, 3] = 0.0  # a tap zero at one node is stored there
+    M = interior_stencil_matrix(g, taps)
+    assert M.shape == (g.n_nodes, g.n_nodes) and M.has_sorted_indices
+    assert M.nnz == 8 * (g.nx - 2) * (g.ny - 2)
+    assert np.array_equal(M.toarray(), _dense_stencil_matrix(g, taps))
+    # one 3-by-3 stencil is the per-node form with the same taps at every node
+    (st,) = derivative_stencils(g, "xy")
+    per_node = np.broadcast_to(st[:, :, None, None], taps.shape)
+    a, b = interior_stencil_matrix(g, st), interior_stencil_matrix(g, per_node)
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+def test_flux_jacobian_matches_face_by_face_build():
+    # each face adds its neighbour tap and a share of the centre tap; the
+    # centre sums the shares east, west, north, south, to the same bits
+    g = Grid(11, 8, 0.1, 1 / 7)
+    rng = np.random.default_rng(6)
+    gamma = ScalarField(g, 0.5 + rng.random(g.n_nodes))
+    u = ScalarField(g, rng.standard_normal(g.n_nodes))
+    D = np.zeros((g.n_nodes, g.n_nodes))
+    for c in g.interior_indices():
+        for nb, h2 in ((c + 1, g.hx**2), (c - 1, g.hx**2), (c + g.nx, g.hy**2), (c - g.nx, g.hy**2)):
+            t = (u.values[c] - u.values[nb]) / h2
+            wa, wb = face_average_partials(gamma.values[c], gamma.values[nb])
+            D[c, c] += wa * t
+            D[c, nb] += wb * t
+    assert np.array_equal(diffusion_flux_jacobian(gamma, u).toarray(), D)
+
+
+def test_flux_jacobian_of_zero_solution_is_empty():
+    # every tap of u = 0 is zero, so no tap is written, not even as zeros
+    g = Grid(12, 9, 0.1, 0.1)
+    M = diffusion_flux_jacobian(ScalarField.constant(g, 1.0), ScalarField.constant(g, 0.0))
+    assert M.shape == (g.n_nodes, g.n_nodes) and M.nnz == 0
 
 
 def _dirichlet_contribution(solver, bc):

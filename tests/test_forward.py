@@ -15,7 +15,6 @@ from umot import (
     constant_bg_boundary_set,
     internal_functional,
     solution_geometry,
-    solve_diffusion,
 )
 from umot.field_core import rel_l2_error
 from umot.forward import DiffusionSolver
@@ -35,7 +34,7 @@ def test_linear_solution_exact():
     g = Grid.unit_square(17)
     coeffs = CoefficientPair.constant(g, 1.0, 0.0)
     f = BoundaryData.from_function(g, lambda x, y: x)
-    u = solve_diffusion(coeffs, f)
+    u = DiffusionSolver(coeffs).solve(f)
     X, _ = g.coords()
     assert np.abs(u.values - X).max() < 1e-12
 
@@ -53,7 +52,7 @@ def test_exponential_solution_convergence():
         f = BoundaryData.from_function(
             g, lambda x, y: np.exp(rate * (v[0] * x + v[1] * y))
         )
-        u = solve_diffusion(coeffs, f)
+        u = DiffusionSolver(coeffs).solve(f)
         return np.abs(u.values - exact).max()
 
     e1, e2 = err(17), err(33)
@@ -79,7 +78,7 @@ def test_maximum_principle_heuristic():
     g = Grid.unit_square(15)
     coeffs = CoefficientPair.constant(g, 1.0, 0.0)
     f = BoundaryData.from_function(g, lambda x, y: np.sin(3 * x) + np.cos(2 * y))
-    u = solve_diffusion(coeffs, f)
+    u = DiffusionSolver(coeffs).solve(f)
     assert u.values.min() >= f.values.min() - 1e-8
     assert u.values.max() <= f.values.max() + 1e-8
 
@@ -99,7 +98,7 @@ def test_internal_functional_cases():
     rate = np.sqrt(sigma0 / gamma0)
     coeffs2 = CoefficientPair.constant(g, gamma0, sigma0)
     f = BoundaryData.from_function(g, lambda x, y: np.exp(rate * x))
-    u2 = solve_diffusion(coeffs2, f)
+    u2 = DiffusionSolver(coeffs2).solve(f)
     H2 = internal_functional(coeffs2, u2, eta)
     exact = (1 + eta) * sigma0 * np.exp(2 * rate * X)
     assert rel_l2_error(H2.values, exact, g) < 5e-3
@@ -137,7 +136,7 @@ def test_solution_geometry():
 
 def test_polarization_identity_from_solves(bundle24):
     # H(u_a + u_b) - H(u_a) - H(u_b) = 2 H_ab to round-off by construction
-    from umot import internal_functional, solve_diffusion
+    from umot import internal_functional
     from umot.field_core import BoundaryData as BD
 
     coeffs, eta = bundle24.coeffs, bundle24.eta
@@ -222,8 +221,9 @@ def test_certified_bundle_holds_no_full_grid_theta_or_d():
         assert geo.u is u
 
 
-def test_forward_cg_stall_raises(bundle24):
+def test_forward_cg_stall_raises(bundle24, monkeypatch):
     # the forward CG solve has no silent direct fallback
+    from umot import solvers
     from umot.errors import SolverDivergence
     from umot.solvers import Multigrid, cg_solve
 
@@ -233,8 +233,9 @@ def test_forward_cg_stall_raises(bundle24):
     mg = Multigrid(solver.A_II, bundle24.grid.nx - 2, bundle24.grid.ny - 2)
     x = cg_solve(solver.A_II, rhs, mg.cycle)
     assert np.abs(x - u.values[solver.interior]).max() < 1e-8
+    monkeypatch.setattr(solvers, "CG_MAXITER", 5)
     with pytest.raises(SolverDivergence, match="info=5"):
-        cg_solve(solver.A_II, rhs, mg.cycle, maxiter=5)
+        cg_solve(solver.A_II, rhs, mg.cycle)
 
 
 def test_solve_residual_bound_refuses_ill_conditioned_solve():

@@ -109,7 +109,7 @@ def test_rows_match_continuum_expressions():
             + 2.0 * (F[:, 0] * dux + F[:, 1] * duy)
             + 2.0 * 0.5 * u * du
         )
-        deep = g.depth() >= 1
+        deep = np.pad(np.ones((g.ny - 2, g.nx - 2), bool), 1).ravel()
         sel = deep[iidx]
         return np.abs(out[sel] - expected[iidx][sel]).max()
 
@@ -369,7 +369,8 @@ def test_lifted_solve_factors_biharmonic_matrix_once(dirs3, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     solve_normal_equations(sys_, g=normal)
-    assert factored.count((g.n_interior, g.n_interior)) == 1
+    n_int = g.interior_indices().size
+    assert factored.count((n_int, n_int)) == 1
 
     from umot.biharmonic import biharmonic_lifts
 

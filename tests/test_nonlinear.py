@@ -18,6 +18,7 @@ from umot import (
     reconstruct,
     stability_probe,
 )
+from umot import nonlinear
 from umot.errors import GridMismatch
 from umot.nonlinear import IterationRecord, h1_proxy_norm, sweep
 from umot.phantom import add_noise, bump_field
@@ -64,18 +65,16 @@ def test_one_percent_scenario(setup):
     assert res.coeffs.sigma.values.min() >= 0.0
 
 
-def test_contraction_below_half_at_one_percent(setup):
+def test_contraction_below_half_at_one_percent(setup, monkeypatch):
     g, coeffs0, traces = setup
     truth = _truth(g, 0.01)
     bt = build_bundle(truth, traces)
-    res = reconstruct(
-        list(bt.H), traces, coeffs0,
-        opts=ReconstructOptions(kmax=5, tol=1e-14, steptol=1e-14),
-    )
+    monkeypatch.setattr(nonlinear, "STEPTOL", 1e-14)
+    res = reconstruct(list(bt.H), traces, coeffs0, opts=ReconstructOptions(kmax=5, tol=1e-14))
     assert contraction_estimate(res.history) < 0.5
 
 
-def test_linear_data_one_step_exactness(setup):
+def test_linear_data_one_step_exactness(setup, monkeypatch):
     g, coeffs0, traces = setup
     bundle = build_bundle(coeffs0, traces)
     amp = 1e-5
@@ -83,10 +82,8 @@ def test_linear_data_one_step_exactness(setup):
     ds = bump_field(g, (0.6, 0.65), 0.2, 0.5 * amp, power=2)
     dH, _ = apply_linearized_forward(bundle, dg, ds)
     H_lin = [ScalarField(g, h.values + d.values) for h, d in zip(bundle.H, dH)]
-    res = reconstruct(
-        H_lin, traces, coeffs0,
-        opts=ReconstructOptions(kmax=3, tol=1e-15, steptol=1e-16),
-    )
+    monkeypatch.setattr(nonlinear, "STEPTOL", 1e-16)
+    res = reconstruct(H_lin, traces, coeffs0, opts=ReconstructOptions(kmax=3, tol=1e-15))
     assert contraction_estimate(res.history) < 0.05
 
 

@@ -15,8 +15,9 @@ from umot import (
     serialize_scenario,
 )
 from umot.fileio import (
+    field_from_dict,
     field_to_dict,
-    read_field_json,
+    load_json,
     write_field_csv,
     write_field_json,
 )
@@ -75,7 +76,7 @@ def test_field_json_round_trip(tmp_path):
     f = ScalarField(g, rng.standard_normal(g.n_nodes))
     path = tmp_path / "f.json"
     write_field_json(f, path)
-    f2 = read_field_json(path)
+    f2 = field_from_dict(load_json(path))
     assert f2.grid == g
     assert np.array_equal(f2.values, f.values)
 
@@ -90,7 +91,7 @@ def test_field_file_with_fractional_node_count_is_refused(tmp_path, count):
     d[count] += 0.9
     path.write_text(json.dumps(d))
     with pytest.raises(ValueError, match="integers"):
-        read_field_json(path)
+        field_from_dict(load_json(path))
 
 
 def test_field_csv_round_trip(tmp_path):
@@ -268,6 +269,32 @@ BUMP = {"center": [0.5, 0.5], "radius": 0.2, "amplitude": 0.02, "target": "gamma
         ("eta", NAN, "eta"),
         ("eta", -INF, "eta"),
         ("phantom", {"bumps": [BUMP | {"center": [0.5, 0.5, 0.5]}]}, "2-component center"),
+        # a string, a boolean or null where a number is expected is refused,
+        # not converted: "eta": true once ran with eta = 1, a boolean noise
+        # level added 100% noise and "gamma0": "1" was written back as a string
+        ("eta", True, "scenario.eta must be a number"),
+        ("eta", "1", "scenario.eta must be a number"),
+        ("eta", None, "scenario.eta must be a number"),
+        ("noise", {"level": True, "seed": 1}, "noise.level must be a number"),
+        ("noise", {"level": "0.01", "seed": 1}, "noise.level must be a number"),
+        ("grid", {"nx": 16, "ny": 16, "hx": "0.0667", "hy": 1 / 15}, "grid.hx"),
+        ("grid", {"nx": 16, "ny": 16, "hx": 1 / 15, "hy": True}, "grid.hy"),
+        ("grid", {"nx": 16, "ny": 16, "hx": 1 / 15, "hy": 1 / 15, "x0": "0"}, "grid.x0"),
+        ("grid", {"nx": 16, "ny": 16, "hx": 1 / 15, "hy": 1 / 15, "y0": False}, "grid.y0"),
+        ("background", {"type": "constant", "gamma0": "1", "sigma0": 0.5}, "background.gamma0"),
+        ("background", {"type": "constant", "gamma0": 1.0, "sigma0": True}, "background.sigma0"),
+        ("boundary_set", {"type": "cgo", "M": "4", "k": 1.0}, "boundary_set.M"),
+        ("boundary_set", {"type": "cgo", "M": 4.0, "k": True}, "boundary_set.k"),
+        ("boundary_set", {"type": "constant_bg", "dirs": [["1", 0], [0, 1], [1, 1]]},
+         "vectors of numbers"),
+        ("boundary_set", {"type": "constant_bg", "dirs": [[True, False], [0, 1], [1, 1]]},
+         "vectors of numbers"),
+        ("boundary_set", {"type": "constant_bg", "dirs": ["10", [0, 1], [1, 1]]},
+         "vectors of numbers"),
+        ("phantom", {"bumps": [BUMP | {"center": ["0.5", 0.5]}]}, "center must list numbers"),
+        ("phantom", {"bumps": [BUMP | {"center": "ab"}]}, "center must list numbers"),
+        ("phantom", {"bumps": [BUMP | {"radius": "0.2"}]}, "bump.radius must be a number"),
+        ("phantom", {"bumps": [BUMP | {"amplitude": True}]}, "bump.amplitude must be a number"),
     ],
 )
 def test_scenario_rejects_out_of_range_values(section, values, message):
