@@ -39,10 +39,8 @@ from .forward import (
     CoefficientPair,
     DiffusionSolver,
     SolutionBundle,
-    SolutionGeometry,
     build_bundle,
     internal_functional,
-    solution_geometry,
 )
 from .ellipticity import (
     DirectionSet,

@@ -42,19 +42,16 @@ def clamped_biharmonic_system(grid: Grid) -> tuple[sp.csc_matrix, sp.csr_matrix]
 def biharmonic_lifts(gs: list[BoundaryData]) -> list[ScalarField]:
     """Clamped lifts: lap^2 phi = 0, phi = 0, d(phi)/dnu = g for each g.
 
-    The solves share one factorization, built only for a nonzero g, which
-    checks each solve's residual.
+    The solves share one factorization of M, which checks each solve's
+    residual.
     """
     grid = gs[0].grid
     M, G = clamped_biharmonic_system(grid)
+    factor = SparseFactor(M)
     iidx = grid.interior_indices()
-    factor = None
     out = []
     for g in gs:
-        rhs = G @ g.values
         full = np.zeros(grid.n_nodes)
-        if np.any(rhs):
-            factor = factor or SparseFactor(M)
-            full[iidx] = factor.solve(rhs)
+        full[iidx] = factor.solve(G @ g.values)
         out.append(ScalarField(grid, full))
     return out

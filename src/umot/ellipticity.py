@@ -11,8 +11,11 @@ the smallest singular value of a J-by-3 matrix per node;
 (xi.v_i)^2 = (xi.v_j)^2, where the symbol of steered exponential solutions
 reduces to the directions alone.  These two are the only evaluators of the
 symbol, and ``certified_planar`` is the one check of a constant-background
-direction set.  The module also generates the exponential boundary-condition
-families that provably achieve ellipticity.
+direction set.  The node geometry is formed here too, from the bundle's
+gradients F_j and solutions u_j: theta_j, d_j and the degenerate nodes,
+where |grad u_j| is at most GRAD_FLOOR_REL of its scale (a constant of the
+code, not a setting).  The module also generates the exponential
+boundary-condition families that provably achieve ellipticity.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ DEFAULT_MARGIN_THRESHOLD = 1e-6
 MASKED_INTERIOR_LIMIT = 0.01
 SVD_RECHECK_BELOW = 1e-2  # margins under this fraction of the row scale are redone by SVD
 CERTIFY_BLOCK = 4096  # nodes whose Gram entries or symbol rows are formed at once
+GRAD_FLOOR_REL = 1e-8  # relative gradient floor of a degenerate node; see _geometry
 
 
 @dataclass(frozen=True)
@@ -121,10 +125,46 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     )
 
 
-def _symbol_columns(geo, nodes: np.ndarray) -> tuple:
+def _geometry(bundle: SolutionBundle) -> tuple:
+    """(F_j, u_j, mask_j) of each solution: its gradient, itself and its degenerate nodes.
+
+    A node is degenerate for u_j when |grad u_j| <= GRAD_FLOOR_REL times the
+    larger of max |grad u_j| and max |f_j| / (grid diameter).  So a solution
+    whose gradient is round-off on a nonzero trace is masked everywhere, and
+    so is u_j = 0 on a zero trace, whose floor is 0.
+    """
+    g = bundle.grid
+    diameter = float(np.hypot((g.nx - 1) * g.hx, (g.ny - 1) * g.hy))
+    out = []
+    for (f, u), F in zip(bundle.solutions, bundle.gradients):
+        mag = F.magnitude()
+        scale = max(float(mag.max()), float(np.abs(f.values).max()) / diameter)
+        out.append((F, u, mag <= GRAD_FLOOR_REL * scale))
+    return tuple(out)
+
+
+def _d_parts(geo: tuple, nodes) -> tuple:
+    """(F, mask, |F| with 1 at masked nodes, d) of one ``_geometry`` entry at
+    ``nodes``: d = u / |F|, zero at the solution's masked nodes."""
+    F, u, mask = geo
+    F, mask = F.values[nodes], mask[nodes]
+    safe = np.where(mask, 1.0, np.sqrt(F[:, 0] ** 2 + F[:, 1] ** 2))
+    return F, mask, safe, np.where(mask, 0.0, u.values[nodes] / safe)
+
+
+def _theta_d(geo: tuple, nodes) -> tuple:
+    """(theta, d) at ``nodes``, shapes (m, 2) and (m,): theta = F / |F| as well
+    as ``_d_parts``' d, both zero at masked nodes."""
+    F, mask, safe, d = _d_parts(geo, nodes)
+    theta = F / safe[:, None]
+    theta[mask] = 0.0
+    return theta, d
+
+
+def _symbol_columns(geo: tuple, nodes: np.ndarray) -> tuple:
     """The three columns (theta_x^2 - theta_y^2, 2 theta_x theta_y, d^2) of one
     solution's symbol row at ``nodes``."""
-    theta, d = geo.at(nodes)
+    theta, d = _theta_d(geo, nodes)
     tx, ty = theta.T
     return tx * tx - ty * ty, 2.0 * tx * ty, d**2
 
@@ -262,25 +302,25 @@ def certify_field(
     digits wherever the verdict is decided.  Then every estimate at or below
     the smallest recomputed margin is recomputed too, until none is left, so
     the global margin is always an SVD value.  theta_j and d_j are formed
-    from F_j and u_j (``SolutionGeometry.at``) CERTIFY_BLOCK nodes at a
+    from the bundle's F_j and u_j (``_theta_d``) CERTIFY_BLOCK nodes at a
     time, the Gram entries from them, and the rows only for the recomputed
     nodes and the witness; d_max is taken over every grid node from d_j
-    alone (``SolutionGeometry.d_at``), also CERTIFY_BLOCK nodes at a time.
-    So no theta_j, d_j or (nodes, J, 3) array of the whole grid is held, and
-    each node's margin is the same whatever the block size.
+    alone (``_d_parts``), also CERTIFY_BLOCK nodes at a time.  So no theta_j, d_j or (nodes, J, 3)
+    array of the whole grid is held, and each node's margin is the same
+    whatever the block size.  The degenerate nodes are ``_geometry``'s.
     """
     del n_xi
     if not 0.0 <= margin_threshold < np.inf:
         raise ValueError(f"margin threshold must be finite and >= 0, got {margin_threshold}")
-    geometry = bundle.geometry
-    mask = np.any([geo.degenerate_mask for geo in geometry], axis=0)
+    geometry = _geometry(bundle)
+    mask = np.any([m for _, _, m in geometry], axis=0)
     interior = bundle.grid.interior_indices()
     if mask[interior].all():
         raise AllNodesDegenerate("no interior node carries usable gradient geometry")
     nodes = interior[~mask[interior]]
 
     d_max = max(  # over every node: a boundary node's d_j counts too
-        float(np.abs(geo.d_at(slice(s, s + CERTIFY_BLOCK))).max())
+        float(np.abs(_d_parts(geo, slice(s, s + CERTIFY_BLOCK))[3]).max())
         for geo in geometry
         for s in range(0, bundle.grid.n_nodes, CERTIFY_BLOCK)
     )

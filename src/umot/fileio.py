@@ -87,13 +87,20 @@ def require_list(d, key: str, what: str) -> list:
     return value
 
 
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool, which Python counts as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def require_floats(d, key: str, what: str) -> np.ndarray:
     """``d[key]`` as a float array, or a ValueError naming the key when ``d``
-    lacks it or it holds anything but numbers."""
-    try:
-        return np.asarray(require_list(d, key, what), dtype=float)
-    except TypeError as exc:  # a nested object
-        raise ValueError(f"{what} key '{key}' must hold numbers: {exc}") from exc
+    lacks it or it holds anything but numbers: not a string, a bool or null
+    that ``float`` would convert or refuse, nor a nested list or object."""
+    values = require_list(d, key, what)
+    for v in values:
+        if not is_number(v):
+            raise ValueError(f"{what} key '{key}' must hold numbers, got {v!r}")
+    return np.asarray(values, dtype=float)
 
 
 def _grid_dict(g: Grid) -> dict:
@@ -115,7 +122,7 @@ def field_from_dict(d: dict) -> ScalarField:
     nx, ny, hx, hy = (require_key(d, k, "field") for k in ("nx", "ny", "hx", "hy"))
     values = require_floats(d, "values", "field")
     spacing = (hx, hy, d.get("x0", 0.0), d.get("y0", 0.0))
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in spacing):
+    if not all(map(is_number, spacing)):
         raise ValueError(f"field spacings and origin must be numbers, got {spacing}")
     return ScalarField(Grid(nx, ny, *map(float, spacing)), values)
 

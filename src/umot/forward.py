@@ -8,14 +8,10 @@ and, on first read, forms the interior functional
 
     H_j = gamma |grad u_j|^2 + eta sigma u_j^2,
 
-and derives the per-solution geometry: the gradient field F_j, kept, and
-from it, at the nodes asked for, the unit direction theta_j and the ratio
-d_j = u_j / |grad u_j|.  Nodes where the gradient magnitude falls below
-GRAD_FLOOR_REL times its largest value are flagged as degenerate rather
-than populated with unstable quotients; the floor is a constant of the
-code, not a setting.  The operator's interior block is stored by its five
-diagonals, its boundary coupling as the taps that reach the boundary ring,
-and every multigrid level by its diagonals too, so a bundle holds the
+and the gradient field F_j = grad u_j, which the certification and the
+linearized system read.  The operator's interior block is stored by its
+five diagonals, its boundary coupling as the taps that reach the boundary
+ring, and every multigrid level by its diagonals too, so a bundle holds the
 solutions, the solver and, once read, F_j and H_j.
 """
 
@@ -27,19 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatch
-from .field_core import (
-    BoundaryData,
-    Grid,
-    ScalarField,
-    VectorField,
-    diffusion_blocks,
-    gradient,
-)
+from .field_core import BoundaryData, Grid, ScalarField, diffusion_blocks, gradient
 from .solvers import Multigrid, cg_solve
 
 DEFAULT_ETA = 1.0
 GAMMA_FLOOR = 1e-12  # smallest admissible diffusion coefficient
-GRAD_FLOOR_REL = 1e-8  # |grad u| below this times max |grad u| marks a degenerate node
 
 
 @dataclass(frozen=True)
@@ -64,43 +52,6 @@ class CoefficientPair:
     @classmethod
     def constant(cls, grid: Grid, gamma0: float, sigma0: float) -> "CoefficientPair":
         return cls(ScalarField.constant(grid, gamma0), ScalarField.constant(grid, sigma0))
-
-
-@dataclass(frozen=True)
-class SolutionGeometry:
-    """Gradient field of u_j, its degenerate nodes, and u_j itself (not a copy).
-
-    The unit direction theta_j and the ratio d_j are not stored: ``at``
-    forms both at any nodes and ``d_at`` the ratio alone, on each call, so
-    a geometry holds only F beyond the solution it describes.
-    """
-
-    F: VectorField
-    degenerate_mask: np.ndarray
-    u: ScalarField
-
-    def __post_init__(self):
-        m = np.asarray(self.degenerate_mask, dtype=bool).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "degenerate_mask", m)
-
-    def _parts(self, nodes) -> tuple:
-        """(F, mask, |F| with 1 at masked nodes, d) at ``nodes``."""
-        F = self.F.values[nodes]
-        mask = self.degenerate_mask[nodes]
-        safe = np.where(mask, 1.0, np.sqrt(F[:, 0] ** 2 + F[:, 1] ** 2))
-        return F, mask, safe, np.where(mask, 0.0, self.u.values[nodes] / safe)
-
-    def at(self, nodes) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, d) at ``nodes``, shapes (m, 2) and (m,); zero at masked nodes."""
-        F, mask, safe, d = self._parts(nodes)
-        theta = F / safe[:, None]
-        theta[mask] = 0.0
-        return theta, d
-
-    def d_at(self, nodes) -> np.ndarray:
-        """d at ``nodes``, as ``at`` forms it, without forming theta."""
-        return self._parts(nodes)[3]
 
 
 class DiffusionSolver:
@@ -184,29 +135,14 @@ def internal_functional(
     return ScalarField(u.grid, vals)
 
 
-def solution_geometry(u: ScalarField) -> SolutionGeometry:
-    """Gradient field of u and its degenerate nodes; see SolutionGeometry.
-
-    Nodes with |grad u| below GRAD_FLOOR_REL times the largest gradient
-    magnitude (below the smallest normal float where grad u is zero at every
-    node) are masked; theta and d are zero there.
-    """
-    F = gradient(u)
-    mag = F.magnitude()
-    floor = GRAD_FLOOR_REL * float(mag.max())
-    if floor <= 0.0:
-        floor = np.finfo(float).tiny
-    return SolutionGeometry(F, mag < floor, u)
-
-
 @dataclass(frozen=True)
 class SolutionBundle:
-    """Forward solutions for one coefficient pair, with geometry and H on demand.
+    """Forward solutions for one coefficient pair, with gradients and H on demand.
 
     ``solutions`` holds the (f_j, u_j) pairs; they are all the bundle stores
-    besides its build settings.  ``geometry`` and ``H`` are computed from the
-    solutions on first read and kept, so a bundle whose geometry nothing
-    reads never holds it, and ``dataclasses.replace(bundle, solutions=...)``
+    besides its build settings.  ``gradients`` and ``H`` are computed from the
+    solutions on first read and kept, so a bundle whose gradients nothing
+    reads never holds them, and ``dataclasses.replace(bundle, solutions=...)``
     derives both for the new solutions.  ``at`` repeats the bundle's build
     (traces and ``eta``) at other coefficients.
     """
@@ -225,9 +161,9 @@ class SolutionBundle:
         return self.coeffs.grid
 
     @cached_property
-    def geometry(self) -> tuple:
-        """``solution_geometry`` of each u_j."""
-        return tuple(solution_geometry(u) for _, u in self.solutions)
+    def gradients(self) -> tuple:
+        """The gradient field F_j = ``gradient(u_j)`` of each u_j."""
+        return tuple(gradient(u) for _, u in self.solutions)
 
     @cached_property
     def H(self) -> tuple:

@@ -132,8 +132,8 @@ def assemble_system(
     L = w_pde * bundle.solver.A_II
 
     rows = []
-    for j, ((_, u), geo) in enumerate(zip(bundle.solutions, bundle.geometry)):
-        F = geo.F.values[iidx]
+    for j, ((_, u), grad) in enumerate(zip(bundle.solutions, bundle.gradients)):
+        F = grad.values[iidx]
         uj = u.values[iidx]
         # data rows: |F|^2 dgamma + eta u^2 dsigma + 2 gamma F.grad(du) + 2 eta sigma u du
         du_data = (
@@ -180,7 +180,7 @@ def apply_linearized_forward(
         Mj = diffusion_flux_jacobian(bundle.coeffs.gamma, u)
         rhs = -(Mj @ dgamma.values)[iidx] - (u.values * dsigma.values)[iidx]
         du = bundle.solver.solve_zero_dirichlet(rhs)
-        F = bundle.geometry[j].F.values
+        F = bundle.gradients[j].values
         Gdu = gradient(du).values
         mag2 = F[:, 0] ** 2 + F[:, 1] ** 2
         dh = (

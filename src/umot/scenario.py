@@ -34,7 +34,7 @@ from .ellipticity import (
 )
 from .errors import BumpTouchesBoundary, DirectionsNotCertified, ScenarioError, ZeroEta
 from .field_core import BoundaryData, Grid, ScalarField
-from .fileio import field_from_dict, load_json, require_key
+from .fileio import field_from_dict, is_number, load_json, require_floats
 from .forward import DEFAULT_ETA, CoefficientPair, SolutionBundle, build_bundle
 from .nonlinear import ReconstructOptions
 from .phantom import BumpSpec, generate_phantom
@@ -71,29 +71,24 @@ def _read_file(path, what: str, convert):
         raise ScenarioError(f"cannot read {what} '{path}': {reason}") from exc
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool, which Python counts as an int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_numbers(d: dict, where: str, *keys) -> None:
     """Each of ``keys`` that ``d`` holds is a number, not a string, a bool or
     null that ``float`` would convert; ranges are checked where each is used."""
     for key in keys:
-        if key in d and not _is_number(d[key]):
+        if key in d and not is_number(d[key]):
             raise ScenarioError(f"{where}.{key} must be a number, got {d[key]!r}")
 
 
 def _is_direction(v) -> bool:
     """A finite, nonzero 2-component vector: the grid is 2-D, and every
     direction is normalized before use."""
-    vector = isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
+    vector = isinstance(v, (list, tuple)) and len(v) == 2 and all(map(is_number, v))
     return vector and bool(np.all(np.isfinite(v)) and np.any(v))
 
 
 def _bump(b: dict) -> BumpSpec:
     _require_keys(b, "phantom bump", {"center", "radius", "amplitude"}, {"target"})
-    if not (isinstance(b["center"], (list, tuple)) and all(map(_is_number, b["center"]))):
+    if not (isinstance(b["center"], (list, tuple)) and all(map(is_number, b["center"]))):
         raise ScenarioError(f"phantom bump center must list numbers, got {b['center']!r}")
     _check_numbers(b, "phantom bump", "radius", "amplitude")
     return BumpSpec(
@@ -109,7 +104,7 @@ def _check_count(name: str, value, low: int) -> None:
 
 def _check_real(name: str, value) -> None:
     """A real setting: a finite JSON number >= 0."""
-    if not (_is_number(value) and 0.0 <= value < np.inf):
+    if not (is_number(value) and 0.0 <= value < np.inf):
         raise ScenarioError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
@@ -267,8 +262,7 @@ class ScenarioConfig:
             )
         if bs["type"] == "explicit":
             def trace(d):
-                values = require_key(d, "values", "boundary file")
-                return BoundaryData(grid, np.asarray(values, dtype=float))
+                return BoundaryData(grid, require_floats(d, "values", "boundary file"))
 
             return [_read_file(f, "boundary file", trace) for f in bs["files"]]
         raise ScenarioError(f"unknown boundary set type '{bs['type']}'")

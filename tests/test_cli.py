@@ -379,13 +379,15 @@ def _first_field(d: dict, **changes) -> dict:
          "field key 'values' must be a list, got dict"),
         ("linearize", "--dh", lambda d: _first_field(d, values=[{}] * 324),
          "field key 'values' must hold numbers"),
+        ("linearize", "--dh", lambda d: _first_field(d, values=[0.01] * 323 + [True]),
+         "field key 'values' must hold numbers, got True"),
         ("linearize", "--dh", lambda d: _first_field(d, hx=[1 / 17]),
          "field spacings and origin must be numbers"),
         ("linearize", "--g", lambda d: {"components": 5},
          "--g file key 'components' must be a list, got int"),
     ],
-    ids=["dh-fields-int", "hmeas-fields-int", "values-object", "values-objects", "hx-list",
-         "g-components-int"],
+    ids=["dh-fields-int", "hmeas-fields-int", "values-object", "values-objects", "values-bool",
+         "hx-list", "g-components-int"],
 )
 def test_wrongly_typed_input_files_exit_1(
     tmp_path, scenario_file, capsys, command, flag, edit, message

@@ -16,8 +16,8 @@ from umot import (
     certify_field,
     cgo_boundary_set,
     constant_bg_boundary_set,
-    solution_geometry,
 )
+import umot.ellipticity as el
 from umot.errors import AllNodesDegenerate
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -32,6 +32,48 @@ def test_certify_field_constant_background(bundle24):
     assert report.witness is None
     assert report.masked_fraction == 0.0
     assert report.global_margin > 0.1
+
+
+def _bundle_of(*us):
+    """A bundle whose solutions are the fields ``us``, each with its own boundary
+    values as its trace (the coefficients are a placeholder)."""
+    g = us[0].grid
+    bundle = build_bundle(CoefficientPair.constant(g, 1.0, 0.0), [BoundaryData.zero(g)])
+    b = g.boundary_indices()
+    return dataclasses.replace(
+        bundle, solutions=tuple((BoundaryData(g, u.values[b]), u) for u in us)
+    )
+
+
+def test_node_geometry():
+    g = Grid.unit_square(17)
+    X, Y = g.coords()
+    u = ScalarField(g, X)
+    bundle = _bundle_of(u)
+    (geo,) = el._geometry(bundle)
+    F, u_ref, mask = geo
+    assert u_ref is u and F is bundle.gradients[0]  # referenced, not copied
+    assert not mask.any()
+    theta_all, d_all = el._theta_d(geo, slice(None))
+    assert np.abs(theta_all[:, 0] - 1.0).max() < 1e-12
+    assert np.abs(d_all - X).max() < 1e-12
+    # theta and d are formed on each call, at every node or at the nodes asked for
+    nodes = g.interior_indices()[::5]
+    theta, d = el._theta_d(geo, nodes)
+    assert np.array_equal(theta, theta_all[nodes])
+    assert np.array_equal(d, d_all[nodes])
+    assert np.array_equal(el._d_parts(geo, nodes)[3], d)  # d without forming theta
+
+    ((_, _, mask_flat),) = el._geometry(_bundle_of(ScalarField.constant(g, 1.0)))
+    assert mask_flat.all()
+
+    # d = 1 and theta = v hold for the sampled exponential up to the O(h^2)
+    # error of the discrete gradient
+    v = np.array([0.6, 0.8])
+    (geo_exp,) = el._geometry(_bundle_of(ScalarField(g, np.exp(v[0] * X + v[1] * Y))))
+    theta_exp, d_exp = el._theta_d(geo_exp, slice(None))
+    assert np.abs(d_exp - 1.0).max() < 2e-3
+    assert np.abs(theta_exp - v).max() < 2e-3
 
 
 def _harmonic_bundle(n, *traces):
@@ -68,8 +110,8 @@ def _heterogeneous_bundle(n):
 
 def _symbol_smin(bundle, nodes, xis):
     """Smallest singular value of the J-by-2 symbol, per node and sampled xi."""
-    theta = np.stack([geo.at(nodes)[0] for geo in bundle.geometry])  # (J, m, 2)
-    q = np.stack([geo.d_at(nodes) for geo in bundle.geometry]) ** 2  # (J, m)
+    theta, d = zip(*(el._theta_d(geo, nodes) for geo in el._geometry(bundle)))
+    theta, q = np.stack(theta), np.stack(d) ** 2  # (J, m, 2) and (J, m)
     p = 1.0 - 2.0 * np.einsum("jmc,kc->mkj", theta, xis) ** 2  # (m, k, J)
     sym = np.stack([p, np.broadcast_to(-q.T[:, None, :], p.shape)], axis=-1)
     return np.linalg.svd(sym, compute_uv=False)[..., -1]  # (m, k)
@@ -85,7 +127,7 @@ def test_certify_field_closed_form_matches_dense_sampling():
     assert report.global_margin <= sampled * (1.0 + 1e-12)
     assert (sampled - report.global_margin) / sampled < 1e-3
     # the threshold's row scale is the exact max of sqrt(p^2 + q^2) = sqrt(1 + d^4)
-    d4 = max((geo.d_at(slice(None)) ** 4).max() for geo in bundle.geometry)
+    d4 = max((el._theta_d(geo, slice(None))[1] ** 4).max() for geo in el._geometry(bundle))
     assert report.threshold == pytest.approx(1e-6 * np.sqrt(1.0 + d4), rel=1e-14)
 
 
@@ -107,8 +149,6 @@ def test_certify_field_witness_attains_margin():
 def test_certify_field_block_size_changes_nothing(threshold, monkeypatch):
     # 484 certified interior nodes: blocks of 7 (the last one short) against
     # one block holding them all give bit-identical margins and witnesses
-    import umot.ellipticity as el
-
     bundle = _heterogeneous_bundle(24)
     reports = []
     for block in (7, bundle.grid.n_nodes + 1):
@@ -154,8 +194,6 @@ def _gram_stack(kind, scale, rng):
 def test_smallest_eigenvalue_matches_eigvalsh(kind, scale):
     # the closed form keeps every digit a Householder eigensolver keeps, also
     # at the nearly double roots where Smith's formula alone loses half
-    import umot.ellipticity as el
-
     G = _gram_stack(kind, scale, np.random.default_rng(len(kind)))
     lam = el._smallest_eigenvalue(G[:, 0, 0], G[:, 1, 1], G[:, 2, 2], G[:, 0, 1], G[:, 0, 2],
                                   G[:, 1, 2])
@@ -165,12 +203,11 @@ def test_smallest_eigenvalue_matches_eigvalsh(kind, scale):
 
 def _svd_everywhere(bundle):
     """Reference certification: the SVD margin of every certified node."""
-    import umot.ellipticity as el
-
-    mask = np.any([geo.degenerate_mask for geo in bundle.geometry], axis=0)
+    geometry = el._geometry(bundle)
+    mask = np.any([m for _, _, m in geometry], axis=0)
     nodes = bundle.grid.interior_indices()
     nodes = nodes[~mask[nodes]]
-    rows = el._symbol_rows(bundle.geometry, nodes)
+    rows = el._symbol_rows(geometry, nodes)
     margins = np.linalg.svd(rows, compute_uv=False)[:, -1]
     k = int(np.argmin(margins))
     z = np.linalg.svd(rows[k])[2][-1]
@@ -220,8 +257,6 @@ def test_certify_field_global_margin_is_an_svd_value(dirs3, lowered, monkeypatch
     # minimizer.  Lowering every estimate by 0.5 to 1.5 times ``lowered``
     # forces that case; the nodes are rechecked until the minimum is an SVD
     # value, and it equals the minimum of an SVD of every interior node
-    import umot.ellipticity as el
-
     estimate = el._smallest_eigenvalue
     rng = np.random.default_rng(3)
 
@@ -241,15 +276,17 @@ def test_certify_field_global_margin_is_an_svd_value(dirs3, lowered, monkeypatch
 
 def test_certify_field_scale_invariance(bundle24):
     report = certify_field(bundle24)
-    scaled_geo = [
-        solution_geometry(ScalarField(bundle24.grid, 3.0 * u.values))
-        for _, u in bundle24.solutions
-    ]
+    g = bundle24.grid
+    scaled = dataclasses.replace(bundle24, solutions=tuple(
+        (BoundaryData(g, 3.0 * f.values), ScalarField(g, 3.0 * u.values))
+        for f, u in bundle24.solutions
+    ))
     # theta and d are unchanged under a common positive scaling of u
     every = slice(None)
-    for geo_s, geo in zip(scaled_geo, bundle24.geometry):
-        assert np.abs(geo_s.d_at(every) - geo.d_at(every)).max() < 1e-12
-        assert np.abs(geo_s.at(every)[0] - geo.at(every)[0]).max() < 1e-12
+    for geo_s, geo in zip(el._geometry(scaled), el._geometry(bundle24)):
+        (theta_s, d_s), (theta, d) = el._theta_d(geo_s, every), el._theta_d(geo, every)
+        assert np.abs(d_s - d).max() < 1e-12
+        assert np.abs(theta_s - theta).max() < 1e-12
     assert report.elliptic
 
 
@@ -264,18 +301,33 @@ def test_certify_field_row_removal_never_helps(bundle24):
 
 def test_certify_field_masked_bundle():
     # a zero trace on sigma = 0 has the constant solution u = 0, exactly, so
-    # its gradient vanishes everywhere and the floor falls back to the
-    # smallest normal float: every node of that solution is masked, and one
-    # such solution leaves no interior node to certify
+    # its gradient and its trace vanish everywhere and the floor is 0: every
+    # node of that solution is masked (|grad u| <= 0), and one such solution
+    # leaves no interior node to certify
     g = Grid.unit_square(17)
     coeffs = CoefficientPair.constant(g, 1.0, 0.0)
     fx = BoundaryData.from_function(g, lambda x, y: x)
     fy = BoundaryData.from_function(g, lambda x, y: y)
     bundle = build_bundle(coeffs, [fx, fy, BoundaryData.zero(g)])
-    geo_x, geo_y, geo_0 = bundle.geometry
-    assert not geo_x.degenerate_mask.any() and not geo_y.degenerate_mask.any()
+    (_, _, mask_x), (_, _, mask_y), (_, _, mask_0) = el._geometry(bundle)
+    assert not mask_x.any() and not mask_y.any()
     assert not bundle.solutions[2][1].values.any()
-    assert geo_0.degenerate_mask.all()
+    assert mask_0.all()
+    with pytest.raises(AllNodesDegenerate):
+        certify_field(bundle)
+
+
+def test_certify_field_masks_round_off_constant_solutions():
+    # constant traces 1, 2 and -1 on sigma = 0 have constant solutions, whose
+    # computed gradients are round-off, not zero; max |grad u_j| alone would
+    # scale the floor down to that round-off, but max |f_j| / diameter keeps
+    # it at about 1e-8, so every node is masked and nothing is certified
+    g = Grid.unit_square(17)
+    bundle = build_bundle(
+        CoefficientPair.constant(g, 1.0, 0.0),
+        [BoundaryData(g, np.full(g.n_boundary, c)) for c in (1.0, 2.0, -1.0)],
+    )
+    assert all(m.all() for _, _, m in el._geometry(bundle))
     with pytest.raises(AllNodesDegenerate):
         certify_field(bundle)
 
@@ -298,7 +350,7 @@ def test_certify_field_refuses_above_masked_interior_limit(bundle24):
     )
     expected = np.zeros((g.ny, g.nx), dtype=bool)
     expected[9:13, 9:13] = True
-    assert np.array_equal(bundle.geometry[0].degenerate_mask, expected.ravel())
+    assert np.array_equal(el._geometry(bundle)[0][2], expected.ravel())
 
     report = certify_field(bundle, margin_threshold=0.0)
     assert report.global_margin > report.threshold == 0.0
@@ -394,8 +446,8 @@ def test_constant_bg_geometry_ratio(bundle24):
     # d_i = sqrt(gamma0 / sigma0) for the exact exponential backgrounds
     expected = np.sqrt(1.0 / 0.5)
     iidx = bundle24.grid.interior_indices()
-    for geo in bundle24.geometry:
-        assert np.abs(geo.d_at(iidx) - expected).max() < 5e-3
+    for geo in el._geometry(bundle24):
+        assert np.abs(el._theta_d(geo, iidx)[1] - expected).max() < 5e-3
 
 
 def test_three_solution_determinant_system():

@@ -14,9 +14,8 @@ from umot import (
     cgo_boundary_set,
     constant_bg_boundary_set,
     internal_functional,
-    solution_geometry,
 )
-from umot.field_core import rel_l2_error
+from umot.field_core import gradient, rel_l2_error
 from umot.forward import DiffusionSolver
 
 
@@ -104,36 +103,6 @@ def test_internal_functional_cases():
     assert rel_l2_error(H2.values, exact, g) < 5e-3
 
 
-def test_solution_geometry():
-    g = Grid.unit_square(17)
-    X, Y = g.coords()
-    u = ScalarField(g, X)
-    geo = solution_geometry(u)
-    assert geo.u is u  # referenced, not copied
-    assert not geo.degenerate_mask.any()
-    theta_all, d_all = geo.at(slice(None))
-    assert np.abs(theta_all[:, 0] - 1.0).max() < 1e-12
-    assert np.abs(d_all - X).max() < 1e-12
-    # theta and d are formed on each call, at every node or at the nodes asked for
-    assert "theta" not in vars(geo) and "d" not in vars(geo)
-    nodes = g.interior_indices()[::5]
-    theta, d = geo.at(nodes)
-    assert np.array_equal(theta, theta_all[nodes])
-    assert np.array_equal(d, d_all[nodes])
-    assert np.array_equal(geo.d_at(nodes), d)
-
-    geo_flat = solution_geometry(ScalarField.constant(g, 1.0))
-    assert geo_flat.degenerate_mask.all()
-
-    # d = 1 and theta = v hold for the sampled exponential up to the O(h^2)
-    # error of the discrete gradient
-    v = np.array([0.6, 0.8])
-    geo_exp = solution_geometry(ScalarField(g, np.exp(v[0] * X + v[1] * Y)))
-    theta_exp, d_exp = geo_exp.at(slice(None))
-    assert np.abs(d_exp - 1.0).max() < 2e-3
-    assert np.abs(theta_exp - v).max() < 2e-3
-
-
 def test_polarization_identity_from_solves(bundle24):
     # H(u_a + u_b) - H(u_a) - H(u_b) = 2 H_ab to round-off by construction
     from umot import internal_functional
@@ -176,28 +145,26 @@ def _heterogeneous_cgo(n: int):
 
 
 def test_bundle_derives_geometry_and_H_on_first_read():
+    # the bundle's geometry is its gradients F_j; theta_j, d_j and the mask
+    # are formed by the certification (see test_ellipticity)
     bundle = build_bundle(*_heterogeneous_cgo(24), eta=0.7)
-    assert "geometry" not in bundle.__dict__ and "H" not in bundle.__dict__
-    for (_, u), geo, h in zip(bundle.solutions, bundle.geometry, bundle.H):
-        ref = solution_geometry(u)
-        assert np.array_equal(geo.F.values, ref.F.values)
-        for got, want in zip(geo.at(slice(None)), ref.at(slice(None))):
-            assert np.array_equal(got, want)
-        assert np.array_equal(geo.degenerate_mask, ref.degenerate_mask)
+    assert "gradients" not in bundle.__dict__ and "H" not in bundle.__dict__
+    for (_, u), F, h in zip(bundle.solutions, bundle.gradients, bundle.H):
+        assert np.array_equal(F.values, gradient(u).values)
         assert np.array_equal(h.values, internal_functional(bundle.coeffs, u, 0.7).values)
-    assert bundle.geometry is bundle.geometry  # computed once, then kept
+    assert bundle.gradients is bundle.gradients  # computed once, then kept
 
     sub = dataclasses.replace(bundle, solutions=bundle.solutions[:2])
-    assert sub.J == 2 and len(sub.geometry) == 2 and len(sub.H) == 2
-    for geo, h, geo_all, h_all in zip(sub.geometry, sub.H, bundle.geometry, bundle.H):
-        assert np.array_equal(geo.d_at(slice(None)), geo_all.d_at(slice(None)))
+    assert sub.J == 2 and len(sub.gradients) == 2 and len(sub.H) == 2
+    for F, h, F_all, h_all in zip(sub.gradients, sub.H, bundle.gradients, bundle.H):
+        assert np.array_equal(F.values, F_all.values)
         assert np.array_equal(h.values, h_all.values)
 
 
 def test_bundle_holds_no_geometry_after_build():
     # At 128² the five solutions take 0.6 MB and the solver with its multigrid
-    # hierarchy, stored by diagonals, about 1.4 MB; the five geometries (F
-    # alone) and functionals would add 2 MB more, so a build that derived them
+    # hierarchy, stored by diagonals, about 1.4 MB; the five gradients and
+    # functionals would add 2 MB more, so a build that derived them
     # eagerly holds about 4 MB, and a lean one about 2 MB.
     coeffs, traces = _heterogeneous_cgo(128)
     tracemalloc.start()
@@ -211,14 +178,39 @@ def test_bundle_holds_no_geometry_after_build():
 
 
 def test_certified_bundle_holds_no_full_grid_theta_or_d():
-    # certify_field forms theta and d block by block from F and u: afterwards
-    # each geometry still holds only F, its mask and a reference to u_j
+    # certify_field forms theta and d block by block from F_j and u_j:
+    # afterwards the bundle holds its build and the gradients, nothing more
     bundle = build_bundle(*_heterogeneous_cgo(48))
     assert certify_field(bundle).elliptic
-    for (_, u), geo in zip(bundle.solutions, bundle.geometry):
-        assert "theta" not in vars(geo) and "d" not in vars(geo)
-        assert set(vars(geo)) == {"F", "degenerate_mask", "u"}
-        assert geo.u is u
+    assert set(vars(bundle)) == {"coeffs", "eta", "solutions", "solver", "gradients"}
+    assert len(bundle.gradients) == bundle.J
+
+
+def test_one_gradient_per_solution_shared_by_its_readers(monkeypatch):
+    # certification, assembly and the Jacobian action all read the bundle's
+    # F_j: each solution's gradient is formed once per bundle (the Jacobian
+    # action still takes the gradient of its own du_j)
+    import umot.forward
+    import umot.linearized
+    from umot import apply_linearized_forward, assemble_system
+
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return gradient(u)
+
+    for module in (umot.forward, umot.linearized):
+        monkeypatch.setattr(module, "gradient", counted)
+    bundle = build_bundle(*_heterogeneous_cgo(24))
+    zero = ScalarField.constant(bundle.grid, 0.0)
+    certify_field(bundle)
+    gradients = bundle.gradients
+    assemble_system(bundle, [zero] * bundle.J)
+    apply_linearized_forward(bundle, zero, zero)
+    assert bundle.gradients is gradients
+    solutions = [id(u) for _, u in bundle.solutions]
+    assert [id(u) for u in calls if id(u) in solutions] == solutions
 
 
 def test_forward_cg_stall_raises(bundle24, monkeypatch):

@@ -94,6 +94,27 @@ def test_field_file_with_fractional_node_count_is_refused(tmp_path, count):
         field_from_dict(load_json(path))
 
 
+@pytest.mark.parametrize("bad", ["1.5", True, None])
+def test_field_file_holding_a_non_number_is_refused(tmp_path, bad):
+    # float() would read "1.5" as 1.5 and True as 1.0: a value must be a JSON number
+    g = Grid(9, 7, 0.1, 0.2)
+    d = field_to_dict(ScalarField.constant(g, 1.0))
+    d["values"][5] = bad
+    with pytest.raises(ValueError, match=r"field key 'values' must hold numbers, got"):
+        field_from_dict(d)
+
+
+def test_explicit_boundary_file_holding_a_string_is_refused_at_parse(tmp_path):
+    g = Grid(16, 16, 1 / 15, 1 / 15)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"values": [1.0] * g.n_boundary}))
+    bad.write_text(json.dumps({"values": [1.0] * (g.n_boundary - 1) + ["1.5"]}))
+    scen = json.loads(json.dumps(SCENARIO))
+    scen["boundary_set"] = {"type": "explicit", "files": [str(good), str(good), str(bad)]}
+    with pytest.raises(ScenarioError, match="boundary file key 'values' must hold numbers"):
+        parse_scenario(json.dumps(scen))
+
+
 def test_field_csv_round_trip(tmp_path):
     g = Grid(6, 5, 0.25, 0.5)
     rng = np.random.default_rng(1)
