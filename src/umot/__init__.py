@@ -40,7 +40,6 @@ from .forward import (
     DiffusionSolver,
     SolutionBundle,
     build_bundle,
-    internal_functional,
 )
 from .ellipticity import (
     DirectionSet,

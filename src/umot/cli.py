@@ -111,7 +111,7 @@ def cmd_reconstruct(args) -> int:
     setup = replace(config.setup, background=coeffs0)
     setup.certificate.require(args.allow_noncertified)
     H_meas = read_field_list_json(args.hmeas)
-    result, diverged = nonlinear_reconstruction(setup, H_meas, config.inversion)
+    result, diverged = nonlinear_reconstruction(setup, H_meas, config.inversion.options)
     if args.log:
         Path(args.log).write_text(trace_csv(result))
     dump_json(nonlinear_dict(result, diverged), args.out)

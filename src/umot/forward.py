@@ -123,26 +123,15 @@ class DiffusionSolver:
         return float(np.linalg.norm(r)) / scale
 
 
-def internal_functional(
-    coeffs: CoefficientPair, u: ScalarField, eta: float = DEFAULT_ETA
-) -> ScalarField:
-    """H = gamma |grad u|^2 + eta sigma u^2, evaluated pointwise."""
-    if u.grid != coeffs.grid:
-        raise GridMismatch("solution on the wrong grid")
-    F = gradient(u)
-    mag2 = F.values[:, 0] ** 2 + F.values[:, 1] ** 2
-    vals = coeffs.gamma.values * mag2 + eta * coeffs.sigma.values * u.values ** 2
-    return ScalarField(u.grid, vals)
-
-
 @dataclass(frozen=True)
 class SolutionBundle:
     """Forward solutions for one coefficient pair, with gradients and H on demand.
 
     ``solutions`` holds the (f_j, u_j) pairs; they are all the bundle stores
     besides its build settings.  ``gradients`` and ``H`` are computed from the
-    solutions on first read and kept, so a bundle whose gradients nothing
-    reads never holds them, and ``dataclasses.replace(bundle, solutions=...)``
+    solutions on first read and kept; ``H`` reads ``gradients``, so each F_j
+    is formed once per bundle, and a bundle whose gradients and H nothing
+    reads never holds them.  ``dataclasses.replace(bundle, solutions=...)``
     derives both for the new solutions.  ``at`` repeats the bundle's build
     (traces and ``eta``) at other coefficients.
     """
@@ -167,8 +156,13 @@ class SolutionBundle:
 
     @cached_property
     def H(self) -> tuple:
-        """The internal functional H_j of each u_j at the bundle's ``eta``."""
-        return tuple(internal_functional(self.coeffs, u, self.eta) for _, u in self.solutions)
+        """H_j = gamma |F_j|^2 + eta sigma u_j^2 of each u_j, read off ``gradients``."""
+        gamma, sigma = self.coeffs.gamma.values, self.coeffs.sigma.values
+        H = []
+        for (_, u), F in zip(self.solutions, self.gradients):
+            mag2 = F.values[:, 0] ** 2 + F.values[:, 1] ** 2
+            H.append(ScalarField(u.grid, gamma * mag2 + self.eta * sigma * u.values ** 2))
+        return tuple(H)
 
     def at(self, coeffs: CoefficientPair) -> "SolutionBundle":
         """This bundle's build (traces, eta) at ``coeffs``."""

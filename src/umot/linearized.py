@@ -236,6 +236,8 @@ def solve_normal_equations(
     if g is not None:
         if len(g) != 2 + J:
             raise ValueError("need normal data for each unknown block")
+        if any(g_k.grid != grid for g_k in g):
+            raise GridMismatch("normal data on the wrong grid")
         phi_int = np.concatenate([p.values[iidx] for p in biharmonic_lifts(g)])
         b = b - A @ phi_int
 

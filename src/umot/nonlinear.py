@@ -24,6 +24,7 @@ import numpy as np
 from .ellipticity import EllipticityReport, certify_field
 from .errors import Diverged, GridMismatch, InsufficientHistory
 from .field_core import BoundaryData, ScalarField, gradient, l2_norm, rel_l2_error
+from .fileio import is_number
 from .forward import CoefficientPair, SolutionBundle, build_bundle
 from .linearized import assemble_system, solve_normal_equations
 
@@ -59,9 +60,11 @@ class ReconstructOptions:
 
     def __post_init__(self):
         if self.mode not in ("frozen", "refreshed"):
-            raise ValueError("mode must be 'frozen' or 'refreshed'")
-        if self.kmax < 0:
-            raise ValueError(f"kmax must be nonnegative, got {self.kmax}")
+            raise ValueError(f"mode must be 'frozen' or 'refreshed', got {self.mode!r}")
+        if isinstance(self.kmax, bool) or not isinstance(self.kmax, int) or self.kmax < 0:
+            raise ValueError(f"kmax must be an integer of at least 0, got {self.kmax!r}")
+        if not (is_number(self.tol) and 0.0 <= self.tol < np.inf):
+            raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -150,13 +153,18 @@ def sweep(
     zero = [ScalarField(coeffs0.grid, np.zeros(coeffs0.grid.n_nodes))] * bundle0.J
     sys0 = assemble_system(bundle0, zero)
 
-    history: list[IterationRecord] = []
+    # each iterate's residual fields and norm are formed once: the start's
+    # here, every later one by the line search that accepts it
+    dh = _residual_fields(bundle0, H_meas)
+    residual = h1_proxy_norm(dh) / scale
+    history = [IterationRecord(0, residual, 0.0, DAMPING)]
     bundle_k = bundle0
     coeffs_k = coeffs0
-    best = (coeffs0, np.inf)
+    best = (coeffs0, residual)
     grow_streak = 0
+    k = 0
 
-    def result(converged, iterations, residual):
+    def result(converged):
         coeffs_out, res_out = (coeffs_k, residual) if converged else best
         err = None
         if truth is not None:
@@ -164,22 +172,9 @@ def sweep(
                 rel_l2_error(coeffs_out.gamma.values, truth.gamma.values, truth.grid),
                 rel_l2_error(coeffs_out.sigma.values, truth.sigma.values, truth.grid),
             )
-        return ReconstructionResult(
-            coeffs_out, converged, iterations, res_out, tuple(history), err
-        )
+        return ReconstructionResult(coeffs_out, converged, k, res_out, tuple(history), err)
 
-    for k in range(opts.kmax + 1):
-        dh = _residual_fields(bundle_k, H_meas)
-        residual = h1_proxy_norm(dh) / scale
-        if residual < best[1]:
-            best = (coeffs_k, residual)
-        if k == 0:
-            history.append(IterationRecord(0, residual, 0.0, DAMPING))
-        if residual <= opts.tol:
-            return result(True, k, residual)
-        if k == opts.kmax:
-            return result(False, k, residual)
-
+    while residual > opts.tol and k < opts.kmax:
         if opts.mode == "refreshed" and k > 0:
             certify_field(bundle_k, margin_threshold=report.margin_threshold).require(allow=True)
             v = solve_normal_equations(assemble_system(bundle_k, dh))
@@ -191,33 +186,30 @@ def sweep(
         for _ in range(MAX_HALVINGS + 1):
             trial_coeffs = _project(coeffs_k, v.dgamma, v.dsigma, lam)
             trial_bundle = bundle_k.at(trial_coeffs)
-            trial_res = h1_proxy_norm(_residual_fields(trial_bundle, H_meas)) / scale
-            if chosen is None or trial_res < chosen[2]:
-                chosen = (trial_coeffs, trial_bundle, trial_res, lam)
+            trial_dh = _residual_fields(trial_bundle, H_meas)
+            trial_res = h1_proxy_norm(trial_dh) / scale
+            if chosen is None or trial_res < chosen[3]:
+                chosen = (trial_coeffs, trial_bundle, trial_dh, trial_res, lam)
             if trial_res < residual:
                 break
             lam *= 0.5
-        coeffs_k, bundle_k, new_res, lam_used = chosen
-        if new_res < best[1]:
-            best = (coeffs_k, new_res)
+        grew = chosen[3] > residual
+        coeffs_k, bundle_k, dh, residual, lam = chosen
+        if residual < best[1]:
+            best = (coeffs_k, residual)
 
-        step = lam_used * h1_proxy_norm([v.dgamma, v.dsigma]) / coeff_scale
-        history.append(IterationRecord(k + 1, new_res, step, lam_used))
+        k += 1
+        step = lam * h1_proxy_norm([v.dgamma, v.dsigma]) / coeff_scale
+        history.append(IterationRecord(k, residual, step, lam))
 
-        if new_res > residual:
-            grow_streak += 1
-            if grow_streak >= 5:
-                raise Diverged(
-                    f"residual grew for {grow_streak} consecutive sweeps",
-                    result(False, k + 1, new_res),
-                )
-        else:
-            grow_streak = 0
-
+        grow_streak = grow_streak + 1 if grew else 0
+        if grow_streak >= 5:
+            raise Diverged(
+                f"residual grew for {grow_streak} consecutive sweeps", result(False)
+            )
         if step <= STEPTOL:
-            return result(new_res <= opts.tol, k + 1, new_res)
-
-    raise AssertionError("unreachable: the sweep returns at k = kmax")
+            break
+    return result(residual <= opts.tol)
 
 
 def contraction_estimate(history) -> float:

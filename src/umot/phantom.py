@@ -83,8 +83,8 @@ def generate_phantom(grid: Grid, bumps: list[BumpSpec]) -> tuple[ScalarField, Sc
 
 def add_noise(H: ScalarField, level: float, seed: int) -> ScalarField:
     """Multiplicative relative noise H * (1 + level * zeta), zeta iid normal."""
-    if level < 0.0:
-        raise ValueError("noise level must be nonnegative")
+    if not 0.0 <= level < np.inf:
+        raise ValueError(f"noise level must be a finite number >= 0, got {level!r}")
     if level == 0.0:
         return H
     rng = np.random.default_rng(seed)

@@ -31,7 +31,6 @@ from .linearized import assemble_system, injectivity_probe, normal_residual, sol
 from .nonlinear import ReconstructionResult, ReconstructOptions, sweep
 from .phantom import add_noise
 from .scenario import (
-    InversionConfig,
     NoiseConfig,
     ScenarioConfig,
     ScenarioSetup,
@@ -102,14 +101,15 @@ def forward_stage(setup: ScenarioSetup, noise: NoiseConfig, rec: Recorder):
     """Write u_j, noisy H_j, dH_j and the truth fields; return (H_j, dH_j)."""
     grid, truth = setup.grid, setup.truth
     bundle_truth = setup.bundle.at(truth)
-    H_meas = list(bundle_truth.H)
+    solutions, H_meas = bundle_truth.solutions, list(bundle_truth.H)
+    del bundle_truth  # its solver and gradients are not kept through the writes
     if noise.level > 0.0:
         H_meas = [add_noise(h, noise.level, noise.seed + j) for j, h in enumerate(H_meas)]
     dH = [
         ScalarField(grid, hm.values - hb.values)
         for hm, hb in zip(H_meas, setup.bundle.H)
     ]
-    for j, (_, u) in enumerate(bundle_truth.solutions):
+    for j, (_, u) in enumerate(solutions):
         rec.field(f"u_{j}", u)
         rec.field(f"H_{j}", H_meas[j])
         rec.field(f"dH_{j}", dH[j])
@@ -178,11 +178,10 @@ def constant_bg_reconstruction(
 
 
 def nonlinear_reconstruction(
-    setup: ScenarioSetup, H_meas, inv: InversionConfig, truth=None
+    setup: ScenarioSetup, H_meas, opts: ReconstructOptions, truth=None
 ) -> tuple[ReconstructionResult, str | None]:
-    """Sweep from the base point with ``inv``'s mode, tol and kmax: (result,
-    None), or (best iterate, message) when the sweep diverges."""
-    opts = ReconstructOptions(mode=inv.mode, tol=inv.tol, kmax=inv.kmax)
+    """Sweep from the base point with ``opts``: (result, None), or (best
+    iterate, message) when the sweep diverges."""
     try:
         return sweep(H_meas, setup.bundle, setup.certificate, opts, truth), None
     except Diverged as exc:
@@ -231,7 +230,8 @@ def run_pipeline(
     path = config.inversion.path
     with _stage("invert"):
         if path == "nonlinear":
-            result, diverged = nonlinear_reconstruction(setup, H_meas, config.inversion, truth)
+            opts = config.inversion.options
+            result, diverged = nonlinear_reconstruction(setup, H_meas, opts, truth)
             rec.text("trace.csv", trace_csv(result))
             rec.json("reconstruction.json", nonlinear_dict(result, diverged))
             if diverged is not None:

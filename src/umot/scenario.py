@@ -131,18 +131,16 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class InversionConfig:
+    """The inversion path, and the nonlinear sweep's ``mode``, ``tol`` and
+    ``kmax`` as the ReconstructOptions that declares and checks them; the
+    scenario's ``inversion`` object holds all four keys side by side."""
+
     path: str = "linearized"
-    mode: str = ReconstructOptions.mode
-    tol: float = ReconstructOptions.tol
-    kmax: int = ReconstructOptions.kmax
+    options: ReconstructOptions = ReconstructOptions()
 
     def __post_init__(self):
         if self.path not in ("linearized", "constant_bg", "nonlinear"):
             raise ScenarioError(f"unknown inversion path '{self.path}'")
-        if self.mode not in ("frozen", "refreshed"):
-            raise ScenarioError(f"unknown reconstruction mode '{self.mode}'")
-        _check_count("kmax", self.kmax, 0)
-        _check_real("inversion tol", self.tol)
 
 
 @dataclass(frozen=True)
@@ -284,7 +282,7 @@ class ScenarioConfig:
             ],
             "noise": {"level": self.noise.level, "seed": self.noise.seed},
             "certify": asdict(self.certify),
-            "inversion": asdict(self.inversion),
+            "inversion": {"path": self.inversion.path, **asdict(self.inversion.options)},
         }
 
 
@@ -338,6 +336,8 @@ def parse_scenario(data) -> ScenarioConfig:
     _require_keys(certify_d, "certify", optional={"margin_threshold"})
     inv_d = data.get("inversion", {})
     _require_keys(inv_d, "inversion", optional={"path", "mode", "tol", "kmax"})
+    path = inv_d.get("path", InversionConfig.path)
+    opts_d = {k: v for k, v in inv_d.items() if k != "path"}
 
     try:
         return ScenarioConfig(
@@ -348,7 +348,7 @@ def parse_scenario(data) -> ScenarioConfig:
             phantom=tuple(map(_bump, ph)),
             noise=NoiseConfig(float(noise_d.get("level", 0.0)), noise_d.get("seed")),
             certify=CertifyConfig(**certify_d),
-            inversion=InversionConfig(**inv_d),
+            inversion=InversionConfig(path, ReconstructOptions(**opts_d)),
         )
     except (TypeError, ValueError, BumpTouchesBoundary, DirectionsNotCertified, ZeroEta) as exc:
         # refused by a library constructor

@@ -13,7 +13,6 @@ from umot import (
     certify_field,
     cgo_boundary_set,
     constant_bg_boundary_set,
-    internal_functional,
 )
 from umot.field_core import gradient, rel_l2_error
 from umot.forward import DiffusionSolver
@@ -82,30 +81,35 @@ def test_maximum_principle_heuristic():
     assert u.values.max() <= f.values.max() + 1e-8
 
 
+def _functional(coeffs, u, eta=1.0) -> ScalarField:
+    """H of any field u at ``coeffs``: the H of a one-solution bundle holding u."""
+    f = BoundaryData(u.grid, u.values[u.grid.boundary_indices()])
+    bundle = build_bundle(coeffs, [f], eta)
+    return dataclasses.replace(bundle, solutions=((f, u),)).H[0]
+
+
 def test_internal_functional_cases():
     g = Grid.unit_square(17)
     coeffs = CoefficientPair.constant(g, 1.0, 0.0)
     X, Y = g.coords()
     u = ScalarField(g, X)
-    H = internal_functional(coeffs, u, eta=1.0)
+    H = _functional(coeffs, u, eta=1.0)
     assert np.abs(H.values - 1.0).max() < 1e-12
 
-    assert np.abs(internal_functional(coeffs, ScalarField.constant(g, 0.0)).values).max() == 0.0
+    assert np.abs(_functional(coeffs, ScalarField.constant(g, 0.0)).values).max() == 0.0
 
     # constant background: H = (1 + eta) sigma u^2 for the exponential solution
     gamma0, sigma0, eta = 2.0, 0.5, 1.5
     rate = np.sqrt(sigma0 / gamma0)
     coeffs2 = CoefficientPair.constant(g, gamma0, sigma0)
     f = BoundaryData.from_function(g, lambda x, y: np.exp(rate * x))
-    u2 = DiffusionSolver(coeffs2).solve(f)
-    H2 = internal_functional(coeffs2, u2, eta)
+    H2 = build_bundle(coeffs2, [f], eta).H[0]
     exact = (1 + eta) * sigma0 * np.exp(2 * rate * X)
     assert rel_l2_error(H2.values, exact, g) < 5e-3
 
 
 def test_polarization_identity_from_solves(bundle24):
     # H(u_a + u_b) - H(u_a) - H(u_b) = 2 H_ab to round-off by construction
-    from umot import internal_functional
     from umot.field_core import BoundaryData as BD
 
     coeffs, eta = bundle24.coeffs, bundle24.eta
@@ -114,7 +118,7 @@ def test_polarization_identity_from_solves(bundle24):
     f_ab = BD(bundle24.grid, f_a.values + f_b.values)
     u_ab = bundle24.solver.solve(f_ab)
     assert np.abs(u_ab.values - u_a.values - u_b.values).max() < 1e-9
-    H_ab = internal_functional(coeffs, u_ab, eta)
+    H_ab = dataclasses.replace(bundle24, solutions=((f_ab, u_ab),)).H[0]
     pol = 0.5 * (H_ab.values - bundle24.H[0].values - bundle24.H[1].values)
     from umot.field_core import gradient
 
@@ -149,9 +153,11 @@ def test_bundle_derives_geometry_and_H_on_first_read():
     # are formed by the certification (see test_ellipticity)
     bundle = build_bundle(*_heterogeneous_cgo(24), eta=0.7)
     assert "gradients" not in bundle.__dict__ and "H" not in bundle.__dict__
+    gamma, sigma = bundle.coeffs.gamma.values, bundle.coeffs.sigma.values
     for (_, u), F, h in zip(bundle.solutions, bundle.gradients, bundle.H):
         assert np.array_equal(F.values, gradient(u).values)
-        assert np.array_equal(h.values, internal_functional(bundle.coeffs, u, 0.7).values)
+        mag2 = F.values[:, 0] ** 2 + F.values[:, 1] ** 2
+        assert np.array_equal(h.values, gamma * mag2 + 0.7 * sigma * u.values ** 2)
     assert bundle.gradients is bundle.gradients  # computed once, then kept
 
     sub = dataclasses.replace(bundle, solutions=bundle.solutions[:2])
@@ -187,9 +193,9 @@ def test_certified_bundle_holds_no_full_grid_theta_or_d():
 
 
 def test_one_gradient_per_solution_shared_by_its_readers(monkeypatch):
-    # certification, assembly and the Jacobian action all read the bundle's
-    # F_j: each solution's gradient is formed once per bundle (the Jacobian
-    # action still takes the gradient of its own du_j)
+    # H_j, certification, assembly and the Jacobian action all read the
+    # bundle's F_j: each solution's gradient is formed once per bundle (the
+    # Jacobian action still takes the gradient of its own du_j)
     import umot.forward
     import umot.linearized
     from umot import apply_linearized_forward, assemble_system
@@ -204,6 +210,7 @@ def test_one_gradient_per_solution_shared_by_its_readers(monkeypatch):
         monkeypatch.setattr(module, "gradient", counted)
     bundle = build_bundle(*_heterogeneous_cgo(24))
     zero = ScalarField.constant(bundle.grid, 0.0)
+    bundle.H
     certify_field(bundle)
     gradients = bundle.gradients
     assemble_system(bundle, [zero] * bundle.J)

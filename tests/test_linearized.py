@@ -15,6 +15,7 @@ from umot import (
     injectivity_probe,
     solve_normal_equations,
 )
+from umot.errors import GridMismatch
 from umot.field_core import rel_l2_error
 from umot.linearized import normal_residual
 from umot.phantom import add_noise, bump_field
@@ -251,6 +252,24 @@ def test_lift_mode_round_trip(bundle24):
     zero_b = BoundaryData.zero(g)
     v = solve_normal_equations(sys_, g=[zero_b] * (2 + bundle24.J))
     assert rel_l2_error(v.dgamma.values, dg.values, g) < 1e-6
+
+
+@pytest.mark.parametrize("blocks", ["all", "one"])
+def test_normal_data_on_another_grid_refused(dirs3, blocks):
+    # normal data on a 19² grid for a 17² system, in all five blocks or in
+    # one, is refused before any lift: all five would otherwise lift on 19²
+    # and be cut to the 17² interior without an error
+    g, other = Grid(17, 17, 1 / 16, 1 / 16), Grid(19, 19, 1 / 18, 1 / 18)
+    traces = constant_bg_boundary_set(g, 1.0, 0.5, dirs3)
+    bundle = build_bundle(CoefficientPair.constant(g, 1.0, 0.5), traces)
+    sys_ = assemble_system(bundle, _zero_fields(g, bundle.J))
+    normal = [BoundaryData.zero(g)] * (2 + bundle.J)
+    if blocks == "all":
+        normal = [BoundaryData.zero(other)] * (2 + bundle.J)
+    else:
+        normal[3] = BoundaryData.zero(other)
+    with pytest.raises(GridMismatch, match="normal data on the wrong grid"):
+        solve_normal_equations(sys_, g=normal)
 
 
 @pytest.mark.parametrize("J", [1, 2])

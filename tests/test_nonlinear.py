@@ -297,9 +297,34 @@ def test_stability_probe_noise_floor(setup):
     assert slope < 0.5
 
 
-def test_reconstruct_options_reject_negative_kmax():
-    with pytest.raises(ValueError, match="kmax"):
-        ReconstructOptions(kmax=-1)
+@pytest.mark.parametrize(
+    "key, value",
+    [("kmax", -1), ("kmax", 1.5), ("kmax", True), ("tol", float("nan")), ("tol", -1.0)],
+)
+def test_reconstruct_options_reject_negative_kmax(key, value):
+    # kmax is an integer >= 0 that is not a bool, tol a finite number >= 0
+    with pytest.raises(ValueError, match=key):
+        ReconstructOptions(**{key: value})
+
+
+def test_each_iterate_residual_is_formed_once(setup, monkeypatch):
+    # the line search's accepted trial hands its residual fields to the next
+    # sweep: k sweeps without halvings form k + 1, one per iterate
+    g, coeffs0, traces = setup
+    bt = build_bundle(_truth(g, 0.01), traces)
+    residual_fields = nonlinear._residual_fields
+    bundles = []
+
+    def counted(bundle, H_meas):
+        bundles.append(bundle)
+        return residual_fields(bundle, H_meas)
+
+    monkeypatch.setattr(nonlinear, "_residual_fields", counted)
+    res = reconstruct(list(bt.H), traces, coeffs0, opts=ReconstructOptions(kmax=3, tol=0.0))
+    k = res.iterations
+    assert k == 3 and len(res.history) == k + 1
+    assert all(r.damping == nonlinear.DAMPING for r in res.history)
+    assert len(bundles) == k + 1 and len(set(map(id, bundles))) == k + 1
 
 
 def test_contraction_estimate_guards():

@@ -70,6 +70,13 @@ def test_noise_determinism_and_level():
     assert abs(sample_std - 0.01) < 0.002
 
 
+@pytest.mark.parametrize("level", [float("nan"), float("inf")])
+def test_noise_level_must_be_finite(level):
+    H = ScalarField.constant(Grid.unit_square(9), 2.0)
+    with pytest.raises(ValueError, match="noise level must be a finite number"):
+        add_noise(H, level, 1)
+
+
 def test_field_json_round_trip(tmp_path):
     g = Grid(9, 7, 0.1, 0.2, x0=-0.3, y0=1.0)
     rng = np.random.default_rng(0)
