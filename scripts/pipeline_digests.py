@@ -1,4 +1,4 @@
-"""Print the sha256 of every artifact of thirteen fixed pipeline scenarios.
+"""Print the sha256 of every artifact of fourteen fixed pipeline scenarios.
 
     python3 scripts/pipeline_digests.py --out DIR
 
@@ -16,6 +16,11 @@ the coarse operators to round-off.
 The three ``uncertified_*`` scenarios set ``margin_threshold`` above the
 margin and run with ``allow_noncertified``, one per inversion path, so they
 pin that an allowed failure changes no number (it warns on stderr).
+The ``defaults`` scenario is written out in full, not derived from BASE: it
+leaves out every optional key (``eta``, ``noise``, ``certify``,
+``inversion``, a bump's ``target``, the CGO ``M`` and ``k``), gives the
+phantom as a bare list and moves the grid's origin, so its digests pin each
+default and the serialization of what the input left out.
 The script works inside DIR, so the file paths that ``scenario.json``
 records are the same on every run.
 """
@@ -69,7 +74,7 @@ def _cgo_fields(n: int, directory: str) -> dict:
     }
 
 
-SCENARIOS = {
+VARIANTS = {
     "criterion9": {},
     "noise_free": NOISE_FREE,
     "constant_bg": {**NOISE_FREE, "inversion": {"path": "constant_bg"}},
@@ -95,10 +100,17 @@ UNCERTIFIED = {
     "uncertified_nonlinear": {"path": "nonlinear", "kmax": 4},
     "uncertified_constant_bg": {"path": "constant_bg"},
 }
-SCENARIOS.update(
+VARIANTS.update(
     (name, {**NOISE_FREE, "certify": {"margin_threshold": 10.0}, "inversion": inversion})
     for name, inversion in UNCERTIFIED.items()
 )
+SCENARIOS = {name: {**BASE, **changes} for name, changes in VARIANTS.items()}
+SCENARIOS["defaults"] = {
+    "grid": {"nx": 24, "ny": 24, "hx": 1 / 23, "hy": 1 / 23, "x0": -0.5, "y0": 0.25},
+    "background": {"type": "constant", "gamma0": 1.0, "sigma0": 0.2},
+    "boundary_set": {"type": "cgo"},
+    "phantom": [{"center": [-0.1, 0.7], "radius": 0.2, "amplitude": 0.02}],
+}
 
 
 def _write_background_fields() -> None:
@@ -131,8 +143,8 @@ def main(argv=None) -> int:
     os.chdir(out)
     _write_background_fields()
     _write_boundary_traces()
-    for name, changes in SCENARIOS.items():
-        config = umot.parse_scenario(json.dumps({**BASE, **changes}))
+    for name, scenario in SCENARIOS.items():
+        config = umot.parse_scenario(json.dumps(scenario))
         manifest = umot.run_pipeline(config, name, allow_noncertified=name in UNCERTIFIED)
         for path, digest in manifest.outputs:
             print(f"{name}/{path} {digest}")

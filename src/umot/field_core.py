@@ -62,9 +62,6 @@ class Grid:
     def n_boundary(self) -> int:
         return 2 * self.nx + 2 * self.ny - 4
 
-    def index(self, i, j):
-        return j * self.nx + i
-
     def axes(self):
         """Node coordinates along each axis: x (nx values) and y (ny values)."""
         return self.x0 + self.hx * np.arange(self.nx), self.y0 + self.hy * np.arange(self.ny)
@@ -181,10 +178,6 @@ class BoundaryData:
         X, Y = grid.coords()
         b = grid.boundary_indices()
         return cls(grid, np.asarray(fn(X[b], Y[b]), dtype=float))
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "BoundaryData":
-        return cls(grid, np.zeros(grid.n_boundary))
 
 
 class DiscreteOperator:

@@ -1,10 +1,13 @@
 """Scenario configuration: one JSON object, one fully determined experiment.
 
-Unknown keys and missing required keys are rejected at every level, a seed
-is mandatory whenever noise is requested, and the parsed configuration
-serializes back to itself with all defaults made explicit.  Counts must be
-integers, other numbers JSON numbers, not strings, booleans or nulls.
-Parsing builds the scenario's one base point, a ``ScenarioSetup``:
+Unknown keys and missing required keys are rejected at every level, and a
+seed is mandatory whenever noise is requested.  Counts must be integers,
+other numbers JSON numbers, not strings, booleans or nulls.  The parsed
+configuration serializes back to itself with every default made explicit
+except four: the grid's ``x0``/``y0`` and a CGO set's ``M``/``k`` are
+written back only when the input gives them (a bare CGO set serializes as
+``{"type": "cgo"}``).  One function per section checks it and builds it,
+and parsing builds the scenario's one base point, a ``ScenarioSetup``:
 the grid, the background (reading a ``fields`` background's files), the
 traces (reading an ``explicit`` boundary set's files) and the truth; on the
 ``constant_bg`` path it also builds the constant background.  So the library
@@ -15,6 +18,7 @@ built.  The base bundle and its certificate are made on first use.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import logging
@@ -109,14 +113,6 @@ def _check_real(name: str, value) -> None:
 
 
 @dataclass(frozen=True)
-class CertifyConfig:
-    margin_threshold: float = DEFAULT_MARGIN_THRESHOLD
-
-    def __post_init__(self):
-        _check_real("margin_threshold", self.margin_threshold)
-
-
-@dataclass(frozen=True)
 class NoiseConfig:
     level: float = 0.0
     seed: int | None = None
@@ -177,113 +173,104 @@ class ScenarioSetup:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    grid: dict
-    eta: float
-    background: dict
-    boundary_set: dict
-    phantom: tuple = ()
-    noise: NoiseConfig = NoiseConfig()
-    certify: CertifyConfig = CertifyConfig()
-    inversion: InversionConfig = InversionConfig()
+    """A parsed scenario, as the pipeline and the CLI read it: the base point,
+    the noise and inversion settings, the constant-background route and the
+    canonical scenario object that ``to_dict`` returns.  ``_directions`` are
+    a ``constant_bg`` boundary set's normalized directions, None for the
+    other sets."""
 
-    def __post_init__(self):
-        if not np.isfinite(self.eta):
-            raise ScenarioError(f"eta must be finite, got {self.eta}")
-        if self.boundary_set["type"] == "constant_bg" and self.background["type"] != "constant":
-            raise ScenarioError("constant_bg boundary sets need a constant background")
-        if self.inversion.path == "constant_bg" and self.boundary_set["type"] != "constant_bg":
-            raise ScenarioError("inversion path 'constant_bg' needs a constant_bg boundary set")
-        # built now, so that a refusal comes before anything is written
-        self.setup
-        if self.inversion.path == "constant_bg":
-            self.constant_background
-
-    @cached_property
-    def setup(self) -> ScenarioSetup:
-        """The scenario's one base point; its bundle is not built here."""
-        grid = self.make_grid()
-        bg = self.make_background(grid)
-        return ScenarioSetup(
-            grid, bg, self.make_traces(grid, bg), self.make_truth(grid, bg),
-            self.eta, self.certify.margin_threshold,
-        )
+    setup: ScenarioSetup
+    noise: NoiseConfig
+    inversion: InversionConfig
+    _directions: DirectionSet | None
+    _document: dict
 
     @cached_property
     def constant_background(self) -> ConstantBackground:
         """Background of the constant-background route: built at parse on the
         ``constant_bg`` path, on first use (``umot constbg``) on the others."""
-        bg = self.background
-        return ConstantBackground(bg["gamma0"], bg["sigma0"], self.eta, self.make_directions())
-
-    def make_grid(self) -> Grid:
-        g = self.grid
-        return Grid(
-            g["nx"], g["ny"], float(g["hx"]), float(g["hy"]),
-            float(g.get("x0", 0.0)), float(g.get("y0", 0.0)),
-        )
-
-    def make_background(self, grid: Grid) -> CoefficientPair:
-        bg = self.background
-        if bg["type"] == "constant":
-            return CoefficientPair.constant(grid, bg["gamma0"], bg["sigma0"])
-        gamma, sigma = (
-            _read_file(bg[key], f"background {key}", field_from_dict)
-            for key in ("gamma_file", "sigma_file")
-        )
-        if gamma.grid != grid or sigma.grid != grid:
-            raise ScenarioError("background field files disagree with the grid")
-        return CoefficientPair(gamma, sigma)
-
-    def make_truth(self, grid: Grid, background: CoefficientPair) -> CoefficientPair:
-        dg, ds = generate_phantom(grid, list(self.phantom))
-        return CoefficientPair(
-            ScalarField(grid, background.gamma.values + dg.values),
-            ScalarField(grid, background.sigma.values + ds.values),
-        )
-
-    def make_directions(self) -> DirectionSet:
-        bs = self.boundary_set
-        if bs["type"] != "constant_bg":
+        if self._directions is None:
             raise ScenarioError("the constant-background route needs a constant_bg boundary set")
-        vecs = [np.asarray(v, dtype=float) for v in bs["dirs"]]
-        vecs = [v / np.linalg.norm(v) for v in vecs]
-        return DirectionSet(2, tuple(vecs))
-
-    def make_traces(self, grid: Grid, background: CoefficientPair) -> list[BoundaryData]:
-        bs = self.boundary_set
-        if bs["type"] == "cgo":
-            return cgo_boundary_set(grid, bs.get("M", 4.0), bs.get("k", 1.0), background)
-        if bs["type"] == "constant_bg":
-            bg = self.background
-            return constant_bg_boundary_set(
-                grid, bg["gamma0"], bg["sigma0"], self.make_directions()
-            )
-        if bs["type"] == "explicit":
-            def trace(d):
-                return BoundaryData(grid, require_floats(d, "values", "boundary file"))
-
-            return [_read_file(f, "boundary file", trace) for f in bs["files"]]
-        raise ScenarioError(f"unknown boundary set type '{bs['type']}'")
+        bg = self._document["background"]
+        return ConstantBackground(bg["gamma0"], bg["sigma0"], self.setup.eta, self._directions)
 
     def to_dict(self) -> dict:
-        return {
-            "grid": dict(self.grid),
-            "eta": self.eta,
-            "background": dict(self.background),
-            "boundary_set": dict(self.boundary_set),
-            "phantom": [
-                {
-                    "center": list(b.center),
-                    "radius": b.radius,
-                    "amplitude": b.amplitude,
-                    "target": b.target,
-                }
-                for b in self.phantom
-            ],
-            "noise": {"level": self.noise.level, "seed": self.noise.seed},
-            "certify": asdict(self.certify),
-            "inversion": {"path": self.inversion.path, **asdict(self.inversion.options)},
-        }
+        return copy.deepcopy(self._document)
+
+
+def _grid(d) -> Grid:
+    _require_keys(d, "grid", {"nx", "ny", "hx", "hy"}, {"x0", "y0"})
+    _check_numbers(d, "grid", "hx", "hy", "x0", "y0")
+    return Grid(
+        d["nx"], d["ny"], float(d["hx"]), float(d["hy"]),
+        float(d.get("x0", 0.0)), float(d.get("y0", 0.0)),
+    )
+
+
+def _background(d, grid: Grid) -> CoefficientPair:
+    kind = _object(d, "background").get("type")
+    if kind == "constant":
+        _require_keys(d, "background", {"type", "gamma0", "sigma0"})
+        _check_numbers(d, "background", "gamma0", "sigma0")
+        return CoefficientPair.constant(grid, d["gamma0"], d["sigma0"])
+    if kind != "fields":
+        raise ScenarioError("background type must be 'constant' or 'fields'")
+    _require_keys(d, "background", {"type", "gamma_file", "sigma_file"})
+    gamma, sigma = (
+        _read_file(d[key], f"background {key}", field_from_dict)
+        for key in ("gamma_file", "sigma_file")
+    )
+    if gamma.grid != grid or sigma.grid != grid:
+        raise ScenarioError("background field files disagree with the grid")
+    return CoefficientPair(gamma, sigma)
+
+
+def _boundary_set(
+    d, bg: dict, grid: Grid, background: CoefficientPair
+) -> tuple[list[BoundaryData], DirectionSet | None]:
+    """The traces of the ``boundary_set`` section ``d`` on the checked
+    background section ``bg``, and a ``constant_bg`` set's directions."""
+    kind = _object(d, "boundary_set").get("type")
+    if kind == "cgo":
+        _require_keys(d, "boundary_set", {"type"}, {"M", "k"})
+        _check_numbers(d, "boundary_set", "M", "k")
+        return cgo_boundary_set(grid, d.get("M", 4.0), d.get("k", 1.0), background), None
+    if kind == "constant_bg":
+        _require_keys(d, "boundary_set", {"type", "dirs"})
+        if not isinstance(d["dirs"], (list, tuple)) or not all(map(_is_direction, d["dirs"])):
+            raise ScenarioError(
+                "boundary_set.dirs must list nonzero 2-component vectors of numbers"
+            )
+        if bg["type"] != "constant":
+            raise ScenarioError("constant_bg boundary sets need a constant background")
+        vecs = [np.asarray(v, dtype=float) for v in d["dirs"]]
+        dirs = DirectionSet(2, tuple(v / np.linalg.norm(v) for v in vecs))
+        return constant_bg_boundary_set(grid, bg["gamma0"], bg["sigma0"], dirs), dirs
+    if kind != "explicit":
+        raise ScenarioError("boundary set type must be cgo, constant_bg, or explicit")
+    _require_keys(d, "boundary_set", {"type", "files"})
+    if not isinstance(d["files"], (list, tuple)) or not d["files"]:
+        raise ScenarioError("boundary_set.files must list at least one boundary file")
+
+    def trace(f):
+        return BoundaryData(grid, require_floats(f, "values", "boundary file"))
+
+    return [_read_file(f, "boundary file", trace) for f in d["files"]], None
+
+
+def _phantom(ph, grid: Grid, background: CoefficientPair) -> tuple[CoefficientPair, list]:
+    """The truth, the background plus the ``phantom`` section's bumps, and
+    the bumps written back in full."""
+    if isinstance(ph, dict):
+        _require_keys(ph, "phantom", {"bumps"})
+        ph = ph["bumps"]
+    bumps = [_bump(b) for b in ph]
+    dg, ds = generate_phantom(grid, bumps)
+    truth = CoefficientPair(
+        ScalarField(grid, background.gamma.values + dg.values),
+        ScalarField(grid, background.sigma.values + ds.values),
+    )
+    return truth, [asdict(b) | {"center": list(b.center)} for b in bumps]
 
 
 def parse_scenario(data) -> ScenarioConfig:
@@ -294,62 +281,48 @@ def parse_scenario(data) -> ScenarioConfig:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     _require_keys(data, "scenario", {"grid", "background", "boundary_set"}, _OPTIONAL_TOP_KEYS)
-    _require_keys(data["grid"], "grid", {"nx", "ny", "hx", "hy"}, {"x0", "y0"})
-    _check_numbers(data["grid"], "grid", "hx", "hy", "x0", "y0")
     _check_numbers(data, "scenario", "eta")
-
-    bg = _object(data["background"], "background")
-    if bg.get("type") == "constant":
-        _require_keys(bg, "background", {"type", "gamma0", "sigma0"})
-        _check_numbers(bg, "background", "gamma0", "sigma0")
-    elif bg.get("type") == "fields":
-        _require_keys(bg, "background", {"type", "gamma_file", "sigma_file"})
-    else:
-        raise ScenarioError("background type must be 'constant' or 'fields'")
-
-    bs = _object(data["boundary_set"], "boundary_set")
-    if bs.get("type") == "cgo":
-        _require_keys(bs, "boundary_set", {"type"}, {"M", "k"})
-        _check_numbers(bs, "boundary_set", "M", "k")
-    elif bs.get("type") == "constant_bg":
-        _require_keys(bs, "boundary_set", {"type", "dirs"})
-        dirs = bs["dirs"]
-        if not isinstance(dirs, (list, tuple)) or not all(map(_is_direction, dirs)):
-            raise ScenarioError(
-                "boundary_set.dirs must list nonzero 2-component vectors of numbers"
-            )
-    elif bs.get("type") == "explicit":
-        _require_keys(bs, "boundary_set", {"type", "files"})
-        if not isinstance(bs["files"], (list, tuple)) or not bs["files"]:
-            raise ScenarioError("boundary_set.files must list at least one boundary file")
-    else:
-        raise ScenarioError("boundary set type must be cgo, constant_bg, or explicit")
-
-    ph = data.get("phantom", [])
-    if isinstance(ph, dict):
-        _require_keys(ph, "phantom", {"bumps"})
-        ph = ph["bumps"]
+    eta = float(data.get("eta", DEFAULT_ETA))
+    if not np.isfinite(eta):
+        raise ScenarioError(f"eta must be finite, got {eta}")
     noise_d = data.get("noise", {})
     _require_keys(noise_d, "noise", optional={"level", "seed"})
     _check_numbers(noise_d, "noise", "level")
+    noise = NoiseConfig(float(noise_d.get("level", 0.0)), noise_d.get("seed"))
     certify_d = data.get("certify", {})
     _require_keys(certify_d, "certify", optional={"margin_threshold"})
+    threshold = certify_d.get("margin_threshold", DEFAULT_MARGIN_THRESHOLD)
+    _check_real("margin_threshold", threshold)
     inv_d = data.get("inversion", {})
     _require_keys(inv_d, "inversion", optional={"path", "mode", "tol", "kmax"})
-    path = inv_d.get("path", InversionConfig.path)
-    opts_d = {k: v for k, v in inv_d.items() if k != "path"}
 
     try:
-        return ScenarioConfig(
-            grid=dict(data["grid"]),
-            eta=float(data.get("eta", DEFAULT_ETA)),
-            background=dict(bg),
-            boundary_set=dict(bs),
-            phantom=tuple(map(_bump, ph)),
-            noise=NoiseConfig(float(noise_d.get("level", 0.0)), noise_d.get("seed")),
-            certify=CertifyConfig(**certify_d),
-            inversion=InversionConfig(path, ReconstructOptions(**opts_d)),
+        opts = ReconstructOptions(**{k: v for k, v in inv_d.items() if k != "path"})
+        inversion = InversionConfig(inv_d.get("path", InversionConfig.path), opts)
+        grid = _grid(data["grid"])
+        background = _background(data["background"], grid)
+        traces, dirs = _boundary_set(data["boundary_set"], data["background"], grid, background)
+        truth, phantom = _phantom(data.get("phantom", []), grid, background)
+        config = ScenarioConfig(
+            ScenarioSetup(grid, background, traces, truth, eta, threshold),
+            noise,
+            inversion,
+            dirs,
+            # a copy, so that a later change to the input moves nothing written
+            copy.deepcopy({
+                "grid": data["grid"],
+                "eta": eta,
+                "background": data["background"],
+                "boundary_set": data["boundary_set"],
+                "phantom": phantom,
+                "noise": asdict(noise),
+                "certify": {"margin_threshold": threshold},
+                "inversion": {"path": inversion.path, **asdict(opts)},
+            }),
         )
+        if inversion.path == "constant_bg":
+            config.constant_background  # built now, so that a refusal comes before any write
+        return config
     except (TypeError, ValueError, BumpTouchesBoundary, DirectionsNotCertified, ZeroEta) as exc:
         # refused by a library constructor
         raise ScenarioError(f"invalid scenario value: {exc}") from exc

@@ -263,6 +263,27 @@ def test_constant_bg_requirements_checked_at_parse(tmp_path, capsys, changes, me
     assert not out.exists()
 
 
+def test_constant_bg_route_is_built_on_first_use_off_its_path(tmp_path, capsys):
+    # off the constant_bg path the constant-background route is built when
+    # `umot constbg` first uses it: a zero eta, which that route refuses,
+    # parses and runs the linearized pipeline, and only `umot constbg` fails
+    spath = _variant(tmp_path, eta=0.0)
+    parse_scenario(spath.read_text())
+    out = tmp_path / "run"
+    assert main(["pipeline", "--scenario", str(spath), "--out", str(out)]) == 0
+    dh_path = tmp_path / "dh.json"
+    write_field_list_json([read_field_json(out / f"dH_{j}.json") for j in range(3)], dh_path)
+    capsys.readouterr()
+    rec_path = tmp_path / "rec.json"
+    rc = main(
+        ["constbg", "--scenario", str(spath), "--dh", str(dh_path), "--out", str(rec_path)]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "eta must be nonzero" in err
+    assert not rec_path.exists()
+
+
 @pytest.mark.parametrize("key", ["forward_tol", "normal_tol"])
 def test_retired_solver_tolerances_are_unknown_keys(tmp_path, capsys, key):
     # every solve is checked at one fixed bound, so no scenario sets one;

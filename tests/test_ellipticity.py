@@ -38,7 +38,7 @@ def _bundle_of(*us):
     """A bundle whose solutions are the fields ``us``, each with its own boundary
     values as its trace (the coefficients are a placeholder)."""
     g = us[0].grid
-    bundle = build_bundle(CoefficientPair.constant(g, 1.0, 0.0), [BoundaryData.zero(g)])
+    bundle = build_bundle(CoefficientPair.constant(g, 1.0, 0.0), [BoundaryData(g, np.zeros(g.n_boundary))])
     b = g.boundary_indices()
     return dataclasses.replace(
         bundle, solutions=tuple((BoundaryData(g, u.values[b]), u) for u in us)
@@ -308,7 +308,7 @@ def test_certify_field_masked_bundle():
     coeffs = CoefficientPair.constant(g, 1.0, 0.0)
     fx = BoundaryData.from_function(g, lambda x, y: x)
     fy = BoundaryData.from_function(g, lambda x, y: y)
-    bundle = build_bundle(coeffs, [fx, fy, BoundaryData.zero(g)])
+    bundle = build_bundle(coeffs, [fx, fy, BoundaryData(g, np.zeros(g.n_boundary))])
     (_, _, mask_x), (_, _, mask_y), (_, _, mask_0) = el._geometry(bundle)
     assert not mask_x.any() and not mask_y.any()
     assert not bundle.solutions[2][1].values.any()

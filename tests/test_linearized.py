@@ -59,7 +59,7 @@ def test_data_row_stencil_coordinate_background():
     iidx = g.interior_indices()
     n_int = iidx.size
     pos = {int(v): i for i, v in enumerate(iidx)}
-    node = g.index(3, 4)
+    node = 4 * g.nx + 3
     r = pos[node]  # first data block row for solution u = x
     X, _ = g.coords()
 
@@ -67,7 +67,7 @@ def test_data_row_stencil_coordinate_background():
     assert A[r, pos[node]] == pytest.approx(1.0)
     assert A[r, n_int + pos[node]] == pytest.approx(X[node] ** 2)
     lo_u = 2 * n_int
-    east, west = g.index(4, 4), g.index(2, 4)
+    east, west = 4 * g.nx + 4, 4 * g.nx + 2
     assert A[r, lo_u + pos[east]] == pytest.approx(1.0 / g.hx)
     assert A[r, lo_u + pos[west]] == pytest.approx(-1.0 / g.hx)
     assert A[r, lo_u + pos[node]] == pytest.approx(0.0)
@@ -249,7 +249,7 @@ def test_lift_mode_round_trip(bundle24):
     dg, ds = _planted(g)
     dH, _ = apply_linearized_forward(bundle24, dg, ds)
     sys_ = assemble_system(bundle24, dH)
-    zero_b = BoundaryData.zero(g)
+    zero_b = BoundaryData(g, np.zeros(g.n_boundary))
     v = solve_normal_equations(sys_, g=[zero_b] * (2 + bundle24.J))
     assert rel_l2_error(v.dgamma.values, dg.values, g) < 1e-6
 
@@ -263,11 +263,11 @@ def test_normal_data_on_another_grid_refused(dirs3, blocks):
     traces = constant_bg_boundary_set(g, 1.0, 0.5, dirs3)
     bundle = build_bundle(CoefficientPair.constant(g, 1.0, 0.5), traces)
     sys_ = assemble_system(bundle, _zero_fields(g, bundle.J))
-    normal = [BoundaryData.zero(g)] * (2 + bundle.J)
+    normal = [BoundaryData(g, np.zeros(g.n_boundary))] * (2 + bundle.J)
     if blocks == "all":
-        normal = [BoundaryData.zero(other)] * (2 + bundle.J)
+        normal = [BoundaryData(other, np.zeros(other.n_boundary))] * (2 + bundle.J)
     else:
-        normal[3] = BoundaryData.zero(other)
+        normal[3] = BoundaryData(other, np.zeros(other.n_boundary))
     with pytest.raises(GridMismatch, match="normal data on the wrong grid"):
         solve_normal_equations(sys_, g=normal)
 

@@ -219,6 +219,17 @@ def test_scenario_parse_and_serialize_idempotent():
     assert config_digest(config) == config_digest(config2)
 
 
+def test_scenario_writes_back_what_was_parsed():
+    # the parsed scenario owns its canonical object: changing the input dict
+    # or a to_dict result afterwards changes nothing it writes
+    scen = json.loads(json.dumps(SCENARIO))
+    config = parse_scenario(scen)
+    text = serialize_scenario(config)
+    scen["boundary_set"]["dirs"][0][0] = 5
+    config.to_dict()["boundary_set"]["dirs"][1][1] = 5
+    assert serialize_scenario(config) == text
+
+
 def test_scenario_rejects_unknown_keys():
     bad = dict(SCENARIO)
     bad["extra"] = 1
@@ -356,15 +367,11 @@ def test_scenario_setup_is_freed_with_its_config():
 
 
 def test_scenario_builds_experiment():
-    config = parse_scenario(json.dumps(SCENARIO))
-    g = config.make_grid()
-    assert g.nx == 16
-    bg = config.make_background(g)
-    assert bg.gamma.values[0] == 1.0
-    truth = config.make_truth(g, bg)
-    assert truth.gamma.values.max() > 1.0
-    traces = config.make_traces(g, bg)
-    assert len(traces) == 3
+    setup = parse_scenario(json.dumps(SCENARIO)).setup
+    assert setup.grid.nx == 16
+    assert setup.background.gamma.values[0] == 1.0
+    assert setup.truth.gamma.values.max() > 1.0
+    assert len(setup.traces) == 3
 
 
 def test_scenario_field_background_and_explicit_traces(tmp_path):
@@ -388,9 +395,8 @@ def test_scenario_field_background_and_explicit_traces(tmp_path):
         "type": "explicit",
         "files": [str(tmp_path / f"f{i}.json") for i in range(3)],
     }
-    config = parse_scenario(json.dumps(scen))
-    bg = config.make_background(g)
-    assert np.array_equal(bg.gamma.values, gamma.values)
-    traces = config.make_traces(g, bg)
-    assert len(traces) == 3
-    assert traces[0].values[0] == pytest.approx(1.0)
+    setup = parse_scenario(json.dumps(scen)).setup
+    assert setup.grid == g
+    assert np.array_equal(setup.background.gamma.values, gamma.values)
+    assert len(setup.traces) == 3
+    assert setup.traces[0].values[0] == pytest.approx(1.0)
