@@ -9,7 +9,9 @@ forward bundle on a heterogeneous background with the CGO boundary set
 workload, and prints one row: interior unknowns, CG calls, mean and largest
 CG iterations per solve, the ``build_bundle`` wall time, the wall time of a
 separate ``DiffusionSolver`` build (the interior and boundary blocks and the
-multigrid hierarchy, without any CG solve), the worst residual
+multigrid hierarchy, without any CG solve), the mean wall time of one
+``Multigrid.precondition`` (one V-cycle) over CYCLE_REPEATS applications to
+the first trace's right-hand side, the worst residual
 of a stored solution, the ``certify_field`` wall time and margin of that
 bundle, the tracemalloc peak of a second, traced ``build_bundle`` and
 ``certify_field`` (this grid's footprint), and the process's peak RSS so far
@@ -90,6 +92,9 @@ def smooth_variation(grid: umot.Grid, rng) -> np.ndarray:
     return out / out.max()
 
 
+CYCLE_REPEATS = 20  # V-cycles timed per forward row
+
+
 def forward_row(n: int) -> dict:
     rng = np.random.default_rng(1)
     grid = umot.Grid(n, n, 1.0 / (n - 1), 1.0 / (n - 1))
@@ -108,6 +113,11 @@ def forward_row(n: int) -> dict:
     start = time.perf_counter()
     umot.DiffusionSolver(background)
     setup_s = time.perf_counter() - start
+    mg, rhs = bundle.solver._mg, bundle.solver.dirichlet_rhs(traces[0])
+    start = time.perf_counter()
+    for _ in range(CYCLE_REPEATS):
+        mg.precondition(rhs)
+    cycle_s = (time.perf_counter() - start) / CYCLE_REPEATS
     tracemalloc.start()
     umot.certify_field(umot.build_bundle(background, traces))
     peak = tracemalloc.get_traced_memory()[1]
@@ -120,6 +130,7 @@ def forward_row(n: int) -> dict:
         "max_steps": max(steps, default=0),
         "build_s": build_s,
         "setup_s": setup_s,
+        "cycle_ms": 1e3 * cycle_s,
         "residual": max(bundle.solver.residual(u, f) for f, u in bundle.solutions),
         "certify_s": certify_s,
         "margin": report.global_margin,
@@ -177,7 +188,8 @@ ROUTES = {
         [("grid", "grid", 8, ""), ("unknowns", "unknowns", 9, ""),
          ("cg calls", "cg_calls", 8, ""), ("its/solve", "its_per_solve", 9, ".1f"),
          ("max its", "max_steps", 7, ""), ("build s", "build_s", 8, ".3f"),
-         ("setup s", "setup_s", 8, ".4f"), ("residual", "residual", 9, ".2e"),
+         ("setup s", "setup_s", 8, ".4f"), ("cycle ms", "cycle_ms", 8, ".3f"),
+         ("residual", "residual", 9, ".2e"),
          ("certify s", "certify_s", 9, ".4f"),
          ("margin", "margin", 12, ".10f"), ("peak MB", "peak_mb", 8, ".1f"),
          ("peak RSS MB", "peak_rss_mb", 11, ".1f")],

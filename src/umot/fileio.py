@@ -88,8 +88,15 @@ def require_list(d, key: str, what: str) -> list:
 
 
 def is_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool, which Python counts as an int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that ``float`` converts: an int or a float, not a bool,
+    which Python counts as an int, nor an int too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def require_floats(d, key: str, what: str) -> np.ndarray:

@@ -62,11 +62,14 @@ class DiffusionSolver:
     reaches the boundary ring (``diffusion_blocks``), so a Dirichlet solve
     is A_II u_I = ``dirichlet_rhs(f)``.  Every solve is conjugate gradients
     on A_II preconditioned by a multigrid V-cycle whose hierarchy is built
-    once and keeps A_II itself as its finest level.  A problem with at most
-    MG_COARSEST unknowns has no levels: its V-cycle is the exact coarse
-    solve, so CG stops after one step.  Every solve is checked at the solve
-    layer's one residual bound, and a stalled iteration or a solve above
-    that bound raises SolverDivergence.
+    once, with the float32 rounding of A_II as its finest level.  CG's
+    iterates, its products with A_II and every residual check are float64;
+    the V-cycle's levels, smoothing and transfers are float32, and its
+    coarsest LU float64.  A problem with at most MG_COARSEST unknowns has no
+    levels: its V-cycle is the exact float64 coarse solve, so CG stops after
+    one step.  Every solve is checked at the solve layer's one residual
+    bound, and a stalled iteration or a solve above that bound raises
+    SolverDivergence.
     """
 
     def __init__(self, coeffs: CoefficientPair):
@@ -97,7 +100,7 @@ class DiffusionSolver:
         return -r.ravel()
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        return cg_solve(self.A_II, rhs, self._mg.cycle)
+        return cg_solve(self.A_II, rhs, self._mg.precondition)
 
     def solve(self, f: BoundaryData) -> ScalarField:
         """Solution of the Dirichlet problem with trace f."""

@@ -13,7 +13,11 @@ a matrix or a matrix-free product and its preconditioner as a callable: a
 geometric multigrid V-cycle for every forward problem, whose coarse levels
 are Galerkin stencils formed by array arithmetic on the grid (no
 sparse-sparse product), and a DST-I spectral solve for the matrix-free
-constant-background route.  There is no fallback:
+constant-background route.  Forward solves are mixed precision: CG's
+iterates, its products and every residual check are float64, while the
+V-cycle's levels, smoothing and transfers are float32; the coarsest LU stays
+float64.  The cycle evaluated in float64 is SPD, and applied in float32 it
+is that operator up to float32 rounding.  There is no fallback:
 a stalled iteration is an error.  Every solve is checked against one
 relative-residual bound, SOLVE_RTOL, and raises SolverDivergence above it.
 The bound never changes a solution; it only refuses one.
@@ -117,15 +121,22 @@ class Multigrid:
     the writer of A_II too (nine diagonals, fewer on a grid one or two nodes
     across, whose lower taps mirror the upper ones, so every level is
     exactly symmetric).  The finest stencil is read from A_II's diagonals as
-    views, and A_II itself is level 0.  Coarsening stops at MG_COARSEST
-    unknowns, or when an axis is down to one node, which has no coarse node;
-    the last matrix is factored once.  MG_SWEEPS damped-Jacobi sweeps
-    (weight MG_OMEGA) run in place before and after each coarse correction,
-    so the cycle is a symmetric positive definite preconditioner.
+    views.  Coarsening stops at MG_COARSEST unknowns, or when an axis is
+    down to one node, which has no coarse node; the last matrix is factored
+    once, in float64.  Every level above it is stored in float32: level 0 is
+    the float32 rounding of A_II's diagonals, each coarser level the float32
+    rounding of its Galerkin stencil, which ``_galerkin`` forms in float64
+    from float64 taps; the Jacobi weights and the transfers are float32 too.
+    ``cycle`` runs in the precision of its argument: MG_SWEEPS damped-Jacobi
+    sweeps (weight MG_OMEGA) run in place before and after each coarse
+    correction, so the cycle evaluated in float64 is a symmetric positive
+    definite operator, and evaluated in float32, as ``precondition`` runs it
+    for CG, it is that operator up to float32 rounding.
     """
 
     def __init__(self, A: sp.dia_matrix, mx: int, my: int):
-        # (A by diagonals, MG_OMEGA / diag(A), P_x, P_y, P_x^T, P_y^T) above the coarsest
+        # (A by diagonals, MG_OMEGA / diag(A), P_x, P_y, P_x^T, P_y^T) above the
+        # coarsest, each rounded to float32 from the float64 the taps are formed in
         self.levels = []
         # by symmetry the diagonal of offset -o holds, at each node, its tap at offset +o
         diagonals = dict(zip(A.offsets, A.data))
@@ -135,15 +146,27 @@ class Multigrid:
         while A.shape[0] > MG_COARSEST and min(mx, my) >= 2:
             PxT, PyT = coarse_restriction((mx, my), "linear")
             Px, Py, (mx, my) = coarse_basis((mx, my), "linear")
-            self.levels.append((A, MG_OMEGA / taps[0].ravel(), Px, Py, PxT, PyT))
+            level = (A, MG_OMEGA / taps[0].ravel(), Px, Py, PxT, PyT)
+            self.levels.append(tuple(M.astype(np.float32) for M in level))
             taps = _galerkin(taps, mx, my)
             A = stencil_matrix(taps)
         self.coarse = SparseFactor(A)
 
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """CG's preconditioner: one V-cycle on the float32 rounding of ``r``, as float64.
+
+        A hierarchy with no levels returns its exact coarse solve of ``r`` in
+        float64, so CG stops after one step.
+        """
+        if not self.levels:
+            return self.coarse._lu.solve(r)
+        return self.cycle(r.astype(np.float32)).astype(np.float64)
+
     def cycle(self, b: np.ndarray, level: int = 0) -> np.ndarray:
-        """One V-cycle from a zero initial guess: an approximation of A^-1 b."""
+        """One V-cycle from a zero initial guess, in the precision of ``b``:
+        an approximation of A^-1 b."""
         if level == len(self.levels):
-            return self.coarse._lu.solve(b)
+            return self.coarse._lu.solve(b).astype(b.dtype, copy=False)
         A, dinv, Px, Py, PxT, PyT = self.levels[level]
         x = dinv * b
         _smooth(A, dinv, x, b, MG_SWEEPS - 1)
@@ -241,12 +264,14 @@ def cg_solve(A, b: np.ndarray, precondition) -> np.ndarray:
     """CG on an SPD matrix, or on an SPD operator given as its product
     ``A(x)``, preconditioned by ``precondition``.
 
-    ``precondition(r)`` returns an SPD approximation of A^-1 r: one V-cycle
-    of a ``Multigrid`` for the forward problems, a spectral solve for the
-    constant-background route.  The preconditioner, and an operator given
-    as its product, run as float ``LinearOperator``s, so scipy applies
-    neither to a zero vector to learn a dtype: each CG step applies the
-    preconditioner once.  The iteration stops at a relative residual of
+    ``precondition(r)`` returns an SPD approximation of A^-1 r, as float64:
+    ``Multigrid.precondition`` (one float32 V-cycle) for the forward
+    problems, a spectral solve for the constant-background route.  The
+    preconditioner, and an operator given as its product, run as float
+    ``LinearOperator``s, so scipy applies neither to a zero vector to learn
+    a dtype: each CG step applies the preconditioner once.  scipy does not
+    cast what they return, so a float32 result would make CG's search
+    directions float32.  The iteration stops at a relative residual of
     CG_RTOL, and the result is checked against SOLVE_RTOL.  CG that has not
     stopped after CG_MAXITER steps raises.
     """

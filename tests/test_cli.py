@@ -525,6 +525,21 @@ def test_scenario_values_refused_at_parse(tmp_path, capsys, changes, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key", [(None, "eta"), ("noise", "level"), ("grid", "hx")])
+def test_integer_too_large_for_a_float_is_refused(tmp_path, capsys, section, key):
+    # a JSON integer beyond the float range is no number: parse refuses it by
+    # key, where float() would raise OverflowError
+    scen = json.loads(json.dumps(SCENARIO))
+    (scen[section] if section else scen)[key] = 10**400
+    spath = tmp_path / "huge.json"
+    spath.write_text(json.dumps(scen))
+    report = tmp_path / "report.json"
+    assert main(["certify", "--scenario", str(spath), "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{section or 'scenario'}.{key} must be a number" in err
+    assert not report.exists()
+
+
 def test_pipeline_reuses_what_parse_read(tmp_path):
     # a fields background is read once, when the scenario is parsed: the
     # pipeline runs on what parsing built after its files are gone

@@ -315,6 +315,12 @@ def _hard_solver(case: str) -> DiffusionSolver:
     return DiffusionSolver(CoefficientPair.constant(g, 1.0, 0.5))
 
 
+def _solver_of(case: str) -> DiffusionSolver:
+    if case.startswith("heterogeneous"):
+        return DiffusionSolver(_heterogeneous(int(case.rsplit("-", 1)[1])))
+    return _hard_solver(case)
+
+
 @pytest.mark.parametrize("case", HARD_CASES)
 def test_multigrid_cg_matches_direct_solve(case):
     from umot.solvers import SparseFactor
@@ -330,10 +336,11 @@ def test_multigrid_cg_matches_direct_solve(case):
 def test_multigrid_levels_stored_by_diagonals(case):
     # every level above the coarsest is a dia_matrix with ascending offsets,
     # whose product is its sorted CSR product bit for bit; the finest is
-    # A_II itself, not a copy
+    # the float32 rounding of A_II's diagonals
     solver = _hard_solver(case)
     levels = solver._mg.levels
-    assert levels[0][0].data is solver.A_II.data
+    assert np.array_equal(levels[0][0].offsets, solver.A_II.offsets)
+    assert levels[0][0].data.tobytes() == solver.A_II.data.astype(np.float32).tobytes()
     rng = np.random.default_rng(11)
     for A, *_ in levels:
         assert A.format == "dia"
@@ -362,16 +369,14 @@ def test_multigrid_cycle_is_symmetric_positive(case):
 @pytest.mark.parametrize("case", HARD_CASES + ["heterogeneous-96", "heterogeneous-97"])
 def test_multigrid_levels_are_galerkin_products(case):
     # the hierarchy is built by stencil arithmetic; every level below the
-    # finest, and the factored coarsest matrix, is the Galerkin product
-    # P^T A P of the level above with the "linear" coarse basis
+    # finest is the float32 rounding, and the factored coarsest matrix the
+    # float64 value, of the Galerkin product P^T A P of the level above with
+    # the "linear" coarse basis, formed in float64 all the way down
     import scipy.sparse as sp
 
     from umot.field_core import coarse_basis
 
-    if case.startswith("heterogeneous"):
-        solver = DiffusionSolver(_heterogeneous(int(case.rsplit("-", 1)[1])))
-    else:
-        solver = _hard_solver(case)
+    solver = _solver_of(case)
     mg = solver._mg
     grid = solver.coeffs.grid
     mx, my = grid.nx - 2, grid.ny - 2
@@ -381,7 +386,56 @@ def test_multigrid_levels_are_galerkin_products(case):
         P = sp.kron(Py, Px, format="csr")
         A = sp.csr_matrix(P.T @ A @ P)
         level = sp.csr_matrix(level)
+        ref = A.astype(level.dtype)
         assert level.shape == A.shape == (mx * my,) * 2
-        assert abs(level - A).max() <= 1e-13 * abs(A).max()
+        assert abs(level - ref).max() <= 1e-13 * abs(A).max()
         assert (level != level.T).nnz == 0
     assert len(mg.levels) >= (2 if case.startswith("heterogeneous") else 1)
+
+
+@pytest.mark.parametrize("case", ["cgo-bundle-64", "gamma-jump-60"])
+def test_no_float32_reaches_cg(case, monkeypatch):
+    # the V-cycle runs in float32, but scipy's LinearOperator does not cast a
+    # preconditioner's output: every search direction CG forms, and so every
+    # iterate, stays float64 only because precondition returns float64
+    from umot.solvers import Multigrid, cg_solve
+
+    outputs = []
+    precondition = Multigrid.precondition
+
+    def recording(self, r):
+        z = precondition(self, r)
+        outputs.append((r.dtype, z.dtype))
+        return z
+
+    monkeypatch.setattr(Multigrid, "precondition", recording)
+    if case == "cgo-bundle-64":
+        bundle = build_bundle(*_heterogeneous_cgo(64))
+        solver, solutions = bundle.solver, bundle.solutions
+    else:
+        solver = _hard_solver(case)
+        f = BoundaryData.from_function(solver.coeffs.grid, lambda x, y: np.cos(3 * x) + x * y)
+        solutions = [(f, solver.solve(f))]
+    assert {A.dtype for A, *_ in solver._mg.levels} == {np.dtype(np.float32)}
+    assert {u.values.dtype for _, u in solutions} == {np.dtype(np.float64)}
+    rhs = solver.dirichlet_rhs(solutions[0][0])
+    assert cg_solve(solver.A_II, rhs, solver._mg.precondition).dtype == np.float64
+    assert outputs and set(outputs) == {(np.dtype(np.float64),) * 2}
+
+
+@pytest.mark.parametrize("case, steps", zip(HARD_CASES + ["heterogeneous-96"], [18, 35, 9, 10, 10]))
+def test_single_precision_cycle_matches_double(case, steps, cg_steps):
+    # precondition runs the V-cycle in float32; the same cycle evaluated in
+    # float64 is the SPD operator test_multigrid_cycle_is_symmetric_positive
+    # pins, the two agree to a few float32 roundings, and CG takes no more
+    # steps with the float32 cycle than it took with the float64 one
+    solver = _solver_of(case)
+    eps = np.finfo(np.float32).eps
+    f = BoundaryData.from_function(solver.coeffs.grid, lambda x, y: np.cos(3 * x) + x * y)
+    rng = np.random.default_rng(3)
+    for r in [*rng.standard_normal((3, solver.interior.size)), solver.dirichlet_rhs(f)]:
+        single, double = solver._mg.precondition(r), solver._mg.cycle(r)
+        assert double.dtype == np.float64
+        assert np.linalg.norm(single - double) <= 8 * eps * np.linalg.norm(double)
+    solver.solve(f)
+    assert len(cg_steps) == 1 and cg_steps[0] <= steps
