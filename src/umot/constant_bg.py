@@ -59,7 +59,6 @@ from .field_core import (
     Grid,
     ScalarField,
     coarse_basis,
-    coarse_restriction,
     derivative_stencils,
     interior_derivative_matrices,
     interior_stencil_matrix,
@@ -240,14 +239,14 @@ class _SplineRows:
     node (the clamped unknowns), and all J rows are one product of the
     J-by-18 tap matrix with the nine shifted windows of both padded fields.
     ``adjoint`` is its transpose: the transposed product, scattered back
-    onto the windows, then P_y^T f P_x.  Memory is O(n); no matrix is
-    assembled beyond the 1-D bases.
+    onto the windows, then P_y^T f P_x by CSR copies of the transposes.
+    Memory is O(n); no matrix is assembled beyond the 1-D bases.
     """
 
     def __init__(self, bg: ConstantBackground, grid: Grid):
         self.mx, self.my = grid.nx - 2, grid.ny - 2
-        self.Px, self.Py, self.coarse_shape = coarse_basis((self.mx, self.my), "spline")
-        self.PxT, self.PyT = coarse_restriction((self.mx, self.my), "spline")
+        self.Px, self.Py, self.coarse_shape = coarse_basis((self.mx, self.my))
+        self.PxT, self.PyT = self.Px.T.tocsr(), self.Py.T.tocsr()  # a row per coarse node
         # row i: the nine taps of C_i, then those of B_i, in window order
         self.taps = np.array([np.concatenate([C.ravel(), B.ravel()])
                               for C, B in (stencils(bg, v, grid) for v in bg.dirs.vectors)])
@@ -288,9 +287,9 @@ def solve_constant_bg(
     """Recover (dgamma, dsigma) from preprocessed data fields.
 
     Both perturbations are sought on the cubic-spline coarse basis,
-    dgamma = Q c_gamma and dsigma = Q c_sigma with Q = coarse_basis(.,
-    "spline"), which removes the (pi/h, pi/h) mode where the fine J-by-2
-    symbol has rank 1.  The reduced normal system Q2^T (sum_i A_i^T A_i) Q2,
+    dgamma = Q c_gamma and dsigma = Q c_sigma with Q = coarse_basis(.),
+    which removes the (pi/h, pi/h) mode where the fine J-by-2 symbol has
+    rank 1.  The reduced normal system Q2^T (sum_i A_i^T A_i) Q2,
     with A_i = [C_i | B_i] on clamped interior unknowns and Q2 = diag(Q, Q),
     is applied matrix-free by ``_SplineRows`` and solved by conjugate
     gradients preconditioned with ``_spectral_preconditioner``; ``cg_solve``

@@ -380,70 +380,41 @@ def laplacian_matrix(grid: Grid) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 # coarse coefficient basis
 
-# kind: (coarse node count for m fine interior nodes, {fine offset: weight})
-_COARSE_KINDS = {
-    "linear": (lambda m: m // 2, {0: 1.0, -1: 0.5, 1: 0.5}),
-    "spline": (lambda m: (m - 1) // 2, {0: 0.75, -1: 0.5, 1: 0.5, -2: 0.125, 2: 0.125}),
-}
+# cubic B-spline subdivision: {fine offset from coarse node k's fine node 2k + 1: weight}
+_SPLINE_TAPS = {0: 0.75, -1: 0.5, 1: 0.5, -2: 0.125, 2: 0.125}
 
 
-def _coarse_map_1d(m: int, kind: str, transpose: bool) -> sp.csr_matrix:
-    """The 1-D map P (m-by-nc), or P^T, as CSR with sorted indices.
-
-    Row k of P^T holds fine nodes 2k + 1 + o with o ascending; row i of P
-    holds the coarse nodes k with i - 2k - 1 a tap offset, k ascending.
-    Both are written straight from the taps, dropping entries off the axis.
-    """
-    if kind not in _COARSE_KINDS:
-        raise ValueError(f"unknown coarse basis kind {kind!r}")
-    count, taps = _COARSE_KINDS[kind]
-    nc = count(m)
+def _coarse_map_1d(m: int) -> sp.csr_matrix:
+    """The 1-D map P (m-by-nc) as CSR with sorted indices, written straight from
+    the taps: row i holds the coarse nodes k with i - 2k - 1 a tap offset."""
+    nc = (m - 1) // 2
     if nc < 1:
-        raise ValueError(f"{m} interior nodes along an axis leave no {kind} coarse node")
-    offsets = np.array(sorted(taps))
-    if transpose:
-        shape, cols = (nc, m), 2 * np.arange(nc)[:, None] + 1 + offsets
-        keep = (cols >= 0) & (cols < m)
-    else:
-        offsets = offsets[::-1]
-        shape, twice = (m, nc), np.arange(m)[:, None] - 1 - offsets
-        keep = (twice >= 0) & (twice < 2 * nc) & (twice % 2 == 0)
-        cols = twice // 2
-    vals = np.broadcast_to([taps[o] for o in offsets], cols.shape)
+        raise ValueError(f"{m} interior nodes along an axis leave no spline coarse node")
+    offsets = np.array(sorted(_SPLINE_TAPS, reverse=True))
+    twice = np.arange(m)[:, None] - 1 - offsets
+    keep = (twice >= 0) & (twice < 2 * nc) & (twice % 2 == 0)
+    cols = twice // 2
+    vals = np.broadcast_to([_SPLINE_TAPS[o] for o in offsets], cols.shape)
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=shape)
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(m, nc))
 
 
-def coarse_basis(
-    shape: tuple[int, int], kind: str
-) -> tuple[sp.csr_matrix, sp.csr_matrix, tuple[int, int]]:
-    """Coarse basis P = P_y (x) P_x on an mx-by-my block of interior nodes.
+def coarse_basis(shape: tuple[int, int]) -> tuple[sp.csr_matrix, sp.csr_matrix, tuple[int, int]]:
+    """Cubic-spline coarse basis P = P_y (x) P_x on an mx-by-my block of interior nodes.
 
-    ``shape`` is (mx, my), the interior node counts of a Grid
-    (nx - 2, ny - 2) or of a coarse level.  Coarse node k of an axis sits at
-    fine interior node 2k + 1 (0-based), so the coarse spacing is 2h, and
-    the basis is zero beyond either end.  Returns (P_x, P_y, (mcx, mcy)):
-    the sparse 1-D maps from coarse to fine values and the coarse shape;
-    ``coarse_restriction`` gives their transposes.
-
-    * "linear": piecewise-linear interpolation, weights 1/2, 1, 1/2, on
-      m // 2 coarse nodes; the C^0 basis of the forward multigrid.
-    * "spline": cubic B-spline subdivision, weights 1/8, 1/2, 3/4, 1/2, 1/8,
-      on (m - 1) // 2 coarse nodes; a C^2 basis whose best L2 approximation
-      of a smooth field converges at fourth order.  On an even count the last
-      coarse node then sits three fine nodes from the boundary, not one.
-
-    Both ranges are orthogonal to the checkerboard (-1)^(i+j) away from the
-    boundary.  An axis too short for one coarse node raises ValueError.
+    ``shape`` is (mx, my), the interior node counts of a Grid.  On an axis of
+    m nodes P is cubic B-spline subdivision, weights 1/8, 1/2, 3/4, 1/2, 1/8,
+    from (m - 1) // 2 coarse nodes, coarse node k at fine interior node
+    2k + 1 (0-based), so the coarse spacing is 2h and the basis is zero
+    beyond either end; on an even count the last coarse node sits three fine
+    nodes from the boundary, not one.  A C^2 basis whose best L2
+    approximation of a smooth field converges at fourth order, with a range
+    orthogonal to the checkerboard (-1)^(i+j) away from the boundary.
+    Returns (P_x, P_y, (mcx, mcy)); an axis too short for one coarse node
+    raises ValueError.
     """
-    Px, Py = (_coarse_map_1d(m, kind, False) for m in shape)
+    Px, Py = (_coarse_map_1d(m) for m in shape)
     return Px, Py, (Px.shape[1], Py.shape[1])
-
-
-def coarse_restriction(shape: tuple[int, int], kind: str) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(P_x^T, P_y^T) of ``coarse_basis(shape, kind)``, each as CSR."""
-    PxT, PyT = (_coarse_map_1d(m, kind, True) for m in shape)
-    return PxT, PyT
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +107,7 @@ def require_floats(d, key: str, what: str) -> np.ndarray:
     values = require_list(d, key, what)
     for v in values:
         if not is_number(v):
-            raise ValueError(f"{what} key '{key}' must hold numbers, got {v!r}")
+            raise ValueError(f"{what} key '{key}' must hold numbers, got {reprlib.repr(v)}")
     return np.asarray(values, dtype=float)
 
 

@@ -64,10 +64,10 @@ class DiffusionSolver:
     on A_II preconditioned by a multigrid V-cycle whose hierarchy is built
     once, with the float32 rounding of A_II as its finest level.  CG's
     iterates, its products with A_II and every residual check are float64;
-    the V-cycle's levels, smoothing and transfers are float32, and its
-    coarsest LU float64.  A problem with at most MG_COARSEST unknowns has no
-    levels: its V-cycle is the exact float64 coarse solve, so CG stops after
-    one step.  Every solve is checked at the solve layer's one residual
+    the V-cycle's levels and smoothing are float32, its transfers are array
+    slices that run in float32 too, and its coarsest LU is float64.  A
+    problem with at most MG_COARSEST unknowns has no levels: its V-cycle is
+    the exact float64 coarse solve, so CG stops after one step.  Every solve is checked at the solve layer's one residual
     bound, and a stalled iteration or a solve above that bound raises
     SolverDivergence.
     """

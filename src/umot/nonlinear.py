@@ -17,6 +17,7 @@ h-scaled first differences (a first-order Sobolev proxy).
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,11 +61,15 @@ class ReconstructOptions:
 
     def __post_init__(self):
         if self.mode not in ("frozen", "refreshed"):
-            raise ValueError(f"mode must be 'frozen' or 'refreshed', got {self.mode!r}")
+            raise ValueError(
+                f"mode must be 'frozen' or 'refreshed', got {reprlib.repr(self.mode)}"
+            )
         if isinstance(self.kmax, bool) or not isinstance(self.kmax, int) or self.kmax < 0:
-            raise ValueError(f"kmax must be an integer of at least 0, got {self.kmax!r}")
+            raise ValueError(
+                f"kmax must be an integer of at least 0, got {reprlib.repr(self.kmax)}"
+            )
         if not (is_number(self.tol) and 0.0 <= self.tol < np.inf):
-            raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
+            raise ValueError(f"tol must be a finite number >= 0, got {reprlib.repr(self.tol)}")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import copy
 import hashlib
 import json
 import logging
+import reprlib
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -80,7 +81,7 @@ def _check_numbers(d: dict, where: str, *keys) -> None:
     null that ``float`` would convert; ranges are checked where each is used."""
     for key in keys:
         if key in d and not is_number(d[key]):
-            raise ScenarioError(f"{where}.{key} must be a number, got {d[key]!r}")
+            raise ScenarioError(f"{where}.{key} must be a number, got {reprlib.repr(d[key])}")
 
 
 def _is_direction(v) -> bool:
@@ -93,7 +94,9 @@ def _is_direction(v) -> bool:
 def _bump(b: dict) -> BumpSpec:
     _require_keys(b, "phantom bump", {"center", "radius", "amplitude"}, {"target"})
     if not (isinstance(b["center"], (list, tuple)) and all(map(is_number, b["center"]))):
-        raise ScenarioError(f"phantom bump center must list numbers, got {b['center']!r}")
+        raise ScenarioError(
+            f"phantom bump center must list numbers, got {reprlib.repr(b['center'])}"
+        )
     _check_numbers(b, "phantom bump", "radius", "amplitude")
     return BumpSpec(
         tuple(b["center"]), float(b["radius"]), float(b["amplitude"]), b.get("target", "gamma")
@@ -103,13 +106,15 @@ def _bump(b: dict) -> BumpSpec:
 def _check_count(name: str, value, low: int) -> None:
     """An integer setting: a JSON integer (not a float or a bool) of at least ``low``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ScenarioError(f"{name} must be an integer of at least {low}, got {value!r}")
+        raise ScenarioError(
+            f"{name} must be an integer of at least {low}, got {reprlib.repr(value)}"
+        )
 
 
 def _check_real(name: str, value) -> None:
     """A real setting: a finite JSON number >= 0."""
     if not (is_number(value) and 0.0 <= value < np.inf):
-        raise ScenarioError(f"{name} must be a finite number >= 0, got {value!r}")
+        raise ScenarioError(f"{name} must be a finite number >= 0, got {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,12 @@ once per matrix, reused for every right-hand side, and also driving the
 inverse iteration of the smallest-singular-value probe.  Every iterative
 solve goes through one conjugate-gradient policy, ``cg_solve``, which takes
 a matrix or a matrix-free product and its preconditioner as a callable: a
-geometric multigrid V-cycle for every forward problem, whose coarse levels
-are Galerkin stencils formed by array arithmetic on the grid (no
-sparse-sparse product), and a DST-I spectral solve for the matrix-free
-constant-background route.  Forward solves are mixed precision: CG's
-iterates, its products and every residual check are float64, while the
-V-cycle's levels, smoothing and transfers are float32; the coarsest LU stays
-float64.  The cycle evaluated in float64 is SPD, and applied in float32 it
-is that operator up to float32 rounding.  There is no fallback:
-a stalled iteration is an error.  Every solve is checked against one
-relative-residual bound, SOLVE_RTOL, and raises SolverDivergence above it.
-The bound never changes a solution; it only refuses one.
+geometric multigrid V-cycle in float32 (``Multigrid``) for every forward
+problem, whose iterates and residual checks stay float64, and a DST-I
+spectral solve for the matrix-free constant-background route.  There is no
+fallback: a stalled iteration is an error.  Every solve is checked against
+one relative-residual bound, SOLVE_RTOL, and raises SolverDivergence above
+it.  The bound never changes a solution; it only refuses one.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverDivergence
-from .field_core import coarse_basis, coarse_restriction, stencil_matrix
+from .field_core import stencil_matrix
 
 MG_COARSEST = 400  # unknowns at or below which the hierarchy stops and factors
 MG_OMEGA = 0.8  # damped-Jacobi weight
@@ -113,20 +108,23 @@ class Multigrid:
     ``A`` is the ``dia_matrix`` that ``field_core.diffusion_blocks`` returns
     for an mx-by-my block of interior nodes, ordered row-major with x
     fastest: a symmetric 5-point stencil with offsets (-mx, -1, 0, 1, mx).
-    Each level halves both node counts, prolongs by the "linear"
-    ``coarse_basis`` P = P_y (x) P_x and restricts by P^T; the coarse
-    operator P^T A P is formed as a stencil (``_galerkin``), one pass along x
-    and one along y, from the centre and the four upper taps of the level
-    above, and written into its diagonals by ``field_core.stencil_matrix``,
-    the writer of A_II too (nine diagonals, fewer on a grid one or two nodes
-    across, whose lower taps mirror the upper ones, so every level is
-    exactly symmetric).  The finest stencil is read from A_II's diagonals as
-    views.  Coarsening stops at MG_COARSEST unknowns, or when an axis is
-    down to one node, which has no coarse node; the last matrix is factored
-    once, in float64.  Every level above it is stored in float32: level 0 is
-    the float32 rounding of A_II's diagonals, each coarser level the float32
-    rounding of its Galerkin stencil, which ``_galerkin`` forms in float64
-    from float64 taps; the Jacobi weights and the transfers are float32 too.
+    Each level halves both node counts: coarse node k of an axis of m nodes
+    sits at fine node 2k + 1, k < m // 2.  P = P_y (x) P_x is linear
+    interpolation (fine node 2k + 1 weighs 1, fine nodes 2k and 2k + 2
+    weigh 1/2), and ``cycle`` applies P and P^T by array slices, along x and
+    then along y (``_prolong``, ``_restrict``); no matrix holds them.  The
+    coarse operator P^T A P is formed as a stencil (``_galerkin``), one pass
+    along x and one along y, from the centre and the four upper taps of the
+    level above, and written into its diagonals by
+    ``field_core.stencil_matrix``, the writer of A_II too (nine diagonals,
+    fewer on a grid one or two nodes across, whose lower taps mirror the
+    upper ones, so every level is exactly symmetric).  The finest stencil is
+    read from A_II's diagonals as views.  Coarsening stops at MG_COARSEST
+    unknowns, or when an axis is down to one node, which has no coarse node;
+    the last matrix is factored once, in float64.  Every level above it
+    keeps its diagonals (the float32 rounding of A_II's, or of the Galerkin
+    stencil ``_galerkin`` forms in float64), its float32 Jacobi weights and
+    its shape.
     ``cycle`` runs in the precision of its argument: MG_SWEEPS damped-Jacobi
     sweeps (weight MG_OMEGA) run in place before and after each coarse
     correction, so the cycle evaluated in float64 is a symmetric positive
@@ -135,8 +133,6 @@ class Multigrid:
     """
 
     def __init__(self, A: sp.dia_matrix, mx: int, my: int):
-        # (A by diagonals, MG_OMEGA / diag(A), P_x, P_y, P_x^T, P_y^T) above the
-        # coarsest, each rounded to float32 from the float64 the taps are formed in
         self.levels = []
         # by symmetry the diagonal of offset -o holds, at each node, its tap at offset +o
         diagonals = dict(zip(A.offsets, A.data))
@@ -144,10 +140,9 @@ class Multigrid:
         zero = np.broadcast_to(0.0, (my, mx))  # a 5-point stencil has no corner taps
         taps = (C, E, zero, N, zero)
         while A.shape[0] > MG_COARSEST and min(mx, my) >= 2:
-            PxT, PyT = coarse_restriction((mx, my), "linear")
-            Px, Py, (mx, my) = coarse_basis((mx, my), "linear")
-            level = (A, MG_OMEGA / taps[0].ravel(), Px, Py, PxT, PyT)
-            self.levels.append(tuple(M.astype(np.float32) for M in level))
+            dinv = MG_OMEGA / taps[0].ravel()
+            self.levels.append((A.astype(np.float32), dinv.astype(np.float32), (mx, my)))
+            mx, my = mx // 2, my // 2
             taps = _galerkin(taps, mx, my)
             A = stencil_matrix(taps)
         self.coarse = SparseFactor(A)
@@ -167,13 +162,13 @@ class Multigrid:
         an approximation of A^-1 b."""
         if level == len(self.levels):
             return self.coarse._lu.solve(b).astype(b.dtype, copy=False)
-        A, dinv, Px, Py, PxT, PyT = self.levels[level]
+        A, dinv, (mx, my) = self.levels[level]
         x = dinv * b
         _smooth(A, dinv, x, b, MG_SWEEPS - 1)
-        r = _defect(A, x, b).reshape(Py.shape[0], Px.shape[0])
-        rc = PyT @ (PxT @ r.T).T
-        ec = self.cycle(rc.ravel(), level + 1).reshape(Py.shape[1], Px.shape[1])
-        x += (Py @ (Px @ ec.T).T).ravel()
+        r = _defect(A, x, b).reshape(my, mx)
+        rc = _restrict(_restrict(r.T, mx // 2).T, my // 2)  # x first, on the transpose
+        ec = self.cycle(rc.ravel(), level + 1).reshape(rc.shape)
+        x += _prolong(_prolong(ec.T, mx).T, my).ravel()
         _smooth(A, dinv, x, b, MG_SWEEPS)
         return x
 
@@ -206,6 +201,30 @@ def _thirds(a: np.ndarray, c: int, axis: int) -> tuple:
     return tuple(a[lead + (slice(k, 2 * c + k, 2),)] for k in range(3))
 
 
+def _restrict(a: np.ndarray, c: int) -> np.ndarray:
+    """P^T a along axis 0, onto c coarse nodes, in the dtype and layout of ``a``:
+    a[2k] / 2 + a[2k + 1] + a[2k + 2] / 2 (no third term past the end), summed
+    left to right as a sorted CSR product with P^T sums it, so to the bit."""
+    half = a[::2] * 0.5
+    out = half[:c] + a[1:2 * c:2]
+    out[:len(half) - 1] += half[1:]
+    return out
+
+
+def _prolong(e: np.ndarray, m: int) -> np.ndarray:
+    """P e along axis 0, onto m fine nodes, in the dtype and layout of ``e``:
+    e[k] at node 2k + 1, e[k - 1] / 2 + e[k] / 2 at node 2k (one half at an
+    end), summed as a sorted CSR product with P sums them, so to the bit."""
+    c = len(e)
+    out = np.empty_like(e, shape=(m,) + e.shape[1:])
+    half = e * 0.5
+    out[1:2 * c:2] = e
+    out[0] = half[0]
+    np.add(half[:-1], half[1:], out=out[2:2 * c - 1:2])
+    out[2 * c::2] = half[-1]  # fine node 2c, on an odd count only
+    return out
+
+
 def _shift(a: np.ndarray, dx: int) -> np.ndarray:
     """b[:, X] = a[:, X + dx] for dx = +-1, zero where X + dx is off the grid."""
     b = np.zeros_like(a)
@@ -229,11 +248,10 @@ def _galerkin(taps: tuple, mcx: int, mcy: int) -> tuple:
 
     ``taps`` are those of a symmetric 9-point A, each an (my, mx) array
     (a lower tap is the upper tap of the neighbour it reaches), and P is the
-    "linear" ``coarse_basis``: coarse node k weighs fine node 2k + 1 by 1 and
-    fine nodes 2k and 2k + 2 by 1/2.  The pass along x contracts each row of
-    taps (dy = 0 and dy = +1) with P_x; the pass along y contracts the result
-    with P_y.  A row of taps (a_-1, a_0, a_+1) along an axis gives the
-    coarse taps
+    linear interpolation of ``Multigrid``.  The pass along x contracts each
+    row of taps (dy = 0 and dy = +1) with P_x; the pass along y contracts the
+    result with P_y.  A row of taps (a_-1, a_0, a_+1) along an axis gives
+    the coarse taps
       t = 0:   (a_0[2k] + a_0[2k+2])/4 + a_0[2k+1]
                + (a_+1[2k] + a_-1[2k+1] + a_+1[2k+1] + a_-1[2k+2])/2,
       t = +1:  a_0[2k+2]/4 + (a_+1[2k+1] + a_+1[2k+2])/2,

@@ -528,7 +528,8 @@ def test_scenario_values_refused_at_parse(tmp_path, capsys, changes, message):
 @pytest.mark.parametrize("section, key", [(None, "eta"), ("noise", "level"), ("grid", "hx")])
 def test_integer_too_large_for_a_float_is_refused(tmp_path, capsys, section, key):
     # a JSON integer beyond the float range is no number: parse refuses it by
-    # key, where float() would raise OverflowError
+    # key, where float() would raise OverflowError, and echoes a shortened repr
+    # of its 401 digits
     scen = json.loads(json.dumps(SCENARIO))
     (scen[section] if section else scen)[key] = 10**400
     spath = tmp_path / "huge.json"
@@ -537,6 +538,7 @@ def test_integer_too_large_for_a_float_is_refused(tmp_path, capsys, section, key
     assert main(["certify", "--scenario", str(spath), "--report", str(report)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{section or 'scenario'}.{key} must be a number" in err
+    assert len(err.strip()) < 120
     assert not report.exists()
 
 

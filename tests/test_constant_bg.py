@@ -241,7 +241,7 @@ def test_round_trip_in_spline_range(bg, g):
     # the solve seeks dgamma and dsigma in the range of the spline coarse
     # basis, so a truth inside that range comes back to solver precision;
     # on 33x42 the two axes have different sine matrices and spacings
-    Px, Py, (mx, my) = coarse_basis((g.nx - 2, g.ny - 2), "spline")
+    Px, Py, (mx, my) = coarse_basis((g.nx - 2, g.ny - 2))
     Q = sp.kron(Py, Px, format="csr")
     iidx = g.interior_indices()
     truths = []
@@ -314,7 +314,7 @@ def test_matrix_free_rows_match_assembled_operator(bg, grid):
     from umot.constant_bg import _SplineRows
 
     rows = _SplineRows(bg, grid)
-    Px, Py, _ = coarse_basis((grid.nx - 2, grid.ny - 2), "spline")
+    Px, Py, _ = coarse_basis((grid.nx - 2, grid.ny - 2))
     Q = sp.kron(Py, Px, format="csr")
     AQ = (sp.vstack(_interior_blocks(bg, grid)) @ sp.block_diag([Q, Q])).toarray()
     N = AQ.T @ AQ
@@ -408,7 +408,7 @@ def test_preconditioner_matches_dstn(bg, grid):
     # scipy.fft, to round-off
     from umot.constant_bg import _spectral_preconditioner
 
-    shape = coarse_basis((grid.nx - 2, grid.ny - 2), "spline")[2]
+    shape = coarse_basis((grid.nx - 2, grid.ny - 2))[2]
     r = np.random.default_rng(11).standard_normal(2 * shape[0] * shape[1])
     got = _spectral_preconditioner(bg, grid, shape)(r)
     ref = _dstn_preconditioner(bg, grid, shape)(r)

@@ -15,7 +15,6 @@ from umot import (
 )
 from umot.field_core import (
     coarse_basis,
-    coarse_restriction,
     derivative_stencils,
     diffusion_flux_jacobian,
     face_average_partials,
@@ -310,14 +309,14 @@ def test_norm_helpers():
     assert rel_l2_error(2 * ones, ones, g) == pytest.approx(1.0)
 
 
-KINDS = ["linear", "spline"]
+KINDS = ["spline"]  # the one coarse basis; its name stays in the test ids
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("shape", [(31, 31), (30, 30), (31, 28)], ids=["odd", "even", "mixed"])
 def test_coarse_basis_is_blind_to_the_checkerboard(kind, shape):
     # P^T of (-1)^(i+j) vanishes on every coarse node away from the boundary
-    Px, Py, (mcx, mcy) = coarse_basis(shape, kind)
+    Px, Py, (mcx, mcy) = coarse_basis(shape)
     mx, my = shape
     checker = (-1.0) ** np.add.outer(np.arange(my), np.arange(mx))
     r = Py.T @ (Px.T @ checker.T).T
@@ -328,36 +327,33 @@ def test_coarse_basis_is_blind_to_the_checkerboard(kind, shape):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("m", [30, 31])
 def test_coarse_basis_on_even_and_odd_counts(kind, m):
-    # coarse node k sits at fine node 2k + 1; "linear" keeps m // 2 of them,
-    # "spline" (m - 1) // 2; both reproduce constants away from the ends
-    Px, Py, shape = coarse_basis((m, m + 1), kind)
-    nc = m // 2 if kind == "linear" else (m - 1) // 2
+    # coarse node k sits at fine node 2k + 1, (m - 1) // 2 of them; the
+    # basis reproduces constants away from the ends
+    Px, Py, shape = coarse_basis((m, m + 1))
+    nc = (m - 1) // 2
     assert Px.shape == (m, nc) and shape[0] == nc
     assert Py.shape == (m + 1, shape[1])
     ones = Px @ np.ones(nc)
     assert np.allclose(ones[2:2 * nc - 1], 1.0)
-    assert Px[2 * np.arange(nc) + 1, np.arange(nc)].min() == (1.0 if kind == "linear" else 0.75)
+    assert Px[2 * np.arange(nc) + 1, np.arange(nc)].min() == 0.75
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("m", [30, 31, 190, 191])
 def test_coarse_maps_equal_their_triplet_builds(kind, m):
-    # P and P^T are written straight from the taps; entry for entry they are
-    # the CSR matrices built from COO triplets and transposed, so every
-    # product with them is unchanged to the bit
-    nc = m // 2 if kind == "linear" else (m - 1) // 2
-    taps = {0: 1.0, -1: 0.5, 1: 0.5}
-    if kind == "spline":
-        taps = {0: 0.75, -1: 0.5, 1: 0.5, -2: 0.125, 2: 0.125}
+    # P is written straight from the taps; entry for entry it is the CSR
+    # matrix built from COO triplets, and its transpose that matrix's
+    # transpose, so every product with either is unchanged to the bit
+    nc = (m - 1) // 2
+    taps = {0: 0.75, -1: 0.5, 1: 0.5, -2: 0.125, 2: 0.125}
     k = np.arange(nc)
     rows = np.concatenate([2 * k + 1 + o for o in taps])
     keep = (rows >= 0) & (rows < m)
     cols = np.tile(k, len(taps))
     vals = np.repeat(list(taps.values()), nc)
     P = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m, nc))
-    Px, _, _ = coarse_basis((m, 9), kind)
-    PxT, _ = coarse_restriction((m, 9), kind)
-    for got, ref in ((Px, P), (PxT, P.T.tocsr())):
+    Px, _, _ = coarse_basis((m, 9))
+    for got, ref in ((Px, P), (Px.T.tocsr(), P.T.tocsr())):
         assert got.shape == ref.shape
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(ref, part))
@@ -369,7 +365,7 @@ def test_spline_basis_approximates_at_fourth_order():
     for n in (33, 65, 129):
         g = Grid.unit_square(n)
         u = bump_field(g, (0.4, 0.45), 0.22, 1.0, power=4).values[g.interior_indices()]
-        Px, Py, _ = coarse_basis((n - 2, n - 2), "spline")
+        Px, Py, _ = coarse_basis((n - 2, n - 2))
         P = sp.kron(Py, Px, format="csc")
         c = spla.spsolve((P.T @ P).tocsc(), P.T @ u)
         errs.append(np.linalg.norm(P @ c - u) / np.linalg.norm(u))
@@ -377,13 +373,9 @@ def test_spline_basis_approximates_at_fourth_order():
     assert np.all(orders >= 3.5)
 
 
-@pytest.mark.parametrize("kind, shape", [("linear", (1, 9)), ("spline", (9, 2)), ("spline", (1, 1))])
+@pytest.mark.parametrize(
+    "kind, shape", [("spline", (9, 2)), ("spline", (1, 1))], ids=["spline-shape1", "spline-shape2"]
+)
 def test_coarse_basis_refuses_axis_without_coarse_node(kind, shape):
     with pytest.raises(ValueError, match=f"interior nodes along an axis leave no {kind} coarse node"):
-        coarse_basis(shape, kind)
-
-
-def test_coarse_basis_refuses_unknown_kind():
-    for build in (coarse_basis, coarse_restriction):
-        with pytest.raises(ValueError, match="unknown coarse basis kind 'cubic'"):
-            build((9, 9), "cubic")
+        coarse_basis(shape)

@@ -334,15 +334,17 @@ def test_multigrid_cg_matches_direct_solve(case):
 
 @pytest.mark.parametrize("case", HARD_CASES)
 def test_multigrid_levels_stored_by_diagonals(case):
-    # every level above the coarsest is a dia_matrix with ascending offsets,
-    # whose product is its sorted CSR product bit for bit; the finest is
-    # the float32 rounding of A_II's diagonals
+    # every level above the coarsest keeps a dia_matrix with ascending
+    # offsets, whose product is its sorted CSR product bit for bit, its
+    # Jacobi weights and its shape, and no transfer matrix; the finest is the
+    # float32 rounding of A_II's diagonals
     solver = _hard_solver(case)
     levels = solver._mg.levels
     assert np.array_equal(levels[0][0].offsets, solver.A_II.offsets)
     assert levels[0][0].data.tobytes() == solver.A_II.data.astype(np.float32).tobytes()
     rng = np.random.default_rng(11)
-    for A, *_ in levels:
+    for A, dinv, (mx, my) in levels:
+        assert dinv.shape == (A.shape[0],) == (mx * my,)
         assert A.format == "dia"
         assert np.all(np.diff(A.offsets) > 0)
         for x in rng.standard_normal((3, A.shape[0])):
@@ -366,15 +368,53 @@ def test_multigrid_cycle_is_symmetric_positive(case):
         assert Mx @ x > 0.0
 
 
+def _linear_interpolation(m: int):
+    """The multigrid's 1-D P (m-by-(m // 2)) as CSR built from COO triplets:
+    coarse node k weighs fine node 2k + 1 by 1 and fine nodes 2k, 2k + 2 by 1/2."""
+    import scipy.sparse as sp
+
+    nc = m // 2
+    taps = {0: 1.0, -1: 0.5, 1: 0.5}
+    k = np.arange(nc)
+    rows = np.concatenate([2 * k + 1 + o for o in taps])
+    keep = (rows >= 0) & (rows < m)
+    cols = np.tile(k, len(taps))
+    vals = np.repeat(list(taps.values()), nc)
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(m, nc))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m", [2, 3, 30, 31, 190, 191])
+def test_multigrid_transfers_equal_csr_products(m, dtype):
+    # the V-cycle restricts and prolongs with array slices, in the dtype of
+    # what it moves; along either axis of the grid they are P^T r and P e
+    # with the CSR P of linear interpolation, bit for bit
+    from umot.solvers import _prolong, _restrict
+
+    P = _linear_interpolation(m).astype(dtype)
+    PT = P.T.tocsr()
+    nc = P.shape[1]
+    rng = np.random.default_rng(m)
+    r = rng.standard_normal((7, m)).astype(dtype)
+    e = rng.standard_normal((7, nc)).astype(dtype)
+    for got, ref in (  # along axis 0 of a C-ordered array and of a transposed view
+        (_restrict(r.T.copy(), nc), PT @ r.T),
+        (_restrict(r.T, nc).T, (PT @ r.T).T),
+        (_prolong(e.T.copy(), m), P @ e.T),
+        (_prolong(e.T, m).T, (P @ e.T).T),
+    ):
+        assert got.dtype == dtype
+        assert got.shape == ref.shape
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
 @pytest.mark.parametrize("case", HARD_CASES + ["heterogeneous-96", "heterogeneous-97"])
 def test_multigrid_levels_are_galerkin_products(case):
     # the hierarchy is built by stencil arithmetic; every level below the
     # finest is the float32 rounding, and the factored coarsest matrix the
     # float64 value, of the Galerkin product P^T A P of the level above with
-    # the "linear" coarse basis, formed in float64 all the way down
+    # the linear interpolation P, formed in float64 all the way down
     import scipy.sparse as sp
-
-    from umot.field_core import coarse_basis
 
     solver = _solver_of(case)
     mg = solver._mg
@@ -382,7 +422,8 @@ def test_multigrid_levels_are_galerkin_products(case):
     mx, my = grid.nx - 2, grid.ny - 2
     A = sp.csr_matrix(solver.A_II)
     for level in [A for A, *_ in mg.levels[1:]] + [mg.coarse.A]:
-        Px, Py, (mx, my) = coarse_basis((mx, my), "linear")
+        Px, Py = _linear_interpolation(mx), _linear_interpolation(my)
+        mx, my = Px.shape[1], Py.shape[1]
         P = sp.kron(Py, Px, format="csr")
         A = sp.csr_matrix(P.T @ A @ P)
         level = sp.csr_matrix(level)

@@ -101,14 +101,16 @@ def test_field_file_with_fractional_node_count_is_refused(tmp_path, count):
         field_from_dict(load_json(path))
 
 
-@pytest.mark.parametrize("bad", ["1.5", True, None])
+@pytest.mark.parametrize("bad", ["1.5", True, None, pytest.param(10**400, id="401-digits")])
 def test_field_file_holding_a_non_number_is_refused(tmp_path, bad):
-    # float() would read "1.5" as 1.5 and True as 1.0: a value must be a JSON number
+    # float() would read "1.5" as 1.5 and True as 1.0, and cannot convert
+    # 10^400: a value must be a JSON number, and the refusal echoes it shortened
     g = Grid(9, 7, 0.1, 0.2)
     d = field_to_dict(ScalarField.constant(g, 1.0))
     d["values"][5] = bad
-    with pytest.raises(ValueError, match=r"field key 'values' must hold numbers, got"):
+    with pytest.raises(ValueError, match=r"field key 'values' must hold numbers, got") as info:
         field_from_dict(d)
+    assert len(str(info.value)) < 120
 
 
 def test_explicit_boundary_file_holding_a_string_is_refused_at_parse(tmp_path):
