@@ -1,7 +1,7 @@
 """Solver ladders: CG steps, time and memory of one solve route by grid size.
 
-    python3 scripts/ladder.py {forward,constant-bg} [--max N] [--max-steps K]
-                              [--max-peak-mb M]
+    python3 scripts/ladder.py {forward,constant-bg} [...] [--max N]
+                              [--max-steps K] [--max-peak-mb M] [--json PATH]
 
 ``forward``: for each n x n unit-square grid (64, 128 and 256) it builds one
 forward bundle on a heterogeneous background with the CGO boundary set
@@ -27,9 +27,16 @@ the relative L2 errors of dgamma and dsigma against the fine truths.  Even
 and odd sizes are both listed because the spline coarse grid fits the DST
 layout of the preconditioner only on odd ones.
 
-``--max N`` drops the grids larger than N.  With ``--max-steps K`` the script
-exits 1 when any solve took more than K CG steps, and with ``--max-peak-mb M``
-when any row's ``peak MB`` exceeds M.  BLAS runs on one thread,
+Several routes may be named; each prints its own table.  ``--max N`` drops
+the grids larger than N.  With ``--max-steps K`` the script exits 1 when any
+solve took more than K CG steps, and with ``--max-peak-mb M`` when any row's
+``peak MB`` exceeds M.  ``--json PATH`` also writes the rows of every route
+to PATH as one JSON object: ``schema_version`` (SCHEMA_VERSION), ``created``
+(UTC), ``machine`` (``nproc``, ``cpu``), the ``python``, ``numpy`` and
+``scipy`` versions, ``blas`` (the BLAS numpy and scipy were built against,
+null where numpy is older than 1.25 and cannot say), ``blas_threads`` and
+``routes``, which maps each route to its rows, one object per grid keyed as
+in the row functions.  BLAS runs on one thread,
 as in ``perfbench``: with more, the threaded vector operations of CG made the
 128x128 forward build up to eight times slower in a process started after a
 pause.
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import platform
 import resource
 import sys
 import time
@@ -50,12 +58,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads BLAS
 
 import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 import scipy.sparse.linalg as spla  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import umot  # noqa: E402
 from umot.field_core import coarse_basis, rel_l2_error  # noqa: E402
+from umot.fileio import dump_json  # noqa: E402
 from umot.phantom import bump_field  # noqa: E402
 
 
@@ -208,26 +218,79 @@ ROUTES = {
 }
 
 
+SCHEMA_VERSION = 1
+
+
+def _cpu() -> str:
+    """The CPU model as /proc/cpuinfo names it, else what ``platform`` says."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def _blas(module) -> str | None:
+    """Name and version of the BLAS ``module`` was built against, or None
+    when its ``show_config`` cannot return a dict (numpy older than 1.25)."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return f"{blas['name']} {blas['version']}"
+
+
+def environment() -> dict:
+    """Everything of a ``--json`` file but the rows."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "machine": {"nproc": os.cpu_count(), "cpu": _cpu()},
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"numpy": _blas(np), "scipy": _blas(scipy)},
+        "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("route", choices=sorted(ROUTES), help="the solve route to ladder")
+    ap.add_argument("routes", nargs="+", choices=sorted(ROUTES), metavar="route",
+                    help=f"a solve route to ladder: {', '.join(sorted(ROUTES))}")
     ap.add_argument("--max", type=int, default=None, help="largest grid size n")
     ap.add_argument("--max-steps", type=int, default=None,
                     help="exit 1 when a solve takes more CG steps than this")
     ap.add_argument("--max-peak-mb", type=float, default=None,
                     help="exit 1 when a row's traced peak MB exceeds this")
+    ap.add_argument("--json", default=None, metavar="PATH",
+                    help="also write the machine, versions and rows to PATH")
     args = ap.parse_args()
-    all_sizes, row, columns = ROUTES[args.route]
-    sizes = [n for n in all_sizes if args.max is None or n <= args.max]
-    if not sizes:
-        ap.error(f"--max must be at least {min(all_sizes)}")
+    plans = []
+    for route in args.routes:
+        all_sizes, row, columns = ROUTES[route]
+        sizes = [n for n in all_sizes if args.max is None or n <= args.max]
+        if not sizes:
+            ap.error(f"--max must be at least {min(all_sizes)} for {route}")
+        plans.append((route, sizes, row, columns))
 
-    print(" ".join(f"{header:>{width}}" for header, _, width, _ in columns))
+    rows: dict[str, list[dict]] = {}
     worst, peak = 0, 0.0
-    for n in sizes:
-        r = row(n)
-        worst, peak = max(worst, r["max_steps"]), max(peak, r["peak_mb"])
-        print(" ".join(f"{r[key]:>{width}{fmt}}" for _, key, width, fmt in columns), flush=True)
+    for route, sizes, row, columns in plans:
+        if len(plans) > 1:
+            print(f"{route}:")
+        print(" ".join(f"{header:>{width}}" for header, _, width, _ in columns))
+        for n in sizes:
+            r = row(n)
+            rows.setdefault(route, []).append(r)
+            worst, peak = max(worst, r["max_steps"]), max(peak, r["peak_mb"])
+            print(" ".join(f"{r[key]:>{width}{fmt}}" for _, key, width, fmt in columns),
+                  flush=True)
+    if args.json is not None:
+        dump_json({**environment(), "routes": rows}, args.json)
     failed = False
     if args.max_steps is not None and worst > args.max_steps:
         print(f"error: a solve took {worst} CG steps, more than {args.max_steps}",

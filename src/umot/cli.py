@@ -4,8 +4,10 @@ Subcommands: forward, certify, linearize, constbg, reconstruct, pipeline.
 All read a scenario and call the stage functions and serializers of
 umot.pipeline, so each writes what the matching pipeline stage writes, and
 gate their base bundle as the certify stage does (``EllipticityReport.require``,
-exit 2).  Output is JSON (plus CSV mirrors for fields).  The UMOT_LOG
-environment variable selects the logging level (error, info, debug).
+exit 2).  Output is JSON, except the forward stage's fields, which are
+``.npy`` files beside one ``grid.json``; field inputs (``--dh``, ``--hmeas``,
+``--init``) are JSON.  The UMOT_LOG environment variable selects the logging
+level (error, info, debug).
 """
 
 from __future__ import annotations

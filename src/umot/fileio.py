@@ -1,17 +1,16 @@
 """Field and data file formats.
 
-Fields travel as JSON objects
-{"nx", "ny", "hx", "hy", "x0", "y0", "values": [row-major floats]}
-with a CSV mirror (header ``x,y,value``, one row per node, row-major) for
-plotting.  JSON is written with sorted keys so identical data produces
-identical bytes.  Both files write each value, and the CSV each coordinate,
-as the shortest string that reads back to the same float (``repr``), so the
-JSON and its CSV mirror carry the same digits.  The field writers format the
-values once per field and build both files from those strings, byte for
-byte what ``dump_json(field_to_dict(f))`` and a per-node ``repr`` would
-write; ``dump_json`` itself splices long float lists in the same layout, so
-no field goes through json's pure-Python indent encoder.  A file that lacks
-a key it needs is refused with a ValueError that names the key.
+The pipeline writes each field as ``<name>.npy``, numpy's own binary format:
+float64, C order, shape (ny, nx), so row j holds the nodes at y0 + j hy.  The
+grid is written once per output directory as ``grid.json``
+{"nx", "ny", "hx", "hy", "x0", "y0"}.  Fields read as input (``--dh``,
+``--hmeas``, ``--init``, ``fields`` backgrounds) stay JSON objects
+{"nx", "ny", "hx", "hy", "x0", "y0", "values": [row-major floats]}.  JSON is
+written with sorted keys so identical data produces identical bytes, each
+float as the shortest string that reads back to it (``repr``); ``dump_json``
+splices long float lists in json's own layout, so no field goes through
+json's pure-Python indent encoder.  A file that lacks a key it needs is
+refused with a ValueError that names the key.
 """
 
 from __future__ import annotations
@@ -111,12 +110,12 @@ def require_floats(d, key: str, what: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _grid_dict(g: Grid) -> dict:
+def grid_to_dict(g: Grid) -> dict:
     return {"nx": g.nx, "ny": g.ny, "hx": g.hx, "hy": g.hy, "x0": g.x0, "y0": g.y0}
 
 
 def field_to_dict(f: ScalarField) -> dict:
-    return {**_grid_dict(f.grid), "values": f.values.tolist()}
+    return {**grid_to_dict(f.grid), "values": f.values.tolist()}
 
 
 def _reprs(a) -> list[str]:
@@ -135,26 +134,25 @@ def field_from_dict(d: dict) -> ScalarField:
     return ScalarField(Grid(nx, ny, *map(float, spacing)), values)
 
 
+# The two text writers below are no longer called by the pipeline; they stay
+# importable from here and from ``umot.pipeline`` only because perfbench's
+# tracer looks both names up to wrap them.  Once its artifact-write hook
+# points at the ``.npy`` writes they can go.
+
+
 def write_field_json(f: ScalarField, path) -> list[str]:
     """Write ``f`` as ``dump_json(field_to_dict(f), path)`` would; return the
-    value strings, which ``write_field_csv`` takes for the mirror.
-
-    ``json`` writes the grid keys and the layout; the values (finite, as
-    ScalarField guarantees) are spliced in as their reprs, which is what
-    json writes for a finite float.
-    """
+    value strings, which ``write_field_csv`` takes for the mirror."""
     values = _reprs(f.values)
-    empty = json.dumps({**_grid_dict(f.grid), "values": []}, sort_keys=True, indent=1)
+    empty = json.dumps({**grid_to_dict(f.grid), "values": []}, sort_keys=True, indent=1)
     head, tail = empty.split('"values": []')
     Path(path).write_text(head + '"values": ' + _json_list(values, 1) + tail + "\n")
     return values
 
 
 def write_field_csv(f: ScalarField, path, values: list[str]) -> None:
-    """Write the CSV mirror of ``f`` from ``values``, the strings that
-    ``write_field_json`` returned for ``f``.  The x strings are formatted once
-    per column and the y strings once per row.
-    """
+    """Write ``f`` as CSV (header ``x,y,value``, one node per row, row-major)
+    from ``values``, the strings that ``write_field_json`` returned for ``f``."""
     nx = f.grid.nx
     xs, ys = map(_reprs, f.grid.axes())
     lines = ["x,y,value"]

@@ -1,13 +1,14 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 import umot.pipeline
 from umot import Grid, ScalarField
 from umot.cli import main
 from umot.errors import NotElliptic
-from umot.fileio import dump_json, field_from_dict, field_to_dict, load_json
+from umot.fileio import dump_json, field_to_dict, load_json
 from umot.nonlinear import IterationRecord, ReconstructionResult
 from umot.scenario import parse_scenario
 
@@ -37,8 +38,10 @@ def scenario_file(tmp_path):
     return path
 
 
-def read_field_json(path) -> ScalarField:
-    return field_from_dict(load_json(path))
+def read_field_npy(out, name) -> ScalarField:
+    """Field ``name`` of a forward-stage directory: ``<name>.npy`` on ``grid.json``."""
+    values = np.load(out / f"{name}.npy", allow_pickle=False)
+    return ScalarField(Grid(**load_json(out / "grid.json")), values)
 
 
 def write_field_list_json(fields, path) -> None:
@@ -79,7 +82,7 @@ def test_pipeline_golden_run(tmp_path, scenario_file):
     names = {o["path"] for o in manifest["outputs"]}
     assert "certify.json" in names
     assert "reconstruction.json" in names
-    assert "H_0.json" in names and "H_0.csv" in names
+    assert "H_0.npy" in names and "grid.json" in names
     report = load_json(out / "certify.json")
     assert report["elliptic"] is True
     rec = load_json(out / "reconstruction.json")
@@ -113,7 +116,7 @@ def test_pipeline_rejects_two_direction_set(tmp_path, capsys):
     rc = main(["pipeline", "--scenario", str(spath), "--out", str(tmp_path / "run")])
     assert rc == 2
     assert (tmp_path / "run" / "scenario.json").exists()
-    assert (tmp_path / "run" / "u_0.json").exists()
+    assert (tmp_path / "run" / "u_0.npy").exists()
     assert not (tmp_path / "run" / "manifest.json").exists()
 
 
@@ -121,9 +124,9 @@ def test_forward_and_certify_commands(tmp_path, scenario_file, monkeypatch):
     monkeypatch.setenv("UMOT_LOG", "info")
     out = tmp_path / "fwd"
     assert main(["forward", "--scenario", str(scenario_file), "--out", str(out)]) == 0
-    u0 = read_field_json(out / "u_0.json")
+    u0 = read_field_npy(out, "u_0")
     assert u0.grid.nx == 18
-    assert (out / "H_2.csv").exists()
+    assert (out / "H_2.npy").exists()
 
     report_path = tmp_path / "report.json"
     rc = main(["certify", "--scenario", str(scenario_file), "--report", str(report_path)])
@@ -137,7 +140,7 @@ def test_linearize_command(tmp_path, scenario_file):
     # build dH with the pipeline, then invert through the standalone command
     out = tmp_path / "run"
     assert main(["pipeline", "--scenario", str(scenario_file), "--out", str(out)]) == 0
-    dH = [read_field_json(out / f"dH_{j}.json") for j in range(3)]
+    dH = [read_field_npy(out, f"dH_{j}") for j in range(3)]
     dh_path = tmp_path / "dh.json"
     write_field_list_json(dH, dh_path)
     v_path = tmp_path / "v.json"
@@ -157,7 +160,7 @@ def test_linearize_command_uses_scenario_threshold(tmp_path, scenario_file, caps
     out = tmp_path / "run"
     assert main(["pipeline", "--scenario", str(scenario_file), "--out", str(out)]) == 0
     dh_path = tmp_path / "dh.json"
-    write_field_list_json([read_field_json(out / f"dH_{j}.json") for j in range(3)], dh_path)
+    write_field_list_json([read_field_npy(out, f"dH_{j}") for j in range(3)], dh_path)
     strict = json.loads(json.dumps(SCENARIO))
     strict["certify"] = {"margin_threshold": 10.0}
     strict_path = tmp_path / "strict.json"
@@ -176,7 +179,7 @@ def test_linearize_command_with_normal_data(tmp_path, scenario_file):
     # through the lift route must reproduce the default solve
     out = tmp_path / "run"
     assert main(["pipeline", "--scenario", str(scenario_file), "--out", str(out)]) == 0
-    dH = [read_field_json(out / f"dH_{j}.json") for j in range(3)]
+    dH = [read_field_npy(out, f"dH_{j}") for j in range(3)]
     dh_path = tmp_path / "dh.json"
     write_field_list_json(dH, dh_path)
     nb = 4 * 18 - 4
@@ -204,7 +207,7 @@ def test_constbg_command(tmp_path):
     out = tmp_path / "run"
     assert main(["pipeline", "--scenario", str(spath), "--out", str(out)]) == 0
     dh_path = tmp_path / "dh.json"
-    write_field_list_json([read_field_json(out / f"dH_{j}.json") for j in range(3)], dh_path)
+    write_field_list_json([read_field_npy(out, f"dH_{j}") for j in range(3)], dh_path)
     rec_path = tmp_path / "rec.json"
     rc = main(
         ["constbg", "--scenario", str(spath), "--dh", str(dh_path), "--out", str(rec_path)]
@@ -272,7 +275,7 @@ def test_constant_bg_route_is_built_on_first_use_off_its_path(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["pipeline", "--scenario", str(spath), "--out", str(out)]) == 0
     dh_path = tmp_path / "dh.json"
-    write_field_list_json([read_field_json(out / f"dH_{j}.json") for j in range(3)], dh_path)
+    write_field_list_json([read_field_npy(out, f"dH_{j}") for j in range(3)], dh_path)
     capsys.readouterr()
     rec_path = tmp_path / "rec.json"
     rc = main(
@@ -566,7 +569,7 @@ def test_reconstruct_command(tmp_path, scenario_file):
     out = tmp_path / "run"
     assert main(["pipeline", "--scenario", str(scenario_file), "--out", str(out)]) == 0
     h_path, init_path = _reconstruct_inputs(
-        tmp_path, [read_field_json(out / f"H_{j}.json") for j in range(3)]
+        tmp_path, [read_field_npy(out, f"H_{j}") for j in range(3)]
     )
     res_path = tmp_path / "result.json"
     trace_path = tmp_path / "trace.csv"
@@ -592,7 +595,7 @@ def test_reconstruct_command_keeps_best_iterate_on_divergence(tmp_path):
     out = tmp_path / "run"
     assert main(["pipeline", "--scenario", str(spath), "--out", str(out)]) == 2
     h_path, init_path = _reconstruct_inputs(
-        tmp_path, [read_field_json(out / f"H_{j}.json") for j in range(3)]
+        tmp_path, [read_field_npy(out, f"H_{j}") for j in range(3)]
     )
     res_path, trace_path = tmp_path / "result.json", tmp_path / "trace.csv"
     rc = main(
@@ -674,12 +677,41 @@ def test_forward_command_writes_pipeline_artifacts(tmp_path):
     assert main(["pipeline", "--scenario", str(spath), "--out", str(run)]) == 0
     assert main(["forward", "--scenario", str(spath), "--out", str(fwd)]) == 0
     for j in range(3):
-        assert (fwd / f"H_{j}.json").read_bytes() == (run / f"H_{j}.json").read_bytes()
+        assert (fwd / f"H_{j}.npy").read_bytes() == (run / f"H_{j}.npy").read_bytes()
     stage_only = {"scenario.json", "certify.json", "reconstruction.json", "manifest.json"}
     written = {p.name for p in fwd.iterdir()}
     assert written == {p.name for p in run.iterdir()} - stage_only
     for name in written:
         assert (fwd / name).read_bytes() == (run / name).read_bytes()
+
+
+def test_forward_stage_field_artifacts(tmp_path):
+    # every forward-stage field is a float64, C-order (ny, nx) .npy holding
+    # the bundle's numbers bit for bit, grid.json records the scenario grid,
+    # and the manifest lists exactly the files written; the grid is not
+    # square and its origin moved, so a transposed or shifted layout fails
+    grid = {"nx": 21, "ny": 17, "hx": 1 / 20, "hy": 1 / 16, "x0": -0.05, "y0": 0.0}
+    config = parse_scenario(_variant(tmp_path, grid=grid).read_text())
+    out = tmp_path / "run"
+    manifest = umot.pipeline.run_pipeline(config, out)
+    setup = config.setup
+    bundle_truth = setup.bundle.at(setup.truth)
+    expected = {"gamma_truth": setup.truth.gamma, "sigma_truth": setup.truth.sigma}
+    for j, ((_, u), h, hb) in enumerate(
+        zip(bundle_truth.solutions, bundle_truth.H, setup.bundle.H)
+    ):
+        expected.update({f"u_{j}": u, f"H_{j}": h, f"dH_{j}": h - hb})
+    for name, field in expected.items():
+        a = np.load(out / f"{name}.npy", allow_pickle=False)
+        assert a.dtype == np.dtype("<f8") and a.shape == (17, 21) and a.flags.c_contiguous
+        assert a.tobytes() == field.values.tobytes()
+    assert load_json(out / "grid.json") == grid
+    assert Grid(**load_json(out / "grid.json")) == setup.grid
+    written = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert {path for path, _ in manifest.outputs} == written
+    assert written == {f"{name}.npy" for name in expected} | {
+        "grid.json", "scenario.json", "certify.json", "reconstruction.json"
+    }
 
 
 def test_nonlinear_pipeline_path(tmp_path):
