@@ -75,5 +75,5 @@ from .nonlinear import (
     stability_probe,
 )
 from .phantom import BumpSpec, add_noise, bump_field, generate_phantom
-from .scenario import ScenarioConfig, parse_scenario, serialize_scenario
+from .scenario import ScenarioConfig, parse_scenario
 from .pipeline import RunManifest, run_pipeline

@@ -5,18 +5,16 @@ float64, C order, shape (ny, nx), so row j holds the nodes at y0 + j hy.  The
 grid is written once per output directory as ``grid.json``
 {"nx", "ny", "hx", "hy", "x0", "y0"}.  Fields read as input (``--dh``,
 ``--hmeas``, ``--init``, ``fields`` backgrounds) stay JSON objects
-{"nx", "ny", "hx", "hy", "x0", "y0", "values": [row-major floats]}.  JSON is
-written with sorted keys so identical data produces identical bytes, each
-float as the shortest string that reads back to it (``repr``); ``dump_json``
-splices long float lists in json's own layout, so no field goes through
-json's pure-Python indent encoder.  A file that lacks a key it needs is
-refused with a ValueError that names the key.
+{"nx", "ny", "hx", "hy", "x0", "y0", "values": [row-major floats]}.  Every
+JSON artifact goes through ``dump_json``: one line, keys sorted so identical
+data produces identical bytes, each float as the shortest string that reads
+back to it (``repr``).  A file that lacks a key it needs is refused with a
+ValueError that names the key.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import reprlib
 from pathlib import Path
 
@@ -25,47 +23,9 @@ import numpy as np
 from .field_core import Grid, ScalarField
 
 
-_SLOT = re.compile(r'"\\u0000(\d+)"')  # how json spells the placeholder "\0<k>"
-
-
-def _json_list(items: list[str], depth: int) -> str:
-    """json's indent=1 layout of a non-empty list of formatted ``items``
-    whose opening bracket sits at nesting ``depth``."""
-    pad = "\n" + " " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
-
-
 def dump_json(obj, path) -> None:
-    """Write ``json.dumps(obj, sort_keys=True, indent=1) + "\n"``, byte for byte.
-
-    json's indent encoder is pure Python, so every non-empty list or tuple of
-    finite floats is swapped for a placeholder string, json lays out the
-    rest, and each placeholder is replaced by the list's reprs (what json
-    writes for a finite float) in json's layout.  Lists with other items or
-    a non-finite value, and a skeleton in which the placeholders cannot be
-    found exactly once each, go through json unchanged.
-    """
-    spliced = []
-
-    def swap(o, depth):
-        if isinstance(o, dict):
-            return {k: swap(v, depth + 1) for k, v in o.items()}
-        if isinstance(o, (list, tuple)):
-            if o and all(isinstance(x, float) for x in o):
-                a = np.asarray(o, dtype=float)
-                if np.isfinite(a).all():
-                    spliced.append(_json_list(_reprs(a), depth))
-                    return f"\0{len(spliced) - 1}"
-            return [swap(v, depth + 1) for v in o]
-        return o
-
-    text = json.dumps(swap(obj, 0), sort_keys=True, indent=1)
-    found = [int(k) for k in _SLOT.findall(text)]
-    if sorted(found) == list(range(len(spliced))):
-        text = _SLOT.sub(lambda m: spliced[int(m.group(1))], text)
-    else:
-        text = json.dumps(obj, sort_keys=True, indent=1)
-    Path(path).write_text(text + "\n")
+    """Write ``obj`` as one line of JSON with sorted keys, by json's C encoder."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def load_json(path):
@@ -141,13 +101,10 @@ def field_from_dict(d: dict) -> ScalarField:
 
 
 def write_field_json(f: ScalarField, path) -> list[str]:
-    """Write ``f`` as ``dump_json(field_to_dict(f), path)`` would; return the
-    value strings, which ``write_field_csv`` takes for the mirror."""
-    values = _reprs(f.values)
-    empty = json.dumps({**grid_to_dict(f.grid), "values": []}, sort_keys=True, indent=1)
-    head, tail = empty.split('"values": []')
-    Path(path).write_text(head + '"values": ' + _json_list(values, 1) + tail + "\n")
-    return values
+    """Write ``f`` as ``dump_json(field_to_dict(f), path)``; return the value
+    strings, which ``write_field_csv`` takes for the mirror."""
+    dump_json(field_to_dict(f), path)
+    return _reprs(f.values)
 
 
 def write_field_csv(f: ScalarField, path, values: list[str]) -> None:

@@ -7,8 +7,9 @@ or warn once with ``allow_noncertified``); the invert stage runs one of three
 reconstructions on it.  Artifacts are written as each stage completes, so a
 failing stage preserves everything produced before it and its error names
 the stage.  The forward stage writes its fields as ``<name>.npy`` and the
-grid once as ``grid.json``; the other artifacts are JSON, and the nonlinear
-trace is CSV.  Numeric outputs are deterministic for a fixed configuration
+grid once as ``grid.json``; the nonlinear trace is CSV.  Every JSON artifact,
+``scenario.json`` and the manifest included, goes through this module's
+``dump_json``.  Numeric outputs are deterministic for a fixed configuration
 (and seed); the manifest lists every output file with a content digest.  The
 ``umot`` subcommands call the same stage functions and serializers.
 """
@@ -36,13 +37,7 @@ from .forward import CoefficientPair
 from .linearized import assemble_system, injectivity_probe, normal_residual, solve_normal_equations
 from .nonlinear import ReconstructionResult, ReconstructOptions, sweep
 from .phantom import add_noise
-from .scenario import (
-    NoiseConfig,
-    ScenarioConfig,
-    ScenarioSetup,
-    config_digest,
-    serialize_scenario,
-)
+from .scenario import NoiseConfig, ScenarioConfig, ScenarioSetup, config_digest
 
 log = logging.getLogger("umot")
 
@@ -221,7 +216,7 @@ def run_pipeline(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rec = Recorder(out)
-    rec.text("scenario.json", serialize_scenario(config))
+    rec.json("scenario.json", config.to_dict())
     setup = config.setup
     truth = setup.truth
 

@@ -3,14 +3,16 @@
 Unknown keys and missing required keys are rejected at every level, and a
 seed is mandatory whenever noise is requested.  Counts must be integers,
 other numbers JSON numbers, not strings, booleans or nulls.  The parsed
-configuration serializes back to itself with every default made explicit
-except four: the grid's ``x0``/``y0`` and a CGO set's ``M``/``k`` are
-written back only when the input gives them (a bare CGO set serializes as
-``{"type": "cgo"}``).  One function per section checks it and builds it,
-and parsing builds the scenario's one base point, a ``ScenarioSetup``:
-the grid, the background (reading a ``fields`` background's files), the
-traces (reading an ``explicit`` boundary set's files) and the truth; on the
-``constant_bg`` path it also builds the constant background.  So the library
+configuration's ``to_dict`` is its canonical object, which the pipeline
+writes as ``scenario.json`` and which parses back to itself, with every
+default made explicit except four: the grid's ``x0``/``y0`` and a CGO set's
+``M``/``k`` are written back only when the input gives them (a bare CGO set
+is ``{"type": "cgo"}``); ``config_digest`` hashes it.  One function per
+section checks it and builds it, and parsing builds the scenario's one base
+point, a ``ScenarioSetup``: the grid, the background (reading a ``fields``
+background's files), the traces (reading an ``explicit`` boundary set's
+files) and the truth; on the ``constant_bg`` path it also builds the
+constant background.  So the library
 constructors' refusals and a missing or malformed file are a ScenarioError
 before anything is written, and the pipeline and the CLI reuse what parsing
 built.  The base bundle and its certificate are made on first use.
@@ -331,10 +333,6 @@ def parse_scenario(data) -> ScenarioConfig:
     except (TypeError, ValueError, BumpTouchesBoundary, DirectionsNotCertified, ZeroEta) as exc:
         # refused by a library constructor
         raise ScenarioError(f"invalid scenario value: {exc}") from exc
-
-
-def serialize_scenario(config: ScenarioConfig) -> str:
-    return json.dumps(config.to_dict(), sort_keys=True, indent=1) + "\n"
 
 
 def config_digest(config: ScenarioConfig) -> str:

@@ -714,6 +714,32 @@ def test_forward_stage_field_artifacts(tmp_path):
     }
 
 
+def test_every_json_artifact_goes_through_the_pipeline_dump_json(tmp_path, monkeypatch):
+    # a tracer that rebinds umot.pipeline.dump_json and reads the path from
+    # the second argument sees every JSON artifact exactly once, and every
+    # file that is not a .npy field is one it saw: a write around dump_json
+    # leaves a file the wrapper did not see
+    calls = []
+    dump_json_ = umot.pipeline.dump_json
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return dump_json_(*args, **kwargs)
+
+    monkeypatch.setattr(umot.pipeline, "dump_json", recording)
+    grid = {"nx": 24, "ny": 24, "hx": 1 / 23, "hy": 1 / 23}
+    spath = _variant(tmp_path, grid=grid, inversion={"path": "constant_bg"})
+    out = tmp_path / "run"
+    umot.pipeline.run_pipeline(parse_scenario(spath.read_text()), out)
+    assert all(len(args) == 2 and not kwargs for args, kwargs in calls)
+    seen = [args[1] for args, _ in calls]
+    assert sorted(path.name for path in seen) == [
+        "certify.json", "grid.json", "manifest.json", "reconstruction.json", "scenario.json"
+    ]
+    assert all(path.parent == out for path in seen)
+    assert {p.name for p in out.iterdir() if p.suffix != ".npy"} == {p.name for p in seen}
+
+
 def test_nonlinear_pipeline_path(tmp_path):
     scen = json.loads(json.dumps(SCENARIO))
     scen["inversion"] = {"path": "nonlinear", "kmax": 15}

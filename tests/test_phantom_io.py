@@ -12,9 +12,10 @@ from umot import (
     add_noise,
     generate_phantom,
     parse_scenario,
-    serialize_scenario,
+    run_pipeline,
 )
 from umot.fileio import (
+    dump_json,
     field_from_dict,
     field_to_dict,
     load_json,
@@ -156,15 +157,15 @@ def _reference_csv(f: ScalarField) -> str:
     ids=["non-square-origin", "integer-hx-x0"],
 )
 def test_field_writers_match_reference_bytes(tmp_path, grid):
-    # the writers format each value once and splice the strings into both
-    # files; the bytes stay those of json.dumps and of a per-node repr
+    # the JSON writer is json.dumps on one line; the CSV mirror writes each
+    # value's repr per node
     rng = np.random.default_rng(2)
     values = rng.standard_normal(grid.n_nodes) * 10.0 ** rng.integers(-30, 30, grid.n_nodes)
     values[:5] = [-0.0, 5e-324, 1e-05, 1e300, 2.0]
     f = ScalarField(grid, values)
     jpath, cpath = tmp_path / "f.json", tmp_path / "f.csv"
     strings = write_field_json(f, jpath)
-    reference = json.dumps(field_to_dict(f), sort_keys=True, indent=1) + "\n"
+    reference = json.dumps(field_to_dict(f), sort_keys=True) + "\n"
     assert ('"hx": 2,' in reference) == isinstance(grid.hx, int)
     assert jpath.read_text() == reference
     write_field_csv(f, cpath, strings)
@@ -172,10 +173,8 @@ def test_field_writers_match_reference_bytes(tmp_path, grid):
 
 
 def test_dump_json_matches_json_bytes(tmp_path):
-    # finite float lists are spliced in as reprs; everything else, and a
-    # list holding NaN or inf, goes through json, so the bytes are json's
-    from umot.fileio import dump_json
-
+    # one line of json.dumps with sorted keys, whatever the object holds:
+    # float lists, NaN and inf, tuples, empty containers, control characters
     rng = np.random.default_rng(8)
     long = (rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30, 40)).tolist()
     long[:4] = [-0.0, 5e-324, 1e-05, 2.0]
@@ -189,11 +188,11 @@ def test_dump_json_matches_json_bytes(tmp_path):
         "scalar": 0.1,
         "name": "\u0000 not a placeholder",
     }
-    # a string json spells like a placeholder sends the whole object through json
+    # a string that json escapes as "\\u0000" followed by a digit
     trap = {"b": long, "s": "\u00000"}
     for o in (obj, long, [obj, [long]], {}, [], trap):
         dump_json(o, tmp_path / "o.json")
-        assert (tmp_path / "o.json").read_text() == json.dumps(o, sort_keys=True, indent=1) + "\n"
+        assert (tmp_path / "o.json").read_text() == json.dumps(o, sort_keys=True) + "\n"
 
 
 SCENARIO = {
@@ -213,23 +212,38 @@ SCENARIO = {
 }
 
 
-def test_scenario_parse_and_serialize_idempotent():
+def test_scenario_parse_and_serialize_idempotent(tmp_path):
     config = parse_scenario(json.dumps(SCENARIO))
-    text = serialize_scenario(config)
-    config2 = parse_scenario(text)
-    assert serialize_scenario(config2) == text
+    path = tmp_path / "scenario.json"
+    dump_json(config.to_dict(), path)
+    config2 = parse_scenario(path.read_text())
+    assert config2.to_dict() == config.to_dict()
+    dump_json(config2.to_dict(), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
     assert config_digest(config) == config_digest(config2)
 
 
-def test_scenario_writes_back_what_was_parsed():
+def test_scenario_writes_back_what_was_parsed(tmp_path):
     # the parsed scenario owns its canonical object: changing the input dict
     # or a to_dict result afterwards changes nothing it writes
     scen = json.loads(json.dumps(SCENARIO))
     config = parse_scenario(scen)
-    text = serialize_scenario(config)
+    before = config.to_dict()
+    dump_json(before, tmp_path / "before.json")
     scen["boundary_set"]["dirs"][0][0] = 5
     config.to_dict()["boundary_set"]["dirs"][1][1] = 5
-    assert serialize_scenario(config) == text
+    dump_json(config.to_dict(), tmp_path / "after.json")
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+
+
+def test_config_digest_is_pinned(tmp_path):
+    # the manifest's config_digest hashes the canonical scenario; a change to
+    # what parsing writes back, or to how it is hashed, moves this value
+    digest = "e60298dda8cb84d6b84b787784d48b361205cd338d1a9609c7b07c6501cf3444"
+    config = parse_scenario(json.dumps(SCENARIO))
+    assert config_digest(config) == digest
+    assert run_pipeline(config, tmp_path / "run").config_digest == digest
+    assert load_json(tmp_path / "run" / "scenario.json") == config.to_dict()
 
 
 def test_scenario_rejects_unknown_keys():
