@@ -20,15 +20,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import GridMismatch, NotElliptic, PipelineStageError, UmotError
-from .field_core import BoundaryData
 from .fileio import (
     dump_json,
     field_from_dict,
     load_json,
     read_field_list_json,
-    require_floats,
     require_key,
-    require_list,
 )
 from .forward import CoefficientPair
 from .pipeline import (
@@ -80,14 +77,7 @@ def cmd_certify(args) -> int:
 def cmd_linearize(args) -> int:
     setup = _config(args).setup
     setup.certificate.require()
-    g = None
-    if args.g:
-        components = require_list(load_json(args.g), "components", "--g file")
-        g = [
-            BoundaryData(setup.grid, require_floats(c, "values", "--g component"))
-            for c in components
-        ]
-    dump_json(linearized_reconstruction(setup, read_field_list_json(args.dh), g=g), args.out)
+    dump_json(linearized_reconstruction(setup, read_field_list_json(args.dh)), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -152,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--dh", required=True, help="JSON list of dH fields")
     p.add_argument("--out", required=True)
-    p.add_argument("--g", default=None, help="optional normal-derivative data")
     p.set_defaults(fn=cmd_linearize)
 
     p = sub.add_parser("constbg", help="constant-background explicit inversion")

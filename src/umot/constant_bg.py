@@ -295,12 +295,12 @@ def solve_constant_bg(
     gradients preconditioned with ``_spectral_preconditioner``; ``cg_solve``
     checks its residual.
     """
+    if len(data) != len(bg.dirs):
+        raise ValueError("need one data field per direction")
     grid = data[0].grid
     for d in data[1:]:
         if d.grid != grid:
             raise GridMismatch("data fields on different grids")
-    if len(data) != len(bg.dirs):
-        raise ValueError("need one data field per direction")
     iidx = grid.interior_indices()
     rows = _SplineRows(bg, grid)
     rhs = rows.adjoint(np.stack([S.values[iidx] for S in data]))

@@ -18,10 +18,7 @@ rows times h) balance the discrete system across derivative orders.
 
 Unknown layout: perturbation blocks [dgamma | dsigma | du_1 ... du_J], each
 restricted to interior nodes.  Boundary values of dgamma and dsigma are
-pinned to zero (perturbations are modeled as interior-supported).  When
-normal-derivative data g is supplied, a clamped biharmonic lift carries it:
-the lift vanishes on the boundary and has normal derivative g there, and the
-solve runs on the homogeneous remainder.
+pinned to zero (perturbations are modeled as interior-supported).
 """
 
 from __future__ import annotations
@@ -32,10 +29,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .biharmonic import biharmonic_lifts
 from .errors import GridMismatch, RankDeficient, SolverDivergence, TooFewSolutions
 from .field_core import (
-    BoundaryData,
     DiscreteOperator,
     ScalarField,
     diffusion_flux_jacobian,
@@ -214,44 +209,27 @@ def _ensure_full_rank(sys: LinearizedSystem) -> SparseFactor:
 
 def solve_normal_equations(
     sys: LinearizedSystem,
-    g: list[BoundaryData] | None = None,
     rhs: np.ndarray | None = None,
 ) -> PerturbationVector:
     """Least-squares solution of the stacked system via its normal equations.
 
-    With normal-derivative data ``g`` (one BoundaryData per unknown block,
-    ordered dgamma, dsigma, du_1..du_J), the solution is split v = w + phi
-    with phi the clamped biharmonic lift of g, and the homogeneous remainder
-    w is solved for on the system's cached normal-matrix factorization,
-    after the rank probe has cleared it; the factor checks the solve's
-    residual against the solve layer's one bound.
+    Solves on the system's cached normal-matrix factorization, after the
+    rank probe has cleared it; the factor checks the solve's residual
+    against the solve layer's one bound.  ``rhs`` replaces the system's
+    right-hand side (see ``LinearizedSystem.data_rhs``).
     """
     grid = sys.bundle.grid
     iidx = grid.interior_indices()
     n_int = iidx.size
-    J = sys.J
-    A = sys.A.matrix
     b = sys.rhs if rhs is None else rhs
-
-    if g is not None:
-        if len(g) != 2 + J:
-            raise ValueError("need normal data for each unknown block")
-        if any(g_k.grid != grid for g_k in g):
-            raise GridMismatch("normal data on the wrong grid")
-        phi_int = np.concatenate([p.values[iidx] for p in biharmonic_lifts(g)])
-        b = b - A @ phi_int
-
-    w = _ensure_full_rank(sys).solve(A.T @ b)
-
-    if g is not None:
-        w = w + phi_int
+    w = _ensure_full_rank(sys).solve(sys.A.matrix.T @ b)
 
     def unpack(block: int) -> ScalarField:
         full = np.zeros(grid.n_nodes)
         full[iidx] = w[block * n_int : (block + 1) * n_int]
         return ScalarField(grid, full)
 
-    du = tuple(unpack(2 + j) for j in range(J))
+    du = tuple(unpack(2 + j) for j in range(sys.J))
     return PerturbationVector(unpack(0), unpack(1), du)
 
 

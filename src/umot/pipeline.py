@@ -148,10 +148,10 @@ def _errors(dgamma, dsigma, truth: CoefficientPair, background: CoefficientPair)
     }
 
 
-def linearized_reconstruction(setup: ScenarioSetup, dH, g=None, truth=None) -> dict:
-    """Linearized solve at the base point (optional normal data ``g``) as a dict."""
+def linearized_reconstruction(setup: ScenarioSetup, dH, truth=None) -> dict:
+    """Linearized solve at the base point as a dict."""
     sys = assemble_system(setup.bundle, dH)
-    v = solve_normal_equations(sys, g=g)
+    v = solve_normal_equations(sys)
     out = {
         "dgamma": field_to_dict(v.dgamma),
         "dsigma": field_to_dict(v.dsigma),

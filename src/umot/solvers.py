@@ -2,7 +2,7 @@
 
 One factorization object serves every direct solve.  Every matrix factored
 here is symmetric positive (semi)definite: normal matrices, the
-absorption-free fourth-order and biharmonic matrices, and the coarsest
+absorption-free fourth-order matrix, and the coarsest
 multigrid level of a forward A_II (all of A_II when it has at most
 MG_COARSEST unknowns).  So the factor is a symmetric minimum-degree LU with
 diagonal pivots (minimum degree on A + A^T, SuperLU's symmetric mode), built

@@ -1,12 +1,14 @@
+import argparse
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import umot.pipeline
 from umot import Grid, ScalarField
-from umot.cli import main
+from umot.cli import build_parser, main
 from umot.errors import NotElliptic
 from umot.fileio import dump_json, field_to_dict, load_json
 from umot.nonlinear import IterationRecord, ReconstructionResult
@@ -174,32 +176,6 @@ def test_linearize_command_uses_scenario_threshold(tmp_path, scenario_file, caps
     assert not (tmp_path / "v.json").exists()
 
 
-def test_linearize_command_with_normal_data(tmp_path, scenario_file):
-    # interior-supported truth has vanishing normal data, so supplying g = 0
-    # through the lift route must reproduce the default solve
-    out = tmp_path / "run"
-    assert main(["pipeline", "--scenario", str(scenario_file), "--out", str(out)]) == 0
-    dH = [read_field_npy(out, f"dH_{j}") for j in range(3)]
-    dh_path = tmp_path / "dh.json"
-    write_field_list_json(dH, dh_path)
-    nb = 4 * 18 - 4
-    g_path = tmp_path / "g.json"
-    g_path.write_text(json.dumps({"components": [{"values": [0.0] * nb}] * 5}))
-    va_path, vb_path = tmp_path / "va.json", tmp_path / "vb.json"
-    assert main(
-        ["linearize", "--scenario", str(scenario_file), "--dh", str(dh_path),
-         "--out", str(va_path)]
-    ) == 0
-    assert main(
-        ["linearize", "--scenario", str(scenario_file), "--dh", str(dh_path),
-         "--out", str(vb_path), "--g", str(g_path)]
-    ) == 0
-    va, vb = load_json(va_path), load_json(vb_path)
-    a = va["dgamma"]["values"]
-    b = vb["dgamma"]["values"]
-    assert max(abs(x - y) for x, y in zip(a, b)) < 1e-10
-
-
 def test_constbg_command(tmp_path):
     # the standalone command runs the pipeline's constant_bg stage on the
     # same bundle, so the same dH gives the same numbers, bit for bit
@@ -324,28 +300,39 @@ def test_certify_command_refuses_xi_samples(tmp_path, scenario_file, capsys):
     assert not report_path.exists()
 
 
-NB = 4 * 18 - 4  # boundary nodes of the 18x18 scenario grid
+def test_linearize_command_refuses_normal_data(tmp_path, scenario_file):
+    # the normal-derivative lift is gone (it moved no number of the
+    # least-squares solve), so the --g flag no longer parses
+    dh_path, g_path = tmp_path / "dh.json", tmp_path / "g.json"
+    g = Grid(18, 18, 1 / 17, 1 / 17)
+    write_field_list_json([ScalarField.constant(g, 0.01)] * 3, dh_path)
+    dump_json({"components": [{"values": [0.0] * (4 * 18 - 4)}] * 5}, g_path)
+    out = tmp_path / "v.json"
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["linearize", "--scenario", str(scenario_file), "--dh", str(dh_path),
+             "--out", str(out), "--g", str(g_path)]
+        )
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "command, n_fields, g_sizes, sigma0, message",
+    "command, n_fields, sigma0, message",
     [
-        ("linearize", 2, None, None, "one dH field per solution"),
-        ("linearize", 3, [NB] * 2, None, "normal data for each unknown block"),
-        ("linearize", 3, [NB] * 4 + [5], None, "boundary"),
-        ("constbg", 2, None, None, "one data field per direction"),
-        ("reconstruct", 3, None, -0.5, "absorption"),
+        ("linearize", 2, None, "one dH field per solution"),
+        ("constbg", 2, None, "one data field per direction"),
+        ("reconstruct", 3, -0.5, "absorption"),
         # a file without a key it needs names the key
-        ("linearize", 3, None, None, "field list is missing the key 'fields'"),
-        ("linearize", 3, None, None, "field is missing the key 'ny'"),
-        ("linearize", 3, [NB] * 5, None, "--g file is missing the key 'components'"),
-        ("reconstruct", 3, None, 0.5, "--init file is missing the key 'gamma'"),
+        ("linearize", 3, None, "field list is missing the key 'fields'"),
+        ("linearize", 3, None, "field is missing the key 'ny'"),
+        ("reconstruct", 3, 0.5, "--init file is missing the key 'gamma'"),
         # extra fields are refused, not dropped
-        ("constbg", 4, None, None, "one data field per direction"),
+        ("constbg", 4, None, "one data field per direction"),
     ],
 )
 def test_malformed_input_files_exit_1(
-    tmp_path, scenario_file, capsys, command, n_fields, g_sizes, sigma0, message
+    tmp_path, scenario_file, capsys, command, n_fields, sigma0, message
 ):
     # a file of the wrong shape or with a value out of range is reported as
     # an error, not a traceback, and no output is written
@@ -368,11 +355,6 @@ def test_malformed_input_files_exit_1(
         args += ["--hmeas", str(fields_path), "--init", str(init_path)]
     else:
         args += ["--dh", str(fields_path)]
-    if g_sizes is not None:
-        g_path = tmp_path / "g.json"
-        g_path.write_text(json.dumps({"components": [{"values": [0.0] * n} for n in g_sizes]}))
-        carrier["components"] = g_path
-        args += ["--g", str(g_path)]
     missing = re.search(r"missing the key '(\w+)'", message)
     if missing:  # drop the named key from the file that carries it
         key = missing.group(1)
@@ -407,11 +389,9 @@ def _first_field(d: dict, **changes) -> dict:
          "field key 'values' must hold numbers, got True"),
         ("linearize", "--dh", lambda d: _first_field(d, hx=[1 / 17]),
          "field spacings and origin must be numbers"),
-        ("linearize", "--g", lambda d: {"components": 5},
-         "--g file key 'components' must be a list, got int"),
     ],
     ids=["dh-fields-int", "hmeas-fields-int", "values-object", "values-objects", "values-bool",
-         "hx-list", "g-components-int"],
+         "hx-list"],
 )
 def test_wrongly_typed_input_files_exit_1(
     tmp_path, scenario_file, capsys, command, flag, edit, message
@@ -424,10 +404,8 @@ def test_wrongly_typed_input_files_exit_1(
     files["--init"] = tmp_path / "init.json"
     dump_json({k: field_to_dict(ScalarField.constant(g, 1.0)) for k in ("gamma", "sigma")},
               files["--init"])
-    files["--g"] = tmp_path / "g.json"
-    dump_json({"components": [{"values": [0.0] * NB}] * 5}, files["--g"])
     dump_json(edit(load_json(files[flag])), files[flag])
-    flags = ["--dh", "--g"] if command == "linearize" else ["--hmeas", "--init"]
+    flags = ["--dh"] if command == "linearize" else ["--hmeas", "--init"]
     out = tmp_path / "out.json"
     args = [command, "--scenario", str(scenario_file), "--out", str(out)]
     assert main(args + [a for f in flags for a in (f, str(files[f]))]) == 1
@@ -903,3 +881,31 @@ def test_reconstruct_command_refuses_init_on_another_grid(tmp_path, scenario_fil
     assert err.startswith("error: --init file is on Grid(nx=20, ny=20")
     assert "the scenario on Grid(nx=18, ny=18" in err
     assert not (tmp_path / "result.json").exists()
+
+
+def _readme_subcommands() -> dict:
+    """README's Subcommands block: each flag, True when shown without brackets."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("Subcommands:", 1)[1].split("```")[1].replace("\\\n", " ")
+    out = {}
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        if words:
+            assert words[0] == "umot", line
+            flags = re.findall(r"\[(--[\w-]+)[^\]]*\]|(--[\w-]+)", " ".join(words[2:]))
+            out[words[1]] = {opt or req: not opt for opt, req in flags}
+    return out
+
+
+def test_readme_subcommands_match_the_parser():
+    # every subcommand and flag is in both, and a flag is bracketed in the
+    # README exactly when the parser does not require it
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parsed = {
+        name: {a.option_strings[0]: a.required for a in p._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)}
+        for name, p in sub.choices.items()
+    }
+    assert _readme_subcommands() == parsed

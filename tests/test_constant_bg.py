@@ -186,6 +186,22 @@ def test_solve_zero_data(bg):
     assert np.abs(dsigma.values).max() == 0.0
 
 
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_solve_refuses_wrong_field_count(bg, count):
+    # the count is checked before any field is read, so an empty list is
+    # refused like a short or long one
+    g = Grid.unit_square(9)
+    with pytest.raises(ValueError, match="need one data field per direction"):
+        solve_constant_bg(bg, [ScalarField(g, np.zeros(g.n_nodes))] * count)
+
+
+def test_solve_refuses_field_on_another_grid(bg):
+    g, other = Grid.unit_square(9), Grid.unit_square(11)
+    data = [ScalarField(grid, np.zeros(grid.n_nodes)) for grid in (g, g, other)]
+    with pytest.raises(GridMismatch, match="data fields on different grids"):
+        solve_constant_bg(bg, data)
+
+
 def test_solve_rejects_uncertified(dirs2):
     # an uncertified set never reaches the solve: the background refuses it
     with pytest.raises(DirectionsNotCertified, match="direction set margin"):

@@ -15,7 +15,6 @@ from umot import (
     injectivity_probe,
     solve_normal_equations,
 )
-from umot.errors import GridMismatch
 from umot.field_core import rel_l2_error
 from umot.linearized import normal_residual
 from umot.phantom import add_noise, bump_field
@@ -242,36 +241,6 @@ def test_noise_sweep_linear_growth(bundle24):
     assert abs(slope - 1.0) <= 0.15
 
 
-def test_lift_mode_round_trip(bundle24):
-    # interior-supported truth has vanishing normal data: the lifted solve
-    # must agree with the default route
-    g = bundle24.grid
-    dg, ds = _planted(g)
-    dH, _ = apply_linearized_forward(bundle24, dg, ds)
-    sys_ = assemble_system(bundle24, dH)
-    zero_b = BoundaryData(g, np.zeros(g.n_boundary))
-    v = solve_normal_equations(sys_, g=[zero_b] * (2 + bundle24.J))
-    assert rel_l2_error(v.dgamma.values, dg.values, g) < 1e-6
-
-
-@pytest.mark.parametrize("blocks", ["all", "one"])
-def test_normal_data_on_another_grid_refused(dirs3, blocks):
-    # normal data on a 19² grid for a 17² system, in all five blocks or in
-    # one, is refused before any lift: all five would otherwise lift on 19²
-    # and be cut to the 17² interior without an error
-    g, other = Grid(17, 17, 1 / 16, 1 / 16), Grid(19, 19, 1 / 18, 1 / 18)
-    traces = constant_bg_boundary_set(g, 1.0, 0.5, dirs3)
-    bundle = build_bundle(CoefficientPair.constant(g, 1.0, 0.5), traces)
-    sys_ = assemble_system(bundle, _zero_fields(g, bundle.J))
-    normal = [BoundaryData(g, np.zeros(g.n_boundary))] * (2 + bundle.J)
-    if blocks == "all":
-        normal = [BoundaryData(other, np.zeros(other.n_boundary))] * (2 + bundle.J)
-    else:
-        normal[3] = BoundaryData(other, np.zeros(other.n_boundary))
-    with pytest.raises(GridMismatch, match="normal data on the wrong grid"):
-        solve_normal_equations(sys_, g=normal)
-
-
 @pytest.mark.parametrize("J", [1, 2])
 def test_rank_deficient_solve_refused(bundle24, J):
     # the normal equations of a system with fewer than three solutions stay
@@ -360,41 +329,6 @@ def test_factor_refuses_nonsymmetric_matrix():
     A = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
     with pytest.raises(ValueError, match="symmetric"):
         SparseFactor(A)
-
-
-def test_lifted_solve_factors_biharmonic_matrix_once(dirs3, monkeypatch):
-    # nonzero normal data for all 2 + J blocks: one biharmonic factorization,
-    # and each lift equals the one-at-a-time lift bit for bit
-    import scipy.sparse.linalg as spla
-
-    g = Grid(18, 18, 1 / 17, 1 / 17)
-    traces = constant_bg_boundary_set(g, 1.0, 0.5, dirs3)
-    bundle = build_bundle(CoefficientPair.constant(g, 1.0, 0.5), traces)
-    dg, ds = _planted(g)
-    dH, _ = apply_linearized_forward(bundle, dg, ds)
-    sys_ = assemble_system(bundle, dH)
-    X, Y = g.coords()
-    b = g.boundary_indices()
-    normal = [
-        BoundaryData(g, 1e-3 * (k + 1) * np.sin(np.pi * (X[b] + k * Y[b])))
-        for k in range(2 + bundle.J)
-    ]
-    factored = []
-    splu = spla.splu
-
-    def counting_splu(A, *args, **kwargs):
-        factored.append(A.shape)
-        return splu(A, *args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting_splu)
-    solve_normal_equations(sys_, g=normal)
-    n_int = g.interior_indices().size
-    assert factored.count((n_int, n_int)) == 1
-
-    from umot.biharmonic import biharmonic_lifts
-
-    for lift, gk in zip(biharmonic_lifts(normal), normal):
-        assert np.array_equal(lift.values, biharmonic_lifts([gk])[0].values)
 
 
 def test_injectivity_probe_certified_vs_deficient(bundle24):
